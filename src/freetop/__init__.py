@@ -15,15 +15,12 @@ from .linalg import (
     commutator,
     eigen_symmetric,
     canonical_planes,
-    frobenius_norm,
     gram_project_orthonormal,
 )
 from .body import (
     InertiaSpec,
     BodyState,
-    InvariantReport,
     Trajectory,
-    TrajectorySample,
     IntegrationAbort,
     inertia_apply,
     inertia_invert,
@@ -58,7 +55,6 @@ from .stability import (
     OrbitKernelReport,
     ProbeResult,
     linearize,
-    linearize_fd,
     orbit_kernel,
     orbit_kernel_directions,
     stabilizer_dimension,

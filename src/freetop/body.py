@@ -26,9 +26,7 @@ from .linalg import (
 __all__ = [
     "InertiaSpec",
     "BodyState",
-    "InvariantReport",
     "Trajectory",
-    "TrajectorySample",
     "IntegrationAbort",
     "inertia_apply",
     "inertia_invert",
@@ -164,33 +162,67 @@ def vector_field(m, body: InertiaSpec) -> SkewMatrix:
     return SkewMatrix(_field_array(arr, body))
 
 
-def energy(m, body: InertiaSpec) -> float:
-    """Kinetic energy -tr(M W) / 4.
+def _momentum_stack(m, body: InertiaSpec) -> np.ndarray:
+    """Momenta (..., n, n) as a float array of the body's dimension."""
+    arr = m.array if isinstance(m, SkewMatrix) else np.asarray(m, dtype=float)
+    if arr.ndim < 2 or arr.shape[-2:] != (body.n, body.n):
+        raise ValueError(f"dimension mismatch: state is {arr.shape}, body is {body.n}")
+    return arr
+
+
+def _energy(mt: np.ndarray, body: InertiaSpec) -> np.ndarray:
+    return 0.25 * np.sum(mt * mt / body.pair_sums, axis=(-2, -1))
+
+
+def energy(m, body: InertiaSpec):
+    """Kinetic energy -tr(M W) / 4, evaluated as sum(M~^2 / pair_sums) / 4
+    in the inertia eigenframe.
 
     The normalization makes n = 3 reduce to the familiar sum of
-    (moment * rate^2) / 2 over the principal axes.
+    (moment * rate^2) / 2 over the principal axes. m may be one momentum
+    or a stack (..., n, n).
     """
-    arr = _skew_array(m)
-    _check_dims(arr, body)
-    om = _invert_array(arr, body)
-    return float(-0.25 * np.trace(arr @ om))
+    return _energy(body.to_eigenframe(_momentum_stack(m, body)), body)
 
 
 def casimirs(m, n_or_body) -> np.ndarray:
-    """Traces of even powers tr(M^(2k)) for k = 1 .. n // 2."""
-    arr = np.asarray(m, dtype=float)
+    """Traces of even powers tr(M^(2k)) for k = 1 .. n // 2, in any frame.
+
+    m may be one momentum or a stack (..., n, n); the traces are the last axis.
+    """
+    arr = m.array if isinstance(m, SkewMatrix) else np.asarray(m, dtype=float)
     n = n_or_body.n if isinstance(n_or_body, InertiaSpec) else int(n_or_body)
     m2 = arr @ arr
     out = []
     acc = m2
     for _ in range(n // 2):
-        out.append(np.trace(acc))
+        out.append(np.trace(acc, axis1=-2, axis2=-1))
         acc = acc @ m2
-    return np.array(out)
+    return np.stack(out, axis=-1)
 
 
 def casimir_labels(n: int) -> list[str]:
     return [f"casimir_{k}" for k in range(1, n // 2 + 1)]
+
+
+def _manakov(mt: np.ndarray, body: InertiaSpec, max_power: int) -> np.ndarray:
+    if max_power < 2:
+        raise ValueError("max_power must be at least 2")
+    if max_power > body.n:
+        raise ValueError(f"max_power {max_power} exceeds the dimension {body.n}")
+    lam2 = body.eigenvalues ** 2
+    power = [np.eye(body.n)]  # coefficients of (M + z J^2)^k, ascending in z
+    out = []
+    for k in range(1, max_power + 1):
+        nxt = [0.0] * (len(power) + 1)
+        for a, pa in enumerate(power):
+            nxt[a] = nxt[a] + pa @ mt
+            nxt[a + 1] = nxt[a + 1] + pa * lam2
+        power = nxt
+        if k >= 2:
+            out.extend(np.broadcast_to(np.trace(p, axis1=-2, axis2=-1), mt.shape[:-2])
+                       for p in power)
+    return np.stack(out, axis=-1)
 
 
 def manakov_integrals(m, body: InertiaSpec, max_power: int) -> np.ndarray:
@@ -199,27 +231,11 @@ def manakov_integrals(m, body: InertiaSpec, max_power: int) -> np.ndarray:
     For the matrix pencil M + z * J^2, returns the coefficient of z^j in
     tr((M + z J^2)^k) for every k = 2 .. max_power and j = 0 .. k, ordered
     by ascending k then ascending j. Every coefficient is a first integral
-    of the motion.
+    of the motion. The traces are taken in the inertia eigenframe, where
+    J^2 = diag(lambda^2) and a product with it scales columns. m may be one
+    momentum or a stack (..., n, n); the coefficients are the last axis.
     """
-    if max_power < 2:
-        raise ValueError("max_power must be at least 2")
-    if max_power > body.n:
-        raise ValueError(f"max_power {max_power} exceeds the dimension {body.n}")
-    arr = _skew_array(m)
-    _check_dims(arr, body)
-    j = body.J.array
-    pencil = [arr, j @ j]  # degree-1 matrix polynomial in the spectral parameter
-    power = [np.eye(body.n)]
-    out = []
-    for k in range(1, max_power + 1):
-        nxt = [np.zeros((body.n, body.n)) for _ in range(len(power) + 1)]
-        for a, pa in enumerate(power):
-            for b, pb in enumerate(pencil):
-                nxt[a + b] = nxt[a + b] + pa @ pb
-        power = nxt
-        if k >= 2:
-            out.extend(float(np.trace(p)) for p in power)
-    return np.array(out)
+    return _manakov(body.to_eigenframe(_momentum_stack(m, body)), body, max_power)
 
 
 def manakov_labels(max_power: int) -> list[str]:
@@ -227,24 +243,20 @@ def manakov_labels(max_power: int) -> list[str]:
     return [f"manakov_{k}_{j}" for k in range(2, max_power + 1) for j in range(k + 1)]
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    """Snapshot of the conserved quantities at one state."""
+def compute_invariants(m, body: InertiaSpec, max_power: int, *,
+                       eigenframe: bool = False) -> np.ndarray:
+    """Energy, Casimirs and Manakov coefficients of one momentum or a stack.
 
-    energy: float
-    casimirs: np.ndarray
-    manakov: np.ndarray
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate(([self.energy], self.casimirs, self.manakov))
-
-
-def compute_invariants(m, body: InertiaSpec, max_power: int) -> InvariantReport:
-    return InvariantReport(
-        energy=energy(m, body),
-        casimirs=casimirs(m, body.n),
-        manakov=manakov_integrals(m, body, max_power),
-    )
+    Returns an array (..., k) whose last axis follows invariant_labels(n,
+    max_power); a stack (S, n, n) takes one batched pass. eigenframe=True
+    says m is already in the inertia eigenframe.
+    """
+    mt = _momentum_stack(m, body)
+    if not eigenframe:
+        mt = body.to_eigenframe(mt)
+    return np.concatenate(
+        (_energy(mt, body)[..., None], casimirs(mt, body.n), _manakov(mt, body, max_power)),
+        axis=-1)
 
 
 def invariant_labels(n: int, max_power: int) -> list[str]:
@@ -317,48 +329,61 @@ def step_rk4(state: BodyState, body: InertiaSpec, dt: float) -> BodyState:
     return BodyState(M=SkewMatrix(m_new), X=x_new)
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    t: float
-    state: BodyState
-    invariants: InvariantReport
-
-
 @dataclass
 class Trajectory:
-    """Uniformly sampled trajectory with per-sample invariant reports.
+    """Uniformly sampled trajectory stored as arrays.
 
-    step is the integration step; samples are spaced step * record_every
-    apart in time.
+    times (S,), momenta (S, n, n) in the ambient frame, invariants (S, k)
+    with columns invariant_labels(n, manakov_max_power), and attitudes
+    (S, n, n) when the attitude was integrated. step is the integration
+    step; samples are spaced step * record_every apart in time.
     """
 
-    samples: list[TrajectorySample]
+    times: np.ndarray
+    momenta: np.ndarray
+    invariants: np.ndarray
     step: float
     record_every: int = 1
     integrator: str = "rk4"
     manakov_max_power: int = 2
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
+    attitudes: np.ndarray | None = None
 
     def momentum_displacement(self) -> float:
         """Max over samples of ||M(t) - M(0)|| / ||M(0)|| (absolute if M(0) = 0)."""
-        m0 = self.samples[0].state.M.array
+        m0 = self.momenta[0]
         scale = np.linalg.norm(m0)
-        worst = max(np.linalg.norm(s.state.M.array - m0) for s in self.samples)
+        worst = np.linalg.norm(self.momenta - m0, axis=(1, 2)).max()
         return float(worst / scale) if scale > 0 else float(worst)
 
     def drift_summary(self) -> dict[str, float]:
         """Max relative drift |f(t) - f(0)| / max(1, |f(0)|) per invariant."""
-        n = self.samples[0].state.M.n
-        labels = invariant_labels(n, self.manakov_max_power)
-        table = np.stack([s.invariants.as_vector() for s in self.samples])
-        f0 = table[0]
-        drift = np.abs(table - f0).max(axis=0) / np.maximum(1.0, np.abs(f0))
+        labels = invariant_labels(self.momenta.shape[-1], self.manakov_max_power)
+        f0 = self.invariants[0]
+        drift = np.abs(self.invariants - f0).max(axis=0) / np.maximum(1.0, np.abs(f0))
         out = {label: float(d) for label, d in zip(labels, drift)}
         out["momentum_displacement"] = self.momentum_displacement()
         return out
+
+
+def _step_count(span: float, dt: float, record_every: int, name: str = "t_end") -> int:
+    """Steps of size dt in span; rejects a span that is not a multiple of
+    dt and a record_every that does not divide the step count."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if span <= 0:
+        raise ValueError(f"{name} must be positive")
+    if record_every < 1:
+        raise ValueError("record_every must be a positive integer")
+    nsteps = int(round(span / dt))
+    if nsteps < 1:
+        raise ValueError(f"{name} shorter than one step")
+    if abs(nsteps * dt - span) > 1e-6 * dt:
+        raise ValueError(f"{name}={span} is not an integer multiple of dt={dt}")
+    if nsteps % record_every != 0:
+        raise ValueError(
+            f"record_every={record_every} must divide the step count {nsteps}"
+        )
+    return nsteps
 
 
 def integrate(state, body: InertiaSpec, dt: float, t_end: float,
@@ -367,8 +392,9 @@ def integrate(state, body: InertiaSpec, dt: float, t_end: float,
     """Fixed-step RK4 integration of the momentum equation.
 
     state may be a BodyState or anything accepted by SkewMatrix. Samples
-    (with invariant reports) are recorded every `record_every` steps, which
-    must divide the total step count round(t_end / dt). Steps with
+    are recorded every `record_every` steps, which must divide the total
+    step count round(t_end / dt), and their invariants are computed in one
+    batched pass. Steps with
     dt * ||W(0)||_2 above 0.5 are rejected (guard="reject") or allowed
     with a warning (guard="warn").
 
@@ -379,23 +405,7 @@ def integrate(state, body: InertiaSpec, dt: float, t_end: float,
     """
     if not isinstance(state, BodyState):
         state = BodyState(M=state if isinstance(state, SkewMatrix) else SkewMatrix(state))
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    if record_every < 1:
-        raise ValueError("record_every must be a positive integer")
-    nsteps = int(round(t_end / dt))
-    if nsteps < 1:
-        raise ValueError("t_end shorter than one step")
-    if abs(nsteps * dt - t_end) > 1e-6 * dt:
-        raise ValueError(
-            f"t_end={t_end} is not an integer multiple of dt={dt}"
-        )
-    if nsteps % record_every != 0:
-        raise ValueError(
-            f"record_every={record_every} must divide the step count {nsteps}"
-        )
+    nsteps = _step_count(t_end, dt, record_every)
     if guard not in ("reject", "warn"):
         raise ValueError("guard must be 'reject' or 'warn'")
 
@@ -416,32 +426,30 @@ def integrate(state, body: InertiaSpec, dt: float, t_end: float,
         manakov_max_power = max(2, min(body.n, 4))
 
     if state.X is None:
-        mt0 = body.to_eigenframe(m0)
-        rec = _kernels.rk4_momentum(mt0, np.asarray(body._pair_sums), dt,
-                                    nsteps, record_every, prefer_numba=prefer_numba)
-        samples = []
-        for r in range(rec.shape[0]):
-            t = r * record_every * dt
-            if not np.all(np.isfinite(rec[r])):
-                raise IntegrationAbort(f"momentum became non-finite near t = {t:.6g}")
-            m = body.from_eigenframe(rec[r])
-            st = BodyState(M=SkewMatrix(m))
-            samples.append(TrajectorySample(
-                t=t, state=st,
-                invariants=compute_invariants(st.M, body, manakov_max_power),
-            ))
+        mt = _kernels.rk4_momentum(body.to_eigenframe(m0), np.asarray(body._pair_sums), dt,
+                                   nsteps, record_every, prefer_numba=prefer_numba)
+        momenta = attitudes = None
     else:
-        samples = [TrajectorySample(
-            t=0.0, state=state,
-            invariants=compute_invariants(state.M, body, manakov_max_power),
-        )]
+        momenta = np.empty((nsteps // record_every + 1, body.n, body.n))
+        attitudes = np.empty_like(momenta)
+        momenta[0], attitudes[0] = m0, state.X
         cur = state
         for s in range(nsteps):
             cur = step_rk4(cur, body, dt)
             if (s + 1) % record_every == 0:
-                samples.append(TrajectorySample(
-                    t=(s + 1) * dt, state=cur,
-                    invariants=compute_invariants(cur.M, body, manakov_max_power),
-                ))
-    return Trajectory(samples=samples, step=dt, record_every=record_every,
-                      integrator="rk4", manakov_max_power=manakov_max_power)
+                r = (s + 1) // record_every
+                momenta[r], attitudes[r] = cur.M.array, cur.X
+        mt = body.to_eigenframe(momenta)
+    times = np.arange(mt.shape[0]) * record_every * dt
+    finite = np.isfinite(mt).all(axis=(1, 2))
+    if not finite.all():
+        raise IntegrationAbort(
+            f"momentum became non-finite near t = {times[np.argmin(finite)]:.6g}")
+    if momenta is None:
+        momenta = body.from_eigenframe(mt)
+        momenta = 0.5 * (momenta - momenta.transpose(0, 2, 1))
+    return Trajectory(
+        times=times, momenta=momenta,
+        invariants=compute_invariants(mt, body, manakov_max_power, eigenframe=True),
+        step=dt, record_every=record_every, integrator="rk4",
+        manakov_max_power=manakov_max_power, attitudes=attitudes)

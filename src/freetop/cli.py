@@ -211,7 +211,8 @@ def _cmd_stability(args) -> int:
     else:
         seed = args.seed if args.seed is not None else 0
         result = instability_probe(m, body, eps=args.eps, horizon=args.horizon,
-                                   exit_factor=args.exit_factor, seed=seed, dt=args.dt)
+                                   exit_factor=args.exit_factor, seed=seed, dt=args.dt,
+                                   tol=args.tol)
         doc = probe_to_doc(result, eps=args.eps, exit_factor=args.exit_factor)
         if args.curve_out:
             write_probe_curve_csv(_resolve(outdir, args.curve_out), result)

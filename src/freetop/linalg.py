@@ -20,7 +20,6 @@ __all__ = [
     "commutator",
     "eigen_symmetric",
     "canonical_planes",
-    "frobenius_norm",
     "gram_project_orthonormal",
 ]
 
@@ -202,10 +201,6 @@ def commutator(a, b) -> np.ndarray:
     if aa.shape != bb.shape or aa.ndim != 2 or aa.shape[0] != aa.shape[1]:
         raise ValueError(f"dimension mismatch: {aa.shape} vs {bb.shape}")
     return aa @ bb - bb @ aa
-
-
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=float)))
 
 
 def _fix_column_signs(q: np.ndarray) -> None:

@@ -434,44 +434,52 @@ def _trajectory_columns(traj: Trajectory, n: int) -> list[str]:
     )
 
 
-def _sample_row(sample, n: int) -> list[float]:
-    m = sample.state.M.array
-    iu = np.triu_indices(n, k=1)
-    return (
-        [sample.t]
-        + list(m[iu])
-        + [sample.invariants.energy]
-        + list(sample.invariants.casimirs)
-        + list(sample.invariants.manakov)
-    )
+def _trajectory_table(traj: Trajectory) -> np.ndarray:
+    """One row per sample: t, upper-triangle momentum entries (row-major)
+    and the invariants. Non-finite entries raise ValueError."""
+    iu = np.triu_indices(traj.momenta.shape[-1], k=1)
+    table = np.column_stack((traj.times, traj.momenta[:, iu[0], iu[1]], traj.invariants))
+    if not np.isfinite(table).all():
+        raise ValueError("cannot serialize a trajectory with non-finite values")
+    return table
+
+
+# Rows are formatted a block at a time, so memory stays flat however long
+# the trajectory is.
+_ROW_BLOCK = 1024
+
+
+def _write_rows(path, table: np.ndarray, template: str, header: str = "") -> None:
+    """Write header, then each table row through a %-template whose
+    "%.17g" fields give the same text as format_float."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header)
+        for start in range(0, table.shape[0], _ROW_BLOCK):
+            fh.writelines(template % tuple(row)
+                          for row in table[start:start + _ROW_BLOCK].tolist())
+
+
+def _floats(count: int, sep: str = ", ") -> str:
+    return sep.join(["%.17g"] * count)
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
     """Columns: t, upper-triangle momentum entries (row-major), energy,
     casimir_k, manakov_k_j."""
-    n = traj.samples[0].state.M.n
-    header = ",".join(_trajectory_columns(traj, n))
-    lines = [header]
-    for sample in traj.samples:
-        lines.append(",".join(format_float(v) for v in _sample_row(sample, n)))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    table = _trajectory_table(traj)
+    header = ",".join(_trajectory_columns(traj, traj.momenta.shape[-1])) + "\n"
+    _write_rows(path, table, _floats(table.shape[1], ",") + "\n", header)
 
 
 def write_trajectory_jsonl(path, traj: Trajectory) -> None:
     """One JSON object per sample, mirroring the CSV fields."""
-    n = traj.samples[0].state.M.n
-    iu = np.triu_indices(n, k=1)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for sample in traj.samples:
-            doc = {
-                "t": sample.t,
-                "m_upper": list(sample.state.M.array[iu]),
-                "energy": sample.invariants.energy,
-                "casimirs": list(sample.invariants.casimirs),
-                "manakov": list(sample.invariants.manakov),
-            }
-            fh.write(dumps_canonical(doc, indent=None) + "\n")
+    n = traj.momenta.shape[-1]
+    template = (
+        '{"t": %.17g, "m_upper": [' + _floats(n * (n - 1) // 2) + '], "energy": %.17g, '
+        '"casimirs": [' + _floats(n // 2) + '], '
+        '"manakov": [' + _floats(len(manakov_labels(traj.manakov_max_power))) + ']}\n'
+    )
+    _write_rows(path, _trajectory_table(traj), template)
 
 
 def write_probe_curve_csv(path, res: ProbeResult) -> None:
@@ -487,10 +495,10 @@ def drift_summary_doc(traj: Trajectory) -> dict:
     momentum = summary.pop("momentum_displacement")
     return {
         "spec_version": SPEC_VERSION,
-        "samples": len(traj.samples),
+        "samples": len(traj.times),
         "dt": traj.step,
         "record_every": traj.record_every,
-        "t_end": traj.samples[-1].t,
+        "t_end": traj.times[-1],
         "momentum_displacement": momentum,
         "max_drift": max(summary.values()) if summary else 0.0,
         "drift": summary,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .body import InertiaSpec, _invert_array, _skew_array, _check_dims
+from .body import InertiaSpec, _check_dims, _invert_array, _skew_array, _step_count
 from .equilibria import DEFAULT_TOL, NotAnEquilibrium, is_equilibrium
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "skew_to_vec",
     "vec_to_skew",
     "linearize",
-    "linearize_fd",
     "orbit_kernel",
     "orbit_kernel_directions",
     "stabilizer_dimension",
@@ -127,30 +126,6 @@ def linearize(m_eq, body: InertiaSpec, tol: float = DEFAULT_TOL) -> Linearizatio
     )
 
 
-def linearize_fd(m_eq, body: InertiaSpec, h: float | None = None) -> np.ndarray:
-    """Central finite differences of the momentum field over the so(n)
-    basis; cross-check for the analytic linearization."""
-    from .body import _field_array
-
-    arr = _skew_array(m_eq)
-    _check_dims(arr, body)
-    if h is None:
-        scale = np.linalg.norm(arr)
-        h = 1e-6 * scale if scale > 0 else 1e-6
-    n = body.n
-    pairs = so_basis_pairs(n)
-    dim = len(pairs)
-    mat = np.empty((dim, dim))
-    for k, (i, j) in enumerate(pairs):
-        e = np.zeros((n, n))
-        e[i, j] = 1.0 / np.sqrt(2.0)
-        e[j, i] = -e[i, j]
-        fp = _field_array(arr + h * e, body)
-        fm = _field_array(arr - h * e, body)
-        mat[:, k] = skew_to_vec((fp - fm) / (2.0 * h))
-    return mat
-
-
 def _ad_matrix(m: np.ndarray, n: int) -> np.ndarray:
     """Matrix of xi -> [xi, m] over the so(n) basis."""
     pairs = so_basis_pairs(n)
@@ -241,29 +216,32 @@ def _unit_skew(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
                       exit_factor: float, *, seed: int = 0, dt: float = 1e-2,
-                      record_every: int | None = None) -> ProbeResult:
+                      record_every: int | None = None,
+                      tol: float = DEFAULT_TOL) -> ProbeResult:
     """Integrate from a seeded random perturbation of size eps and watch
     the deviation ||M(t) - M_eq||.
 
+    m_eq must be stationary to within tol (NotAnEquilibrium otherwise).
     escaped is True when the deviation reaches exit_factor * eps before
     the horizon; integration stops at the first crossing. The deviation
     curve is recorded every record_every steps (default: about every 0.1
-    time units).
+    time units), which must divide the step count horizon / dt.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if exit_factor <= 1:
         raise ValueError("exit_factor must exceed 1")
-    if dt <= 0 or horizon <= 0:
-        raise ValueError("dt and horizon must be positive")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if record_every is None:
+        record_every = max(1, int(round(0.1 / dt)))
+    total = _step_count(horizon, dt, record_every, name="horizon")
     arr = _skew_array(m_eq)
     _check_dims(arr, body)
+    _require_equilibrium(arr, body, tol)
     rng = np.random.default_rng(seed)
     m0 = arr + eps * _unit_skew(body.n, rng)
 
-    if record_every is None:
-        record_every = max(1, int(round(0.1 / dt)))
-    total = int(round(horizon / dt))
     threshold = exit_factor * eps
 
     meq_t = body.to_eigenframe(arr)
@@ -278,9 +256,6 @@ def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
     chunk_records = 32
     while done < total and not escaped:
         nsteps = min(chunk_records * record_every, total - done)
-        nsteps -= nsteps % record_every
-        if nsteps == 0:
-            break
         rec = _kernels.rk4_momentum(m_t, pair, dt, nsteps, record_every)
         for r in range(1, rec.shape[0]):
             t = (done + r * record_every) * dt

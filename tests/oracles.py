@@ -7,9 +7,11 @@ finite differencing, and ranks are taken from Gram-matrix eigenvalues
 rather than the SVD path the package uses.
 """
 
+import math
+
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_sylvester
 
 import freetop as ft
 
@@ -94,6 +96,17 @@ def fd_operator(func, n, h):
     return out
 
 
+def linearize_fd(m_eq, body, h=None):
+    """Central finite differences of the momentum field over the so(n)
+    basis; cross-check for the analytic linearization."""
+    m = np.asarray(m_eq, dtype=float)
+    if h is None:
+        scale = np.linalg.norm(m)
+        h = 1e-6 * scale if scale > 0 else 1e-6
+    return fd_operator(lambda d: ft.vector_field(ft.SkewMatrix(m + d), body).to_array(),
+                       m.shape[0], h)
+
+
 def gram_rank_kernel(mat, rank_tol):
     """(rank, kernel_dim) via eigenvalues of the Gram matrix."""
     g = mat.T @ mat
@@ -134,3 +147,38 @@ def two_kernel_dims(m_eq, body, h=1e-6, rank_tol=1e-6):
     _, kernel_dim = gram_rank_kernel(k_mat, rank_tol)
     _, stab_dim = gram_rank_kernel(ad_mat, rank_tol)
     return stab_dim, kernel_dim
+
+
+# -- conserved quantities, one sample at a time in the ambient frame --------
+
+def invariants_reference(m, j, max_power):
+    """Energy -tr(M W) / 4, traces tr(M^2k) and the coefficients of z^j in
+    tr((M + z J^2)^k), in the column order of freetop's invariant table,
+    with the size of the terms that make up each column.
+
+    W solves the Sylvester equation J W + W J = M, so nothing here goes
+    through the package's eigenframe. The size of the energy and of a trace
+    is its magnitude; the coefficient of z^j in tr((M + z J^2)^k) is bounded
+    by C(k, j) n ||M||^(k-j) ||J^2||^j (spectral norms), a scale that stays
+    meaningful where the coefficient itself is zero.
+    """
+    m = np.asarray(m, dtype=float)
+    j = np.asarray(j, dtype=float)
+    n = m.shape[0]
+    w = solve_sylvester(j, j, m)
+    row = [-np.trace(m @ w) / 4.0]
+    row += [np.trace(np.linalg.matrix_power(m, 2 * k)) for k in range(1, n // 2 + 1)]
+    scales = [abs(x) for x in row]
+    a, b = np.linalg.norm(m, 2), np.linalg.norm(j @ j, 2)
+    pencil = [m, j @ j]
+    power = [np.eye(n)]
+    for k in range(1, max_power + 1):
+        nxt = [np.zeros((n, n)) for _ in range(len(power) + 1)]
+        for i, pa in enumerate(power):
+            for d, pb in enumerate(pencil):
+                nxt[i + d] = nxt[i + d] + pa @ pb
+        power = nxt
+        if k >= 2:
+            row += [np.trace(p) for p in power]
+            scales += [math.comb(k, i) * n * a ** (k - i) * b ** i for i in range(k + 1)]
+    return np.array(row), np.array(scales)

@@ -212,6 +212,54 @@ class TestManakovIntegrals:
             assert drift[label] < 1e-7, label
 
 
+class TestBatchedInvariants:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_table_matches_reference_rotated_body(self, n, rng):
+        body = random_body(n, rng)
+        stack = np.stack([random_skew(n, rng, scale=2.0).array for _ in range(7)])
+        table = ft.compute_invariants(stack, body, n)
+        assert table.shape == (7, len(invariant_labels(n, n)))
+        for m, row in zip(stack, table):
+            ref, scale = oracles.invariants_reference(m, body.J.array, n)
+            assert np.all(np.abs(row - ref) <= 1e-13 * scale), np.abs(row - ref) / scale
+
+    def test_single_and_batched_calls_agree(self, rng):
+        # One code path broadcasts over the stack, so each row is bitwise the
+        # single-sample result.
+        body = random_body(5, rng)
+        stack = np.stack([random_skew(5, rng).array for _ in range(4)])
+        table = ft.compute_invariants(stack, body, 4)
+        energies = ft.energy(stack, body)
+        spectral = ft.manakov_integrals(stack, body, 4)
+        for k, m in enumerate(stack):
+            np.testing.assert_array_equal(table[k], ft.compute_invariants(m, body, 4))
+            assert energies[k] == ft.energy(m, body)
+            np.testing.assert_array_equal(spectral[k], ft.manakov_integrals(m, body, 4))
+            np.testing.assert_array_equal(ft.casimirs(stack, 5)[k], ft.casimirs(m, 5))
+
+    def test_trajectory_table_matches_reference(self, rng):
+        body = random_body(6, rng)
+        traj = ft.integrate(random_skew(6, rng), body, dt=1e-3, t_end=0.2,
+                            record_every=20, manakov_max_power=4)
+        assert traj.times.shape == (11,)
+        assert traj.momenta.shape == (11, 6, 6) and traj.attitudes is None
+        np.testing.assert_array_equal(traj.momenta, -traj.momenta.transpose(0, 2, 1))
+        for m, row in zip(traj.momenta, traj.invariants):
+            ref, scale = oracles.invariants_reference(m, body.J.array, 4)
+            assert np.all(np.abs(row - ref) <= 1e-13 * scale)
+
+    def test_non_finite_sample_aborts_with_its_time(self, body3, monkeypatch):
+        def kernel(m0, pair, dt, nsteps, record_every, prefer_numba=True):
+            out = np.repeat(m0[None], nsteps // record_every + 1, axis=0)
+            out[3:, 0, 1] = np.inf
+            return out
+
+        monkeypatch.setattr(_kernels, "rk4_momentum", kernel)
+        m0 = ft.inertia_apply(ft.SkewMatrix.rotation_generator(3, 0, 2), body3)
+        with pytest.raises(ft.IntegrationAbort, match=r"near t = 0\.3$"):
+            ft.integrate(m0, body3, dt=0.01, t_end=1.0, record_every=10)
+
+
 class TestStepRK4:
     def test_equilibrium_fixed(self, body4):
         recipe = ft.GeneratorRecipe(
@@ -233,7 +281,7 @@ class TestStepRK4:
         def final_state(dt):
             traj = ft.integrate(m0, body4, dt=dt, t_end=t_end,
                                 record_every=int(round(t_end / dt)))
-            return traj.samples[-1].state.M.array
+            return traj.momenta[-1]
 
         ref = final_state(1e-3)
         errs = [np.linalg.norm(final_state(dt) - ref) for dt in (0.04, 0.02)]
@@ -304,8 +352,8 @@ class TestIntegrate:
         kwargs = dict(dt=1e-3, t_end=0.2, record_every=20)
         fast = ft.integrate(m0, body6, **kwargs)
         slow = ft.integrate(m0, body6, prefer_numba=False, **kwargs)
-        for a, b in zip(fast.samples, slow.samples):
-            np.testing.assert_allclose(a.state.M.array, b.state.M.array, atol=1e-12)
+        for a, b in zip(fast.momenta, slow.momenta):
+            np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_matches_plain_stepper(self, body4, rng):
         m0 = random_skew(4, rng)
@@ -313,16 +361,15 @@ class TestIntegrate:
         state = ft.BodyState(M=m0)
         for _ in range(100):
             state = ft.step_rk4(state, body4, dt=1e-3)
-        np.testing.assert_allclose(traj.samples[-1].state.M.array, state.M.array,
-                                   atol=1e-12)
+        np.testing.assert_allclose(traj.momenta[-1], state.M.array, atol=1e-12)
 
     def test_attitude_path(self, body3, rng):
         m0 = random_skew(3, rng)
         traj = ft.integrate(ft.BodyState(M=m0, X=np.eye(3)), body3,
                             dt=1e-2, t_end=0.5, record_every=10)
-        for sample in traj.samples:
-            x = sample.state.X
-            assert x is not None
+        assert traj.attitudes is not None
+        assert traj.attitudes.shape == traj.momenta.shape == (6, 3, 3)
+        for x in traj.attitudes:
             assert np.linalg.norm(x.T @ x - np.eye(3)) <= 1e-9
 
     def test_drift_summary_keys(self, body4, rng):

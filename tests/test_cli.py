@@ -299,6 +299,27 @@ class TestGenerateAndStability:
         ser.write_matrix(path, random_skew(4, rng))
         assert main(["stability", str(path), body4_path, "--spectrum"]) == 4
 
+    def test_probe_requires_equilibrium(self, tmp_path, body3_path, capsys):
+        # Residual about 0.09: far from stationary, as --spectrum and
+        # --kernel also report with exit code 4.
+        m = np.zeros((3, 3))
+        m[0, 2], m[0, 1] = 4.0, 3.0
+        path = tmp_path / "off.json"
+        ser.write_matrix(path, ft.SkewMatrix(m - m.T))
+        args = ["stability", str(path), body3_path, "--horizon", "1"]
+        assert main(args + ["--probe"]) == 4
+        assert "not a stationary rotation" in capsys.readouterr().err
+        assert main(args + ["--spectrum"]) == 4
+
+    def test_probe_rejects_truncated_horizon(self, tmp_path, body3_path, capsys):
+        body = ser.read_body(body3_path)
+        m = ft.inertia_apply(ft.SkewMatrix.rotation_generator(3, 0, 2, 1.0), body)
+        path = tmp_path / "mid.json"
+        ser.write_matrix(path, m)
+        assert main(["stability", str(path), body3_path, "--probe",
+                     "--horizon", "1.05"]) == 2
+        assert "divide" in capsys.readouterr().err
+
     def test_output_dir_env(self, tmp_path, body4_path, recipe_path, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv("FREETOP_OUTPUT_DIR", str(target))

@@ -216,10 +216,6 @@ class TestCanonicalPlanes:
 
 
 class TestNormAndProjection:
-    def test_frobenius_hand_value(self):
-        assert ft.frobenius_norm([[0.0, 3.0], [-3.0, 0.0]]) == pytest.approx(
-            3.0 * np.sqrt(2.0), rel=1e-15)
-
     def test_identity_projects_to_itself(self):
         np.testing.assert_array_equal(ft.gram_project_orthonormal(np.eye(4)), np.eye(4))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -219,24 +220,55 @@ class TestTrajectoryExport:
         assert header[:4] == ["t", "m_0_1", "m_0_2", "m_0_3"]
         assert "energy" in header and "casimir_1" in header
         assert header[-1] == "manakov_3_3"
-        assert len(lines) == 1 + len(traj.samples)
+        assert len(lines) == 1 + len(traj.times)
         t_vals = [float(line.split(",")[0]) for line in lines[1:]]
         assert t_vals == sorted(t_vals)
         first = [float(x) for x in lines[1].split(",")]
-        assert first[1] == traj.samples[0].state.M.array[0, 1]
+        assert first[1] == traj.momenta[0, 0, 1]
 
     def test_jsonl(self, tmp_path, traj):
         path = tmp_path / "traj.jsonl"
         ser.write_trajectory_jsonl(path, traj)
         lines = path.read_text().strip().split("\n")
-        assert len(lines) == len(traj.samples)
+        assert len(lines) == len(traj.times)
         doc = json.loads(lines[0])
         assert set(doc) == {"t", "m_upper", "energy", "casimirs", "manakov"}
         assert doc["t"] == 0.0
 
+    def test_row_template_matches_format_float(self, rng):
+        values = [0.0, -0.0, 1.0, -2.5, 0.1, 1.0 / 3.0, 1e16, 1e17, 123456789012345678.0,
+                  5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1e-5]
+        values += list(rng.standard_normal(200) * 10.0 ** rng.integers(-30, 30, 200))
+        for x in values:
+            assert "%.17g" % x == ser.format_float(x)
+
+    def test_csv_and_jsonl_share_strings(self, tmp_path, traj):
+        ser.write_trajectory_csv(tmp_path / "t.csv", traj)
+        ser.write_trajectory_jsonl(tmp_path / "t.jsonl", traj)
+        rows = [line.split(",") for line in
+                (tmp_path / "t.csv").read_text().strip().split("\n")[1:]]
+        docs = [json.loads(line, parse_float=str, parse_int=str) for line in
+                (tmp_path / "t.jsonl").read_text().strip().split("\n")]
+        assert len(rows) == len(docs) == len(traj.times)
+        for row, doc in zip(rows, docs):
+            assert row == ([doc["t"]] + doc["m_upper"] + [doc["energy"]]
+                           + doc["casimirs"] + doc["manakov"])
+
+    @pytest.mark.parametrize("field, index", [("times", (-1,)), ("momenta", (-1, 0, 3)),
+                                              ("invariants", (2, 0))])
+    def test_non_finite_table_raises(self, tmp_path, traj, field, index):
+        bad = getattr(traj, field).copy()
+        bad[index] = np.nan
+        broken = dataclasses.replace(traj, **{field: bad})
+        for writer, name in ((ser.write_trajectory_csv, "t.csv"),
+                             (ser.write_trajectory_jsonl, "t.jsonl")):
+            with pytest.raises(ValueError, match="non-finite"):
+                writer(tmp_path / name, broken)
+            assert not (tmp_path / name).exists()
+
     def test_drift_summary_doc(self, traj):
         doc = ser.drift_summary_doc(traj)
-        assert doc["samples"] == len(traj.samples)
+        assert doc["samples"] == len(traj.times)
         assert doc["max_drift"] >= 0.0
         assert "energy" in doc["drift"]
         text = ser.dumps_canonical(doc)

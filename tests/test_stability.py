@@ -119,7 +119,7 @@ class TestLinearize:
     def test_matches_finite_differences(self, name):
         m, _, body = make_fixture(name)
         rep = ft.linearize(m, body)
-        fd = ft.linearize_fd(m, body)
+        fd = oracles.linearize_fd(m, body)
         rel = np.linalg.norm(rep.matrix - fd) / np.linalg.norm(rep.matrix)
         assert rel <= 1e-5
 
@@ -255,6 +255,27 @@ class TestInstabilityProbe:
             ft.instability_probe(m, body3, eps=0.0, horizon=1.0, exit_factor=10.0)
         with pytest.raises(ValueError):
             ft.instability_probe(m, body3, eps=1e-6, horizon=1.0, exit_factor=1.0)
+
+    def test_horizon_must_be_step_multiple(self, body3):
+        m, _ = principal_momentum_3d(1)
+        with pytest.raises(ValueError, match="multiple"):
+            ft.instability_probe(m, body3, eps=1e-6, horizon=1.055, exit_factor=100.0,
+                                 dt=1e-2, record_every=1)
+
+    def test_record_every_must_divide_step_count(self, body3):
+        # 105 steps with the default record_every of 10 used to end the
+        # curve at t = 1.0 without a message.
+        m, _ = principal_momentum_3d(1)
+        with pytest.raises(ValueError, match="divide"):
+            ft.instability_probe(m, body3, eps=1e-6, horizon=1.05, exit_factor=100.0,
+                                 dt=1e-2)
+
+    def test_requires_equilibrium(self, body3):
+        m = np.zeros((3, 3))
+        m[0, 2], m[0, 1] = 4.0, 3.0
+        with pytest.raises(ft.NotAnEquilibrium):
+            ft.instability_probe(ft.SkewMatrix(m - m.T), body3, eps=1e-6, horizon=1.0,
+                                 exit_factor=100.0)
 
     def test_deterministic(self, body3):
         m, _ = principal_momentum_3d(1)

@@ -17,6 +17,7 @@ import numpy as np
 from . import _kernels
 from .linalg import (
     EigenFrame,
+    STRUCTURE_TOL,
     SkewMatrix,
     SymMatrix,
     eigen_symmetric,
@@ -162,12 +163,31 @@ def vector_field(m, body: InertiaSpec) -> SkewMatrix:
     return SkewMatrix(_field_array(arr, body))
 
 
-def _momentum_stack(m, body: InertiaSpec) -> np.ndarray:
-    """Momenta (..., n, n) as a float array of the body's dimension."""
-    arr = m.array if isinstance(m, SkewMatrix) else np.asarray(m, dtype=float)
+def _eigenframe_stack(m, body: InertiaSpec) -> np.ndarray:
+    """Momenta (..., n, n) of the body's dimension, in the inertia eigenframe.
+
+    Like SkewMatrix, rejects entries that are not finite or not
+    skew-symmetric up to STRUCTURE_TOL. The rotated stack is made exactly
+    skew, so rounding in the rotation leaves no diagonal behind.
+    """
+    if isinstance(m, SkewMatrix):
+        arr = m.array
+    else:
+        arr = np.asarray(m, dtype=float)
     if arr.ndim < 2 or arr.shape[-2:] != (body.n, body.n):
         raise ValueError(f"dimension mismatch: state is {arr.shape}, body is {body.n}")
-    return arr
+    if not isinstance(m, SkewMatrix):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("matrix entries must be finite")
+        defect = np.linalg.norm(arr + np.swapaxes(arr, -2, -1), axis=(-2, -1))
+        scale = np.maximum(1.0, np.linalg.norm(arr, axis=(-2, -1)))
+        if np.any(defect > STRUCTURE_TOL * scale):
+            raise ValueError(
+                f"matrix is not skew-symmetric: structural defect {np.max(defect / scale):.3e} "
+                f"exceeds {STRUCTURE_TOL:.1e} of its norm"
+            )
+    mt = body.to_eigenframe(arr)
+    return 0.5 * (mt - np.swapaxes(mt, -2, -1))
 
 
 def _energy(mt: np.ndarray, body: InertiaSpec) -> np.ndarray:
@@ -182,7 +202,7 @@ def energy(m, body: InertiaSpec):
     (moment * rate^2) / 2 over the principal axes. m may be one momentum
     or a stack (..., n, n).
     """
-    return _energy(body.to_eigenframe(_momentum_stack(m, body)), body)
+    return _energy(_eigenframe_stack(m, body), body)
 
 
 def casimirs(m, n_or_body) -> np.ndarray:
@@ -235,7 +255,7 @@ def manakov_integrals(m, body: InertiaSpec, max_power: int) -> np.ndarray:
     J^2 = diag(lambda^2) and a product with it scales columns. m may be one
     momentum or a stack (..., n, n); the coefficients are the last axis.
     """
-    return _manakov(body.to_eigenframe(_momentum_stack(m, body)), body, max_power)
+    return _manakov(_eigenframe_stack(m, body), body, max_power)
 
 
 def manakov_labels(max_power: int) -> list[str]:
@@ -243,17 +263,13 @@ def manakov_labels(max_power: int) -> list[str]:
     return [f"manakov_{k}_{j}" for k in range(2, max_power + 1) for j in range(k + 1)]
 
 
-def compute_invariants(m, body: InertiaSpec, max_power: int, *,
-                       eigenframe: bool = False) -> np.ndarray:
+def compute_invariants(m, body: InertiaSpec, max_power: int) -> np.ndarray:
     """Energy, Casimirs and Manakov coefficients of one momentum or a stack.
 
     Returns an array (..., k) whose last axis follows invariant_labels(n,
-    max_power); a stack (S, n, n) takes one batched pass. eigenframe=True
-    says m is already in the inertia eigenframe.
+    max_power); a stack (S, n, n) takes one batched pass.
     """
-    mt = _momentum_stack(m, body)
-    if not eigenframe:
-        mt = body.to_eigenframe(mt)
+    mt = _eigenframe_stack(m, body)
     return np.concatenate(
         (_energy(mt, body)[..., None], casimirs(mt, body.n), _manakov(mt, body, max_power)),
         axis=-1)
@@ -426,9 +442,10 @@ def integrate(state, body: InertiaSpec, dt: float, t_end: float,
         manakov_max_power = max(2, min(body.n, 4))
 
     if state.X is None:
-        mt = _kernels.rk4_momentum(body.to_eigenframe(m0), np.asarray(body._pair_sums), dt,
-                                   nsteps, record_every, prefer_numba=prefer_numba)
-        momenta = attitudes = None
+        # the kernel records in the eigenframe; rotated back once below
+        momenta = _kernels.rk4_momentum(body.to_eigenframe(m0), np.asarray(body._pair_sums), dt,
+                                        nsteps, record_every, prefer_numba=prefer_numba)
+        attitudes = None
     else:
         momenta = np.empty((nsteps // record_every + 1, body.n, body.n))
         attitudes = np.empty_like(momenta)
@@ -439,17 +456,16 @@ def integrate(state, body: InertiaSpec, dt: float, t_end: float,
             if (s + 1) % record_every == 0:
                 r = (s + 1) // record_every
                 momenta[r], attitudes[r] = cur.M.array, cur.X
-        mt = body.to_eigenframe(momenta)
-    times = np.arange(mt.shape[0]) * record_every * dt
-    finite = np.isfinite(mt).all(axis=(1, 2))
+    times = np.arange(momenta.shape[0]) * record_every * dt
+    finite = np.isfinite(momenta).all(axis=(1, 2))
     if not finite.all():
         raise IntegrationAbort(
             f"momentum became non-finite near t = {times[np.argmin(finite)]:.6g}")
-    if momenta is None:
-        momenta = body.from_eigenframe(mt)
+    if attitudes is None:
+        momenta = body.from_eigenframe(momenta)
         momenta = 0.5 * (momenta - momenta.transpose(0, 2, 1))
     return Trajectory(
         times=times, momenta=momenta,
-        invariants=compute_invariants(mt, body, manakov_max_power, eigenframe=True),
+        invariants=compute_invariants(momenta, body, manakov_max_power),
         step=dt, record_every=record_every, integrator="rk4",
         manakov_max_power=manakov_max_power, attitudes=attitudes)

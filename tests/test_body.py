@@ -238,6 +238,33 @@ class TestBatchedInvariants:
             np.testing.assert_array_equal(spectral[k], ft.manakov_integrals(m, body, 4))
             np.testing.assert_array_equal(traces[k], ft.casimirs(m, 5))
 
+    @pytest.mark.parametrize("fn", [
+        lambda m, body: ft.energy(m, body),
+        lambda m, body: ft.manakov_integrals(m, body, 2),
+        lambda m, body: ft.compute_invariants(m, body, 2),
+    ], ids=["energy", "manakov_integrals", "compute_invariants"])
+    @pytest.mark.parametrize("bad", ["symmetric", "nan", "one_bad_row"])
+    def test_rejects_non_skew_or_non_finite(self, fn, bad, body4, rng):
+        m = random_skew(4, rng).to_array()
+        if bad == "symmetric":
+            m = np.abs(m)
+        elif bad == "nan":
+            m[0, 1] = np.nan
+        else:
+            m = np.stack([m, m + np.diag([0.0, 0.0, 0.0, 1.0])])
+        with pytest.raises(ValueError, match="skew-symmetric|finite"):
+            fn(m, body4)
+
+    def test_near_skew_input_uses_its_skew_part(self, rng):
+        body = random_body(4, rng)
+        nudged = random_skew(4, rng).to_array()
+        nudged[0, 1] += 1e-12
+        nudged[2, 2] = 1e-12
+        exact = ft.SkewMatrix(nudged)
+        np.testing.assert_allclose(ft.compute_invariants(nudged, body, 4),
+                                   ft.compute_invariants(exact, body, 4), rtol=1e-14, atol=1e-14)
+        assert ft.energy(nudged, body) == pytest.approx(ft.energy(exact, body), rel=1e-15)
+
     def test_trajectory_table_matches_reference(self, rng):
         body = random_body(6, rng)
         traj = ft.integrate(random_skew(6, rng), body, dt=1e-3, t_end=0.2,

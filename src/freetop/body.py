@@ -170,13 +170,11 @@ def _eigenframe_stack(m, body: InertiaSpec) -> np.ndarray:
     skew-symmetric up to STRUCTURE_TOL. The rotated stack is made exactly
     skew, so rounding in the rotation leaves no diagonal behind.
     """
-    if isinstance(m, SkewMatrix):
-        arr = m.array
-    else:
-        arr = np.asarray(m, dtype=float)
+    checked = isinstance(m, SkewMatrix)
+    arr = m.array if checked else np.asarray(m, dtype=float)
     if arr.ndim < 2 or arr.shape[-2:] != (body.n, body.n):
         raise ValueError(f"dimension mismatch: state is {arr.shape}, body is {body.n}")
-    if not isinstance(m, SkewMatrix):
+    if not checked:
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix entries must be finite")
         defect = np.linalg.norm(arr + np.swapaxes(arr, -2, -1), axis=(-2, -1))

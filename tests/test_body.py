@@ -255,6 +255,17 @@ class TestBatchedInvariants:
         with pytest.raises(ValueError, match="skew-symmetric|finite"):
             fn(m, body4)
 
+    def test_single_m_coefficients_are_exactly_zero(self, rng):
+        # With one factor M against powers of the diagonal J^2 the trace is
+        # sum_i M~_ii * lambda_i^p; the eigenframe stack is exactly skew, so
+        # rounding in the rotation leaves nothing in these columns.
+        body = random_body(5, rng)
+        stack = np.stack([random_skew(5, rng).array for _ in range(3)])
+        table = ft.compute_invariants(stack, body, 4)
+        labels = invariant_labels(5, 4)
+        for label in ("manakov_2_1", "manakov_3_2", "manakov_4_3"):
+            assert np.all(table[:, labels.index(label)] == 0.0), label
+
     def test_near_skew_input_uses_its_skew_part(self, rng):
         body = random_body(4, rng)
         nudged = random_skew(4, rng).to_array()

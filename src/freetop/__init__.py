@@ -10,11 +10,8 @@ from .linalg import (
     SymMatrix,
     SkewMatrix,
     EigenFrame,
-    Plane,
-    PlaneDecomposition,
     commutator,
     eigen_symmetric,
-    canonical_planes,
     gram_project_orthonormal,
 )
 from .body import (

@@ -139,7 +139,7 @@ def _invert_array(m: np.ndarray, body: InertiaSpec) -> np.ndarray:
     mt = body.to_eigenframe(m)
     ot = mt / body._pair_sums
     o = body.from_eigenframe(ot)
-    return 0.5 * (o - o.T)
+    return 0.5 * (o - np.swapaxes(o, -2, -1))
 
 
 def inertia_invert(m, body: InertiaSpec) -> SkewMatrix:

@@ -15,11 +15,8 @@ __all__ = [
     "SymMatrix",
     "SkewMatrix",
     "EigenFrame",
-    "Plane",
-    "PlaneDecomposition",
     "commutator",
     "eigen_symmetric",
-    "canonical_planes",
     "gram_project_orthonormal",
 ]
 
@@ -275,143 +272,6 @@ def eigen_symmetric(s, max_sweeps: int = 64) -> EigenFrame:
     if norm > 0.0 and resid > 1e-10 * norm:
         raise ArithmeticError(f"eigendecomposition residual {resid:.3e} too large")
     return frame
-
-
-@dataclass(frozen=True)
-class Plane:
-    """Invariant rotation plane: w acts on span(u, v) as omega * (u v^T - v u^T)."""
-
-    omega: float
-    u: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", _readonly(np.asarray(self.u, dtype=float).copy()))
-        object.__setattr__(self, "v", _readonly(np.asarray(self.v, dtype=float).copy()))
-        if self.omega <= 0:
-            raise ValueError("plane frequency must be positive")
-
-
-@dataclass(frozen=True)
-class PlaneDecomposition:
-    """Splitting of R^n into rotation planes plus a fixed subspace.
-
-    planes: the invariant two-dimensional planes of a skew operator with
-    their rotation rates. fixed_subspace: n x k matrix whose orthonormal
-    columns span the kernel. 2 * len(planes) + k == n.
-    """
-
-    planes: tuple
-    fixed_subspace: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "fixed_subspace",
-            _readonly(np.asarray(self.fixed_subspace, dtype=float).copy()),
-        )
-
-    @property
-    def n(self) -> int:
-        return self.fixed_subspace.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        """Sum of omega * (u v^T - v u^T) over all planes."""
-        n = self.n
-        w = np.zeros((n, n))
-        for p in self.planes:
-            w += p.omega * (np.outer(p.u, p.v) - np.outer(p.v, p.u))
-        return w
-
-
-def _orthogonalize(x: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    """Two-pass modified Gram-Schmidt of x against an orthonormal list."""
-    y = x.copy()
-    for _ in range(2):
-        for b in basis:
-            y -= np.dot(b, y) * b
-    return y
-
-
-def canonical_planes(w, tol: float = 1e-9) -> PlaneDecomposition:
-    """Canonical form of a skew-symmetric operator.
-
-    Splits R^n into invariant rotation planes with positive rates plus the
-    fixed subspace. Directions with singular value at most tol * ||w||_F
-    count as fixed; since the spectrum comes from the symmetric square
-    -w @ w, singular values below about sqrt(eps) * ||w|| are not
-    resolvable and the kernel cut never drops below that floor. Plane
-    rates themselves are measured from the action of w directly and are
-    accurate to rounding.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    warr = np.asarray(w, dtype=float) if not isinstance(w, SkewMatrix) else w.array
-    warr = SkewMatrix(warr).to_array()
-    n = warr.shape[0]
-    norm_w = np.linalg.norm(warr)
-    if norm_w == 0.0:
-        return PlaneDecomposition(planes=(), fixed_subspace=np.eye(n))
-
-    s = -warr @ warr
-    s = 0.5 * (s + s.T)
-    frame = eigen_symmetric(s)
-    mu = frame.eigenvalues
-    vecs = frame.basis
-    sigma = np.sqrt(np.clip(mu, 0.0, None))
-    kernel_cut = max(tol, 8.0 * np.sqrt(n * _EPS)) * norm_w
-
-    # Cluster the non-kernel eigenvalues of -w^2, descending. Exact pairs
-    # split only by rounding, so the merge window sits just above the
-    # backward-error floor of the Jacobi sweep.
-    order = np.argsort(-mu, kind="stable")
-    atol = 64.0 * n * _EPS * max(mu.max(), 0.0)
-    clusters: list[list[int]] = []
-    for idx in order:
-        if sigma[idx] <= kernel_cut:
-            continue
-        if clusters:
-            rep = mu[clusters[-1][0]]
-            if rep - mu[idx] <= max(atol, 1e-10 * rep):
-                clusters[-1].append(idx)
-                continue
-        clusters.append([idx])
-
-    planes: list[Plane] = []
-    claimed: list[np.ndarray] = []
-    for cluster in clusters:
-        if len(cluster) % 2 != 0:
-            raise ArithmeticError(
-                "odd-dimensional rotation eigenspace: kernel tolerance "
-                "splits a frequency pair"
-            )
-        cols = [vecs[:, i].copy() for i in cluster]
-        for _ in range(len(cluster) // 2):
-            # Pick the candidate least covered by already-claimed planes;
-            # a residual of at least 1/sqrt(m) is guaranteed to exist.
-            resids = [_orthogonalize(c, claimed) for c in cols]
-            norms = [np.linalg.norm(r) for r in resids]
-            best = int(np.argmax(norms))
-            a = resids[best] / norms[best]
-            wa = warr @ a
-            omega = np.linalg.norm(wa)
-            b = _orthogonalize(wa, claimed + [a])
-            b /= np.linalg.norm(b)
-            # w a = omega b, w b = -omega a; stored so that the plane
-            # contributes omega * (u v^T - v u^T) with (u, v) = (b, a).
-            planes.append(Plane(omega=float(omega), u=b, v=a))
-            claimed.extend([a, b])
-
-    fixed_cols = []
-    for idx in range(n):
-        if sigma[idx] <= kernel_cut:
-            y = _orthogonalize(vecs[:, idx].copy(), claimed + fixed_cols)
-            ny = np.linalg.norm(y)
-            if ny > 0.5:
-                fixed_cols.append(y / ny)
-    fixed = np.column_stack(fixed_cols) if fixed_cols else np.zeros((n, 0))
-    if 2 * len(planes) + fixed.shape[1] != n:
-        raise ArithmeticError("plane extraction lost dimensions")
-    return PlaneDecomposition(planes=tuple(planes), fixed_subspace=fixed)
 
 
 def gram_project_orthonormal(x) -> np.ndarray:

@@ -161,9 +161,13 @@ def _check_version(doc, path):
 def _number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
-    if not math.isfinite(value):
+    try:
+        out = float(value)
+    except OverflowError:
+        raise SchemaError(path, "integer too large for a double") from None
+    if not math.isfinite(out):
         raise SchemaError(path, "value must be finite")
-    return float(value)
+    return out
 
 
 def _int_list(value, path):

@@ -21,7 +21,6 @@ __all__ = [
     "LinearizationReport",
     "OrbitKernelReport",
     "ProbeResult",
-    "so_basis_pairs",
     "skew_to_vec",
     "vec_to_skew",
     "linearize",
@@ -34,26 +33,37 @@ __all__ = [
 DEFAULT_RANK_TOL = 1e-8
 
 
-def so_basis_pairs(n: int) -> list[tuple[int, int]]:
-    """Lexicographic index pairs (i < j) of the orthonormal so(n) basis."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def skew_to_vec(m) -> np.ndarray:
-    """Coordinates in the basis (E_ij - E_ji) / sqrt(2): an isometry for
-    the Frobenius inner product."""
+    """Coordinates in the basis (E_ij - E_ji) / sqrt(2), pairs i < j
+    lexicographic: an isometry for the Frobenius inner product. Leading
+    axes of a stack are kept."""
     arr = np.asarray(m, dtype=float)
-    n = arr.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return np.sqrt(2.0) * arr[iu]
+    iu = np.triu_indices(arr.shape[-1], k=1)
+    return np.sqrt(2.0) * arr[..., iu[0], iu[1]]
 
 
 def vec_to_skew(c, n: int) -> np.ndarray:
+    """Inverse of skew_to_vec; a (..., d) stack gives (..., n, n)."""
     vec = np.asarray(c, dtype=float)
-    out = np.zeros((n, n))
+    out = np.zeros(vec.shape[:-1] + (n, n))
     iu = np.triu_indices(n, k=1)
-    out[iu] = vec / np.sqrt(2.0)
-    return out - out.T
+    out[..., iu[0], iu[1]] = vec / np.sqrt(2.0)
+    return out - np.swapaxes(out, -2, -1)
+
+
+def _so_basis(n: int) -> np.ndarray:
+    """The orthonormal so(n) basis as a (d, n, n) stack, in skew_to_vec order."""
+    d = n * (n - 1) // 2
+    return vec_to_skew(np.eye(d), n)
+
+
+def _kernel_mask(svals: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Singular values counted as zero: those at most rank_tol * sigma_max,
+    or all of them when the map is zero."""
+    smax = svals[0] if svals.size else 0.0
+    if smax == 0.0:
+        return np.ones(svals.shape, dtype=bool)
+    return svals <= rank_tol * smax
 
 
 def _sorted_spectrum(eigs: np.ndarray) -> np.ndarray:
@@ -95,20 +105,11 @@ def _require_equilibrium(m_eq, body: InertiaSpec, tol: float):
 
 def _linearization_matrix(m: np.ndarray, body: InertiaSpec) -> np.ndarray:
     """Exact directional derivative dM -> [dM, W] + [M, Jinv(dM)],
-    assembled column by column over the so(n) basis."""
-    n = body.n
+    applied once to the whole so(n) basis stack."""
     om = _invert_array(m, body)
-    pairs = so_basis_pairs(n)
-    dim = len(pairs)
-    mat = np.empty((dim, dim))
-    for k, (i, j) in enumerate(pairs):
-        e = np.zeros((n, n))
-        e[i, j] = 1.0 / np.sqrt(2.0)
-        e[j, i] = -e[i, j]
-        d_om = _invert_array(e, body)
-        df = (e @ om - om @ e) + (m @ d_om - d_om @ m)
-        mat[:, k] = skew_to_vec(df)
-    return mat
+    e = _so_basis(body.n)
+    d_om = _invert_array(e, body)
+    return skew_to_vec((e @ om - om @ e) + (m @ d_om - d_om @ m)).T
 
 
 def linearize(m_eq, body: InertiaSpec, tol: float = DEFAULT_TOL) -> LinearizationReport:
@@ -128,19 +129,22 @@ def linearize(m_eq, body: InertiaSpec, tol: float = DEFAULT_TOL) -> Linearizatio
 
 def _ad_matrix(m: np.ndarray, n: int) -> np.ndarray:
     """Matrix of xi -> [xi, m] over the so(n) basis."""
-    pairs = so_basis_pairs(n)
-    dim = len(pairs)
-    mat = np.empty((dim, dim))
-    for k, (i, j) in enumerate(pairs):
-        e = np.zeros((n, n))
-        e[i, j] = 1.0 / np.sqrt(2.0)
-        e[j, i] = -e[i, j]
-        mat[:, k] = skew_to_vec(e @ m - m @ e)
-    return mat
+    e = _so_basis(n)
+    return skew_to_vec(e @ m - m @ e).T
 
 
 def _orbit_map(m: np.ndarray, body: InertiaSpec) -> np.ndarray:
     return _linearization_matrix(m, body) @ _ad_matrix(m, body.n)
+
+
+def _checked_orbit_map(m_eq, body: InertiaSpec, rank_tol: float,
+                       tol: float) -> np.ndarray:
+    if rank_tol <= 0:
+        raise ValueError("rank_tol must be positive")
+    arr = _skew_array(m_eq)
+    _check_dims(arr, body)
+    _require_equilibrium(arr, body, tol)
+    return _orbit_map(arr, body)
 
 
 def orbit_kernel(m_eq, body: InertiaSpec, rank_tol: float = DEFAULT_RANK_TOL,
@@ -151,19 +155,10 @@ def orbit_kernel(m_eq, body: InertiaSpec, rank_tol: float = DEFAULT_RANK_TOL,
     moves M along its orbit while preserving stationarity to first order,
     certifying a positive-dimensional set of equilibria on the orbit.
     """
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
-    arr = _skew_array(m_eq)
-    _check_dims(arr, body)
-    _require_equilibrium(arr, body, tol)
-    k = _orbit_map(arr, body)
+    k = _checked_orbit_map(m_eq, body, rank_tol, tol)
     svals = np.linalg.svd(k, compute_uv=False)
-    smax = float(svals[0]) if svals.size else 0.0
     dim = k.shape[0]
-    if smax == 0.0:
-        kernel_dim = dim
-    else:
-        kernel_dim = int(np.sum(svals <= rank_tol * smax))
+    kernel_dim = int(np.sum(_kernel_mask(svals, rank_tol)))
     return OrbitKernelReport(
         map_rank=dim - kernel_dim,
         kernel_dim=kernel_dim,
@@ -173,27 +168,22 @@ def orbit_kernel(m_eq, body: InertiaSpec, rank_tol: float = DEFAULT_RANK_TOL,
 
 
 def orbit_kernel_directions(m_eq, body: InertiaSpec,
-                            rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the orbit-kernel, as so(n) vectors."""
-    arr = _skew_array(m_eq)
-    k = _orbit_map(arr, body)
-    u, svals, vt = np.linalg.svd(k)
-    smax = svals[0] if svals.size else 0.0
-    if smax == 0.0:
+                            rank_tol: float = DEFAULT_RANK_TOL,
+                            tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis (columns) of the orbit-kernel, as so(n) vectors,
+    at a momentum stationary to within tol."""
+    k = _checked_orbit_map(m_eq, body, rank_tol, tol)
+    _, svals, vt = np.linalg.svd(k)
+    if svals.size and svals[0] == 0.0:
         return np.eye(k.shape[0])
-    keep = svals <= rank_tol * smax
-    return vt[keep].T
+    return vt[_kernel_mask(svals, rank_tol)].T
 
 
 def stabilizer_dimension(m, n: int, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Dimension of {xi in so(n) : [xi, m] = 0}."""
     arr = np.asarray(m, dtype=float)
-    ad = _ad_matrix(arr, n)
-    svals = np.linalg.svd(ad, compute_uv=False)
-    smax = svals[0] if svals.size else 0.0
-    if smax == 0.0:
-        return ad.shape[0]
-    return int(np.sum(svals <= rank_tol * smax))
+    svals = np.linalg.svd(_ad_matrix(arr, n), compute_uv=False)
+    return int(np.sum(_kernel_mask(svals, rank_tol)))
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,15 @@ def to_coords(m):
     return np.array([np.sqrt(2.0) * m[i, j] for i, j in so_pairs(n)])
 
 
+def loop_operator(func, n):
+    """Matrix of a linear map so(n) -> so(n), one basis element at a time."""
+    pairs = so_pairs(n)
+    out = np.empty((len(pairs), len(pairs)))
+    for k, (i, j) in enumerate(pairs):
+        out[:, k] = to_coords(func(basis_element(n, i, j)))
+    return out
+
+
 def fd_operator(func, n, h):
     """Central-difference matrix of a map so(n) -> so(n)."""
     pairs = so_pairs(n)

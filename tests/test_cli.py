@@ -140,6 +140,13 @@ class TestSimulate:
         assert main(["simulate", scenario, "--output-dir", str(tmp_path)]) == 3
         assert "guard" in capsys.readouterr().err
 
+    def test_oversized_integer_exit2(self, tmp_path, capsys):
+        doc = json.loads(open(spinning_book_scenario(tmp_path)).read())
+        doc["integrator"]["dt"] = 10 ** 400
+        (tmp_path / "huge.json").write_text(json.dumps(doc))
+        assert main(["simulate", str(tmp_path / "huge.json")]) == 2
+        assert "integrator.dt" in capsys.readouterr().err
+
     def test_nonexistent_file(self, capsys):
         assert main(["simulate", "/nonexistent/scenario.json"]) == 2
 
@@ -207,6 +214,21 @@ class TestClassify:
                      "--output-dir", str(tmp_path)]) == 0
         doc = json.loads(out.read_text())
         assert doc["regular"] is True
+
+    @pytest.mark.parametrize("field", ["rows[0][1]", "eigenvalues[3]"])
+    def test_oversized_integer_exit2(self, tmp_path, body4_path, capsys, field):
+        # A 400-digit integer parses as a Python int that no double holds.
+        m_path = self.make_equilibrium(tmp_path, body4_path)
+        m_doc = json.loads(open(m_path).read())
+        b_doc = json.loads(open(body4_path).read())
+        if field.startswith("rows"):
+            m_doc["rows"][0][1] = 10 ** 400
+        else:
+            b_doc["eigenvalues"][3] = 10 ** 400
+        (tmp_path / "m.json").write_text(json.dumps(m_doc))
+        (tmp_path / "b.json").write_text(json.dumps(b_doc))
+        assert main(["classify", str(tmp_path / "m.json"), str(tmp_path / "b.json")]) == 2
+        assert field in capsys.readouterr().err
 
     def test_inputs_not_mutated(self, tmp_path, body4_path):
         m_path = self.make_equilibrium(tmp_path, body4_path)

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import freetop as ft
-from freetop.linalg import Plane
 
 from conftest import random_skew, random_sym
 
@@ -142,77 +141,6 @@ class TestEigenSymmetric:
         f2 = ft.eigen_symmetric(s)
         assert np.array_equal(f1.eigenvalues, f2.eigenvalues)
         assert np.array_equal(f1.basis, f2.basis)
-
-
-class TestCanonicalPlanes:
-    def test_single_plane_n3(self):
-        w = ft.SkewMatrix.rotation_generator(3, 1, 2, 1.0)
-        dec = ft.canonical_planes(w)
-        assert len(dec.planes) == 1
-        plane = dec.planes[0]
-        assert plane.omega == pytest.approx(1.0, abs=1e-14)
-        # The plane spans e1, e2; the fixed subspace is e0.
-        span = np.abs(np.column_stack([plane.u, plane.v]))
-        assert span[0].max() < 1e-12
-        np.testing.assert_allclose(np.abs(dec.fixed_subspace.ravel()), [1.0, 0.0, 0.0],
-                                   atol=1e-12)
-
-    def test_zero_matrix(self):
-        dec = ft.canonical_planes(ft.SkewMatrix.zeros(4))
-        assert dec.planes == ()
-        np.testing.assert_array_equal(dec.fixed_subspace, np.eye(4))
-
-    def test_double_frequency_n4(self):
-        # The eigenvalue oracle: a scaled standard complex structure has
-        # spectrum +-i*omega, each twice, and no kernel.
-        omega = 1.7
-        k = ft.ComplexStructure.standard(2).A
-        eigs = np.linalg.eigvals(omega * k.array)
-        np.testing.assert_allclose(np.sort(np.abs(eigs.imag)), [omega] * 4, atol=1e-12)
-        dec = ft.canonical_planes(ft.SkewMatrix(omega * k.array))
-        assert len(dec.planes) == 2
-        for plane in dec.planes:
-            assert plane.omega == pytest.approx(omega, rel=1e-12)
-        assert dec.fixed_subspace.shape == (4, 0)
-
-    def test_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ft.canonical_planes(ft.SkewMatrix.zeros(3), tol=0.0)
-
-    @given(dims(2, 10), st.integers(0, 10**6))
-    def test_reconstruction_roundtrip(self, n, seed):
-        rng = np.random.default_rng(seed)
-        w = random_skew(n, rng, scale=2.0)
-        dec = ft.canonical_planes(w)
-        norm = np.linalg.norm(w.array)
-        assert np.linalg.norm(dec.reconstruct() - w.array) <= 1e-9 * max(norm, 1e-30)
-        assert 2 * len(dec.planes) + dec.fixed_subspace.shape[1] == n
-        vecs = [p.u for p in dec.planes] + [p.v for p in dec.planes]
-        vecs += [dec.fixed_subspace[:, k] for k in range(dec.fixed_subspace.shape[1])]
-        g = np.array([[float(np.dot(a, b)) for b in vecs] for a in vecs])
-        assert np.linalg.norm(g - np.eye(n)) < 1e-10 * n
-
-    def test_rank_deficient_roundtrip(self, rng):
-        # Two planes, one shared frequency, plus a two-dimensional kernel.
-        w = ft.SkewMatrix.zeros(6)
-        w[0, 1] = 1.3
-        w[2, 3] = 1.3
-        dec = ft.canonical_planes(w)
-        assert len(dec.planes) == 2
-        assert dec.fixed_subspace.shape[1] == 2
-        assert np.linalg.norm(dec.reconstruct() - w.array) <= 1e-9 * w.norm()
-
-    def test_deterministic_bitwise(self, rng):
-        w = random_skew(6, rng)
-        d1 = ft.canonical_planes(w)
-        d2 = ft.canonical_planes(w)
-        assert all(np.array_equal(p.u, q.u) and np.array_equal(p.v, q.v)
-                   and p.omega == q.omega for p, q in zip(d1.planes, d2.planes))
-        assert np.array_equal(d1.fixed_subspace, d2.fixed_subspace)
-
-    def test_plane_frequency_positive(self):
-        with pytest.raises(ValueError):
-            Plane(omega=0.0, u=np.array([1.0, 0.0]), v=np.array([0.0, 1.0]))
 
 
 class TestNormAndProjection:

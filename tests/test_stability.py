@@ -4,9 +4,10 @@ from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 import freetop as ft
-from freetop.stability import skew_to_vec, so_basis_pairs, vec_to_skew, _ad_matrix
+from freetop.body import _invert_array
+from freetop.stability import skew_to_vec, vec_to_skew, _ad_matrix, _linearization_matrix
 
-from conftest import random_skew
+from conftest import random_body, random_skew
 import oracles
 
 
@@ -81,9 +82,34 @@ class TestBasis:
             assert vec.shape == (n * (n - 1) // 2,)
             assert np.linalg.norm(vec) == pytest.approx(np.linalg.norm(m), rel=1e-14)
             np.testing.assert_allclose(vec_to_skew(vec, n), m, atol=1e-15)
+            # A (k, d) stack maps row for row exactly as single calls do.
+            stack = rng.standard_normal((3, n * (n - 1) // 2))
+            skews = vec_to_skew(stack, n)
+            assert skews.shape == (3, n, n)
+            for row, skew in zip(stack, skews):
+                assert np.array_equal(skew, vec_to_skew(row, n))
+            assert np.array_equal(skew_to_vec(skews),
+                                  np.array([skew_to_vec(a) for a in skews]))
 
     def test_pairs_lexicographic(self):
-        assert so_basis_pairs(4) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        basis = vec_to_skew(np.eye(6), 4)
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        for k, (i, j) in enumerate(pairs):
+            upper = np.argwhere(np.triu(basis[k]) != 0.0)
+            assert upper.tolist() == [[i, j]]
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_stacked_operators_match_column_loop(self, n, rng):
+        body = random_body(n, rng)
+        m = random_skew(n, rng).array
+        om = _invert_array(m, body)
+
+        def lin(e):
+            d_om = _invert_array(e, body)
+            return (e @ om - om @ e) + (m @ d_om - d_om @ m)
+
+        assert np.array_equal(_linearization_matrix(m, body), oracles.loop_operator(lin, n))
+        assert np.array_equal(_ad_matrix(m, n), oracles.loop_operator(lambda e: e @ m - m @ e, n))
 
 
 class TestLinearize:
@@ -142,14 +168,25 @@ class TestOrbitKernel:
     def test_zero_momentum_full_kernel(self, body4):
         rep = ft.orbit_kernel(ft.SkewMatrix.zeros(4), body4)
         assert rep.kernel_dim == 6 and rep.map_rank == 0
+        assert np.array_equal(ft.orbit_kernel_directions(ft.SkewMatrix.zeros(4), body4),
+                              np.eye(6))
+        assert ft.stabilizer_dimension(np.zeros((4, 4)), 4) == 6
 
     def test_requires_equilibrium(self, body4, rng):
-        with pytest.raises(ft.NotAnEquilibrium):
-            ft.orbit_kernel(random_skew(4, rng), body4)
+        m = random_skew(4, rng)
+        for fn in (ft.orbit_kernel, ft.orbit_kernel_directions):
+            with pytest.raises(ft.NotAnEquilibrium):
+                fn(m, body4)
 
     def test_rank_tol_positive(self, body4):
-        with pytest.raises(ValueError):
-            ft.orbit_kernel(ft.SkewMatrix.zeros(4), body4, rank_tol=0.0)
+        for fn in (ft.orbit_kernel, ft.orbit_kernel_directions):
+            with pytest.raises(ValueError):
+                fn(ft.SkewMatrix.zeros(4), body4, rank_tol=0.0)
+
+    def test_dimension_mismatch(self, body4):
+        for fn in (ft.orbit_kernel, ft.orbit_kernel_directions):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                fn(ft.SkewMatrix.zeros(3), body4)
 
     @pytest.mark.parametrize("name", list(FROZEN_KERNELS))
     def test_frozen_dimensions(self, name):

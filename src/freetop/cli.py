@@ -61,11 +61,17 @@ EXIT_AMBIGUOUS = 5
 OUTPUT_DIR_ENV = "FREETOP_OUTPUT_DIR"
 
 
+def _seed_arg(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="stationarity residual tolerance (default %(default)g)")
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=_seed_arg, default=None,
                         help="seed for randomized inputs (default: from the input file, else 0)")
     common.add_argument("--output-dir", default=None,
                         help=f"directory for output files (default: ${OUTPUT_DIR_ENV} or '.')")

@@ -8,6 +8,7 @@ to stay small (n up to a few dozen); there is no sparse or blocked path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -202,21 +203,37 @@ def commutator(a, b) -> np.ndarray:
 
 def _fix_column_signs(q: np.ndarray) -> None:
     """Flip columns so the first component larger than 1e-12 is positive."""
-    n = q.shape[0]
-    for k in range(q.shape[1]):
-        for i in range(n):
-            if abs(q[i, k]) > 1e-12:
-                if q[i, k] < 0:
-                    q[:, k] = -q[:, k]
-                break
+    lead = q[np.argmax(np.abs(q) > 1e-12, axis=0), np.arange(q.shape[1])]
+    flip = lead < -1e-12  # a column with no such component has |lead| <= 1e-12
+    q[:, flip] = -q[:, flip]
+
+
+@lru_cache(maxsize=None)
+def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Round-robin Jacobi order (Brent & Luk, 1985): per round, (p, q) index
+    arrays of floor(n/2) disjoint pairs p < q sorted by p. One sweep's rounds
+    cover every pair once: n - 1 rounds for even n, n for odd n (one index
+    per round idles, paired with a phantom index n)."""
+    m = n + n % 2
+    ring = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = sorted((min(i, j), max(i, j)) for i, j in zip(ring[: m // 2], ring[::-1])
+                       if max(i, j) < n)
+        if pairs:
+            rounds.append(tuple(_readonly(np.array(x, dtype=np.intp)) for x in zip(*pairs)))
+        ring = [ring[0], ring[-1], *ring[1:-1]]
+    return tuple(rounds)
 
 
 def eigen_symmetric(s, max_sweeps: int = 64) -> EigenFrame:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix by round-robin Jacobi rotations.
 
-    Deterministic: fixed sweep order (row-major over the strict upper
-    triangle), eigenvalues sorted ascending with a stable sort, eigenvector
-    signs fixed by the first non-negligible component.
+    Deterministic: each sweep runs the fixed rounds of `_round_robin`, and
+    a round rotates all its disjoint pairs in one update A <- G^T A G,
+    V <- V G (a pair with negligible a_pq gets the identity). Eigenvalues
+    are sorted ascending with a stable sort, eigenvector signs fixed by
+    the first non-negligible component.
 
     Raises ArithmeticError if the off-diagonal mass has not converged
     after `max_sweeps` sweeps.
@@ -229,34 +246,29 @@ def eigen_symmetric(s, max_sweeps: int = 64) -> EigenFrame:
     if norm > 0.0:
         stop = n * _EPS * norm
         skip = 0.1 * _EPS * norm
+        # Flat indices of (p, p), (q, q), (p, q), (q, p) for each round.
+        rounds = [(p.size, np.concatenate((p * n + p, q * n + q, p * n + q, q * n + p)))
+                  for p, q in _round_robin(n)]
         for _ in range(max_sweeps):
             off = np.linalg.norm(a - np.diag(np.diag(a)))
             if off <= stop:
                 break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if abs(apq) <= skip:
-                        continue
-                    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + np.hypot(1.0, tau))
-                    c = 1.0 / np.hypot(1.0, t)
-                    sn = t * c
-                    # A <- G^T A G with the rotation acting on rows/cols p, q.
-                    cp = a[:, p].copy()
-                    cq = a[:, q].copy()
-                    a[:, p] = c * cp - sn * cq
-                    a[:, q] = sn * cp + c * cq
-                    rp = a[p, :].copy()
-                    rq = a[q, :].copy()
-                    a[p, :] = c * rp - sn * rq
-                    a[q, :] = sn * rp + c * rq
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - sn * vq
-                    v[:, q] = sn * vp + c * vq
+            for k, flat in rounds:
+                app, aqq, apq = a.take(flat[: 3 * k]).reshape(3, k)
+                rot = np.abs(apq) > skip
+                if not rot.any():
+                    continue
+                tau = (aqq - app) / (2.0 * np.where(rot, apq, 1.0))
+                t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+                t = np.where(rot, t, 0.0)
+                c = 1.0 / np.hypot(1.0, t)
+                sn = t * c
+                g = np.eye(n)
+                g.put(flat, np.concatenate((c, c, sn, -sn)))
+                a = g.T @ a @ g
+                apq = np.where(rot, 0.0, apq)  # the rotation annihilates a_pq
+                a.put(flat[2 * k:], np.concatenate((apq, apq)))
+                v = v @ g
         else:
             raise ArithmeticError(
                 f"Jacobi iteration did not converge in {max_sweeps} sweeps "

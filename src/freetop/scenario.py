@@ -17,6 +17,7 @@ from .serialize import (
     _check_version,
     _join,
     _number,
+    _seed,
     _want,
     body_from_doc,
     matrix_from_doc,
@@ -57,9 +58,7 @@ def scenario_from_doc(doc, seed_override: int | None = None) -> Scenario:
     body = body_from_doc(_want(doc, "body", dict, "", "an object"), "body",
                          require_version=False)
 
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise SchemaError("seed", "expected an integer")
+    seed = _seed(doc.get("seed", 0), "seed")
     if seed_override is not None:
         seed = seed_override
 

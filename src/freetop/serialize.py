@@ -86,6 +86,10 @@ def _emit(obj, indent: int | None, level: int) -> str:
         items = list(obj)
         if not items:
             return "[]"
+        # A float-only list is formatted in one pass; one with a non-finite
+        # value falls through so that format_float raises for it.
+        if set(map(type, items)) == {float} and all(map(math.isfinite, items)):
+            return "[" + ", ".join([format(x, ".17g") for x in items]) + "]"
         flat = all(not isinstance(it, (list, tuple, dict, np.ndarray)) for it in items)
         if flat or indent is None:
             return "[" + ", ".join(_emit(it, None, 0) for it in items) + "]"
@@ -168,6 +172,12 @@ def _number(value, path):
     if not math.isfinite(out):
         raise SchemaError(path, "value must be finite")
     return out
+
+
+def _seed(value, path):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise SchemaError(path, "expected a non-negative integer")
+    return value
 
 
 def _int_list(value, path):
@@ -377,10 +387,7 @@ def recipe_from_doc(doc, path: str = "", default_seed: int | None = None) -> Gen
             raise SchemaError(bpath, str(exc)) from exc
     fixed = _int_list(doc.get("fixed_axes", []), _join(path, "fixed_axes"))
     seed = doc.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise SchemaError(_join(path, "seed"), "expected an integer")
-    if seed is None:
-        seed = default_seed
+    seed = default_seed if seed is None else _seed(seed, _join(path, "seed"))
     try:
         return GeneratorRecipe(blocks=tuple(blocks), fixed_axes=tuple(fixed), seed=seed)
     except ValueError as exc:

@@ -191,3 +191,60 @@ def invariants_reference(m, j, max_power):
             row += [np.trace(p) for p in power]
             scales += [math.comb(k, i) * n * a ** (k - i) * b ** i for i in range(k + 1)]
     return np.array(row), np.array(scales)
+
+
+# -- symmetric eigensolver ---------------------------------------------------
+
+def fix_column_signs_loop(q):
+    """Flip columns in place so the first component larger than 1e-12 is
+    positive, one entry at a time."""
+    for k in range(q.shape[1]):
+        for i in range(q.shape[0]):
+            if abs(q[i, k]) > 1e-12:
+                if q[i, k] < 0:
+                    q[:, k] = -q[:, k]
+                break
+
+
+def cyclic_jacobi(s, max_sweeps=64):
+    """(eigenvalues, basis) by cyclic Jacobi: one rotation at a time in
+    row-major order over the strict upper triangle, with the same stop
+    rule, skip threshold, ascending stable sort and sign convention as
+    freetop.eigen_symmetric."""
+    a = np.array(s, dtype=float)
+    n = a.shape[0]
+    v = np.eye(n)
+    eps = np.finfo(float).eps
+    norm = np.linalg.norm(a)
+    if norm > 0.0:
+        stop = n * eps * norm
+        skip = 0.1 * eps * norm
+        for _ in range(max_sweeps):
+            if np.linalg.norm(a - np.diag(np.diag(a))) <= stop:
+                break
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    apq = a[p, q]
+                    if abs(apq) <= skip:
+                        continue
+                    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                    t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + np.hypot(1.0, tau))
+                    c = 1.0 / np.hypot(1.0, t)
+                    sn = t * c
+                    cp, cq = a[:, p].copy(), a[:, q].copy()
+                    a[:, p] = c * cp - sn * cq
+                    a[:, q] = sn * cp + c * cq
+                    rp, rq = a[p, :].copy(), a[q, :].copy()
+                    a[p, :] = c * rp - sn * rq
+                    a[q, :] = sn * rp + c * rq
+                    a[p, q] = a[q, p] = 0.0
+                    vp, vq = v[:, p].copy(), v[:, q].copy()
+                    v[:, p] = c * vp - sn * vq
+                    v[:, q] = sn * vp + c * vq
+        else:
+            raise ArithmeticError(f"cyclic Jacobi did not converge in {max_sweeps} sweeps")
+    lam = np.diag(a).copy()
+    order = np.argsort(lam, kind="stable")
+    v = v[:, order]
+    fix_column_signs_loop(v)
+    return lam[order], v

@@ -147,6 +147,13 @@ class TestSimulate:
         assert main(["simulate", str(tmp_path / "huge.json")]) == 2
         assert "integrator.dt" in capsys.readouterr().err
 
+    def test_negative_seed_exit2(self, tmp_path, capsys):
+        doc = json.loads(open(spinning_book_scenario(tmp_path)).read())
+        doc["seed"] = -1
+        assert main(["simulate", write(tmp_path / "neg.json", doc),
+                     "--output-dir", str(tmp_path)]) == 2
+        assert "seed: expected a non-negative integer" in capsys.readouterr().err
+
     def test_nonexistent_file(self, capsys):
         assert main(["simulate", "/nonexistent/scenario.json"]) == 2
 
@@ -267,6 +274,26 @@ class TestGenerateAndStability:
                          "--output-dir", str(out)]) == 0
         assert (out1 / "momentum.json").read_bytes() == (out2 / "momentum.json").read_bytes()
         assert (out1 / "structure.json").read_bytes() == (out2 / "structure.json").read_bytes()
+
+    def test_negative_recipe_seed_exit2(self, tmp_path, body4_path, capsys):
+        recipe = write(tmp_path / "neg.json", {
+            "spec_version": "1", "seed": -1,
+            "blocks": [{"omega": 1.0, "axes": [0, 1]}, {"omega": 2.0, "axes": [2, 3]}],
+            "fixed_axes": []})
+        assert main(["generate", recipe, body4_path, "--output-dir", str(tmp_path)]) == 2
+        assert "seed: expected a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["simulate", "classify", "generate", "stability"])
+    def test_negative_seed_flag_rejected_at_parsing(self, tmp_path, body4_path,
+                                                    recipe_path, cmd, capsys):
+        args = {"simulate": [recipe_path], "generate": [recipe_path, body4_path],
+                "classify": [recipe_path, body4_path],
+                "stability": [recipe_path, body4_path, "--kernel"]}[cmd]
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, *args, "--seed", "-5", "--output-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "momentum.json").exists()
 
     def test_kernel_gap_regular_vs_exotic(self, tmp_path, body4_path, recipe_path,
                                           capsys):

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import freetop as ft
+from freetop.linalg import _fix_column_signs, _round_robin
 
+import oracles
 from conftest import random_skew, random_sym
 
 
@@ -141,6 +143,118 @@ class TestEigenSymmetric:
         f2 = ft.eigen_symmetric(s)
         assert np.array_equal(f1.eigenvalues, f2.eigenvalues)
         assert np.array_equal(f1.basis, f2.basis)
+
+
+def eigen_inputs(n, rng):
+    """Diagonal, rotated (separated spectrum) and clustered (eigenvalues
+    repeated in threes, split by 1e-9) symmetric inputs, all of norm >= 1."""
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+    def rotated(values):
+        a = q @ np.diag(values) @ q.T
+        return 0.5 * (a + a.T)
+
+    lam = 1.0 + np.cumsum(0.1 + rng.random(n))
+    clustered = np.repeat(1.0 + 2.0 * np.arange(n), 3)[:n] + 1e-9 * rng.random(n)
+    return {"diagonal": np.diag(rng.permutation(lam)), "rotated": rotated(lam),
+            "clustered": rotated(clustered)}
+
+
+class TestRoundRobin:
+    @pytest.mark.parametrize("n", range(2, 18))
+    def test_rounds_cover_each_pair_once(self, n):
+        rounds = _round_robin(n)
+        assert len(rounds) == n - 1 + n % 2
+        seen = []
+        for p, q in rounds:
+            assert len(p) == len(q) == n // 2
+            assert np.all(p < q)
+            indices = np.concatenate((p, q))
+            assert len(set(indices.tolist())) == indices.size  # disjoint pairs
+            seen += list(zip(p.tolist(), q.tolist()))
+        assert len(seen) == n * (n - 1) // 2
+        assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+class TestEigenAgainstReferences:
+    """Round-robin Jacobi against the cyclic Jacobi oracle and LAPACK."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_cyclic_and_eigh(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for kind, a in eigen_inputs(n, rng).items():
+            # Every comparison at 1e-12 * ||A|| (||A|| >= 1 for these inputs);
+            # measured differences stay below 3e-14.
+            tol = 1e-12 * np.linalg.norm(a)
+            frame = ft.eigen_symmetric(a)
+            lam_c, basis_c = oracles.cyclic_jacobi(a)
+            lam_e, basis_e = np.linalg.eigh(a)
+            oracles.fix_column_signs_loop(basis_e)
+            if kind == "diagonal":
+                assert np.array_equal(frame.eigenvalues, lam_c)
+                assert np.array_equal(frame.basis, basis_c)
+            for lam_ref, basis_ref in ((lam_c, basis_c), (lam_e, basis_e)):
+                assert np.max(np.abs(frame.eigenvalues - lam_ref)) <= tol, kind
+                if kind != "clustered":
+                    assert np.max(np.abs(frame.basis - basis_ref)) <= tol, kind
+                    continue
+                # Within a cluster the basis is not unique; its projector is.
+                for idx in np.split(np.arange(n), np.flatnonzero(np.diff(lam_ref) > 1e-6) + 1):
+                    proj = frame.basis[:, idx] @ frame.basis[:, idx].T
+                    proj_ref = basis_ref[:, idx] @ basis_ref[:, idx].T
+                    assert np.max(np.abs(proj - proj_ref)) <= tol, kind
+
+    def test_decoupled_repeated_block_untouched(self, rng):
+        # Pairs inside the 2*I block have a_pq = 0 and equal diagonals, so
+        # they must get the identity rotation; the block stays exact.
+        a = np.zeros((6, 6))
+        a[:3, :3] = random_sym(3, rng).array + 10.0 * np.eye(3)
+        a[3:, 3:] = 2.0 * np.eye(3)
+        frame = ft.eigen_symmetric(a)
+        np.testing.assert_array_equal(frame.eigenvalues[:3], [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(frame.basis[:, :3], np.eye(6)[:, 3:])
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_zero_matrix(self, n):
+        frame = ft.eigen_symmetric(np.zeros((n, n)))
+        np.testing.assert_array_equal(frame.eigenvalues, np.zeros(n))
+        np.testing.assert_array_equal(frame.basis, np.eye(n))
+
+    @pytest.mark.parametrize("value", [3.5, -2.0])
+    def test_one_by_one(self, value):
+        frame = ft.eigen_symmetric([[value]])
+        np.testing.assert_array_equal(frame.eigenvalues, [value])
+        np.testing.assert_array_equal(frame.basis, [[1.0]])
+
+    def test_sweep_limit_raises(self, rng):
+        with pytest.raises(ArithmeticError, match="did not converge in 1 sweeps"):
+            ft.eigen_symmetric(random_sym(16, rng), max_sweeps=1)
+
+
+class TestColumnSigns:
+    def test_matches_loop_below_threshold(self):
+        # Leading entries at or below 1e-12 in magnitude do not decide the sign;
+        # the last column has no entry above it and stays as it is.
+        q = np.array([
+            [-5e-13, 4e-13, 0.0, -1e-12, -3e-13],
+            [-1e-12, -0.6, 1e-12, 0.8, 1e-12],
+            [0.6, 0.8, -0.0, -0.6, -0.0],
+            [-0.8, 0.0, 1.0, 0.0, 0.0],
+        ])
+        expected = q.copy()
+        oracles.fix_column_signs_loop(expected)
+        _fix_column_signs(q)
+        assert q.tobytes() == expected.tobytes()
+        assert [float(np.sign(v)) for v in q[[2, 1, 3, 1, 0], range(5)]] == [1, 1, 1, 1, -1]
+
+    def test_matches_loop_on_eigenbases(self, rng):
+        for n in (1, 3, 8, 16):
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            q[0, : n // 2] = 1e-13  # leading entries under the threshold
+            expected = q.copy()
+            oracles.fix_column_signs_loop(expected)
+            _fix_column_signs(q)
+            assert q.tobytes() == expected.tobytes()
 
 
 class TestNormAndProjection:

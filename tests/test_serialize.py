@@ -7,6 +7,7 @@ import pytest
 
 import freetop as ft
 from freetop import serialize as ser
+from freetop.scenario import scenario_from_doc
 
 from conftest import random_skew
 
@@ -53,6 +54,43 @@ class TestCanonicalDumps:
     def test_numpy_scalars_and_arrays(self):
         doc = {"x": np.float64(0.1), "k": np.int64(3), "v": np.arange(3.0)}
         assert json.loads(ser.dumps_canonical(doc)) == {"x": 0.1, "k": 3, "v": [0, 1, 2]}
+
+
+def numpy_scalars(obj):
+    """The document with every Python float replaced by numpy.float64, which
+    the writer formats one item at a time through format_float."""
+    if isinstance(obj, dict):
+        return {k: numpy_scalars(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [numpy_scalars(v) for v in obj]
+    return np.float64(obj) if type(obj) is float else obj
+
+
+class TestFloatListFastPath:
+    def test_spectrum_document_matches_per_item(self, body6):
+        m, _ = ft.generate(ft.GeneratorRecipe(
+            blocks=(ft.RecipeBlock(axes=(0, 1, 2, 3), omega=1.3, structure_source="random"),
+                    ft.RecipeBlock(axes=(4, 5), omega=0.7)), fixed_axes=(), seed=4), body6)
+        doc = ser.linearization_to_doc(ft.linearize(m, body6))
+        text = ser.dumps_canonical(doc)
+        assert text == ser.dumps_canonical(numpy_scalars(doc))
+
+    @pytest.mark.parametrize("indent", [2, None])
+    def test_matrix_document_matches_per_item(self, rng, indent):
+        doc = ser.matrix_to_doc(random_skew(7, rng, scale=1e-3))
+        doc["edges"] = [-0.0, 5e-324, 1.7976931348623157e308, 0.1]
+        doc["mixed"] = [1, 2.5, True, None]
+        text = ser.dumps_canonical(doc, indent=indent)
+        assert text == ser.dumps_canonical(numpy_scalars(doc), indent=indent)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises_as_per_item(self, bad):
+        row = [0.5, bad, 1.0]
+        with pytest.raises(ValueError) as fast:
+            ser.dumps_canonical({"rows": [row]})
+        with pytest.raises(ValueError) as per_item:
+            ser.dumps_canonical({"rows": [numpy_scalars(row)]})
+        assert str(fast.value) == str(per_item.value) == f"cannot serialize non-finite value {bad!r}"
 
 
 class TestMatrixDocs:
@@ -196,6 +234,28 @@ class TestRecipeDocs:
                            "structure_source": "standard"}],
                "fixed_axes": []}
         assert ser.recipe_from_doc(doc, default_seed=17).seed == 5
+
+    @pytest.mark.parametrize("path,field", [("", "seed"),
+                                            ("initial.recipe", "initial.recipe.seed")])
+    def test_negative_seed_located(self, path, field):
+        doc = {"spec_version": "1", "seed": -1,
+               "blocks": [{"omega": 1.0, "axes": [0, 1],
+                           "structure_source": "standard"}],
+               "fixed_axes": []}
+        with pytest.raises(ser.SchemaError, match="non-negative") as exc:
+            ser.recipe_from_doc(doc, path)
+        assert exc.value.field == field
+
+    def test_negative_scenario_seed_located(self):
+        doc = {"spec_version": "1", "seed": -1,
+               "body": {"eigenvalues": [1.0, 2.0, 3.0]},
+               "initial": {"matrix": {"n": 3, "kind": "skew",
+                                      "rows": [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0],
+                                               [0.0, 0.0, 0.0]]}},
+               "integrator": {"dt": 0.01, "t_end": 0.1, "record_every": 1}}
+        with pytest.raises(ser.SchemaError, match="non-negative") as exc:
+            scenario_from_doc(doc)
+        assert exc.value.field == "seed"
 
     def test_bad_source_located(self):
         doc = {"spec_version": "1",

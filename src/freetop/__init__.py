@@ -12,11 +12,9 @@ from .linalg import (
     EigenFrame,
     commutator,
     eigen_symmetric,
-    gram_project_orthonormal,
 )
 from .body import (
     InertiaSpec,
-    BodyState,
     Trajectory,
     IntegrationAbort,
     inertia_apply,
@@ -27,7 +25,6 @@ from .body import (
     manakov_integrals,
     manakov_labels,
     compute_invariants,
-    step_rk4,
     integrate,
 )
 from .equilibria import (

@@ -222,13 +222,11 @@ def rk4_momentum_c(m0, pair_sums, dt, nsteps, record_every):
     return out
 
 
-def backend(prefer_numba: bool = True) -> str:
+def backend() -> str:
     """Name of the kernel `rk4_momentum` runs: "numba", "c" or "numpy".
 
     Without numba, the first call builds or loads the C kernel.
     """
-    if not prefer_numba:
-        return "numpy"
     if rk4_momentum_numba is not None:
         return "numba"
     if _c_kernel() is not None:
@@ -236,14 +234,11 @@ def backend(prefer_numba: bool = True) -> str:
     return "numpy"
 
 
-def rk4_momentum(m0, pair_sums, dt, nsteps, record_every, prefer_numba=True):
-    """Run the first usable kernel of numba, C and numpy (see `backend`).
-
-    prefer_numba=False forces the numpy twin.
-    """
+def rk4_momentum(m0, pair_sums, dt, nsteps, record_every):
+    """Run the first usable kernel of numba, C and numpy (see `backend`)."""
     kernel = {
         "numba": rk4_momentum_numba,
         "c": rk4_momentum_c,
         "numpy": rk4_momentum_numpy,
-    }[backend(prefer_numba)]
+    }[backend()]
     return kernel(m0, pair_sums, float(dt), nsteps, record_every)

@@ -3,8 +3,7 @@
 The state is the angular momentum matrix M, related to the angular
 velocity matrix W by the inertia operator M = W J + J W for a symmetric
 positive-definite J with pairwise-distinct eigenvalues. The reduced
-equations of motion are dM/dt = [M, W]; attitude, when tracked, follows
-dX/dt = X W.
+equations of motion are dM/dt = [M, W].
 """
 
 from __future__ import annotations
@@ -21,12 +20,10 @@ from .linalg import (
     SkewMatrix,
     SymMatrix,
     eigen_symmetric,
-    gram_project_orthonormal,
 )
 
 __all__ = [
     "InertiaSpec",
-    "BodyState",
     "Trajectory",
     "IntegrationAbort",
     "inertia_apply",
@@ -38,7 +35,6 @@ __all__ = [
     "manakov_labels",
     "casimir_labels",
     "compute_invariants",
-    "step_rk4",
     "integrate",
 ]
 
@@ -278,79 +274,12 @@ def invariant_labels(n: int, max_power: int) -> list[str]:
 
 
 @dataclass
-class BodyState:
-    """Angular momentum, optionally with the attitude matrix."""
-
-    M: SkewMatrix
-    X: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.M, SkewMatrix):
-            self.M = SkewMatrix(self.M)
-        if self.X is not None:
-            x = np.asarray(self.X, dtype=float)
-            if x.shape != (self.M.n, self.M.n):
-                raise ValueError("attitude shape does not match the momentum")
-            defect = np.linalg.norm(x.T @ x - np.eye(self.M.n))
-            if defect > 1e-9:
-                raise ValueError(f"attitude not orthonormal: defect {defect:.3e}")
-            self.X = x
-
-
-def step_rk4(state: BodyState, body: InertiaSpec, dt: float) -> BodyState:
-    """One classical 4th-order step of the momentum equation.
-
-    When the attitude is present it is advanced jointly (the update is a
-    right multiplication by a 4th-order approximation of the step rotation)
-    and then projected back onto the orthonormal matrices.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    m = state.M.array
-    _check_dims(m, body)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        om1 = _invert_array(m, body)
-        k1 = m @ om1
-        k1 = k1 - k1.T
-        y2 = m + (0.5 * dt) * k1
-        om2 = _invert_array(y2, body)
-        k2 = y2 @ om2
-        k2 = k2 - k2.T
-        y3 = m + (0.5 * dt) * k2
-        om3 = _invert_array(y3, body)
-        k3 = y3 @ om3
-        k3 = k3 - k3.T
-        y4 = m + dt * k3
-        om4 = _invert_array(y4, body)
-        k4 = y4 @ om4
-        k4 = k4 - k4.T
-        m_new = m + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    if not np.all(np.isfinite(m_new)):
-        raise IntegrationAbort("momentum became non-finite within one step")
-
-    x_new = None
-    if state.X is not None:
-        x = state.X
-        l1 = x @ om1
-        l2 = (x + (0.5 * dt) * l1) @ om2
-        l3 = (x + (0.5 * dt) * l2) @ om3
-        l4 = (x + dt * l3) @ om4
-        x_new = x + (dt / 6.0) * (l1 + 2.0 * (l2 + l3) + l4)
-        if not np.all(np.isfinite(x_new)):
-            raise IntegrationAbort("attitude became non-finite within one step")
-        x_new = gram_project_orthonormal(x_new)
-    return BodyState(M=SkewMatrix(m_new), X=x_new)
-
-
-@dataclass
 class Trajectory:
     """Uniformly sampled trajectory stored as arrays.
 
-    times (S,), momenta (S, n, n) in the ambient frame, invariants (S, k)
-    with columns invariant_labels(n, manakov_max_power), and attitudes
-    (S, n, n) when the attitude was integrated. step is the integration
-    step; samples are spaced step * record_every apart in time.
+    times (S,), momenta (S, n, n) in the ambient frame and invariants
+    (S, k) with columns invariant_labels(n, manakov_max_power). step is
+    the RK4 step; samples are spaced step * record_every apart in time.
     """
 
     times: np.ndarray
@@ -358,9 +287,7 @@ class Trajectory:
     invariants: np.ndarray
     step: float
     record_every: int = 1
-    integrator: str = "rk4"
     manakov_max_power: int = 2
-    attitudes: np.ndarray | None = None
 
     def momentum_displacement(self) -> float:
         """Max over samples of ||M(t) - M(0)|| / ||M(0)|| (absolute if M(0) = 0)."""
@@ -402,31 +329,26 @@ def _step_count(span: float, dt: float, record_every: int, name: str = "t_end") 
 
 def integrate(state, body: InertiaSpec, dt: float, t_end: float,
               record_every: int = 1, *, manakov_max_power: int | None = None,
-              guard: str = "reject", prefer_numba: bool = True) -> Trajectory:
+              guard: str = "reject") -> Trajectory:
     """Fixed-step RK4 integration of the momentum equation.
 
-    state may be a BodyState or anything accepted by SkewMatrix. Samples
-    are recorded every `record_every` steps, which must divide the total
-    step count round(t_end / dt), and their invariants are computed in one
-    batched pass. Steps with
-    dt * ||W(0)||_2 above 0.5 are rejected (guard="reject") or allowed
-    with a warning (guard="warn").
+    state is anything accepted by SkewMatrix. Samples are recorded every
+    `record_every` steps, which must divide the total step count
+    round(t_end / dt), and their invariants are computed in one batched
+    pass. Steps with dt * ||W(0)||_2 above 0.5 are rejected
+    (guard="reject") or allowed with a warning (guard="warn").
 
-    Momentum-only integration runs in the inertia eigenframe through the
-    first usable kernel of numba, the C kernel and the numpy twin (see
-    `freetop._kernels`); prefer_numba=False forces the numpy twin. With an
-    attitude present the plain stepper is used.
+    The flow runs in the inertia eigenframe through the first usable
+    kernel of numba, the C kernel and the numpy twin (see
+    `freetop._kernels`).
     """
-    if not isinstance(state, BodyState):
-        state = BodyState(M=state if isinstance(state, SkewMatrix) else SkewMatrix(state))
+    m0 = _skew_array(state)
     nsteps = _step_count(t_end, dt, record_every)
     if guard not in ("reject", "warn"):
         raise ValueError("guard must be 'reject' or 'warn'")
 
-    m0 = state.M.array
     _check_dims(m0, body)
-    om0 = _invert_array(m0, body)
-    speed = float(np.linalg.norm(om0, 2))
+    speed = float(np.linalg.norm(_invert_array(m0, body), 2))
     if dt * speed > STEP_GUARD:
         msg = (
             f"dt * ||W|| = {dt * speed:.3f} exceeds the stability guard {STEP_GUARD}; "
@@ -439,31 +361,17 @@ def integrate(state, body: InertiaSpec, dt: float, t_end: float,
     if manakov_max_power is None:
         manakov_max_power = max(2, min(body.n, 4))
 
-    if state.X is None:
-        # the kernel records in the eigenframe; rotated back once below
-        momenta = _kernels.rk4_momentum(body.to_eigenframe(m0), np.asarray(body._pair_sums), dt,
-                                        nsteps, record_every, prefer_numba=prefer_numba)
-        attitudes = None
-    else:
-        momenta = np.empty((nsteps // record_every + 1, body.n, body.n))
-        attitudes = np.empty_like(momenta)
-        momenta[0], attitudes[0] = m0, state.X
-        cur = state
-        for s in range(nsteps):
-            cur = step_rk4(cur, body, dt)
-            if (s + 1) % record_every == 0:
-                r = (s + 1) // record_every
-                momenta[r], attitudes[r] = cur.M.array, cur.X
+    # the kernel records in the eigenframe; rotated back once below
+    momenta = _kernels.rk4_momentum(body.to_eigenframe(m0), np.asarray(body._pair_sums), dt,
+                                    nsteps, record_every)
     times = np.arange(momenta.shape[0]) * record_every * dt
     finite = np.isfinite(momenta).all(axis=(1, 2))
     if not finite.all():
         raise IntegrationAbort(
             f"momentum became non-finite near t = {times[np.argmin(finite)]:.6g}")
-    if attitudes is None:
-        momenta = body.from_eigenframe(momenta)
-        momenta = 0.5 * (momenta - momenta.transpose(0, 2, 1))
+    momenta = body.from_eigenframe(momenta)
+    momenta = 0.5 * (momenta - momenta.transpose(0, 2, 1))
     return Trajectory(
         times=times, momenta=momenta,
         invariants=compute_invariants(momenta, body, manakov_max_power),
-        step=dt, record_every=record_every, integrator="rk4",
-        manakov_max_power=manakov_max_power, attitudes=attitudes)
+        step=dt, record_every=record_every, manakov_max_power=manakov_max_power)

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Commands: simulate, classify, generate, stability. Exit codes:
-0 success, 2 unreadable or schema-invalid input, 3 numerical abort,
-4 momentum is not stationary, 5 ambiguous frequency clustering.
+0 success, 2 unreadable or schema-invalid input (including a run with too
+many samples to record), 3 numerical abort, 4 momentum is not stationary,
+5 ambiguous frequency clustering.
 Every command is deterministic given its inputs and seed; re-running
 overwrites outputs byte-identically.
 """
@@ -168,7 +169,7 @@ def _cmd_simulate(args) -> int:
         report = {
             "spec_version": summary["spec_version"],
             "n": sc.body.n,
-            "integrator": traj.integrator,
+            "integrator": "rk4",
             "dt": traj.step,
             "t_end": summary["t_end"],
             "record_every": traj.record_every,
@@ -248,7 +249,7 @@ def main(argv=None) -> int:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (SchemaError, FileNotFoundError, IsADirectoryError, PermissionError,
-            ValueError) as exc:
+            ValueError, MemoryError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -18,7 +18,6 @@ __all__ = [
     "EigenFrame",
     "commutator",
     "eigen_symmetric",
-    "gram_project_orthonormal",
 ]
 
 # Relative structural defect tolerated when ingesting nearly symmetric /
@@ -284,20 +283,3 @@ def eigen_symmetric(s, max_sweeps: int = 64) -> EigenFrame:
     if norm > 0.0 and resid > 1e-10 * norm:
         raise ArithmeticError(f"eigendecomposition residual {resid:.3e} too large")
     return frame
-
-
-def gram_project_orthonormal(x) -> np.ndarray:
-    """Nearest orthonormal matrix (polar factor) of a square matrix.
-
-    Raises numpy.linalg.LinAlgError for (numerically) singular input,
-    where the nearest orthonormal matrix is not unique.
-    """
-    arr = _as_square(x)
-    u, s, vt = np.linalg.svd(arr)
-    if s[-1] <= 1e-12 * s[0] or s[0] == 0.0:
-        raise np.linalg.LinAlgError("singular input: polar factor not unique")
-    q = u @ vt
-    defect = np.linalg.norm(q.T @ q - np.eye(arr.shape[0]))
-    if defect > 1e-12 * arr.shape[0]:
-        raise ArithmeticError(f"projection failed, orthogonality defect {defect:.3e}")
-    return q

@@ -87,8 +87,12 @@ def scenario_from_doc(doc, seed_override: int | None = None) -> Scenario:
     if guard not in ("reject", "warn"):
         raise SchemaError("integrator.guard", "expected 'reject' or 'warn'")
     max_power = integ.get("manakov_max_power")
-    if max_power is not None and (isinstance(max_power, bool) or not isinstance(max_power, int)):
-        raise SchemaError("integrator.manakov_max_power", "expected an integer")
+    if max_power is not None:
+        if isinstance(max_power, bool) or not isinstance(max_power, int):
+            raise SchemaError("integrator.manakov_max_power", "expected an integer")
+        if not 2 <= max_power <= body.n:
+            raise SchemaError("integrator.manakov_max_power",
+                              f"expected an integer from 2 to the dimension {body.n}")
     if dt <= 0:
         raise SchemaError("integrator.dt", "must be positive")
     if t_end <= 0:

@@ -55,6 +55,25 @@ def euler3d_solve(m0, moments, t_end):
     return sol.sol
 
 
+# -- momentum flow in the ambient frame --------------------------------------
+
+def rk4_ambient(m0, body, dt, nsteps):
+    """Classical RK4 on dM/dt = [M, W] in the ambient frame, one
+    ft.vector_field call per stage; returns the momentum after nsteps."""
+    m = np.asarray(m0.array if isinstance(m0, ft.SkewMatrix) else m0, dtype=float)
+
+    def field(y):
+        return ft.vector_field(y, body).array
+
+    for _ in range(nsteps):
+        k1 = field(m)
+        k2 = field(m + (0.5 * dt) * k1)
+        k3 = field(m + (0.5 * dt) * k2)
+        k4 = field(m + dt * k3)
+        m = m + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return m
+
+
 def euler3d_linearization(m_star, moments, h=1e-7):
     """Jacobian of the classical vector field by central differences."""
     m_star = np.asarray(m_star, dtype=float)

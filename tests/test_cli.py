@@ -147,6 +147,15 @@ class TestSimulate:
         assert main(["simulate", str(tmp_path / "huge.json")]) == 2
         assert "integrator.dt" in capsys.readouterr().err
 
+    def test_too_many_samples_exit2(self, tmp_path, capsys):
+        # 2**50 + 1 recorded samples: the record array cannot be allocated,
+        # and the request fails at once without touching memory.
+        scenario = spinning_book_scenario(tmp_path, dt=0.0009765625, t_end=1099511627776.0,
+                                          record_every=1)
+        assert main(["simulate", scenario, "--output-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid input: ")
+        assert not (tmp_path / "traj.csv").exists()
+
     def test_negative_seed_exit2(self, tmp_path, capsys):
         doc = json.loads(open(spinning_book_scenario(tmp_path)).read())
         doc["seed"] = -1

@@ -256,18 +256,3 @@ class TestColumnSigns:
             _fix_column_signs(q)
             assert q.tobytes() == expected.tobytes()
 
-
-class TestNormAndProjection:
-    def test_identity_projects_to_itself(self):
-        np.testing.assert_array_equal(ft.gram_project_orthonormal(np.eye(4)), np.eye(4))
-
-    def test_projection_of_noisy_orthogonal(self, rng):
-        q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
-        noisy = q + 1e-3 * rng.standard_normal((5, 5))
-        p = ft.gram_project_orthonormal(noisy)
-        assert np.linalg.norm(p.T @ p - np.eye(5)) <= 1e-12
-        assert np.linalg.norm(p - q) < 1e-2
-
-    def test_singular_input_raises(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            ft.gram_project_orthonormal(np.zeros((3, 3)))

@@ -65,6 +65,8 @@ class TestScenarioParsing:
         ("t_end", 0.0, "positive"),
         ("record_every", 0, "positive integer"),
         ("guard", "panic", "reject"),
+        ("manakov_max_power", 1, "manakov_max_power: expected an integer from 2 to the dimension 4"),
+        ("manakov_max_power", 5, "manakov_max_power: expected an integer from 2 to the dimension 4"),
     ])
     def test_integrator_validation(self, field, value, message):
         doc = base_doc()

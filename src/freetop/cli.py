@@ -27,6 +27,7 @@ from .equilibria import (
     classify,
     generate,
 )
+from .linalg import SkewMatrix
 from .serialize import (
     SchemaError,
     drift_summary_doc,
@@ -185,10 +186,23 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_classify(args) -> int:
-    outdir = _outdir(args)
+def _read_momentum_and_body(args):
+    """The momentum and body files, checked against each other: the
+    momentum must be skew (any kind) and of the body's dimension."""
     m = read_matrix(args.matrix)
     body = read_body(args.body)
+    try:
+        m = m if isinstance(m, SkewMatrix) else SkewMatrix(m)
+    except ValueError as exc:
+        raise SchemaError("rows", f"momentum {exc}") from exc
+    if m.n != body.n:
+        raise SchemaError("n", f"momentum has n = {m.n}, the body has n = {body.n}")
+    return m, body
+
+
+def _cmd_classify(args) -> int:
+    outdir = _outdir(args)
+    m, body = _read_momentum_and_body(args)
     structure = classify(m, body, tol=args.tol, cluster_tol=args.cluster_tol)
     _emit(args, outdir, structure_to_doc(structure))
     return EXIT_OK
@@ -207,8 +221,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_stability(args) -> int:
     outdir = _outdir(args)
-    m = read_matrix(args.matrix)
-    body = read_body(args.body)
+    m, body = _read_momentum_and_body(args)
     if args.spectrum:
         doc = linearization_to_doc(linearize(m, body, tol=args.tol))
     elif args.kernel:

@@ -222,6 +222,8 @@ def is_equilibrium(m, body: InertiaSpec, tol: float = DEFAULT_TOL):
     all norms Frobenius. The equivalent form ||[M, W]|| is computed as a
     consistency check: the two commutators agree identically, so their
     difference beyond rounding indicates a corrupted inertia operator.
+    Raises ArithmeticError if the residual is not finite (the scale of J
+    or W overflows or underflows), rather than calling M non-stationary.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -237,6 +239,11 @@ def is_equilibrium(m, body: InertiaSpec, tol: float = DEFAULT_TOL):
     c_js = js - js.T
     scale = np.linalg.norm(j) * np.linalg.norm(om) ** 2
     residual = float(np.linalg.norm(c_js) / scale)
+    if not np.isfinite(residual):
+        raise ArithmeticError(
+            f"stationarity residual {residual} is not finite: its scale "
+            f"||J|| ||W||^2 = {scale:.3e} overflows or underflows"
+        )
     mo = arr @ om
     c_mo = mo - mo.T
     if np.linalg.norm(c_mo - c_js) > 1e-10 * scale:

@@ -1,14 +1,14 @@
 """Dense linear algebra for small symmetric and skew-symmetric matrices.
 
-Everything is double precision and deterministic: fixed iteration orders,
-fixed sign conventions, no randomized algorithms. Dimensions are expected
+Everything is double precision and deterministic: the eigenframe is one
+LAPACK `eigh` call through numpy's BLAS followed by a fixed eigenvector
+sign convention, and no algorithm is randomized. Dimensions are expected
 to stay small (n up to a few dozen); there is no sparse or blocked path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,8 +23,6 @@ __all__ = [
 # Relative structural defect tolerated when ingesting nearly symmetric /
 # nearly skew arrays; storage is exact after ingestion.
 STRUCTURE_TOL = 1e-9
-
-_EPS = np.finfo(float).eps
 
 
 def _as_square(a) -> np.ndarray:
@@ -64,6 +62,8 @@ class _StructuredMatrix:
                 f"exceeds {tol:.1e} * {scale:.3e}"
             )
         sym = 0.5 * (arr + self._sign * arr.T)
+        if not np.isfinite(sym).all():
+            raise ValueError("matrix entries too large: their structured part overflows")
         if self._sign < 0:
             np.fill_diagonal(sym, 0.0)
         self._a = sym
@@ -207,79 +207,18 @@ def _fix_column_signs(q: np.ndarray) -> None:
     q[:, flip] = -q[:, flip]
 
 
-@lru_cache(maxsize=None)
-def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Round-robin Jacobi order (Brent & Luk, 1985): per round, (p, q) index
-    arrays of floor(n/2) disjoint pairs p < q sorted by p. One sweep's rounds
-    cover every pair once: n - 1 rounds for even n, n for odd n (one index
-    per round idles, paired with a phantom index n)."""
-    m = n + n % 2
-    ring = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = sorted((min(i, j), max(i, j)) for i, j in zip(ring[: m // 2], ring[::-1])
-                       if max(i, j) < n)
-        if pairs:
-            rounds.append(tuple(_readonly(np.array(x, dtype=np.intp)) for x in zip(*pairs)))
-        ring = [ring[0], ring[-1], *ring[1:-1]]
-    return tuple(rounds)
+def eigen_symmetric(s) -> EigenFrame:
+    """Eigendecomposition of a symmetric matrix by LAPACK (`np.linalg.eigh`).
 
-
-def eigen_symmetric(s, max_sweeps: int = 64) -> EigenFrame:
-    """Eigendecomposition of a symmetric matrix by round-robin Jacobi rotations.
-
-    Deterministic: each sweep runs the fixed rounds of `_round_robin`, and
-    a round rotates all its disjoint pairs in one update A <- G^T A G,
-    V <- V G (a pair with negligible a_pq gets the identity). Eigenvalues
-    are sorted ascending with a stable sort, eigenvector signs fixed by
-    the first non-negligible component.
-
-    Raises ArithmeticError if the off-diagonal mass has not converged
-    after `max_sweeps` sweeps.
+    Eigenvalues are ascending; eigenvector signs are fixed by the first
+    non-negligible component. Raises ArithmeticError if the reconstruction
+    residual exceeds 1e-10 times the norm of the (symmetrized) input.
     """
-    src = np.asarray(s, dtype=float) if not isinstance(s, SymMatrix) else s.array
-    a = SymMatrix(src).to_array()  # validates symmetry, copies
-    n = a.shape[0]
-    v = np.eye(n)
-    norm = np.linalg.norm(a)
-    if norm > 0.0:
-        stop = n * _EPS * norm
-        skip = 0.1 * _EPS * norm
-        # Flat indices of (p, p), (q, q), (p, q), (q, p) for each round.
-        rounds = [(p.size, np.concatenate((p * n + p, q * n + q, p * n + q, q * n + p)))
-                  for p, q in _round_robin(n)]
-        for _ in range(max_sweeps):
-            off = np.linalg.norm(a - np.diag(np.diag(a)))
-            if off <= stop:
-                break
-            for k, flat in rounds:
-                app, aqq, apq = a.take(flat[: 3 * k]).reshape(3, k)
-                rot = np.abs(apq) > skip
-                if not rot.any():
-                    continue
-                tau = (aqq - app) / (2.0 * np.where(rot, apq, 1.0))
-                t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
-                t = np.where(rot, t, 0.0)
-                c = 1.0 / np.hypot(1.0, t)
-                sn = t * c
-                g = np.eye(n)
-                g.put(flat, np.concatenate((c, c, sn, -sn)))
-                a = g.T @ a @ g
-                apq = np.where(rot, 0.0, apq)  # the rotation annihilates a_pq
-                a.put(flat[2 * k:], np.concatenate((apq, apq)))
-                v = v @ g
-        else:
-            raise ArithmeticError(
-                f"Jacobi iteration did not converge in {max_sweeps} sweeps "
-                "(degenerate or ill-scaled input)"
-            )
-    lam = np.diag(a).copy()
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    v = v[:, order]
+    a = s.array if isinstance(s, SymMatrix) else SymMatrix(s).array
+    lam, v = np.linalg.eigh(a)
     _fix_column_signs(v)
     frame = EigenFrame(eigenvalues=lam, basis=v)
-    resid = np.linalg.norm(v @ np.diag(lam) @ v.T - src)
-    if norm > 0.0 and resid > 1e-10 * norm:
+    resid = np.linalg.norm(v @ np.diag(lam) @ v.T - a)
+    if resid > 1e-10 * np.linalg.norm(a):
         raise ArithmeticError(f"eigendecomposition residual {resid:.3e} too large")
     return frame

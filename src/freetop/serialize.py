@@ -126,10 +126,20 @@ def write_json(path, obj) -> None:
         fh.write(dumps_canonical(obj) + "\n")
 
 
+def _parse_int(text: str):
+    """An integer literal with more digits than int() converts (see
+    sys.get_int_max_str_digits) is far outside the double range: it loads
+    as an infinite float, which every typed field rejects by its path."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise SchemaError("", f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
@@ -494,11 +504,12 @@ def write_trajectory_jsonl(path, traj: Trajectory) -> None:
 
 
 def write_probe_curve_csv(path, res: ProbeResult) -> None:
-    lines = ["t,deviation"]
-    for t, d in zip(res.times, res.deviations):
-        lines.append(f"{format_float(float(t))},{format_float(float(d))}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Columns: t, deviation. Non-finite values raise ValueError before the
+    file is opened."""
+    table = np.column_stack((res.times, res.deviations))
+    if not np.isfinite(table).all():
+        raise ValueError("cannot serialize a probe curve with non-finite values")
+    _write_rows(path, table, "%.17g,%.17g\n", "t,deviation\n")
 
 
 def drift_summary_doc(traj: Trajectory) -> dict:

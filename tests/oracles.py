@@ -227,8 +227,9 @@ def fix_column_signs_loop(q):
 
 def cyclic_jacobi(s, max_sweeps=64):
     """(eigenvalues, basis) by cyclic Jacobi: one rotation at a time in
-    row-major order over the strict upper triangle, with the same stop
-    rule, skip threshold, ascending stable sort and sign convention as
+    row-major order over the strict upper triangle, until the off-diagonal
+    norm is at most n * eps * ||A|| (rotations with |a_pq| <= 0.1 * eps *
+    ||A|| are skipped); ascending stable sort and the sign convention of
     freetop.eigen_symmetric."""
     a = np.array(s, dtype=float)
     n = a.shape[0]

@@ -39,6 +39,24 @@ class TestInertiaSpec:
         # A looser gap tolerance admits the same body.
         ft.InertiaSpec.from_eigenvalues([1.0, 1.0 + 1e-12, 3.0], gap_tol=1e-14)
 
+    @pytest.mark.parametrize("ratio", [1e-6, 1e-10, 1e-13, 1e-15])
+    def test_accepts_rotated_body_with_small_moment(self, ratio):
+        # Smallest moment `ratio` times the largest (1.0); eigh's error on it
+        # is of order eps * ||J||, so it must stay positive down to 1e-15.
+        # Below about 1e-16 the sign can be decided by rounding, so no row there.
+        rng = np.random.default_rng(round(-np.log10(ratio)))
+        for k in range(20):
+            n = 3 + k % 6
+            lam = np.concatenate(([ratio], np.sort(rng.uniform(0.1, 1.0, n - 2)), [1.0]))
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            a = q @ np.diag(lam) @ q.T
+            body = ft.InertiaSpec(ft.SymMatrix(0.5 * (a + a.T)))
+            assert abs(body.eigenvalues[0] - ratio) <= 1e-14
+
+    def test_rejects_moments_beyond_double_range(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+            ft.InertiaSpec(np.diag([1e308, 1.5e308, 1e-320]))
+
     def test_pair_sums(self, body3):
         expected = np.array([[2.0, 3.0, 4.0], [3.0, 4.0, 5.0], [4.0, 5.0, 6.0]])
         np.testing.assert_array_equal(body3.pair_sums, expected)

@@ -231,20 +231,62 @@ class TestClassify:
         doc = json.loads(out.read_text())
         assert doc["regular"] is True
 
-    @pytest.mark.parametrize("field", ["rows[0][1]", "eigenvalues[3]"])
+    @pytest.mark.parametrize("field", ["rows[0][1]", "eigenvalues[3]", "n"])
     def test_oversized_integer_exit2(self, tmp_path, body4_path, capsys, field):
-        # A 400-digit integer parses as a Python int that no double holds.
+        # A 400-digit integer parses as a Python int that no double holds; one
+        # of 5000 digits is more than int() converts, so json itself fails on it.
         m_path = self.make_equilibrium(tmp_path, body4_path)
-        m_doc = json.loads(open(m_path).read())
-        b_doc = json.loads(open(body4_path).read())
-        if field.startswith("rows"):
-            m_doc["rows"][0][1] = 10 ** 400
-        else:
-            b_doc["eigenvalues"][3] = 10 ** 400
-        (tmp_path / "m.json").write_text(json.dumps(m_doc))
-        (tmp_path / "b.json").write_text(json.dumps(b_doc))
-        assert main(["classify", str(tmp_path / "m.json"), str(tmp_path / "b.json")]) == 2
-        assert field in capsys.readouterr().err
+        for literal in (["1" + "0" * 400] if field != "n" else []) + ["9" * 5000]:
+            m_doc = json.loads(open(m_path).read())
+            b_doc = json.loads(open(body4_path).read())
+            if field == "eigenvalues[3]":
+                b_doc["eigenvalues"][3] = "@big@"
+            elif field == "n":
+                m_doc["n"] = "@big@"
+            else:
+                m_doc["rows"][0][1] = "@big@"
+            for name, doc in (("m.json", m_doc), ("b.json", b_doc)):
+                (tmp_path / name).write_text(json.dumps(doc).replace('"@big@"', literal))
+            assert main(["classify", str(tmp_path / "m.json"), str(tmp_path / "b.json")]) == 2
+            assert f"error: invalid input: {field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["classify"], ["stability", "--kernel"]])
+    @pytest.mark.parametrize("kind, rows, field", [
+        ("general", [[0.0, 1.0], [1.0, 0.0]], "rows"),
+        ("sym", [[1.0, 0.0], [0.0, 0.0]], "rows"),
+        ("skew", [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "n"),
+    ])
+    def test_momentum_unusable_with_body_exit2(self, tmp_path, capsys, command, kind, rows,
+                                               field):
+        # Readable documents, but not a skew momentum for a body with n = 2.
+        m_path = write(tmp_path / "m.json",
+                       {"spec_version": "1", "n": len(rows), "kind": kind, "rows": rows})
+        b_path = write(tmp_path / "b.json", {"spec_version": "1", "eigenvalues": [1.0, 2.0]})
+        assert main([command[0], m_path, b_path, *command[1:]]) == 2
+        assert f"error: invalid input: {field}: momentum" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["classify"], ["stability", "--kernel"]])
+    def test_non_finite_residual_exit3(self, tmp_path, capsys, command):
+        # E01 is stationary for this body, but ||J|| overflows and ||W||^2
+        # underflows, so the residual's scale ||J|| ||W||^2 is inf * 0.
+        m_path = write(tmp_path / "m.json", {"spec_version": "1", "n": 3, "kind": "skew",
+                                             "rows": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]})
+        b_path = write(tmp_path / "b.json", {
+            "spec_version": "1", "n": 3, "kind": "sym",
+            "rows": [[1e200, 1e200, 0.0], [1e200, 3e200, 0.0], [0.0, 0.0, 5e200]]})
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            code = main([command[0], m_path, b_path, *command[1:]])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "residual nan is not finite" in err
+
+    def test_momentum_beyond_double_range_exit2(self, tmp_path, body3_path, capsys):
+        m_path = write(tmp_path / "m.json", {"spec_version": "1", "n": 3, "kind": "skew",
+                                             "rows": [[0.0, 1e308, 0.0], [-1e308, 0.0, 0.0],
+                                                      [0.0, 0.0, 0.0]]})
+        with np.errstate(over="ignore"):
+            assert main(["classify", m_path, body3_path]) == 2
+        assert "error: invalid input: rows: " in capsys.readouterr().err
 
     def test_inputs_not_mutated(self, tmp_path, body4_path):
         m_path = self.make_equilibrium(tmp_path, body4_path)

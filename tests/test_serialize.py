@@ -343,3 +343,17 @@ class TestTrajectoryExport:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "t,deviation"
         assert len(lines) == 1 + res.times.size
+        expected = "t,deviation\n" + "".join(
+            f"{ser.format_float(float(t))},{ser.format_float(float(d))}\n"
+            for t, d in zip(res.times, res.deviations))
+        assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("field", ["times", "deviations"])
+    def test_probe_curve_non_finite_raises(self, tmp_path, field):
+        curve = {"times": np.array([0.0, 0.5, 1.0]), "deviations": np.array([1e-6, 2e-6, 4e-6])}
+        curve[field][1] = np.inf
+        res = ft.ProbeResult(escaped=False, exit_time=None, **curve)
+        path = tmp_path / "curve.csv"
+        with pytest.raises(ValueError, match="non-finite"):
+            ser.write_probe_curve_csv(path, res)
+        assert not path.exists()

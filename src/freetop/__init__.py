@@ -10,7 +10,6 @@ from .linalg import (
     SymMatrix,
     SkewMatrix,
     EigenFrame,
-    commutator,
     eigen_symmetric,
 )
 from .body import (
@@ -41,7 +40,6 @@ from .equilibria import (
     classify,
     build_omega,
     build_momentum,
-    random_complex_structure,
     generate,
 )
 from .stability import (
@@ -50,7 +48,6 @@ from .stability import (
     ProbeResult,
     linearize,
     orbit_kernel,
-    orbit_kernel_directions,
     stabilizer_dimension,
     instability_probe,
 )

@@ -16,9 +16,9 @@ import numpy as np
 from . import _kernels
 from .linalg import (
     EigenFrame,
-    STRUCTURE_TOL,
     SkewMatrix,
     SymMatrix,
+    _check_structure,
     eigen_symmetric,
 )
 
@@ -38,7 +38,8 @@ __all__ = [
     "integrate",
 ]
 
-DEFAULT_GAP_TOL = 1e-8
+# Eigenvalue gaps below GAP_TOL * max(eigenvalue) make a body degenerate.
+GAP_TOL = 1e-8
 
 # dt * ||W||_2 above this is rejected (or warned about) by integrate().
 STEP_GUARD = 0.5
@@ -55,10 +56,10 @@ class InertiaSpec:
     eigenvalues: positivity makes every pairwise eigenvalue sum positive,
     so the momentum-to-velocity map is invertible; distinctness is what
     the equilibrium classifier relies on. Eigenvalue gaps below
-    gap_tol * max(eigenvalue) are rejected as degenerate.
+    GAP_TOL * max(eigenvalue) are rejected as degenerate.
     """
 
-    def __init__(self, j, gap_tol: float = DEFAULT_GAP_TOL):
+    def __init__(self, j):
         self.J = j if isinstance(j, SymMatrix) else SymMatrix(j)
         self.frame: EigenFrame = eigen_symmetric(self.J)
         lam = self.frame.eigenvalues
@@ -68,20 +69,19 @@ class InertiaSpec:
             )
         if len(lam) > 1:
             gap = float(np.diff(lam).min())
-            limit = gap_tol * float(np.abs(lam).max())
+            limit = GAP_TOL * float(np.abs(lam).max())
             if gap < limit:
                 raise ValueError(
                     f"inertia eigenvalues too close: gap {gap:.3e} below {limit:.3e}; "
                     "bodies with repeated moments are not supported"
                 )
-        self.gap_tol = gap_tol
         pair = lam[:, None] + lam[None, :]
         pair.flags.writeable = False
         self._pair_sums = pair
 
     @classmethod
-    def from_eigenvalues(cls, values, gap_tol: float = DEFAULT_GAP_TOL) -> "InertiaSpec":
-        return cls(SymMatrix.diagonal(values), gap_tol=gap_tol)
+    def from_eigenvalues(cls, values) -> "InertiaSpec":
+        return cls(SymMatrix.diagonal(values))
 
     @property
     def n(self) -> int:
@@ -163,23 +163,15 @@ def _eigenframe_stack(m, body: InertiaSpec) -> np.ndarray:
     """Momenta (..., n, n) of the body's dimension, in the inertia eigenframe.
 
     Like SkewMatrix, rejects entries that are not finite or not
-    skew-symmetric up to STRUCTURE_TOL. The rotated stack is made exactly
-    skew, so rounding in the rotation leaves no diagonal behind.
+    skew-symmetric. The rotated stack is made exactly skew, so rounding in
+    the rotation leaves no diagonal behind.
     """
     checked = isinstance(m, SkewMatrix)
     arr = m.array if checked else np.asarray(m, dtype=float)
     if arr.ndim < 2 or arr.shape[-2:] != (body.n, body.n):
         raise ValueError(f"dimension mismatch: state is {arr.shape}, body is {body.n}")
     if not checked:
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
-        defect = np.linalg.norm(arr + np.swapaxes(arr, -2, -1), axis=(-2, -1))
-        scale = np.maximum(1.0, np.linalg.norm(arr, axis=(-2, -1)))
-        if np.any(defect > STRUCTURE_TOL * scale):
-            raise ValueError(
-                f"matrix is not skew-symmetric: structural defect {np.max(defect / scale):.3e} "
-                f"exceeds {STRUCTURE_TOL:.1e} of its norm"
-            )
+        _check_structure(arr, -1.0)
     mt = body.to_eigenframe(arr)
     return 0.5 * (mt - np.swapaxes(mt, -2, -1))
 
@@ -199,17 +191,16 @@ def energy(m, body: InertiaSpec):
     return _energy(_eigenframe_stack(m, body), body)
 
 
-def casimirs(m, n_or_body) -> np.ndarray:
+def casimirs(m) -> np.ndarray:
     """Traces of even powers tr(M^(2k)) for k = 1 .. n // 2, in any frame.
 
     m may be one momentum or a stack (..., n, n); the traces are the last axis.
     """
     arr = m.array if isinstance(m, SkewMatrix) else np.asarray(m, dtype=float)
-    n = n_or_body.n if isinstance(n_or_body, InertiaSpec) else int(n_or_body)
     m2 = arr @ arr
     out = []
     acc = m2
-    for _ in range(n // 2):
+    for _ in range(arr.shape[-1] // 2):
         out.append(np.trace(acc, axis1=-2, axis2=-1))
         acc = acc @ m2
     return np.stack(out, axis=-1)
@@ -265,7 +256,7 @@ def compute_invariants(m, body: InertiaSpec, max_power: int) -> np.ndarray:
     """
     mt = _eigenframe_stack(m, body)
     return np.concatenate(
-        (_energy(mt, body)[..., None], casimirs(mt, body.n), _manakov(mt, body, max_power)),
+        (_energy(mt, body)[..., None], casimirs(mt), _manakov(mt, body, max_power)),
         axis=-1)
 
 
@@ -315,6 +306,8 @@ def _step_count(span: float, dt: float, record_every: int, name: str = "t_end") 
         raise ValueError(f"{name} must be positive")
     if record_every < 1:
         raise ValueError("record_every must be a positive integer")
+    if not np.isfinite(span / dt):
+        raise ValueError(f"{name}={span} is too many steps of dt={dt}")
     nsteps = int(round(span / dt))
     if nsteps < 1:
         raise ValueError(f"{name} shorter than one step")
@@ -325,6 +318,20 @@ def _step_count(span: float, dt: float, record_every: int, name: str = "t_end") 
             f"record_every={record_every} must divide the step count {nsteps}"
         )
     return nsteps
+
+
+def _check_step(m: np.ndarray, body: InertiaSpec, dt: float, guard: str = "reject") -> None:
+    """Reject (guard="reject") or warn about (guard="warn") a step with
+    dt * ||W||_2 above STEP_GUARD, W the angular velocity of m."""
+    speed = float(np.linalg.norm(_invert_array(m, body), 2))
+    if dt * speed > STEP_GUARD:
+        msg = (
+            f"dt * ||W|| = {dt * speed:.3f} exceeds the stability guard {STEP_GUARD}; "
+            "reduce dt"
+        )
+        if guard == "reject":
+            raise IntegrationAbort(msg)
+        warnings.warn(msg)
 
 
 def integrate(state, body: InertiaSpec, dt: float, t_end: float,
@@ -348,15 +355,7 @@ def integrate(state, body: InertiaSpec, dt: float, t_end: float,
         raise ValueError("guard must be 'reject' or 'warn'")
 
     _check_dims(m0, body)
-    speed = float(np.linalg.norm(_invert_array(m0, body), 2))
-    if dt * speed > STEP_GUARD:
-        msg = (
-            f"dt * ||W|| = {dt * speed:.3f} exceeds the stability guard {STEP_GUARD}; "
-            "reduce dt"
-        )
-        if guard == "reject":
-            raise IntegrationAbort(msg)
-        warnings.warn(msg)
+    _check_step(m0, body, dt, guard)
 
     if manakov_max_power is None:
         manakov_max_power = max(2, min(body.n, 4))

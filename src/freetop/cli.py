@@ -70,14 +70,6 @@ def _seed_arg(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="stationarity residual tolerance (default %(default)g)")
-    common.add_argument("--seed", type=_seed_arg, default=None,
-                        help="seed for randomized inputs (default: from the input file, else 0)")
-    common.add_argument("--output-dir", default=None,
-                        help=f"directory for output files (default: ${OUTPUT_DIR_ENV} or '.')")
-
     parser = argparse.ArgumentParser(
         prog="freetop",
         description="Free n-dimensional rigid body: simulate, classify and "
@@ -85,11 +77,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", parents=[common],
+    p_sim = sub.add_parser("simulate",
                            help="integrate a scenario file and export the trajectory")
     p_sim.add_argument("scenario", help="scenario JSON file")
 
-    p_cls = sub.add_parser("classify", parents=[common],
+    p_cls = sub.add_parser("classify",
                            help="normal form of a stationary momentum")
     p_cls.add_argument("matrix", help="momentum JSON file (kind 'skew')")
     p_cls.add_argument("body", help="inertia JSON file (kind 'sym' or eigenvalue list)")
@@ -98,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--out", default=None,
                        help="write the structure JSON here instead of stdout")
 
-    p_gen = sub.add_parser("generate", parents=[common],
+    p_gen = sub.add_parser("generate",
                            help="build a stationary momentum from a recipe")
     p_gen.add_argument("recipe", help="recipe JSON file")
     p_gen.add_argument("body", help="inertia JSON file")
@@ -107,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out-structure", default="structure.json",
                        help="structure output file (default %(default)s)")
 
-    p_st = sub.add_parser("stability", parents=[common],
+    p_st = sub.add_parser("stability",
                           help="stability reports for a stationary momentum")
     p_st.add_argument("matrix", help="momentum JSON file (kind 'skew')")
     p_st.add_argument("body", help="inertia JSON file")
@@ -131,7 +123,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_st.add_argument("--out", default=None,
                       help="write the report JSON here instead of stdout")
     p_st.add_argument("--curve-out", default=None,
-                      help="write the probe deviation curve CSV here")
+                      help="write the probe deviation curve CSV here (--probe only)")
+
+    # Each command takes only the shared options it reads.
+    for p in (p_cls, p_st):
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                       help="stationarity residual tolerance (default %(default)g)")
+    for p in (p_sim, p_gen, p_st):
+        p.add_argument("--seed", type=_seed_arg, default=None,
+                       help="seed for randomized inputs (default: from the input file, else 0)")
+    for p in (p_sim, p_cls, p_gen, p_st):
+        p.add_argument("--output-dir", default=None,
+                       help=f"directory for output files (default: ${OUTPUT_DIR_ENV} or '.')")
     return parser
 
 
@@ -213,7 +216,10 @@ def _cmd_generate(args) -> int:
     body = read_body(args.body)
     default_seed = args.seed if args.seed is not None else 0
     recipe = recipe_from_doc(load_json(args.recipe), default_seed=default_seed)
-    momentum, structure = generate(recipe, body)
+    try:
+        momentum, structure = generate(recipe, body)
+    except ValueError as exc:
+        raise SchemaError("<root>", str(exc)) from exc
     write_json(_resolve(outdir, args.out_momentum), matrix_to_doc(momentum))
     write_json(_resolve(outdir, args.out_structure), structure_to_doc(structure))
     return EXIT_OK
@@ -226,7 +232,7 @@ def _cmd_stability(args) -> int:
         doc = linearization_to_doc(linearize(m, body, tol=args.tol))
     elif args.kernel:
         report = orbit_kernel(m, body, rank_tol=args.rank_tol, tol=args.tol)
-        stab = stabilizer_dimension(m, body.n, rank_tol=args.rank_tol)
+        stab = stabilizer_dimension(m, rank_tol=args.rank_tol)
         doc = orbit_kernel_to_doc(report, stabilizer_dim=stab)
     else:
         seed = args.seed if args.seed is not None else 0
@@ -243,6 +249,8 @@ def _cmd_stability(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "curve_out", None) and not args.probe:
+        parser.error("--curve-out applies to --probe only")
     handlers = {
         "simulate": _cmd_simulate,
         "classify": _cmd_classify,

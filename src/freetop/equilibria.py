@@ -33,7 +33,6 @@ __all__ = [
     "classify",
     "build_omega",
     "build_momentum",
-    "random_complex_structure",
     "generate",
 ]
 
@@ -43,6 +42,10 @@ DEFAULT_CLUSTER_TOL = 1e-6
 # Entries of a block structure are snapped to {0, +1, -1} within this
 # tolerance when deciding regular vs exotic.
 SIGNED_PERM_TOL = 1e-8
+
+# EquilibriumStructure.matches(): relative tolerance on the rates and
+# absolute tolerance on the entries of the block structures.
+MATCH_TOL = 1e-8
 
 # Type-level tolerance on A^T A = I and A^2 = -I.
 STRUCTURE_DEFECT_TOL = 1e-10
@@ -110,12 +113,12 @@ class ComplexStructure:
             k[2 * b, 2 * b + 1] = 1.0
         return cls(k)
 
-    def is_signed_permutation(self, tol: float = SIGNED_PERM_TOL) -> bool:
-        """True when every entry is 0 or +-1 within tol, one nonzero per row
-        and column."""
+    def is_signed_permutation(self) -> bool:
+        """True when every entry is 0 or +-1 within SIGNED_PERM_TOL, one
+        nonzero per row and column."""
         arr = self.A.array
-        near_zero = np.abs(arr) <= tol
-        near_unit = np.abs(np.abs(arr) - 1.0) <= tol
+        near_zero = np.abs(arr) <= SIGNED_PERM_TOL
+        near_unit = np.abs(np.abs(arr) - 1.0) <= SIGNED_PERM_TOL
         if not np.all(near_zero | near_unit):
             return False
         support = ~near_zero
@@ -193,9 +196,8 @@ class EquilibriumStructure:
         self.residual = float(residual)
         self.regular = all(b.structure.is_signed_permutation() for b in blocks)
 
-    def matches(self, other: "EquilibriumStructure", omega_rtol: float = 1e-8,
-                structure_atol: float = 1e-8) -> bool:
-        """Canonical-form equality up to tiny numerical differences."""
+    def matches(self, other: "EquilibriumStructure") -> bool:
+        """Canonical-form equality up to MATCH_TOL."""
         if self.n != other.n or self.regular != other.regular:
             return False
         if self.fixed_axes != other.fixed_axes or len(self.blocks) != len(other.blocks):
@@ -203,9 +205,9 @@ class EquilibriumStructure:
         for a, b in zip(self.blocks, other.blocks):
             if a.axes != b.axes:
                 return False
-            if abs(a.omega - b.omega) > omega_rtol * max(a.omega, b.omega):
+            if abs(a.omega - b.omega) > MATCH_TOL * max(a.omega, b.omega):
                 return False
-            if np.max(np.abs(a.structure.A.array - b.structure.A.array)) > structure_atol:
+            if np.max(np.abs(a.structure.A.array - b.structure.A.array)) > MATCH_TOL:
                 return False
         return True
 
@@ -390,14 +392,6 @@ def _structure_from_rng(rng: np.random.Generator, m: int) -> ComplexStructure:
     q = q * d
     k = ComplexStructure.standard(m).A.array
     return ComplexStructure(SkewMatrix(q @ k @ q.T))
-
-
-def random_complex_structure(m: int, seed: int) -> ComplexStructure:
-    """Seeded draw from the orthogonal conjugation orbit of the standard
-    structure (uniform over the space of compatible complex structures)."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    return _structure_from_rng(np.random.default_rng(seed), m)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ __all__ = [
     "SymMatrix",
     "SkewMatrix",
     "EigenFrame",
-    "commutator",
     "eigen_symmetric",
 ]
 
@@ -29,9 +28,34 @@ def _as_square(a) -> np.ndarray:
     arr = np.array(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix entries must be finite")
     return arr
+
+
+def _check_structure(arr: np.ndarray, sign: float) -> None:
+    """Raise ValueError unless arr, one matrix or a stack (..., n, n), is
+    finite and each matrix a equals sign * a.T within STRUCTURE_TOL of
+    max(1, ||a||), Frobenius norms.
+
+    A matrix whose largest entry is 1 or more is first scaled by a power of
+    two that brings that entry below 1, so the norms cannot overflow; the
+    scaling is exact, so wherever the unscaled norms are finite the decision
+    is theirs.
+    """
+    largest = np.abs(arr).max(axis=(-2, -1), initial=0.0)
+    if not np.isfinite(largest).all():
+        raise ValueError("matrix entries must be finite")
+    _, exponent = np.frexp(np.maximum(largest, 0.5))
+    unit = np.ldexp(1.0, -exponent)  # 1 in the scaled units; 1 when nothing is scaled
+    scaled = arr * unit[..., None, None]
+    d = scaled - sign * np.swapaxes(scaled, -2, -1)
+    defect = np.sqrt((d * d).sum(axis=(-2, -1)))
+    scale = np.maximum(unit, np.sqrt((scaled * scaled).sum(axis=(-2, -1))))
+    if np.any(defect > STRUCTURE_TOL * scale):
+        kind = "symmetric" if sign > 0 else "skew-symmetric"
+        raise ValueError(
+            f"matrix is not {kind}: structural defect {np.max(defect / scale):.3e} "
+            f"relative to max(1, its norm) exceeds {STRUCTURE_TOL:.1e}"
+        )
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -44,23 +68,16 @@ class _StructuredMatrix:
 
     The invariant entries[j, i] == sign * entries[i, j] holds exactly:
     construction projects onto the structured part (after checking the
-    input is structured up to `tol`), and item assignment writes both
-    mirror entries.
+    input is structured up to STRUCTURE_TOL), and item assignment writes
+    both mirror entries.
     """
 
     __slots__ = ("_a",)
     _sign: float  # +1.0 symmetric, -1.0 skew
 
-    def __init__(self, entries, tol: float = STRUCTURE_TOL):
+    def __init__(self, entries):
         arr = _as_square(entries)
-        defect = np.linalg.norm(arr - self._sign * arr.T)
-        scale = max(1.0, np.linalg.norm(arr))
-        if defect > tol * scale:
-            kind = "symmetric" if self._sign > 0 else "skew-symmetric"
-            raise ValueError(
-                f"matrix is not {kind}: structural defect {defect:.3e} "
-                f"exceeds {tol:.1e} * {scale:.3e}"
-            )
+        _check_structure(arr, self._sign)
         sym = 0.5 * (arr + self._sign * arr.T)
         if not np.isfinite(sym).all():
             raise ValueError("matrix entries too large: their structured part overflows")
@@ -86,9 +103,6 @@ class _StructuredMatrix:
         v = self._a.view()
         return _readonly(v)
 
-    def to_array(self) -> np.ndarray:
-        return self._a.copy()
-
     def __array__(self, dtype=None, copy=None):
         out = self._a.copy()
         return out if dtype is None else out.astype(dtype)
@@ -105,14 +119,6 @@ class _StructuredMatrix:
             raise ValueError("diagonal of a skew-symmetric matrix is zero")
         self._a[i, j] = v
         self._a[j, i] = self._sign * v
-
-    def copy(self):
-        obj = type(self).__new__(type(self))
-        obj._a = self._a.copy()
-        return obj
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self._a))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -144,18 +150,6 @@ class SkewMatrix(_StructuredMatrix):
 
     _sign = -1.0
 
-    @classmethod
-    def rotation_generator(cls, n: int, i: int, j: int, omega: float = 1.0) -> "SkewMatrix":
-        """Generator of a rotation in the (i, j) coordinate plane.
-
-        The (i, j) entry is +omega, so exp(t * G) rotates e_j toward e_i.
-        """
-        if i == j:
-            raise ValueError("plane axes must differ")
-        g = cls.zeros(n)
-        g[i, j] = omega
-        return g
-
 
 @dataclass(frozen=True)
 class EigenFrame:
@@ -185,19 +179,6 @@ class EigenFrame:
     @property
     def n(self) -> int:
         return self.basis.shape[0]
-
-
-def commutator(a, b) -> np.ndarray:
-    """Matrix commutator a @ b - b @ a.
-
-    Returns the raw product matrix; callers assert structure (the result
-    is skew when both arguments are skew or both are symmetric).
-    """
-    aa = np.asarray(a, dtype=float)
-    bb = np.asarray(b, dtype=float)
-    if aa.shape != bb.shape or aa.ndim != 2 or aa.shape[0] != aa.shape[1]:
-        raise ValueError(f"dimension mismatch: {aa.shape} vs {bb.shape}")
-    return aa @ bb - bb @ aa
 
 
 def _fix_column_signs(q: np.ndarray) -> None:

@@ -7,9 +7,10 @@ Running one is deterministic given the file plus the effective seed.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
-from .body import InertiaSpec, Trajectory, integrate
+from .body import InertiaSpec, Trajectory, _step_count, integrate
 from .equilibria import GeneratorRecipe, generate
 from .linalg import SkewMatrix
 from .serialize import (
@@ -68,6 +69,9 @@ def scenario_from_doc(doc, seed_override: int | None = None) -> Scenario:
         m = matrix_from_doc(raw_initial["matrix"], "initial.matrix", require_version=False)
         if not isinstance(m, SkewMatrix):
             raise SchemaError("initial.matrix.kind", "initial momentum must have kind 'skew'")
+        if m.n != body.n:
+            raise SchemaError("initial.matrix.n",
+                              f"momentum has n = {m.n}, the body has n = {body.n}")
         initial, recipe = m, None
     elif keys == {"recipe"}:
         recipe = recipe_from_doc(raw_initial["recipe"], "initial.recipe",
@@ -97,6 +101,12 @@ def scenario_from_doc(doc, seed_override: int | None = None) -> Scenario:
         raise SchemaError("integrator.dt", "must be positive")
     if t_end <= 0:
         raise SchemaError("integrator.t_end", "must be positive")
+    try:
+        records = _step_count(t_end, dt, record_every) // record_every + 1
+    except ValueError as exc:
+        raise SchemaError("integrator", str(exc)) from exc
+    if records > sys.maxsize // (8 * body.n * body.n):
+        raise SchemaError("integrator", f"{records} samples are more than an array can hold")
 
     outputs = doc.get("outputs", {})
     if not isinstance(outputs, dict):
@@ -105,7 +115,7 @@ def scenario_from_doc(doc, seed_override: int | None = None) -> Scenario:
         if key not in OUTPUT_KEYS:
             raise SchemaError(_join("outputs", key),
                               f"unknown output (known: {', '.join(OUTPUT_KEYS)})")
-        if not isinstance(value, str):
+        if not isinstance(value, str) or not value or "\0" in value:
             raise SchemaError(_join("outputs", key), "expected a file name")
 
     try:
@@ -121,6 +131,9 @@ def run_scenario(sc: Scenario) -> Trajectory:
     if sc.initial is not None:
         m0 = sc.initial
     else:
-        m0, _ = generate(sc.recipe, sc.body)
+        try:
+            m0, _ = generate(sc.recipe, sc.body)
+        except ValueError as exc:
+            raise SchemaError("initial.recipe", str(exc)) from exc
     return integrate(m0, sc.body, sc.dt, sc.t_end, sc.record_every,
                      manakov_max_power=sc.manakov_max_power, guard=sc.guard)

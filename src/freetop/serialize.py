@@ -35,12 +35,10 @@ __all__ = [
     "matrix_to_doc",
     "matrix_from_doc",
     "read_matrix",
-    "write_matrix",
     "body_from_doc",
     "read_body",
     "structure_to_doc",
     "structure_from_doc",
-    "recipe_to_doc",
     "recipe_from_doc",
     "linearization_to_doc",
     "orbit_kernel_to_doc",
@@ -63,13 +61,16 @@ class SchemaError(ValueError):
 
 
 def format_float(x: float) -> str:
-    """17-significant-digit decimal form; parses back to the same bits."""
+    """17-significant-digit decimal form; parses back to the same bits.
+
+    A non-finite value can only have been computed (every reader rejects
+    one), so it raises ArithmeticError: a numerical failure, not bad input."""
     if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite value {x!r}")
+        raise ArithmeticError(f"cannot serialize non-finite value {x!r}")
     return format(float(x), ".17g")
 
 
-def _emit(obj, indent: int | None, level: int) -> str:
+def _emit(obj, level: int) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -81,7 +82,7 @@ def _emit(obj, indent: int | None, level: int) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
-        return _emit(obj.tolist(), indent, level)
+        return _emit(obj.tolist(), level)
     if isinstance(obj, (list, tuple)):
         items = list(obj)
         if not items:
@@ -91,34 +92,29 @@ def _emit(obj, indent: int | None, level: int) -> str:
         if set(map(type, items)) == {float} and all(map(math.isfinite, items)):
             return "[" + ", ".join([format(x, ".17g") for x in items]) + "]"
         flat = all(not isinstance(it, (list, tuple, dict, np.ndarray)) for it in items)
-        if flat or indent is None:
-            return "[" + ", ".join(_emit(it, None, 0) for it in items) + "]"
-        pad = " " * (indent * (level + 1))
-        close = " " * (indent * level)
-        inner = ",\n".join(pad + _emit(it, indent, level + 1) for it in items)
+        if flat:
+            return "[" + ", ".join(_emit(it, 0) for it in items) + "]"
+        pad = "  " * (level + 1)
+        close = "  " * level
+        inner = ",\n".join(pad + _emit(it, level + 1) for it in items)
         return "[\n" + inner + "\n" + close + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        if indent is None:
-            inner = ", ".join(
-                f"{json.dumps(str(k))}: {_emit(v, None, 0)}" for k, v in obj.items()
-            )
-            return "{" + inner + "}"
-        pad = " " * (indent * (level + 1))
-        close = " " * (indent * level)
+        pad = "  " * (level + 1)
+        close = "  " * level
         inner = ",\n".join(
-            f"{pad}{json.dumps(str(k))}: {_emit(v, indent, level + 1)}"
+            f"{pad}{json.dumps(str(k))}: {_emit(v, level + 1)}"
             for k, v in obj.items()
         )
         return "{\n" + inner + "\n" + close + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps_canonical(obj, indent: int | None = 2) -> str:
+def dumps_canonical(obj) -> str:
     """Deterministic JSON text: insertion-ordered keys, floats via
-    format_float. indent=None gives a single line (JSON-lines entries)."""
-    return _emit(obj, indent, 0)
+    format_float, two-space indentation with lists of scalars on one line."""
+    return _emit(obj, 0)
 
 
 def write_json(path, obj) -> None:
@@ -258,10 +254,6 @@ def read_matrix(path):
     return matrix_from_doc(load_json(path))
 
 
-def write_matrix(path, m, kind: str | None = None) -> None:
-    write_json(path, matrix_to_doc(m, kind))
-
-
 def body_from_doc(doc, path: str = "", require_version: bool = True) -> InertiaSpec:
     """Inertia from {"eigenvalues": [...]} or a symmetric matrix document."""
     if not isinstance(doc, dict):
@@ -344,26 +336,6 @@ def structure_from_doc(doc, path: str = "") -> EquilibriumStructure:
 
 
 # -- generator recipes -----------------------------------------------------
-
-def recipe_to_doc(r: GeneratorRecipe) -> dict:
-    blocks = []
-    for b in r.blocks:
-        src = b.structure_source
-        entry = {"omega": b.omega, "axes": list(b.axes)}
-        if isinstance(src, ComplexStructure):
-            entry["structure_source"] = {"A": src.A.array.tolist()}
-        else:
-            entry["structure_source"] = src
-        blocks.append(entry)
-    doc = {
-        "spec_version": SPEC_VERSION,
-        "blocks": blocks,
-        "fixed_axes": list(r.fixed_axes),
-    }
-    if r.seed is not None:
-        doc["seed"] = r.seed
-    return doc
-
 
 def recipe_from_doc(doc, path: str = "", default_seed: int | None = None) -> GeneratorRecipe:
     """Parse a recipe document. A "seed" field in the document is pinned;
@@ -457,11 +429,11 @@ def _trajectory_columns(traj: Trajectory, n: int) -> list[str]:
 
 def _trajectory_table(traj: Trajectory) -> np.ndarray:
     """One row per sample: t, upper-triangle momentum entries (row-major)
-    and the invariants. Non-finite entries raise ValueError."""
+    and the invariants. Non-finite entries raise ArithmeticError."""
     iu = np.triu_indices(traj.momenta.shape[-1], k=1)
     table = np.column_stack((traj.times, traj.momenta[:, iu[0], iu[1]], traj.invariants))
     if not np.isfinite(table).all():
-        raise ValueError("cannot serialize a trajectory with non-finite values")
+        raise ArithmeticError("cannot serialize a trajectory with non-finite values")
     return table
 
 
@@ -504,11 +476,11 @@ def write_trajectory_jsonl(path, traj: Trajectory) -> None:
 
 
 def write_probe_curve_csv(path, res: ProbeResult) -> None:
-    """Columns: t, deviation. Non-finite values raise ValueError before the
-    file is opened."""
+    """Columns: t, deviation. Non-finite values raise ArithmeticError before
+    the file is opened."""
     table = np.column_stack((res.times, res.deviations))
     if not np.isfinite(table).all():
-        raise ValueError("cannot serialize a probe curve with non-finite values")
+        raise ArithmeticError("cannot serialize a probe curve with non-finite values")
     _write_rows(path, table, "%.17g,%.17g\n", "t,deviation\n")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .body import InertiaSpec, _check_dims, _invert_array, _skew_array, _step_count
+from .body import InertiaSpec, _check_dims, _check_step, _invert_array, _skew_array, _step_count
 from .equilibria import DEFAULT_TOL, NotAnEquilibrium, is_equilibrium
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "vec_to_skew",
     "linearize",
     "orbit_kernel",
-    "orbit_kernel_directions",
     "stabilizer_dimension",
     "instability_probe",
 ]
@@ -137,16 +136,6 @@ def _orbit_map(m: np.ndarray, body: InertiaSpec) -> np.ndarray:
     return _linearization_matrix(m, body) @ _ad_matrix(m, body.n)
 
 
-def _checked_orbit_map(m_eq, body: InertiaSpec, rank_tol: float,
-                       tol: float) -> np.ndarray:
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
-    arr = _skew_array(m_eq)
-    _check_dims(arr, body)
-    _require_equilibrium(arr, body, tol)
-    return _orbit_map(arr, body)
-
-
 def orbit_kernel(m_eq, body: InertiaSpec, rank_tol: float = DEFAULT_RANK_TOL,
                  tol: float = DEFAULT_TOL) -> OrbitKernelReport:
     """Kernel of xi -> D(field)(M) [xi, M] at a stationary momentum.
@@ -155,7 +144,12 @@ def orbit_kernel(m_eq, body: InertiaSpec, rank_tol: float = DEFAULT_RANK_TOL,
     moves M along its orbit while preserving stationarity to first order,
     certifying a positive-dimensional set of equilibria on the orbit.
     """
-    k = _checked_orbit_map(m_eq, body, rank_tol, tol)
+    if rank_tol <= 0:
+        raise ValueError("rank_tol must be positive")
+    arr = _skew_array(m_eq)
+    _check_dims(arr, body)
+    _require_equilibrium(arr, body, tol)
+    k = _orbit_map(arr, body)
     svals = np.linalg.svd(k, compute_uv=False)
     dim = k.shape[0]
     kernel_dim = int(np.sum(_kernel_mask(svals, rank_tol)))
@@ -167,22 +161,10 @@ def orbit_kernel(m_eq, body: InertiaSpec, rank_tol: float = DEFAULT_RANK_TOL,
     )
 
 
-def orbit_kernel_directions(m_eq, body: InertiaSpec,
-                            rank_tol: float = DEFAULT_RANK_TOL,
-                            tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the orbit-kernel, as so(n) vectors,
-    at a momentum stationary to within tol."""
-    k = _checked_orbit_map(m_eq, body, rank_tol, tol)
-    _, svals, vt = np.linalg.svd(k)
-    if svals.size and svals[0] == 0.0:
-        return np.eye(k.shape[0])
-    return vt[_kernel_mask(svals, rank_tol)].T
-
-
-def stabilizer_dimension(m, n: int, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Dimension of {xi in so(n) : [xi, m] = 0}."""
+def stabilizer_dimension(m, rank_tol: float = DEFAULT_RANK_TOL) -> int:
+    """Dimension of {xi in so(n) : [xi, m] = 0} for an n x n matrix m."""
     arr = np.asarray(m, dtype=float)
-    svals = np.linalg.svd(_ad_matrix(arr, n), compute_uv=False)
+    svals = np.linalg.svd(_ad_matrix(arr, arr.shape[-1]), compute_uv=False)
     return int(np.sum(_kernel_mask(svals, rank_tol)))
 
 
@@ -206,7 +188,6 @@ def _unit_skew(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
                       exit_factor: float, *, seed: int = 0, dt: float = 1e-2,
-                      record_every: int | None = None,
                       tol: float = DEFAULT_TOL) -> ProbeResult:
     """Integrate from a seeded random perturbation of size eps and watch
     the deviation ||M(t) - M_eq||.
@@ -214,8 +195,11 @@ def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
     m_eq must be stationary to within tol (NotAnEquilibrium otherwise).
     escaped is True when the deviation reaches exit_factor * eps before
     the horizon; integration stops at the first crossing. The deviation
-    curve is recorded every record_every steps (default: about every 0.1
-    time units), which must divide the step count horizon / dt.
+    curve is recorded about every 0.1 time units: every round(0.1 / dt)
+    steps (at least 1), which must divide the step count horizon / dt.
+    Like integrate, the probe rejects a step with dt * ||W||_2 above
+    STEP_GUARD (IntegrationAbort), W the angular velocity of the perturbed
+    start.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -223,14 +207,14 @@ def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
         raise ValueError("exit_factor must exceed 1")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if record_every is None:
-        record_every = max(1, int(round(0.1 / dt)))
+    record_every = max(1, int(round(0.1 / dt)))
     total = _step_count(horizon, dt, record_every, name="horizon")
     arr = _skew_array(m_eq)
     _check_dims(arr, body)
     _require_equilibrium(arr, body, tol)
     rng = np.random.default_rng(seed)
     m0 = arr + eps * _unit_skew(body.n, rng)
+    _check_step(m0, body, dt)
 
     threshold = exit_factor * eps
 

@@ -16,6 +16,14 @@ def random_skew(n, rng, scale=1.0):
     return m
 
 
+def rotation_generator(n, i, j, omega=1.0):
+    """Generator of a rotation in the (i, j) coordinate plane: the (i, j)
+    entry is +omega, so exp(t * G) rotates e_j toward e_i."""
+    g = ft.SkewMatrix.zeros(n)
+    g[i, j] = omega
+    return g
+
+
 def random_sym(n, rng, scale=1.0):
     a = rng.standard_normal((n, n)) * scale
     return ft.SymMatrix(0.5 * (a + a.T))

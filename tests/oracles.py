@@ -16,6 +16,15 @@ from scipy.linalg import expm, solve_sylvester
 import freetop as ft
 
 
+def commutator(a, b):
+    """Matrix commutator a @ b - b @ a of two square matrices of one shape."""
+    aa = np.asarray(a, dtype=float)
+    bb = np.asarray(b, dtype=float)
+    if aa.shape != bb.shape or aa.ndim != 2 or aa.shape[0] != aa.shape[1]:
+        raise ValueError(f"dimension mismatch: {aa.shape} vs {bb.shape}")
+    return aa @ bb - bb @ aa
+
+
 # -- classical three-dimensional top ----------------------------------------
 
 def hat(m):
@@ -131,7 +140,7 @@ def linearize_fd(m_eq, body, h=None):
     if h is None:
         scale = np.linalg.norm(m)
         h = 1e-6 * scale if scale > 0 else 1e-6
-    return fd_operator(lambda d: ft.vector_field(ft.SkewMatrix(m + d), body).to_array(),
+    return fd_operator(lambda d: ft.vector_field(ft.SkewMatrix(m + d), body).array,
                        m.shape[0], h)
 
 
@@ -160,7 +169,7 @@ def two_kernel_dims(m_eq, body, h=1e-6, rank_tol=1e-6):
 
     def orbit_residual(xi):
         g = expm(xi)
-        return ft.vector_field(ft.SkewMatrix(g @ m @ g.T), body).to_array()
+        return ft.vector_field(ft.SkewMatrix(g @ m @ g.T), body).array
 
     pairs = so_pairs(n)
     dim = len(pairs)

@@ -1,8 +1,34 @@
-"""Seeded random recipe sampler shared by the randomized suites."""
+"""Seeded random recipes and complex structures shared by the randomized suites."""
 
 import numpy as np
 
 import freetop as ft
+from freetop.equilibria import _structure_from_rng
+
+
+def random_complex_structure(m, seed):
+    """Seeded draw from the orthogonal conjugation orbit of the standard
+    structure (uniform over the space of compatible complex structures)."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    return _structure_from_rng(np.random.default_rng(seed), m)
+
+
+def recipe_to_doc(r):
+    """The recipe document that recipe_from_doc reads back as r."""
+    blocks = []
+    for b in r.blocks:
+        src = b.structure_source
+        entry = {"omega": b.omega, "axes": list(b.axes)}
+        if isinstance(src, ft.ComplexStructure):
+            entry["structure_source"] = {"A": src.A.array.tolist()}
+        else:
+            entry["structure_source"] = src
+        blocks.append(entry)
+    doc = {"spec_version": "1", "blocks": blocks, "fixed_axes": list(r.fixed_axes)}
+    if r.seed is not None:
+        doc["seed"] = r.seed
+    return doc
 
 
 def spaced_rates(count, rng, lo=0.5, hi=3.0, min_rel_gap=0.02):

@@ -18,7 +18,8 @@ from freetop.stability import vec_to_skew, _ad_matrix
 
 from conftest import random_body, random_skew
 from recipes import random_recipe
-from test_stability import FROZEN_KERNELS, make_fixture, residual_after_orbit_move
+from test_stability import (
+    FROZEN_KERNELS, make_fixture, orbit_kernel_directions, residual_after_orbit_move)
 import oracles
 
 
@@ -104,11 +105,11 @@ def test_criterion_3_classifier_roundtrip(recipe_suite):
     with criterion(3, "classifier round-trip"):
         for body, _, momentum, structure in recipe_suite:
             got = ft.classify(momentum, body)
-            assert got.matches(structure, omega_rtol=1e-8), (
+            assert got.matches(structure), (
                 f"{got} vs {structure}")
             rebuilt = ft.build_momentum(got, body)
             assert np.linalg.norm(rebuilt.array - momentum.array) <= \
-                1e-8 * momentum.norm()
+                1e-8 * np.linalg.norm(momentum.array)
 
 
 def test_criterion_4_regular_exotic_discrimination():
@@ -210,14 +211,14 @@ def test_criterion_7_non_isolation_signature():
         for name, (stab_expected, kernel_expected) in FROZEN_KERNELS.items():
             momentum, structure, body = make_fixture(name)
             report = ft.orbit_kernel(momentum, body)
-            stab = ft.stabilizer_dimension(momentum.array, body.n)
+            stab = ft.stabilizer_dimension(momentum.array)
             assert (stab, report.kernel_dim) == (stab_expected, kernel_expected), name
             gap = report.kernel_dim - stab
             assert gap == 0 if structure.regular else gap >= 1
 
         for name in ("exotic_n4", "exotic_mixed_n6", "exotic_full_n6"):
             momentum, _, body = make_fixture(name)
-            kern = ft.orbit_kernel_directions(momentum, body)
+            kern = orbit_kernel_directions(momentum, body)
             ad = _ad_matrix(momentum.array, body.n)
             _, svals, vt = np.linalg.svd(ad)
             stab_basis = vt[svals <= 1e-8 * svals[0]].T

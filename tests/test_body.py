@@ -11,7 +11,7 @@ import freetop as ft
 from freetop import _kernels
 from freetop.body import casimirs, invariant_labels
 
-from conftest import random_body, random_skew
+from conftest import random_body, random_skew, rotation_generator
 import oracles
 
 # Each compiled RK4 backend, run where it is present and compared with the
@@ -36,8 +36,8 @@ class TestInertiaSpec:
     def test_rejects_near_degenerate(self):
         with pytest.raises(ValueError, match="too close"):
             ft.InertiaSpec.from_eigenvalues([1.0, 1.0 + 1e-12, 3.0])
-        # A looser gap tolerance admits the same body.
-        ft.InertiaSpec.from_eigenvalues([1.0, 1.0 + 1e-12, 3.0], gap_tol=1e-14)
+        # A gap above 1e-8 of the largest moment is accepted.
+        ft.InertiaSpec.from_eigenvalues([1.0, 1.0 + 1e-7, 3.0])
 
     @pytest.mark.parametrize("ratio", [1e-6, 1e-10, 1e-13, 1e-15])
     def test_accepts_rotated_body_with_small_moment(self, ratio):
@@ -76,7 +76,7 @@ class TestInertiaMaps:
                                       [[0.0, 3.0], [-3.0, 0.0]])
 
     def test_apply_zero(self, body4):
-        assert ft.inertia_apply(ft.SkewMatrix.zeros(4), body4).norm() == 0.0
+        assert np.all(ft.inertia_apply(ft.SkewMatrix.zeros(4), body4).array == 0.0)
 
     def test_invert_hand_example(self):
         body = ft.InertiaSpec.from_eigenvalues([1.0, 2.0])
@@ -85,7 +85,7 @@ class TestInertiaMaps:
                                    [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15)
 
     def test_invert_zero(self, body4):
-        assert ft.inertia_invert(ft.SkewMatrix.zeros(4), body4).norm() == 0.0
+        assert np.all(ft.inertia_invert(ft.SkewMatrix.zeros(4), body4).array == 0.0)
 
     def test_pairwise_sum_rule_in_eigenframe(self, rng):
         body = random_body(5, rng)
@@ -100,10 +100,10 @@ class TestInertiaMaps:
         body = random_body(n, rng)
         om = random_skew(n, rng)
         om2 = ft.inertia_invert(ft.inertia_apply(om, body), body)
-        assert np.linalg.norm(om2.array - om.array) <= 1e-11 * om.norm()
+        assert np.linalg.norm(om2.array - om.array) <= 1e-11 * np.linalg.norm(om.array)
         m = random_skew(n, rng)
         m2 = ft.inertia_apply(ft.inertia_invert(m, body), body)
-        assert np.linalg.norm(m2.array - m.array) <= 1e-11 * m.norm()
+        assert np.linalg.norm(m2.array - m.array) <= 1e-11 * np.linalg.norm(m.array)
 
     def test_dimension_mismatch(self, body3):
         with pytest.raises(ValueError, match="mismatch"):
@@ -118,8 +118,8 @@ class TestVectorField:
             m = random_skew(n, rng)
             om = ft.inertia_invert(m, body)
             lhs = ft.vector_field(m, body).array
-            rhs = ft.commutator(body.J, om.array @ om.array)
-            scale = body.J.norm() * om.norm() ** 2
+            rhs = oracles.commutator(body.J, om.array @ om.array)
+            scale = np.linalg.norm(body.J.array) * np.linalg.norm(om.array) ** 2
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * scale
 
     def test_reduces_to_classical_euler(self, body3, rng):
@@ -137,7 +137,8 @@ class TestVectorField:
         m, _ = ft.generate(recipe, body4)
         om = ft.inertia_invert(m, body4)
         f = ft.vector_field(m, body4)
-        assert f.norm() <= 1e-10 * m.norm() * om.norm()
+        assert np.linalg.norm(f.array) <= \
+            1e-10 * np.linalg.norm(m.array) * np.linalg.norm(om.array)
 
     def test_casimir_tangency(self, rng):
         # d/dt tr(M^2k) = 2k tr(M^(2k-1) [M, W]) vanishes identically.
@@ -249,25 +250,28 @@ class TestBatchedInvariants:
         table = ft.compute_invariants(stack, body, 4)
         energies = ft.energy(stack, body)
         spectral = ft.manakov_integrals(stack, body, 4)
-        traces = ft.casimirs(stack, 5)
+        traces = ft.casimirs(stack)
         for k, m in enumerate(stack):
             np.testing.assert_array_equal(table[k], ft.compute_invariants(m, body, 4))
             assert energies[k] == ft.energy(m, body)
             np.testing.assert_array_equal(spectral[k], ft.manakov_integrals(m, body, 4))
-            np.testing.assert_array_equal(traces[k], ft.casimirs(m, 5))
+            np.testing.assert_array_equal(traces[k], ft.casimirs(m))
 
     @pytest.mark.parametrize("fn", [
         lambda m, body: ft.energy(m, body),
         lambda m, body: ft.manakov_integrals(m, body, 2),
         lambda m, body: ft.compute_invariants(m, body, 2),
     ], ids=["energy", "manakov_integrals", "compute_invariants"])
-    @pytest.mark.parametrize("bad", ["symmetric", "nan", "one_bad_row"])
+    @pytest.mark.parametrize("bad", ["symmetric", "nan", "one_bad_row", "huge_symmetric"])
     def test_rejects_non_skew_or_non_finite(self, fn, bad, body4, rng):
-        m = random_skew(4, rng).to_array()
+        m = random_skew(4, rng).array.copy()
         if bad == "symmetric":
             m = np.abs(m)
         elif bad == "nan":
             m[0, 1] = np.nan
+        elif bad == "huge_symmetric":
+            m = np.zeros((4, 4))
+            m[0, 1] = m[1, 0] = 1e300
         else:
             m = np.stack([m, m + np.diag([0.0, 0.0, 0.0, 1.0])])
         with pytest.raises(ValueError, match="skew-symmetric|finite"):
@@ -286,7 +290,7 @@ class TestBatchedInvariants:
 
     def test_near_skew_input_uses_its_skew_part(self, rng):
         body = random_body(4, rng)
-        nudged = random_skew(4, rng).to_array()
+        nudged = random_skew(4, rng).array.copy()
         nudged[0, 1] += 1e-12
         nudged[2, 2] = 1e-12
         exact = ft.SkewMatrix(nudged)
@@ -312,7 +316,7 @@ class TestBatchedInvariants:
             return out
 
         monkeypatch.setattr(_kernels, "rk4_momentum", kernel)
-        m0 = ft.inertia_apply(ft.SkewMatrix.rotation_generator(3, 0, 2), body3)
+        m0 = ft.inertia_apply(rotation_generator(3, 0, 2), body3)
         with pytest.raises(ft.IntegrationAbort, match=r"near t = 0\.3$"):
             ft.integrate(m0, body3, dt=0.01, t_end=1.0, record_every=10)
 
@@ -324,7 +328,7 @@ class TestStepRK4:
                     ft.RecipeBlock(axes=(2, 3), omega=2.0)))
         m, _ = ft.generate(recipe, body4)
         traj = ft.integrate(m, body4, dt=1e-2, t_end=1e-2)
-        assert np.linalg.norm(traj.momenta[-1] - m.array) <= 1e-12 * m.norm()
+        assert np.linalg.norm(traj.momenta[-1] - m.array) <= 1e-12 * np.linalg.norm(m.array)
 
     def test_dt_must_be_positive(self, body3, rng):
         for dt in (0.0, -1e-2):
@@ -483,7 +487,7 @@ class TestKernelTwins:
 
     def test_casimir_trace_helper(self, rng):
         m = random_skew(6, rng).array
-        vals = casimirs(m, 6)
+        vals = casimirs(m)
         assert len(vals) == 3
         assert vals[0] == pytest.approx(np.trace(m @ m), rel=1e-14)
         assert vals[2] == pytest.approx(np.trace(np.linalg.matrix_power(m, 6)), rel=1e-12)

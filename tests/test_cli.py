@@ -9,7 +9,7 @@ import freetop as ft
 from freetop import serialize as ser
 from freetop.cli import main
 
-from conftest import random_skew
+from conftest import random_skew, rotation_generator
 
 
 @pytest.fixture
@@ -65,19 +65,35 @@ class TestHelp:
             assert cmd in out
 
     @pytest.mark.parametrize("cmd,flags", [
-        ("simulate", ["--tol", "--seed", "--output-dir"]),
-        ("classify", ["--cluster-tol", "--out"]),
-        ("generate", ["--out-momentum", "--out-structure"]),
-        ("stability", ["--spectrum", "--kernel", "--probe", "--rank-tol",
-                       "--eps", "--horizon", "--exit-factor", "--dt", "--curve-out"]),
+        ("simulate", ["--seed", "--output-dir"]),
+        ("classify", ["--tol", "--cluster-tol", "--out", "--output-dir"]),
+        ("generate", ["--seed", "--out-momentum", "--out-structure", "--output-dir"]),
+        ("stability", ["--tol", "--seed", "--output-dir", "--spectrum", "--kernel", "--probe",
+                       "--rank-tol", "--eps", "--horizon", "--exit-factor", "--dt",
+                       "--curve-out"]),
     ])
     def test_subcommand_help_lists_flags(self, capsys, cmd, flags):
+        # A command offers only the options it reads.
+        unread = {"simulate": ["--tol"], "classify": ["--seed"], "generate": ["--tol"],
+                  "stability": []}[cmd]
         with pytest.raises(SystemExit) as exc:
             main([cmd, "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
         for flag in flags:
             assert flag in out
+        for flag in unread:
+            assert flag not in out
+
+    @pytest.mark.parametrize("cmd,option", [
+        ("simulate", "--tol"), ("classify", "--seed"), ("generate", "--tol")])
+    def test_unread_option_exit2(self, tmp_path, cmd, option, capsys):
+        args = {"simulate": ["s.json"], "classify": ["m.json", "b.json"],
+                "generate": ["r.json", "b.json"]}[cmd]
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, *args, option, "1", "--output-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -163,6 +179,50 @@ class TestSimulate:
                      "--output-dir", str(tmp_path)]) == 2
         assert "seed: expected a non-negative integer" in capsys.readouterr().err
 
+    def test_overflowing_invariants_exit3(self, tmp_path, capsys):
+        # In two dimensions the momentum is constant, so it stays finite, but
+        # tr(M^2) overflows: a numerical failure, not an unreadable input.
+        doc = {"spec_version": "1", "body": {"eigenvalues": [1.0, 2.0]},
+               "initial": {"matrix": {"n": 2, "kind": "skew",
+                                      "rows": [[0.0, 1e200], [-1e200, 0.0]]}},
+               "integrator": {"dt": 0.1, "t_end": 0.1, "guard": "warn"}}
+        with pytest.warns(UserWarning, match="guard"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            assert main(["simulate", write(tmp_path / "big.json", doc)]) == 3
+        assert "error: numerical failure: cannot serialize non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("settings", [
+        {"record_every": 7},  # does not divide the 1000 steps
+        {"t_end": 1e308},  # t_end / dt overflows
+        {"t_end": 1e200},  # more samples than an array can hold
+    ])
+    def test_step_count_errors_name_integrator(self, tmp_path, capsys, settings):
+        scenario = spinning_book_scenario(tmp_path, **settings)
+        assert main(["simulate", scenario, "--output-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid input: integrator: ")
+
+    @pytest.mark.parametrize("initial, field", [
+        ({"matrix": {"n": 2, "kind": "skew", "rows": [[0.0, 1.0], [-1.0, 0.0]]}},
+         "initial.matrix.n"),
+        ({"recipe": {"spec_version": "1", "blocks": [{"omega": 1.0, "axes": [0, 1]}]}},
+         "initial.recipe"),
+    ])
+    def test_initial_unusable_with_body_exit2(self, tmp_path, capsys, initial, field):
+        doc = json.loads(open(spinning_book_scenario(tmp_path)).read())
+        doc["initial"] = initial
+        assert main(["simulate", write(tmp_path / "s.json", doc),
+                     "--output-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid input: {field}: ")
+
+    @pytest.mark.parametrize("name", ["", "a\0b"])
+    def test_output_name_exit2(self, tmp_path, capsys, name):
+        doc = json.loads(open(spinning_book_scenario(tmp_path)).read())
+        doc["outputs"] = {"trajectory_csv": name}
+        assert main(["simulate", write(tmp_path / "s.json", doc),
+                     "--output-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: invalid input: outputs.trajectory_csv: expected a file name")
+
     def test_nonexistent_file(self, capsys):
         assert main(["simulate", "/nonexistent/scenario.json"]) == 2
 
@@ -190,7 +250,7 @@ class TestClassify:
                         ft.RecipeBlock(axes=(2, 3), omega=2.0)))
         m, _ = ft.generate(recipe, body)
         path = tmp_path / ("exotic.json" if exotic else "regular.json")
-        ser.write_matrix(path, m)
+        write(path, ser.matrix_to_doc(m))
         return str(path)
 
     def test_regular_fixture(self, tmp_path, body4_path, capsys):
@@ -208,7 +268,7 @@ class TestClassify:
 
     def test_random_momentum_exit4(self, tmp_path, body4_path, capsys, rng):
         path = tmp_path / "random.json"
-        ser.write_matrix(path, random_skew(4, rng))
+        write(path, ser.matrix_to_doc(random_skew(4, rng)))
         assert main(["classify", str(path), body4_path]) == 4
         assert "residual" in capsys.readouterr().err
 
@@ -219,7 +279,7 @@ class TestClassify:
         om[2, 3], om[3, 2] = 1.0 + 5e-8, -(1.0 + 5e-8)
         m = ft.inertia_apply(ft.SkewMatrix(om), body)
         path = tmp_path / "close.json"
-        ser.write_matrix(path, m)
+        write(path, ser.matrix_to_doc(m))
         assert main(["classify", str(path), body4_path]) == 5
         assert "undecided" in capsys.readouterr().err
 
@@ -281,12 +341,15 @@ class TestClassify:
         assert "numerical failure" in err and "residual nan is not finite" in err
 
     def test_momentum_beyond_double_range_exit2(self, tmp_path, body3_path, capsys):
-        m_path = write(tmp_path / "m.json", {"spec_version": "1", "n": 3, "kind": "skew",
-                                             "rows": [[0.0, 1e308, 0.0], [-1e308, 0.0, 0.0],
-                                                      [0.0, 0.0, 0.0]]})
-        with np.errstate(over="ignore"):
-            assert main(["classify", m_path, body3_path]) == 2
-        assert "error: invalid input: rows: " in capsys.readouterr().err
+        # The first structured part overflows; the second matrix is symmetric,
+        # which only a norm taken after scaling can see at this size.
+        for rows in ([[0.0, 1e308, 0.0], [-1e308, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                     [[0.0, 1e300, 0.0], [1e300, 0.0, 0.0], [0.0, 0.0, 0.0]]):
+            m_path = write(tmp_path / "m.json",
+                           {"spec_version": "1", "n": 3, "kind": "skew", "rows": rows})
+            with np.errstate(over="ignore"):
+                assert main(["classify", m_path, body3_path]) == 2
+            assert "error: invalid input: rows: " in capsys.readouterr().err
 
     def test_inputs_not_mutated(self, tmp_path, body4_path):
         m_path = self.make_equilibrium(tmp_path, body4_path)
@@ -325,6 +388,14 @@ class TestGenerateAndStability:
                          "--output-dir", str(out)]) == 0
         assert (out1 / "momentum.json").read_bytes() == (out2 / "momentum.json").read_bytes()
         assert (out1 / "structure.json").read_bytes() == (out2 / "structure.json").read_bytes()
+
+    def test_recipe_must_cover_body_exit2(self, tmp_path, body4_path, capsys):
+        recipe = write(tmp_path / "short.json", {
+            "spec_version": "1", "blocks": [], "fixed_axes": [0, 1]})
+        assert main(["generate", recipe, body4_path, "--output-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: invalid input: <root>: recipe axes [0, 1] do not cover")
+        assert not (tmp_path / "momentum.json").exists()
 
     def test_negative_recipe_seed_exit2(self, tmp_path, body4_path, capsys):
         recipe = write(tmp_path / "neg.json", {
@@ -372,9 +443,9 @@ class TestGenerateAndStability:
 
     def test_spectrum_report(self, tmp_path, body3_path, capsys):
         body = ser.read_body(body3_path)
-        m = ft.inertia_apply(ft.SkewMatrix.rotation_generator(3, 0, 2, 1.0), body)
+        m = ft.inertia_apply(rotation_generator(3, 0, 2, 1.0), body)
         path = tmp_path / "mid.json"
-        ser.write_matrix(path, m)
+        write(path, ser.matrix_to_doc(m))
         assert main(["stability", str(path), body3_path, "--spectrum"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["max_real_part"] > 0.05
@@ -382,9 +453,9 @@ class TestGenerateAndStability:
 
     def test_probe_with_curve(self, tmp_path, body3_path, capsys):
         body = ser.read_body(body3_path)
-        m = ft.inertia_apply(ft.SkewMatrix.rotation_generator(3, 0, 2, 1.0), body)
+        m = ft.inertia_apply(rotation_generator(3, 0, 2, 1.0), body)
         path = tmp_path / "mid.json"
-        ser.write_matrix(path, m)
+        write(path, ser.matrix_to_doc(m))
         curve = tmp_path / "curve.csv"
         assert main(["stability", str(path), body3_path, "--probe",
                      "--horizon", "60", "--curve-out", str(curve),
@@ -394,9 +465,31 @@ class TestGenerateAndStability:
         lines = curve.read_text().strip().split("\n")
         assert lines[0] == "t,deviation" and len(lines) > 2
 
+    def test_probe_step_guard_exit3(self, tmp_path, body3_path, capsys):
+        # Stable, but ||W|| = 10: a step of 1 would blow up numerically.
+        path = write(tmp_path / "fast.json", {
+            "spec_version": "1", "n": 3, "kind": "skew",
+            "rows": [[0.0, 0.0, 0.0], [0.0, 0.0, 50.0], [0.0, -50.0, 0.0]]})
+        assert main(["stability", path, body3_path, "--probe", "--dt", "1",
+                     "--horizon", "100"]) == 3
+        assert "guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["--spectrum", "--kernel"])
+    def test_curve_out_needs_probe(self, tmp_path, body3_path, capsys, mode):
+        body = ser.read_body(body3_path)
+        m = ft.inertia_apply(rotation_generator(3, 0, 2, 1.0), body)
+        path = tmp_path / "mid.json"
+        write(path, ser.matrix_to_doc(m))
+        curve = tmp_path / "curve.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["stability", str(path), body3_path, mode, "--curve-out", str(curve)])
+        assert exc.value.code == 2
+        assert "--curve-out" in capsys.readouterr().err
+        assert not curve.exists()
+
     def test_stability_requires_equilibrium(self, tmp_path, body4_path, rng):
         path = tmp_path / "r.json"
-        ser.write_matrix(path, random_skew(4, rng))
+        write(path, ser.matrix_to_doc(random_skew(4, rng)))
         assert main(["stability", str(path), body4_path, "--spectrum"]) == 4
 
     def test_probe_requires_equilibrium(self, tmp_path, body3_path, capsys):
@@ -405,7 +498,7 @@ class TestGenerateAndStability:
         m = np.zeros((3, 3))
         m[0, 2], m[0, 1] = 4.0, 3.0
         path = tmp_path / "off.json"
-        ser.write_matrix(path, ft.SkewMatrix(m - m.T))
+        write(path, ser.matrix_to_doc(ft.SkewMatrix(m - m.T)))
         args = ["stability", str(path), body3_path, "--horizon", "1"]
         assert main(args + ["--probe"]) == 4
         assert "not a stationary rotation" in capsys.readouterr().err
@@ -413,9 +506,9 @@ class TestGenerateAndStability:
 
     def test_probe_rejects_truncated_horizon(self, tmp_path, body3_path, capsys):
         body = ser.read_body(body3_path)
-        m = ft.inertia_apply(ft.SkewMatrix.rotation_generator(3, 0, 2, 1.0), body)
+        m = ft.inertia_apply(rotation_generator(3, 0, 2, 1.0), body)
         path = tmp_path / "mid.json"
-        ser.write_matrix(path, m)
+        write(path, ser.matrix_to_doc(m))
         assert main(["stability", str(path), body3_path, "--probe",
                      "--horizon", "1.05"]) == 2
         assert "divide" in capsys.readouterr().err

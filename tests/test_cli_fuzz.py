@@ -1,8 +1,10 @@
-"""Derandomized fuzzing of the matrix and body readers through `freetop classify`.
+"""Derandomized fuzzing of the CLI readers.
 
-Documents are mostly well-formed (a skew momentum, a symmetric or
-eigenvalue-list body) with values over the whole double range, and then
-broken in a few places: a field dropped or given a wrong type, an entry
+`freetop classify` reads the matrix and body documents, `freetop generate`
+the recipe and `freetop simulate` the scenario. Documents are mostly
+well-formed (a skew momentum, a symmetric or eigenvalue-list body, a block
+recipe, a short integration) with values over the whole double range, and
+then broken in a few places: a field dropped or given a wrong type, an entry
 replaced, a row cut short, an oversized integer. Every outcome must be one
 of the documented exit codes, and an exit-2 message must name the field.
 """
@@ -12,6 +14,7 @@ import io
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -125,3 +128,153 @@ def test_classify_reader_outcomes(docs):
     assert code in {0, 2, 3, 4, 5}
     if code == 2:
         assert FIELD_PATH.match(err.getvalue()), err.getvalue()
+
+
+# Nested documents are broken at any depth. The replacements hold no
+# mid-range number, so a broken step size or end time never asks for a long
+# run: a number is extreme, or one that a well-formed field could hold.
+nested_junk = st.one_of(
+    st.none(), st.booleans(), st.just([]), st.just({}),
+    st.text(alphabet="ab\x00", max_size=2), oversized,
+    st.sampled_from([0.0, -1.0, 0.5, 3, 5e-324, 1e-200, 1e200, 1e308, -1e308,
+                     1.7976931348623157e308]))
+
+NESTED_PATH = re.compile(
+    r"error: invalid input: (?P<head><root>|[a-z_]+)(\[\d+\])*(\.[a-z_A]+(\[\d+\])*)*: ")
+
+
+def _children(node, path=()):
+    """Every (path, key) below node, keys of dicts and indices of lists."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)) and value:
+            yield from _children(value, path + (key,))
+
+
+@st.composite
+def nested_breakages(draw, doc):
+    """Drop, replace or cut short up to two nodes anywhere in the document."""
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        paths = list(_children(doc))
+        if not paths or draw(st.integers(0, 9)) == 0:
+            return draw(nested_junk)
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        how = draw(st.sampled_from(["drop", "retype", "retype"]))
+        if how == "drop" and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif how == "drop":
+            parent.pop(path[-1])
+        else:
+            parent[path[-1]] = draw(nested_junk)
+    return doc
+
+
+@st.composite
+def recipes(draw, n):
+    """Blocks of two or four of the axes 0..n-1 in random order, the rest fixed."""
+    values = draw(st.sampled_from([magnitudes, moderate]))
+    axes = draw(st.permutations(range(n)))
+    blocks = []
+    while len(axes) >= 2 and draw(st.integers(0, 3)):
+        size = 4 if len(axes) >= 4 and draw(st.booleans()) else 2
+        block = {"omega": draw(values), "axes": axes[:size]}
+        source = draw(st.sampled_from(["standard", "random", "explicit", None]))
+        if source == "explicit":
+            a = [[0.0] * size for _ in range(size)]
+            for b in range(0, size, 2):
+                a[b][b + 1], a[b + 1][b] = 1.0, -1.0
+            block["structure_source"] = {"A": a}
+        elif source is not None:
+            block["structure_source"] = source
+        blocks.append(block)
+        axes = axes[size:]
+    doc = {"spec_version": "1", "blocks": blocks, "fixed_axes": axes}
+    if draw(st.booleans()):
+        doc["seed"] = draw(st.integers(0, 2 ** 32))
+    return doc
+
+
+def _run(argv, files):
+    """Write the documents, run the command on them and return its exit
+    code and stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, doc in files:
+            path = Path(tmp, name)
+            path.write_text(_text(doc))
+            paths.append(str(path))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main([argv[0], *paths, *argv[1:], "--output-dir", tmp])
+    return code, err.getvalue()
+
+
+def _check_outcome(code, err, fields):
+    """A documented exit code, and an exit-2 message that names a field path
+    under one of the document's top-level fields."""
+    assert code in {0, 2, 3}, err
+    if code == 2:
+        match = NESTED_PATH.match(err)
+        assert match and match["head"] in fields, err
+
+
+@st.composite
+def recipe_cases(draw):
+    n = draw(st.sampled_from([2, 3, 4, 5]))
+    n_body = draw(st.sampled_from([n, n, n, 2, 4]))
+    recipe = draw(nested_breakages(draw(recipes(n))))
+    return recipe, {"spec_version": "1", "eigenvalues": [1.0 + k for k in range(n_body)]}
+
+
+@settings(max_examples=200, derandomize=True)
+@given(recipe_cases())
+def test_generate_reader_outcomes(case):
+    recipe, body = case
+    code, err = _run(["generate"], [("r.json", recipe), ("b.json", body)])
+    _check_outcome(code, err, {"<root>", "spec_version", "blocks", "fixed_axes", "seed"})
+
+
+@st.composite
+def scenarios(draw):
+    n = draw(st.sampled_from([2, 3, 4]))
+    values = draw(st.sampled_from([magnitudes, moderate]))
+    if draw(st.booleans()):
+        body = {"eigenvalues": [draw(values) for _ in range(n)]}
+    else:
+        body = {"n": n, "kind": "sym",
+                "rows": [[draw(values) if i == j else 0.0 for j in range(n)] for i in range(n)]}
+    if draw(st.booleans()):
+        rows = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = draw(signed(values))
+                rows[j][i] = -rows[i][j]
+        initial = {"matrix": {"n": n, "kind": "skew", "rows": rows}}
+    else:
+        initial = {"recipe": draw(recipes(n))}
+    integrator = {"dt": 0.1, "t_end": draw(st.sampled_from([0.1, 0.5, 1.0])),
+                  "record_every": draw(st.sampled_from([1, 5]))}
+    if draw(st.booleans()):
+        integrator["guard"] = draw(st.sampled_from(["reject", "warn"]))
+    if draw(st.booleans()):
+        integrator["manakov_max_power"] = draw(st.integers(2, n))
+    keys = draw(st.lists(st.sampled_from(["trajectory_csv", "trajectory_jsonl",
+                                          "invariants_json", "report_json"]), unique=True))
+    doc = {"spec_version": "1", "seed": draw(st.integers(0, 9)), "body": body,
+           "initial": initial, "integrator": integrator,
+           "outputs": {key: f"{key}.out" for key in keys}}
+    return draw(nested_breakages(doc))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(scenarios())
+def test_simulate_reader_outcomes(doc):
+    code, err = _run(["simulate"], [("s.json", doc)])
+    _check_outcome(code, err, {"<root>", "spec_version", "seed", "body", "initial",
+                               "integrator", "outputs"})

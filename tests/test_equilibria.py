@@ -3,7 +3,9 @@ import pytest
 
 import freetop as ft
 
-from conftest import random_body, random_skew
+from conftest import random_body, random_skew, rotation_generator
+from recipes import random_complex_structure
+import oracles
 
 
 def givens(n, i, j, theta):
@@ -50,39 +52,39 @@ class TestRandomComplexStructure:
     def test_m1_is_quarter_turn(self):
         k = ft.ComplexStructure.standard(1).A.array
         for seed in range(8):
-            a = ft.random_complex_structure(1, seed).A.array
+            a = random_complex_structure(1, seed).A.array
             assert np.allclose(a, k, atol=1e-12) or np.allclose(a, -k, atol=1e-12)
 
     def test_square_is_minus_identity(self):
-        a = ft.random_complex_structure(2, seed=42).A.array
+        a = random_complex_structure(2, seed=42).A.array
         assert np.linalg.norm(a @ a + np.eye(4)) <= 1e-12
         assert np.linalg.norm(a.T @ a - np.eye(4)) <= 1e-12
 
     def test_deterministic(self):
-        a = ft.random_complex_structure(3, seed=7).A.array
-        b = ft.random_complex_structure(3, seed=7).A.array
+        a = random_complex_structure(3, seed=7).A.array
+        b = random_complex_structure(3, seed=7).A.array
         assert np.array_equal(a, b)
 
     def test_seeds_differ(self):
         # Smoke test: distinct seeds give visibly different draws.
-        a = ft.random_complex_structure(2, seed=0).A.array
-        b = ft.random_complex_structure(2, seed=1).A.array
+        a = random_complex_structure(2, seed=0).A.array
+        b = random_complex_structure(2, seed=1).A.array
         assert np.linalg.norm(a - b) > 1e-3
 
     def test_m_must_be_positive(self):
         with pytest.raises(ValueError):
-            ft.random_complex_structure(0, seed=1)
+            random_complex_structure(0, seed=1)
 
 
 class TestIsEquilibrium:
     def test_principal_axis_rotation_n3(self, body3):
-        om = ft.SkewMatrix.rotation_generator(3, 1, 2, 1.3)
+        om = rotation_generator(3, 1, 2, 1.3)
         m = ft.inertia_apply(om, body3)
         ok, residual = ft.is_equilibrium(m, body3)
         assert ok and residual <= 1e-12
 
     def test_scaled_structure_always_stationary(self, body4):
-        a = ft.random_complex_structure(2, seed=5)
+        a = random_complex_structure(2, seed=5)
         m = ft.inertia_apply(ft.SkewMatrix(1.7 * a.A.array), body4)
         ok, residual = ft.is_equilibrium(m, body4)
         assert ok and residual <= 1e-12
@@ -117,8 +119,8 @@ class TestIsEquilibrium:
                 om = ft.inertia_invert(m, body).array
                 j = body.J.array
                 scale = np.linalg.norm(j) * np.linalg.norm(om) ** 2
-                r1 = np.linalg.norm(ft.commutator(m.array, om)) / scale
-                r2 = np.linalg.norm(ft.commutator(j, om @ om)) / scale
+                r1 = np.linalg.norm(oracles.commutator(m.array, om)) / scale
+                r2 = np.linalg.norm(oracles.commutator(j, om @ om)) / scale
                 tol = 1e-9
                 assert (r1 <= tol) == (r2 <= tol)
                 assert (r1 <= tol) == stationary
@@ -136,7 +138,7 @@ class TestClassify:
 
     def test_single_block_with_fixed_axes(self, rng):
         body = ft.InertiaSpec.from_eigenvalues([1.0, 2.0, 3.0, 4.0, 5.0])
-        om = ft.SkewMatrix.rotation_generator(5, 0, 1, 1.4)
+        om = rotation_generator(5, 0, 1, 1.4)
         m = ft.inertia_apply(om, body)
         s = ft.classify(m, body)
         assert s.regular
@@ -228,8 +230,8 @@ class TestBuilders:
 
     def test_empty_structure(self, body4):
         s = ft.EquilibriumStructure((), fixed_axes=(0, 1, 2, 3), n=4)
-        assert ft.build_omega(s, body4).norm() == 0.0
-        assert ft.build_momentum(s, body4).norm() == 0.0
+        assert np.linalg.norm(ft.build_omega(s, body4).array) == 0.0
+        assert np.linalg.norm(ft.build_momentum(s, body4).array) == 0.0
 
     def test_dimension_mismatch(self, body3):
         s = ft.EquilibriumStructure((), fixed_axes=(0, 1, 2, 3), n=4)
@@ -324,7 +326,7 @@ class TestGenerate:
     def test_perturbed_structure_fails(self, body4, rng):
         # Necessity of the structure condition: breaking A^2 = -I by a
         # skew (non-orthogonal) perturbation destroys stationarity.
-        a = ft.random_complex_structure(2, seed=9).A.array
+        a = random_complex_structure(2, seed=9).A.array
         delta = random_skew(4, rng, scale=1e-3).array
         om_bad = 1.3 * (a + delta)
         m_bad = ft.inertia_apply(ft.SkewMatrix(om_bad), body4)
@@ -333,7 +335,7 @@ class TestGenerate:
         assert residual > 1e-5
 
     def test_explicit_structure_source(self, body4):
-        a = ft.random_complex_structure(2, seed=21)
+        a = random_complex_structure(2, seed=21)
         recipe = ft.GeneratorRecipe(
             blocks=(ft.RecipeBlock(axes=(0, 1, 2, 3), omega=1.0,
                                    structure_source=a),))
@@ -367,7 +369,7 @@ class TestGenerate:
             recipe = random_recipe(n, rng, kind=kind)
             momentum, structure = ft.generate(recipe, body)
             gap = (ft.orbit_kernel(momentum, body).kernel_dim
-                   - ft.stabilizer_dimension(momentum.array, body.n))
+                   - ft.stabilizer_dimension(momentum.array))
             if structure.regular:
                 assert gap == 0, (case, structure)
                 seen_regular += 1
@@ -378,7 +380,7 @@ class TestGenerate:
 
     def test_perturbed_structure_fails_many_seeds(self, body4, rng):
         for seed in range(5):
-            a = ft.random_complex_structure(2, seed=seed).A.array
+            a = random_complex_structure(2, seed=seed).A.array
             delta = random_skew(4, rng, scale=1e-3).array
             m_bad = ft.inertia_apply(ft.SkewMatrix(1.3 * (a + delta)), body4)
             ok, residual = ft.is_equilibrium(m_bad, body4)

@@ -34,8 +34,6 @@ from .equilibria import (
     ComplexStructure,
     FrequencyBlock,
     EquilibriumStructure,
-    RecipeBlock,
-    GeneratorRecipe,
     is_equilibrium,
     classify,
     build_omega,

@@ -129,9 +129,14 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (p_cls, p_st):
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                        help="stationarity residual tolerance (default %(default)g)")
-    for p in (p_sim, p_gen, p_st):
-        p.add_argument("--seed", type=_seed_arg, default=None,
-                       help="seed for randomized inputs (default: from the input file, else 0)")
+    for p, text in (
+            (p_sim, "replaces the scenario's seed, which seeds its recipe's random "
+                    "structures unless the recipe pins a seed (default: the scenario's "
+                    "seed, else 0)"),
+            (p_gen, "seed for the recipe's random structures unless the recipe pins a "
+                    "seed (default 0)"),
+            (p_st, "seed for the --probe perturbation (default 0)")):
+        p.add_argument("--seed", type=_seed_arg, default=None, help=text)
     for p in (p_sim, p_cls, p_gen, p_st):
         p.add_argument("--output-dir", default=None,
                        help=f"directory for output files (default: ${OUTPUT_DIR_ENV} or '.')")
@@ -215,9 +220,9 @@ def _cmd_generate(args) -> int:
     outdir = _outdir(args)
     body = read_body(args.body)
     default_seed = args.seed if args.seed is not None else 0
-    recipe = recipe_from_doc(load_json(args.recipe), default_seed=default_seed)
+    structure = recipe_from_doc(load_json(args.recipe), default_seed=default_seed)
     try:
-        momentum, structure = generate(recipe, body)
+        momentum, structure = generate(structure, body)
     except ValueError as exc:
         raise SchemaError("<root>", str(exc)) from exc
     write_json(_resolve(outdir, args.out_momentum), matrix_to_doc(momentum))

@@ -27,8 +27,6 @@ __all__ = [
     "ComplexStructure",
     "FrequencyBlock",
     "EquilibriumStructure",
-    "RecipeBlock",
-    "GeneratorRecipe",
     "is_equilibrium",
     "classify",
     "build_omega",
@@ -112,6 +110,19 @@ class ComplexStructure:
         for b in range(m):
             k[2 * b, 2 * b + 1] = 1.0
         return cls(k)
+
+    @classmethod
+    def random(cls, m: int, rng: np.random.Generator) -> "ComplexStructure":
+        """The standard structure conjugated by an orthogonal matrix drawn
+        from rng via QR of a Gaussian matrix with the positive-diagonal
+        convention (uniform over the complex structures of dimension 2m)."""
+        k = cls.standard(m).A.array
+        g = rng.standard_normal((2 * m, 2 * m))
+        q, r = np.linalg.qr(g)
+        d = np.sign(np.diag(r))
+        d[d == 0] = 1.0
+        q = q * d
+        return cls(SkewMatrix(q @ k @ q.T))
 
     def is_signed_permutation(self) -> bool:
         """True when every entry is 0 or +-1 within SIGNED_PERM_TOL, one
@@ -382,122 +393,15 @@ def build_momentum(structure: EquilibriumStructure, body: InertiaSpec) -> SkewMa
     return inertia_apply(build_omega(structure, body), body)
 
 
-def _structure_from_rng(rng: np.random.Generator, m: int) -> ComplexStructure:
-    """Conjugate the standard structure by an orthogonal matrix drawn via
-    QR of a Gaussian matrix with the positive-diagonal convention."""
-    g = rng.standard_normal((2 * m, 2 * m))
-    q, r = np.linalg.qr(g)
-    d = np.sign(np.diag(r))
-    d[d == 0] = 1.0
-    q = q * d
-    k = ComplexStructure.standard(m).A.array
-    return ComplexStructure(SkewMatrix(q @ k @ q.T))
+def generate(structure: EquilibriumStructure, body: InertiaSpec):
+    """Realize a structure as a stationary momentum of body.
 
-
-@dataclass(frozen=True)
-class RecipeBlock:
-    """One requested block: axes, rate, and how to pick its structure.
-
-    structure_source is "standard", "random", or an explicit
-    ComplexStructure of matching dimension.
+    Returns (momentum, structure), with structure.residual set to the
+    momentum's stationarity residual. Standard structures give regular
+    equilibria, random structures on blocks of four or more axes exotic
+    ones (up to a measure-zero set of draws). Raises ValueError when the
+    structure's dimension is not the body's.
     """
-
-    axes: tuple
-    omega: float
-    structure_source: object = "standard"
-
-    def __post_init__(self):
-        axes = tuple(int(a) for a in self.axes)
-        object.__setattr__(self, "axes", axes)
-        if len(axes) < 2 or len(axes) % 2 != 0:
-            raise ValueError(f"block needs a positive even number of axes, got {len(axes)}")
-        if len(set(axes)) != len(axes):
-            raise ValueError("block axes must be distinct")
-        if self.omega <= 0:
-            raise ValueError("block rate must be positive")
-        src = self.structure_source
-        if isinstance(src, str):
-            if src not in ("standard", "random"):
-                raise ValueError(f"unknown structure source {src!r}")
-        elif isinstance(src, ComplexStructure):
-            if src.dim != len(axes):
-                raise ValueError(
-                    f"explicit structure has dimension {src.dim}, block has {len(axes)} axes"
-                )
-        else:
-            raise ValueError("structure source must be 'standard', 'random', or explicit")
-
-
-@dataclass(frozen=True)
-class GeneratorRecipe:
-    """Declarative request for a stationary rotation.
-
-    Blocks with structure_source "random" consume the seeded stream in
-    recipe order, so a recipe is reproducible from (recipe, seed) alone.
-    """
-
-    blocks: tuple
-    fixed_axes: tuple = ()
-    seed: int | None = None
-
-    def __post_init__(self):
-        blocks = tuple(self.blocks)
-        fixed = tuple(int(a) for a in self.fixed_axes)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "fixed_axes", fixed)
-        used = [a for b in blocks for a in b.axes] + list(fixed)
-        if len(set(used)) != len(used):
-            raise ValueError("recipe axes collide")
-        omegas = [b.omega for b in blocks]
-        for i, wi in enumerate(omegas):
-            for wj in omegas[i + 1:]:
-                if _squared_gap(wi, wj) < DEFAULT_CLUSTER_TOL:
-                    raise ValueError(
-                        f"recipe rates {wi:.6g} and {wj:.6g} are not distinct "
-                        f"at the clustering tolerance"
-                    )
-        if any(b.structure_source == "random" for b in blocks) and self.seed is None:
-            raise ValueError("recipes with random structures need a seed")
-
-    @property
-    def n(self) -> int:
-        return len(self.fixed_axes) + sum(len(b.axes) for b in self.blocks)
-
-
-def generate(recipe: GeneratorRecipe, body: InertiaSpec):
-    """Realize a recipe as a stationary momentum.
-
-    Returns (momentum, structure) where structure is the canonical form;
-    standard structures give regular equilibria, random structures on
-    blocks of four or more axes give exotic ones (up to a measure-zero
-    set of draws).
-    """
-    used = sorted([a for b in recipe.blocks for a in b.axes] + list(recipe.fixed_axes))
-    if used != list(range(body.n)):
-        raise ValueError(
-            f"recipe axes {used} do not cover the body dimension {body.n}"
-        )
-    rng = np.random.default_rng(recipe.seed) if recipe.seed is not None else None
-    blocks = []
-    for rb in recipe.blocks:
-        m = len(rb.axes) // 2
-        src = rb.structure_source
-        if src == "standard":
-            structure = ComplexStructure.standard(m)
-        elif src == "random":
-            structure = _structure_from_rng(rng, m)
-        else:
-            structure = src
-        # Canonicalize: sort the axes ascending and permute the structure
-        # into that order.
-        perm = np.argsort(rb.axes, kind="stable")
-        a_sorted = structure.A.array[np.ix_(perm, perm)]
-        blocks.append(FrequencyBlock(
-            omega=float(rb.omega),
-            axes=tuple(sorted(rb.axes)),
-            structure=ComplexStructure(SkewMatrix(a_sorted)),
-        ))
-    structure = EquilibriumStructure(blocks, recipe.fixed_axes, n=body.n)
     momentum = build_momentum(structure, body)
     ok, residual = is_equilibrium(momentum, body, 1e-10)
     if not ok:

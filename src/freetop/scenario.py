@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .body import InertiaSpec, Trajectory, _step_count, integrate
-from .equilibria import GeneratorRecipe, generate
+from .equilibria import generate
 from .linalg import SkewMatrix
 from .serialize import (
     SchemaError,
@@ -32,9 +32,11 @@ OUTPUT_KEYS = ("trajectory_csv", "trajectory_jsonl", "invariants_json", "report_
 
 @dataclass
 class Scenario:
+    """A checked scenario file; initial is the momentum, resolved from the
+    recipe when the file gives one."""
+
     body: InertiaSpec
-    initial: SkewMatrix | None
-    recipe: GeneratorRecipe | None
+    initial: SkewMatrix
     dt: float
     t_end: float
     record_every: int = 1
@@ -42,14 +44,6 @@ class Scenario:
     seed: int = 0
     manakov_max_power: int | None = None
     outputs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if (self.initial is None) == (self.recipe is None):
-            raise ValueError("exactly one of initial / recipe must be given")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
 
 
 def scenario_from_doc(doc, seed_override: int | None = None) -> Scenario:
@@ -72,11 +66,14 @@ def scenario_from_doc(doc, seed_override: int | None = None) -> Scenario:
         if m.n != body.n:
             raise SchemaError("initial.matrix.n",
                               f"momentum has n = {m.n}, the body has n = {body.n}")
-        initial, recipe = m, None
+        initial = m
     elif keys == {"recipe"}:
-        recipe = recipe_from_doc(raw_initial["recipe"], "initial.recipe",
-                                 default_seed=seed)
-        initial = None
+        structure = recipe_from_doc(raw_initial["recipe"], "initial.recipe",
+                                    default_seed=seed)
+        try:
+            initial, _ = generate(structure, body)
+        except ValueError as exc:
+            raise SchemaError("initial.recipe", str(exc)) from exc
     else:
         raise SchemaError("initial", "expected exactly one of 'matrix' or 'recipe'")
 
@@ -102,7 +99,7 @@ def scenario_from_doc(doc, seed_override: int | None = None) -> Scenario:
     if t_end <= 0:
         raise SchemaError("integrator.t_end", "must be positive")
     try:
-        records = _step_count(t_end, dt, record_every) // record_every + 1
+        records = _sample_count(t_end, dt, record_every)
     except ValueError as exc:
         raise SchemaError("integrator", str(exc)) from exc
     if records > sys.maxsize // (8 * body.n * body.n):
@@ -118,22 +115,21 @@ def scenario_from_doc(doc, seed_override: int | None = None) -> Scenario:
         if not isinstance(value, str) or not value or "\0" in value:
             raise SchemaError(_join("outputs", key), "expected a file name")
 
-    try:
-        return Scenario(body=body, initial=initial, recipe=recipe, dt=dt, t_end=t_end,
-                        record_every=record_every, guard=guard, seed=seed,
-                        manakov_max_power=max_power, outputs=dict(outputs))
-    except ValueError as exc:
-        raise SchemaError("<root>", str(exc)) from exc
+    return Scenario(body=body, initial=initial, dt=dt, t_end=t_end,
+                    record_every=record_every, guard=guard, seed=seed,
+                    manakov_max_power=max_power, outputs=dict(outputs))
+
+
+def _sample_count(t_end: float, dt: float, record_every: int) -> int:
+    return _step_count(t_end, dt, record_every) // record_every + 1
 
 
 def run_scenario(sc: Scenario) -> Trajectory:
-    """Resolve the initial momentum and integrate."""
-    if sc.initial is not None:
-        m0 = sc.initial
-    else:
-        try:
-            m0, _ = generate(sc.recipe, sc.body)
-        except ValueError as exc:
-            raise SchemaError("initial.recipe", str(exc)) from exc
-    return integrate(m0, sc.body, sc.dt, sc.t_end, sc.record_every,
-                     manakov_max_power=sc.manakov_max_power, guard=sc.guard)
+    """Integrate the scenario. A run whose record arrays do not fit in
+    memory is a SchemaError on "integrator"."""
+    try:
+        return integrate(sc.initial, sc.body, sc.dt, sc.t_end, sc.record_every,
+                         manakov_max_power=sc.manakov_max_power, guard=sc.guard)
+    except MemoryError as exc:
+        samples = _sample_count(sc.t_end, sc.dt, sc.record_every)
+        raise SchemaError("integrator", f"{samples} samples do not fit in memory") from exc

@@ -15,13 +15,7 @@ import math
 import numpy as np
 
 from .body import InertiaSpec, Trajectory, casimir_labels, manakov_labels
-from .equilibria import (
-    ComplexStructure,
-    EquilibriumStructure,
-    FrequencyBlock,
-    GeneratorRecipe,
-    RecipeBlock,
-)
+from .equilibria import ComplexStructure, EquilibriumStructure, FrequencyBlock
 from .linalg import SkewMatrix, SymMatrix
 from .stability import LinearizationReport, OrbitKernelReport, ProbeResult
 
@@ -307,6 +301,8 @@ def structure_from_doc(doc, path: str = "") -> EquilibriumStructure:
         raise SchemaError(path or "<root>", "expected a JSON object")
     _check_version(doc, path)
     n = _want(doc, "n", int, path, "an integer")
+    if n < 1:
+        raise SchemaError(_join(path, "n"), "dimension must be positive")
     raw_blocks = _want(doc, "blocks", list, path, "a list")
     blocks = []
     for k, rb in enumerate(raw_blocks):
@@ -329,7 +325,7 @@ def structure_from_doc(doc, path: str = "") -> EquilibriumStructure:
         structure = EquilibriumStructure(blocks, fixed, n=n, residual=residual)
     except ValueError as exc:
         raise SchemaError(path or "<root>", str(exc)) from exc
-    if "regular" in doc and bool(doc["regular"]) != structure.regular:
+    if "regular" in doc and _want(doc, "regular", bool, path, "a boolean") != structure.regular:
         raise SchemaError(_join(path, "regular"),
                           f"flag {doc['regular']} contradicts the block structures")
     return structure
@@ -337,12 +333,19 @@ def structure_from_doc(doc, path: str = "") -> EquilibriumStructure:
 
 # -- generator recipes -----------------------------------------------------
 
-def recipe_from_doc(doc, path: str = "", default_seed: int | None = None) -> GeneratorRecipe:
-    """Parse a recipe document. A "seed" field in the document is pinned;
-    default_seed fills in when the document has none."""
+def recipe_from_doc(doc, path: str = "", default_seed: int | None = None) -> EquilibriumStructure:
+    """Read a recipe document as the structure it asks for.
+
+    A block's "structure_source" is "standard", "random" or {"A": rows};
+    random structures are drawn from the seeded stream in recipe order, and
+    each block is permuted into ascending axis order. A "seed" field in the
+    document is pinned; default_seed fills in when the document has none."""
     if not isinstance(doc, dict):
         raise SchemaError(path or "<root>", "expected a JSON object")
     _check_version(doc, path)
+    seed = doc.get("seed")
+    seed = default_seed if seed is None else _seed(seed, _join(path, "seed"))
+    rng = None if seed is None else np.random.default_rng(seed)
     raw_blocks = _want(doc, "blocks", list, path, "a list")
     blocks = []
     for k, rb in enumerate(raw_blocks):
@@ -351,27 +354,36 @@ def recipe_from_doc(doc, path: str = "", default_seed: int | None = None) -> Gen
             raise SchemaError(bpath, "expected an object")
         omega = _number(_want(rb, "omega", (int, float), bpath, "a number"), _join(bpath, "omega"))
         axes = _int_list(_want(rb, "axes", list, bpath, "a list"), _join(bpath, "axes"))
-        raw_src = rb.get("structure_source", "standard")
-        if isinstance(raw_src, str):
-            src = raw_src
-        elif isinstance(raw_src, dict) and "A" in raw_src:
-            a_rows = _rows(raw_src["A"], len(axes), _join(bpath, "structure_source.A"))
-            try:
-                src = ComplexStructure(SkewMatrix(a_rows))
-            except ValueError as exc:
-                raise SchemaError(_join(bpath, "structure_source.A"), str(exc)) from exc
+        if not axes or len(axes) % 2 != 0:
+            raise SchemaError(_join(bpath, "axes"),
+                              f"expected a positive even number of axes, got {len(axes)}")
+        source = rb.get("structure_source", "standard")
+        spath = _join(bpath, "structure_source")
+        if source == "standard":
+            a = ComplexStructure.standard(len(axes) // 2).A.array
+        elif source == "random":
+            if rng is None:
+                raise SchemaError(_join(path, "seed"), "random structures need a seed")
+            a = ComplexStructure.random(len(axes) // 2, rng).A.array
+        elif isinstance(source, dict) and "A" in source:
+            spath = _join(spath, "A")
+            a = _rows(source["A"], len(axes), spath)
         else:
-            raise SchemaError(_join(bpath, "structure_source"),
-                              "expected 'standard', 'random', or {'A': rows}")
+            raise SchemaError(spath, "expected 'standard', 'random', or {'A': rows}")
+        perm = np.argsort(axes, kind="stable")
         try:
-            blocks.append(RecipeBlock(axes=tuple(axes), omega=omega, structure_source=src))
+            structure = ComplexStructure(SkewMatrix(a[np.ix_(perm, perm)]))
+        except ValueError as exc:
+            raise SchemaError(spath, str(exc)) from exc
+        try:
+            blocks.append(FrequencyBlock(omega=omega, axes=tuple(sorted(axes)),
+                                         structure=structure))
         except ValueError as exc:
             raise SchemaError(bpath, str(exc)) from exc
     fixed = _int_list(doc.get("fixed_axes", []), _join(path, "fixed_axes"))
-    seed = doc.get("seed")
-    seed = default_seed if seed is None else _seed(seed, _join(path, "seed"))
+    n = len(fixed) + sum(len(b.axes) for b in blocks)
     try:
-        return GeneratorRecipe(blocks=tuple(blocks), fixed_axes=tuple(fixed), seed=seed)
+        return EquilibriumStructure(blocks, fixed, n=n)
     except ValueError as exc:
         raise SchemaError(path or "<root>", str(exc)) from exc
 

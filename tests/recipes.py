@@ -1,34 +1,32 @@
-"""Seeded random recipes and complex structures shared by the randomized suites."""
+"""Recipe documents written in tests, read with recipe_from_doc, and the
+seeded random recipes shared by the randomized suites."""
 
 import numpy as np
 
 import freetop as ft
-from freetop.equilibria import _structure_from_rng
+from freetop.serialize import recipe_from_doc
 
 
-def random_complex_structure(m, seed):
-    """Seeded draw from the orthogonal conjugation orbit of the standard
-    structure (uniform over the space of compatible complex structures)."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    return _structure_from_rng(np.random.default_rng(seed), m)
-
-
-def recipe_to_doc(r):
-    """The recipe document that recipe_from_doc reads back as r."""
-    blocks = []
-    for b in r.blocks:
-        src = b.structure_source
-        entry = {"omega": b.omega, "axes": list(b.axes)}
+def recipe_doc(*blocks, fixed_axes=(), seed=None):
+    """The recipe document of blocks given as (axes, omega) or
+    (axes, omega, source) tuples; source is "standard" (the default),
+    "random" or an explicit ComplexStructure."""
+    entries = []
+    for axes, omega, *source in blocks:
+        src = source[0] if source else "standard"
         if isinstance(src, ft.ComplexStructure):
-            entry["structure_source"] = {"A": src.A.array.tolist()}
-        else:
-            entry["structure_source"] = src
-        blocks.append(entry)
-    doc = {"spec_version": "1", "blocks": blocks, "fixed_axes": list(r.fixed_axes)}
-    if r.seed is not None:
-        doc["seed"] = r.seed
+            src = {"A": src.A.array.tolist()}
+        entries.append({"omega": float(omega), "axes": [int(a) for a in axes],
+                        "structure_source": src})
+    doc = {"spec_version": "1", "blocks": entries, "fixed_axes": list(fixed_axes)}
+    if seed is not None:
+        doc["seed"] = seed
     return doc
+
+
+def read_recipe(*blocks, fixed_axes=(), seed=None):
+    """The structure that the recipe_doc of the same arguments asks for."""
+    return recipe_from_doc(recipe_doc(*blocks, fixed_axes=fixed_axes, seed=seed))
 
 
 def spaced_rates(count, rng, lo=0.5, hi=3.0, min_rel_gap=0.02):
@@ -43,7 +41,8 @@ def spaced_rates(count, rng, lo=0.5, hi=3.0, min_rel_gap=0.02):
 
 
 def random_recipe(n, rng, kind="mixed"):
-    """Random block partition of n axes.
+    """The structure of a random block partition of n axes, read from its
+    recipe document.
 
     kind="regular": every block is a standard pair. kind="exotic": at
     least one block of four or more axes with a random structure.
@@ -80,9 +79,8 @@ def random_recipe(n, rng, kind="mixed"):
         else:
             source = "random" if rng.random() < 0.5 else "standard"
             exotic_placed = exotic_placed or source == "random"
-        blocks.append(ft.RecipeBlock(axes=tuple(block_axes), omega=float(omega),
-                                     structure_source=source))
+        blocks.append((block_axes, omega, source))
     if kind == "exotic" and not exotic_placed:
         raise AssertionError("exotic recipe without a big random block")
     seed = int(rng.integers(0, 2**31))
-    return ft.GeneratorRecipe(blocks=tuple(blocks), fixed_axes=tuple(fixed), seed=seed)
+    return read_recipe(*blocks, fixed_axes=fixed, seed=seed)

@@ -12,6 +12,7 @@ from freetop import _kernels
 from freetop.body import casimirs, invariant_labels
 
 from conftest import random_body, random_skew, rotation_generator
+from recipes import read_recipe
 import oracles
 
 # Each compiled RK4 backend, run where it is present and compared with the
@@ -131,9 +132,7 @@ class TestVectorField:
             np.testing.assert_allclose(got, rhs, atol=1e-13)
 
     def test_equilibrium_stationary(self, body4):
-        recipe = ft.GeneratorRecipe(
-            blocks=(ft.RecipeBlock(axes=(0, 1), omega=2.0),
-                    ft.RecipeBlock(axes=(2, 3), omega=1.0)))
+        recipe = read_recipe(((0, 1), 2.0), ((2, 3), 1.0))
         m, _ = ft.generate(recipe, body4)
         om = ft.inertia_invert(m, body4)
         f = ft.vector_field(m, body4)
@@ -323,9 +322,7 @@ class TestBatchedInvariants:
 
 class TestStepRK4:
     def test_equilibrium_fixed(self, body4):
-        recipe = ft.GeneratorRecipe(
-            blocks=(ft.RecipeBlock(axes=(0, 1), omega=1.0),
-                    ft.RecipeBlock(axes=(2, 3), omega=2.0)))
+        recipe = read_recipe(((0, 1), 1.0), ((2, 3), 2.0))
         m, _ = ft.generate(recipe, body4)
         traj = ft.integrate(m, body4, dt=1e-2, t_end=1e-2)
         assert np.linalg.norm(traj.momenta[-1] - m.array) <= 1e-12 * np.linalg.norm(m.array)

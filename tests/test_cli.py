@@ -10,6 +10,7 @@ from freetop import serialize as ser
 from freetop.cli import main
 
 from conftest import random_skew, rotation_generator
+from recipes import read_recipe
 
 
 @pytest.fixture
@@ -84,6 +85,19 @@ class TestHelp:
             assert flag in out
         for flag in unread:
             assert flag not in out
+
+    @pytest.mark.parametrize("cmd,text", [
+        ("simulate", "--seed SEED replaces the scenario's seed, which seeds its recipe's random "
+                     "structures unless the recipe pins a seed (default: the scenario's seed, "
+                     "else 0)"),
+        ("generate", "--seed SEED seed for the recipe's random structures unless the recipe "
+                     "pins a seed (default 0)"),
+        ("stability", "--seed SEED seed for the --probe perturbation (default 0)"),
+    ])
+    def test_seed_help_names_what_it_seeds(self, capsys, cmd, text):
+        with pytest.raises(SystemExit):
+            main([cmd, "--help"])
+        assert text in " ".join(capsys.readouterr().out.split())
 
     @pytest.mark.parametrize("cmd,option", [
         ("simulate", "--tol"), ("classify", "--seed"), ("generate", "--tol")])
@@ -169,7 +183,8 @@ class TestSimulate:
         scenario = spinning_book_scenario(tmp_path, dt=0.0009765625, t_end=1099511627776.0,
                                           record_every=1)
         assert main(["simulate", scenario, "--output-dir", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith("error: invalid input: ")
+        assert capsys.readouterr().err == (
+            "error: invalid input: integrator: 1125899906842625 samples do not fit in memory\n")
         assert not (tmp_path / "traj.csv").exists()
 
     def test_negative_seed_exit2(self, tmp_path, capsys):
@@ -241,13 +256,9 @@ class TestClassify:
     def make_equilibrium(self, tmp_path, body4_path, exotic=False):
         body = ser.read_body(body4_path)
         if exotic:
-            recipe = ft.GeneratorRecipe(
-                blocks=(ft.RecipeBlock(axes=(0, 1, 2, 3), omega=1.5,
-                                       structure_source="random"),), seed=42)
+            recipe = read_recipe(((0, 1, 2, 3), 1.5, "random"), seed=42)
         else:
-            recipe = ft.GeneratorRecipe(
-                blocks=(ft.RecipeBlock(axes=(0, 1), omega=1.0),
-                        ft.RecipeBlock(axes=(2, 3), omega=2.0)))
+            recipe = read_recipe(((0, 1), 1.0), ((2, 3), 2.0))
         m, _ = ft.generate(recipe, body)
         path = tmp_path / ("exotic.json" if exotic else "regular.json")
         write(path, ser.matrix_to_doc(m))
@@ -394,7 +405,7 @@ class TestGenerateAndStability:
             "spec_version": "1", "blocks": [], "fixed_axes": [0, 1]})
         assert main(["generate", recipe, body4_path, "--output-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(
-            "error: invalid input: <root>: recipe axes [0, 1] do not cover")
+            "error: invalid input: <root>: structure is 2-dimensional, body is 4")
         assert not (tmp_path / "momentum.json").exists()
 
     def test_negative_recipe_seed_exit2(self, tmp_path, body4_path, capsys):

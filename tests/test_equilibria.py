@@ -4,7 +4,7 @@ import pytest
 import freetop as ft
 
 from conftest import random_body, random_skew, rotation_generator
-from recipes import random_complex_structure
+from recipes import read_recipe
 import oracles
 
 
@@ -18,9 +18,7 @@ def givens(n, i, j, theta):
 
 
 def two_block_regular(body4, w1=1.0, w2=2.0):
-    recipe = ft.GeneratorRecipe(
-        blocks=(ft.RecipeBlock(axes=(0, 1), omega=w1),
-                ft.RecipeBlock(axes=(2, 3), omega=w2)))
+    recipe = read_recipe(((0, 1), w1), ((2, 3), w2))
     return ft.generate(recipe, body4)
 
 
@@ -52,28 +50,28 @@ class TestRandomComplexStructure:
     def test_m1_is_quarter_turn(self):
         k = ft.ComplexStructure.standard(1).A.array
         for seed in range(8):
-            a = random_complex_structure(1, seed).A.array
+            a = ft.ComplexStructure.random(1, np.random.default_rng(seed)).A.array
             assert np.allclose(a, k, atol=1e-12) or np.allclose(a, -k, atol=1e-12)
 
     def test_square_is_minus_identity(self):
-        a = random_complex_structure(2, seed=42).A.array
+        a = ft.ComplexStructure.random(2, np.random.default_rng(42)).A.array
         assert np.linalg.norm(a @ a + np.eye(4)) <= 1e-12
         assert np.linalg.norm(a.T @ a - np.eye(4)) <= 1e-12
 
     def test_deterministic(self):
-        a = random_complex_structure(3, seed=7).A.array
-        b = random_complex_structure(3, seed=7).A.array
+        a = ft.ComplexStructure.random(3, np.random.default_rng(7)).A.array
+        b = ft.ComplexStructure.random(3, np.random.default_rng(7)).A.array
         assert np.array_equal(a, b)
 
     def test_seeds_differ(self):
         # Smoke test: distinct seeds give visibly different draws.
-        a = random_complex_structure(2, seed=0).A.array
-        b = random_complex_structure(2, seed=1).A.array
+        a = ft.ComplexStructure.random(2, np.random.default_rng(0)).A.array
+        b = ft.ComplexStructure.random(2, np.random.default_rng(1)).A.array
         assert np.linalg.norm(a - b) > 1e-3
 
     def test_m_must_be_positive(self):
         with pytest.raises(ValueError):
-            random_complex_structure(0, seed=1)
+            ft.ComplexStructure.random(0, np.random.default_rng(1))
 
 
 class TestIsEquilibrium:
@@ -84,7 +82,7 @@ class TestIsEquilibrium:
         assert ok and residual <= 1e-12
 
     def test_scaled_structure_always_stationary(self, body4):
-        a = random_complex_structure(2, seed=5)
+        a = ft.ComplexStructure.random(2, np.random.default_rng(5))
         m = ft.inertia_apply(ft.SkewMatrix(1.7 * a.A.array), body4)
         ok, residual = ft.is_equilibrium(m, body4)
         assert ok and residual <= 1e-12
@@ -110,10 +108,9 @@ class TestIsEquilibrium:
             body = random_body(n, rng)
             for stationary in (False, True):
                 if stationary:
-                    m, _ = ft.generate(ft.GeneratorRecipe(
-                        blocks=(ft.RecipeBlock(axes=tuple(range(n - n % 2)), omega=1.0,
-                                               structure_source="random"),),
-                        fixed_axes=tuple(range(n - n % 2, n)), seed=n), body)
+                    m, _ = ft.generate(read_recipe(
+                        (range(n - n % 2), 1.0, "random"),
+                        fixed_axes=range(n - n % 2, n), seed=n), body)
                 else:
                     m = random_skew(n, rng)
                 om = ft.inertia_invert(m, body).array
@@ -257,40 +254,27 @@ class TestBuilders:
 
     def test_classify_roundtrip_examples(self, body4):
         for seed in (1, 2, 3):
-            recipe = ft.GeneratorRecipe(
-                blocks=(ft.RecipeBlock(axes=(0, 1, 2, 3), omega=1.5,
-                                       structure_source="random"),),
-                seed=seed)
+            recipe = read_recipe(((0, 1, 2, 3), 1.5, "random"), seed=seed)
             m, s = ft.generate(recipe, body4)
             assert ft.classify(m, body4).matches(s)
 
 
 class TestGenerate:
     def test_standard_recipe_regular(self, body6):
-        recipe = ft.GeneratorRecipe(
-            blocks=(ft.RecipeBlock(axes=(0, 1), omega=1.0),
-                    ft.RecipeBlock(axes=(2, 3), omega=2.0),
-                    ft.RecipeBlock(axes=(4, 5), omega=3.0)))
+        recipe = read_recipe(((0, 1), 1.0), ((2, 3), 2.0), ((4, 5), 3.0))
         m, s = ft.generate(recipe, body6)
         assert s.regular
         ok, residual = ft.is_equilibrium(m, body6, tol=1e-10)
         assert ok
 
     def test_random_big_block_exotic(self, body4):
-        recipe = ft.GeneratorRecipe(
-            blocks=(ft.RecipeBlock(axes=(0, 1, 2, 3), omega=1.0,
-                                   structure_source="random"),),
-            seed=11)
+        recipe = read_recipe(((0, 1, 2, 3), 1.0, "random"), seed=11)
         m, s = ft.generate(recipe, body4)
         assert not s.regular
         assert not ft.classify(m, body4).regular
 
     def test_mixed_recovered_exactly(self, body6):
-        recipe = ft.GeneratorRecipe(
-            blocks=(ft.RecipeBlock(axes=(0, 1, 2, 3), omega=1.0,
-                                   structure_source="random"),
-                    ft.RecipeBlock(axes=(4, 5), omega=2.0)),
-            seed=3)
+        recipe = read_recipe(((0, 1, 2, 3), 1.0, "random"), ((4, 5), 2.0), seed=3)
         m, s = ft.generate(recipe, body6)
         assert not s.regular
         c = ft.classify(m, body6)
@@ -298,35 +282,29 @@ class TestGenerate:
         assert [b.axes for b in c.blocks] == [(4, 5), (0, 1, 2, 3)]
 
     def test_unsorted_axes_are_canonicalized(self, body4):
-        recipe = ft.GeneratorRecipe(
-            blocks=(ft.RecipeBlock(axes=(3, 0), omega=1.0),
-                    ft.RecipeBlock(axes=(2, 1), omega=2.0)))
+        recipe = read_recipe(((3, 0), 1.0), ((2, 1), 2.0))
         m, s = ft.generate(recipe, body4)
         assert [b.axes for b in s.blocks] == [(1, 2), (0, 3)]
         assert ft.classify(m, body4).matches(s)
 
     def test_axes_must_cover_body(self, body4):
-        recipe = ft.GeneratorRecipe(
-            blocks=(ft.RecipeBlock(axes=(0, 1), omega=1.0),))
-        with pytest.raises(ValueError, match="cover"):
+        recipe = read_recipe(((0, 1), 1.0))
+        with pytest.raises(ValueError, match="2-dimensional, body is 4"):
             ft.generate(recipe, body4)
 
     def test_random_needs_seed(self):
-        with pytest.raises(ValueError, match="seed"):
-            ft.GeneratorRecipe(
-                blocks=(ft.RecipeBlock(axes=(0, 1, 2, 3), omega=1.0,
-                                       structure_source="random"),))
+        with pytest.raises(ValueError, match="need a seed") as exc:
+            read_recipe(((0, 1, 2, 3), 1.0, "random"))
+        assert exc.value.field == "seed"
 
     def test_rate_collision_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            ft.GeneratorRecipe(
-                blocks=(ft.RecipeBlock(axes=(0, 1), omega=1.0),
-                        ft.RecipeBlock(axes=(2, 3), omega=1.0)))
+        with pytest.raises(ValueError, match="too close"):
+            read_recipe(((0, 1), 1.0), ((2, 3), 1.0))
 
     def test_perturbed_structure_fails(self, body4, rng):
         # Necessity of the structure condition: breaking A^2 = -I by a
         # skew (non-orthogonal) perturbation destroys stationarity.
-        a = random_complex_structure(2, seed=9).A.array
+        a = ft.ComplexStructure.random(2, np.random.default_rng(9)).A.array
         delta = random_skew(4, rng, scale=1e-3).array
         om_bad = 1.3 * (a + delta)
         m_bad = ft.inertia_apply(ft.SkewMatrix(om_bad), body4)
@@ -335,10 +313,8 @@ class TestGenerate:
         assert residual > 1e-5
 
     def test_explicit_structure_source(self, body4):
-        a = random_complex_structure(2, seed=21)
-        recipe = ft.GeneratorRecipe(
-            blocks=(ft.RecipeBlock(axes=(0, 1, 2, 3), omega=1.0,
-                                   structure_source=a),))
+        a = ft.ComplexStructure.random(2, np.random.default_rng(21))
+        recipe = read_recipe(((0, 1, 2, 3), 1.0, a))
         m, s = ft.generate(recipe, body4)
         np.testing.assert_array_equal(s.blocks[0].structure.A.array, a.A.array)
 
@@ -380,7 +356,7 @@ class TestGenerate:
 
     def test_perturbed_structure_fails_many_seeds(self, body4, rng):
         for seed in range(5):
-            a = random_complex_structure(2, seed=seed).A.array
+            a = ft.ComplexStructure.random(2, np.random.default_rng(seed)).A.array
             delta = random_skew(4, rng, scale=1e-3).array
             m_bad = ft.inertia_apply(ft.SkewMatrix(1.3 * (a + delta)), body4)
             ok, residual = ft.is_equilibrium(m_bad, body4)
@@ -389,11 +365,7 @@ class TestGenerate:
     def test_eigenfrequency_multiplicity(self, body6):
         # A block on 2m axes gives the velocity the rates +-i omega with
         # multiplicity m each; blocks of size two give simple rates.
-        recipe = ft.GeneratorRecipe(
-            blocks=(ft.RecipeBlock(axes=(0, 1, 2, 3), omega=1.0,
-                                   structure_source="random"),
-                    ft.RecipeBlock(axes=(4, 5), omega=2.0)),
-            seed=13)
+        recipe = read_recipe(((0, 1, 2, 3), 1.0, "random"), ((4, 5), 2.0), seed=13)
         m, s = ft.generate(recipe, body6)
         om = ft.inertia_invert(m, body6)
         eigs = np.linalg.eigvals(om.array)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import freetop as ft
+from freetop.equilibria import generate
 from freetop.scenario import run_scenario, scenario_from_doc
-from freetop.serialize import SchemaError
+from freetop.serialize import SchemaError, body_from_doc, recipe_from_doc
 
 
 def base_doc(**overrides):
@@ -23,29 +25,38 @@ def base_doc(**overrides):
 
 
 class TestScenarioParsing:
+    @staticmethod
+    def momentum_for_seed(doc, seed):
+        """The momentum that the scenario's recipe gives with this seed."""
+        body = body_from_doc(doc["body"], require_version=False)
+        structure = recipe_from_doc(doc["initial"]["recipe"], default_seed=seed)
+        return generate(structure, body)[0]
+
     def test_recipe_scenario(self):
-        sc = scenario_from_doc(base_doc())
-        assert sc.recipe is not None and sc.initial is None
-        assert sc.recipe.seed == 3  # scenario seed fills in
+        doc = base_doc()
+        sc = scenario_from_doc(doc)
+        assert sc.initial == self.momentum_for_seed(doc, 3)  # scenario seed fills in
         assert sc.dt == 0.01 and sc.t_end == 0.5
 
     def test_seed_override_wins_over_scenario(self):
-        sc = scenario_from_doc(base_doc(), seed_override=99)
+        doc = base_doc()
+        sc = scenario_from_doc(doc, seed_override=99)
         assert sc.seed == 99
-        assert sc.recipe.seed == 99
+        assert sc.initial == self.momentum_for_seed(doc, 99)
 
     def test_recipe_own_seed_is_pinned(self):
         doc = base_doc()
         doc["initial"]["recipe"]["seed"] = 1234
         sc = scenario_from_doc(doc, seed_override=99)
-        assert sc.recipe.seed == 1234
+        assert sc.initial == self.momentum_for_seed(doc, 1234)
+        assert sc.initial != self.momentum_for_seed(base_doc(), 99)
 
     def test_matrix_scenario(self):
         doc = base_doc(initial={"matrix": {
             "n": 4, "kind": "skew",
             "rows": np.zeros((4, 4)).tolist()}})
         sc = scenario_from_doc(doc)
-        assert sc.initial is not None and sc.recipe is None
+        assert sc.initial == ft.SkewMatrix.zeros(4)
 
     def test_initial_must_be_single_choice(self):
         doc = base_doc()

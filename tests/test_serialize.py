@@ -10,7 +10,7 @@ from freetop import serialize as ser
 from freetop.scenario import scenario_from_doc
 
 from conftest import random_skew, rotation_generator
-from recipes import random_complex_structure, recipe_to_doc
+from recipes import read_recipe, recipe_doc
 
 
 class TestFloatFormat:
@@ -63,9 +63,8 @@ def numpy_scalars(obj):
 
 class TestFloatListFastPath:
     def test_spectrum_document_matches_per_item(self, body6):
-        m, _ = ft.generate(ft.GeneratorRecipe(
-            blocks=(ft.RecipeBlock(axes=(0, 1, 2, 3), omega=1.3, structure_source="random"),
-                    ft.RecipeBlock(axes=(4, 5), omega=0.7)), fixed_axes=(), seed=4), body6)
+        m, _ = ft.generate(read_recipe(((0, 1, 2, 3), 1.3, "random"), ((4, 5), 0.7), seed=4),
+                           body6)
         doc = ser.linearization_to_doc(ft.linearize(m, body6))
         text = ser.dumps_canonical(doc)
         assert text == ser.dumps_canonical(numpy_scalars(doc))
@@ -171,9 +170,7 @@ class TestBodyDocs:
 
 class TestStructureDocs:
     def test_roundtrip(self, body4):
-        recipe = ft.GeneratorRecipe(
-            blocks=(ft.RecipeBlock(axes=(0, 1, 2, 3), omega=1.5,
-                                   structure_source="random"),), seed=42)
+        recipe = read_recipe(((0, 1, 2, 3), 1.5, "random"), seed=42)
         _, s = ft.generate(recipe, body4)
         doc = json.loads(ser.dumps_canonical(ser.structure_to_doc(s)))
         s2 = ser.structure_from_doc(doc)
@@ -183,12 +180,24 @@ class TestStructureDocs:
         assert (s2.n, s2.fixed_axes, s2.regular) == (s.n, s.fixed_axes, s.regular)
 
     def test_regular_flag_must_match(self, body4):
-        recipe = ft.GeneratorRecipe(blocks=(ft.RecipeBlock(axes=(0, 1), omega=1.0),
-                                            ft.RecipeBlock(axes=(2, 3), omega=2.0)))
+        recipe = read_recipe(((0, 1), 1.0), ((2, 3), 2.0))
         _, s = ft.generate(recipe, body4)
         doc = ser.structure_to_doc(s)
         doc["regular"] = False
         with pytest.raises(ser.SchemaError, match="regular"):
+            ser.structure_from_doc(doc)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("n", -1, "n: dimension must be positive"),
+        ("n", 0, "n: dimension must be positive"),
+        ("regular", "false", "regular: expected a boolean"),
+        ("regular", 1, "regular: expected a boolean"),
+    ])
+    def test_header_fields_checked(self, field, value, message):
+        doc = {"spec_version": "1", "n": 2, "regular": True, "fixed_axes": [],
+               "blocks": [{"omega": 1.0, "axes": [0, 1], "A": [[0.0, 1.0], [-1.0, 0.0]]}]}
+        doc[field] = value
+        with pytest.raises(ser.SchemaError, match=message):
             ser.structure_from_doc(doc)
 
     def test_block_errors_are_located(self):
@@ -200,37 +209,62 @@ class TestStructureDocs:
             ser.structure_from_doc(doc)
 
 
+def random_draws(count, seed):
+    rng = np.random.default_rng(seed)
+    return [ft.ComplexStructure.random(2, rng).A.array for _ in range(count)]
+
+
 class TestRecipeDocs:
     def test_roundtrip_with_sources(self):
-        explicit = random_complex_structure(1, seed=3)
-        recipe = ft.GeneratorRecipe(
-            blocks=(ft.RecipeBlock(axes=(0, 1, 2, 3), omega=2.0,
-                                   structure_source="random"),
-                    ft.RecipeBlock(axes=(4, 5), omega=1.0,
-                                   structure_source=explicit)),
-            fixed_axes=(6,), seed=9)
-        doc = json.loads(ser.dumps_canonical(recipe_to_doc(recipe)))
-        r2 = ser.recipe_from_doc(doc)
-        assert r2.seed == 9
-        assert r2.blocks[0].structure_source == "random"
-        np.testing.assert_array_equal(r2.blocks[1].structure_source.A.array,
-                                      explicit.A.array)
-        assert r2.fixed_axes == (6,)
+        explicit = ft.ComplexStructure.random(1, np.random.default_rng(3))
+        doc = recipe_doc(((0, 1, 2, 3), 2.0, "random"), ((4, 5), 1.0, explicit),
+                         fixed_axes=(6,), seed=9)
+        s = ser.recipe_from_doc(json.loads(ser.dumps_canonical(doc)))
+        np.testing.assert_array_equal(s.blocks[0].structure.A.array, random_draws(1, 9)[0])
+        assert s.blocks[1].structure == explicit
+        assert (s.n, s.fixed_axes, s.regular) == (7, (6,), False)
 
     def test_default_seed_fills_in(self):
-        doc = {"spec_version": "1",
-               "blocks": [{"omega": 1.0, "axes": [0, 1, 2, 3],
-                           "structure_source": "random"}],
-               "fixed_axes": []}
-        r = ser.recipe_from_doc(doc, default_seed=17)
-        assert r.seed == 17
+        doc = recipe_doc(((0, 1, 2, 3), 1.0, "random"))
+        s = ser.recipe_from_doc(doc, default_seed=17)
+        np.testing.assert_array_equal(s.blocks[0].structure.A.array, random_draws(1, 17)[0])
 
     def test_document_seed_is_pinned(self):
-        doc = {"spec_version": "1", "seed": 5,
-               "blocks": [{"omega": 1.0, "axes": [0, 1],
-                           "structure_source": "standard"}],
-               "fixed_axes": []}
-        assert ser.recipe_from_doc(doc, default_seed=17).seed == 5
+        doc = recipe_doc(((0, 1, 2, 3), 1.0, "random"), seed=5)
+        s = ser.recipe_from_doc(doc, default_seed=17)
+        np.testing.assert_array_equal(s.blocks[0].structure.A.array, random_draws(1, 5)[0])
+
+    def test_random_draws_in_recipe_order(self):
+        # Every generated momentum depends on this order: the blocks draw
+        # from one seeded stream in the order the recipe lists them, and
+        # each draw is permuted into ascending axis order.
+        axes = ([5, 1, 6, 0], [3, 7, 2, 4])
+        doc = recipe_doc((axes[0], 1.0, "random"), (axes[1], 2.0, "random"), seed=31)
+        body = ft.InertiaSpec.from_eigenvalues([1.0 + k for k in range(8)])
+        _, s = ft.generate(ser.recipe_from_doc(doc), body)
+        by_rate = {b.omega: b for b in s.blocks}
+        for omega, block_axes, draw in zip((1.0, 2.0), axes, random_draws(2, 31)):
+            perm = np.argsort(block_axes)
+            assert by_rate[omega].axes == tuple(sorted(block_axes))
+            np.testing.assert_array_equal(by_rate[omega].structure.A.array,
+                                          draw[np.ix_(perm, perm)])
+
+    @pytest.mark.parametrize("blocks,fixed,field,message", [
+        ([{"omega": 1.0, "axes": [0, 1, 2]}], [], "blocks[0].axes", "even number"),
+        ([{"omega": 1.0, "axes": []}], [0, 1], "blocks[0].axes", "even number"),
+        ([{"omega": 1.0, "axes": [1, 1]}], [0], "blocks[0]", "ascending"),
+        ([{"omega": 0.0, "axes": [0, 1]}], [], "blocks[0]", "positive"),
+        ([{"omega": 1.0, "axes": [0, 1], "structure_source": {"A": [[0.0, 1.0]]}}], [],
+         "blocks[0].structure_source.A", "2 rows"),
+        ([{"omega": 1.0, "axes": [0, 1], "structure_source": {"A": [[0.0, 2.0], [-2.0, 0.0]]}}],
+         [], "blocks[0].structure_source.A", "orthogonal"),
+        ([{"omega": 1.0, "axes": [0, 1]}], [1, 2], "<root>", "partition"),
+    ])
+    def test_invalid_recipe_located(self, blocks, fixed, field, message):
+        doc = {"spec_version": "1", "blocks": blocks, "fixed_axes": fixed}
+        with pytest.raises(ser.SchemaError, match=message) as exc:
+            ser.recipe_from_doc(doc)
+        assert exc.value.field == field
 
     @pytest.mark.parametrize("path,field", [("", "seed"),
                                             ("initial.recipe", "initial.recipe.seed")])

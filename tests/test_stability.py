@@ -9,6 +9,7 @@ from freetop.stability import (
     skew_to_vec, vec_to_skew, _ad_matrix, _linearization_matrix, _orbit_map)
 
 from conftest import random_body, random_skew
+from recipes import read_recipe
 import oracles
 
 
@@ -31,23 +32,12 @@ def fixture_bodies():
 def make_fixture(name):
     body4, body6 = fixture_bodies()
     recipes = {
-        "regular_n4": (ft.GeneratorRecipe(blocks=(
-            ft.RecipeBlock(axes=(0, 1), omega=1.0),
-            ft.RecipeBlock(axes=(2, 3), omega=2.0))), body4),
-        "exotic_n4": (ft.GeneratorRecipe(blocks=(
-            ft.RecipeBlock(axes=(0, 1, 2, 3), omega=1.5,
-                           structure_source="random"),), seed=42), body4),
-        "regular_n6": (ft.GeneratorRecipe(blocks=(
-            ft.RecipeBlock(axes=(0, 1), omega=1.0),
-            ft.RecipeBlock(axes=(2, 3), omega=2.0),
-            ft.RecipeBlock(axes=(4, 5), omega=3.0))), body6),
-        "exotic_mixed_n6": (ft.GeneratorRecipe(blocks=(
-            ft.RecipeBlock(axes=(0, 1, 2, 3), omega=1.0,
-                           structure_source="random"),
-            ft.RecipeBlock(axes=(4, 5), omega=2.0)), seed=3), body6),
-        "exotic_full_n6": (ft.GeneratorRecipe(blocks=(
-            ft.RecipeBlock(axes=(0, 1, 2, 3, 4, 5), omega=1.3,
-                           structure_source="random"),), seed=5), body6),
+        "regular_n4": (read_recipe(((0, 1), 1.0), ((2, 3), 2.0)), body4),
+        "exotic_n4": (read_recipe(((0, 1, 2, 3), 1.5, "random"), seed=42), body4),
+        "regular_n6": (read_recipe(((0, 1), 1.0), ((2, 3), 2.0), ((4, 5), 3.0)), body6),
+        "exotic_mixed_n6": (read_recipe(((0, 1, 2, 3), 1.0, "random"), ((4, 5), 2.0), seed=3),
+                            body6),
+        "exotic_full_n6": (read_recipe(((0, 1, 2, 3, 4, 5), 1.3, "random"), seed=5), body6),
     }
     recipe, body = recipes[name]
     m, structure = ft.generate(recipe, body)

@@ -8,6 +8,7 @@ equations of motion are dM/dt = [M, W].
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ from .linalg import (
     SkewMatrix,
     SymMatrix,
     _check_structure,
+    _readonly,
     eigen_symmetric,
 )
 
@@ -60,7 +62,9 @@ class InertiaSpec:
     """
 
     def __init__(self, j):
-        self.J = j if isinstance(j, SymMatrix) else SymMatrix(j)
+        # A read-only copy of its own: J, the frame and pair_sums cannot disagree.
+        self.J = SymMatrix(j)
+        _readonly(self.J._a)
         self.frame: EigenFrame = eigen_symmetric(self.J)
         lam = self.frame.eigenvalues
         if lam[0] <= 0.0:
@@ -144,6 +148,28 @@ def inertia_invert(m, body: InertiaSpec) -> SkewMatrix:
     arr = _skew_array(m)
     _check_dims(arr, body)
     return SkewMatrix(_invert_array(arr, body))
+
+
+def _scaled_velocity(m: np.ndarray, body: InertiaSpec):
+    """Angular velocity of one momentum in the inertia eigenframe, in range.
+
+    Returns (w, lam, e): W~ = Q^T W Q equals w * 2**e, with the largest
+    entry of w in [0.5, 1) (w = 0 for the zero momentum), and lam is the
+    moments scaled so that the largest is in [0.5, 1). M is scaled the same
+    way before it is rotated and made exactly skew, so no step overflows or
+    underflows, and every scaling is by a power of two, hence exact.
+    """
+    _, a = math.frexp(np.abs(m).max())
+    mt = body.to_eigenframe(np.ldexp(m, -a))
+    _, b = math.frexp(body.eigenvalues[-1])
+    lam = np.ldexp(body.eigenvalues, -b)
+    pair = lam[:, None] + lam[None, :]
+    # GAP_TOL keeps every other pair sum above 5e-9 in these units; only
+    # 2 * lam[0] can underflow to 0, where M~ is exactly 0.
+    pair[0, 0] = 1.0
+    w = 0.5 * (mt - mt.T) / pair
+    _, c = math.frexp(np.abs(w).max())
+    return np.ldexp(w, -c), lam, a - b + c
 
 
 def _field_array(m: np.ndarray, body: InertiaSpec) -> np.ndarray:
@@ -292,9 +318,7 @@ class Trajectory:
         labels = invariant_labels(self.momenta.shape[-1], self.manakov_max_power)
         f0 = self.invariants[0]
         drift = np.abs(self.invariants - f0).max(axis=0) / np.maximum(1.0, np.abs(f0))
-        out = {label: float(d) for label, d in zip(labels, drift)}
-        out["momentum_displacement"] = self.momentum_displacement()
-        return out
+        return {label: float(d) for label, d in zip(labels, drift)}
 
 
 def _step_count(span: float, dt: float, record_every: int, name: str = "t_end") -> int:
@@ -323,7 +347,8 @@ def _step_count(span: float, dt: float, record_every: int, name: str = "t_end") 
 def _check_step(m: np.ndarray, body: InertiaSpec, dt: float, guard: str = "reject") -> None:
     """Reject (guard="reject") or warn about (guard="warn") a step with
     dt * ||W||_2 above STEP_GUARD, W the angular velocity of m."""
-    speed = float(np.linalg.norm(_invert_array(m, body), 2))
+    w, _, e = _scaled_velocity(m, body)
+    speed = float(np.ldexp(np.linalg.norm(w, 2), e))
     if dt * speed > STEP_GUARD:
         msg = (
             f"dt * ||W|| = {dt * speed:.3f} exceeds the stability guard {STEP_GUARD}; "

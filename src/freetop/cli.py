@@ -47,12 +47,7 @@ from .serialize import (
     write_trajectory_jsonl,
 )
 from .scenario import run_scenario, scenario_from_doc
-from .stability import (
-    instability_probe,
-    linearize,
-    orbit_kernel,
-    stabilizer_dimension,
-)
+from .stability import instability_probe, linearize, orbit_kernel
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -236,9 +231,7 @@ def _cmd_stability(args) -> int:
     if args.spectrum:
         doc = linearization_to_doc(linearize(m, body, tol=args.tol))
     elif args.kernel:
-        report = orbit_kernel(m, body, rank_tol=args.rank_tol, tol=args.tol)
-        stab = stabilizer_dimension(m, rank_tol=args.rank_tol)
-        doc = orbit_kernel_to_doc(report, stabilizer_dim=stab)
+        doc = orbit_kernel_to_doc(orbit_kernel(m, body, rank_tol=args.rank_tol, tol=args.tol))
     else:
         seed = args.seed if args.seed is not None else 0
         result = instability_probe(m, body, eps=args.eps, horizon=args.horizon,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import InertiaSpec, inertia_apply, _invert_array, _skew_array, _check_dims
+from .body import InertiaSpec, inertia_apply, _check_dims, _scaled_velocity, _skew_array
 from .linalg import SkewMatrix
 
 __all__ = [
@@ -228,42 +228,45 @@ class EquilibriumStructure:
         return f"EquilibriumStructure(n={self.n}, {kind}, [{parts}], fixed={self.fixed_axes})"
 
 
-def is_equilibrium(m, body: InertiaSpec, tol: float = DEFAULT_TOL):
-    """Test whether a momentum is a stationary rotation.
-
-    Returns (flag, residual) with residual = ||[J, W^2]|| / (||J|| ||W||^2),
-    all norms Frobenius. The equivalent form ||[M, W]|| is computed as a
-    consistency check: the two commutators agree identically, so their
-    difference beyond rounding indicates a corrupted inertia operator.
-    Raises ArithmeticError if the residual is not finite (the scale of J
-    or W overflows or underflows), rather than calling M non-stationary.
-    """
+def _stationarity(m, body: InertiaSpec, tol: float):
+    """(w, s, e, residual) of a momentum: W~ = w * 2**e from _scaled_velocity,
+    s = w^2, and the stationarity residual, which is 0 for the zero
+    momentum."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     arr = _skew_array(m)
     _check_dims(arr, body)
-    if np.linalg.norm(arr) == 0.0:
-        return True, 0.0
-    om = _invert_array(arr, body)
-    j = body.J.array
-    s = om @ om
+    w, lam, e = _scaled_velocity(arr, body)
+    s = w @ w
     s = 0.5 * (s + s.T)
-    js = j @ s
-    c_js = js - js.T
-    scale = np.linalg.norm(j) * np.linalg.norm(om) ** 2
-    residual = float(np.linalg.norm(c_js) / scale)
-    if not np.isfinite(residual):
-        raise ArithmeticError(
-            f"stationarity residual {residual} is not finite: its scale "
-            f"||J|| ||W||^2 = {scale:.3e} overflows or underflows"
-        )
-    mo = arr @ om
-    c_mo = mo - mo.T
-    if np.linalg.norm(c_mo - c_js) > 1e-10 * scale:
-        raise ArithmeticError(
-            "commutator identity [M, W] = [J, W^2] violated beyond rounding"
-        )
+    if not arr.any():
+        return w, s, e, 0.0
+    c = (lam[:, None] - lam[None, :]) * s  # [J, W^2] in the eigenframe
+    residual = np.linalg.norm(c) / (np.linalg.norm(lam) * np.linalg.norm(w) ** 2)
+    return w, s, e, float(residual)
+
+
+def is_equilibrium(m, body: InertiaSpec, tol: float = DEFAULT_TOL):
+    """Test whether a momentum is a stationary rotation.
+
+    Returns (flag, residual) with residual = ||[J, W^2]|| / (||J|| ||W||^2),
+    all norms Frobenius, taken in the inertia eigenframe as
+    ||(lambda_i - lambda_j) (W~^2)_ij|| / (||lambda|| ||W~||^2) on W~ and
+    lambda scaled by powers of two (see docs/conventions.md), so a finite
+    momentum always gives a finite residual.
+    """
+    residual = _stationarity(m, body, tol)[3]
     return residual <= tol, residual
+
+
+def _require_stationary(m, body: InertiaSpec, tol: float):
+    """_stationarity of a momentum stationary within tol; raises
+    NotAnEquilibrium otherwise."""
+    out = _stationarity(m, body, tol)
+    if out[3] > tol:
+        raise NotAnEquilibrium(
+            f"momentum is not stationary (residual {out[3]:.3e} > tol {tol:.1e})", out[3])
+    return out
 
 
 def _cluster_rates(values: np.ndarray, tol: float, cluster_tol: float):
@@ -300,28 +303,21 @@ def classify(m, body: InertiaSpec, tol: float = DEFAULT_TOL,
     block of W on each cluster, validates each block / rate as a complex
     structure, and reports the signed-permutation (regular) flag.
 
-    Raises NotAnEquilibrium, OddBlock, or AmbiguousClustering.
+    Raises NotAnEquilibrium, OddBlock, or AmbiguousClustering, and
+    ArithmeticError for a rate outside the double range.
     """
     if not 0 < tol < cluster_tol:
         raise ValueError("need 0 < tol < cluster_tol")
-    ok, r_eq = is_equilibrium(m, body, tol)
-    if not ok:
-        raise NotAnEquilibrium(
-            f"commutation residual {r_eq:.3e} exceeds tol {tol:.1e}", r_eq
-        )
-    arr = _skew_array(m)
+    om_t, s, e, r_eq = _require_stationary(m, body, tol)
     n = body.n
     consumed = r_eq
-    if np.linalg.norm(arr) == 0.0:
+    if not om_t.any():
         return EquilibriumStructure((), tuple(range(n)), n=n, residual=0.0,
                                     cluster_tol=cluster_tol)
 
-    om_t = body.to_eigenframe(_invert_array(arr, body))
-    om_t = 0.5 * (om_t - om_t.T)
+    # om_t is W~ scaled by 2**-e; every test below is relative to its norm.
     scale_w = np.linalg.norm(om_t)
     scale_s = scale_w ** 2
-    s = om_t @ om_t
-    s = 0.5 * (s + s.T)
 
     off = s - np.diag(np.diag(s))
     r_diag = float(np.max(np.abs(off)) / scale_s)
@@ -355,14 +351,19 @@ def classify(m, body: InertiaSpec, tol: float = DEFAULT_TOL,
                 "nonzero rates pair up, so the tolerances are misconfigured"
             )
         allowed[np.ix_(axes, axes)] = True
-        omega = float(np.sqrt(np.mean(vals_sorted[g])))
-        block = om_t[np.ix_(axes, axes)]
-        a = block / omega
+        rate = np.sqrt(np.mean(vals_sorted[g]))
+        a = om_t[np.ix_(axes, axes)] / rate
         try:
             structure = ComplexStructure(SkewMatrix(a))
         except ValueError as exc:
             raise NotAnEquilibrium(f"block on axes {axes.tolist()}: {exc}", r_eq) from exc
         consumed = max(consumed, structure.defect)
+        with np.errstate(over="ignore"):
+            omega = float(np.ldexp(rate, e))
+        if not 0.0 < omega < np.inf:
+            raise ArithmeticError(
+                f"rotation rate {rate:.6g} * 2**{e} on axes {axes.tolist()} "
+                "is outside the double range")
         blocks.append(FrequencyBlock(omega=omega, axes=tuple(int(x) for x in axes),
                                      structure=structure))
 

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .body import InertiaSpec, Trajectory, casimir_labels, manakov_labels
+from .body import InertiaSpec, Trajectory, invariant_labels, manakov_labels
 from .equilibria import ComplexStructure, EquilibriumStructure, FrequencyBlock
 from .linalg import SkewMatrix, SymMatrix
 from .stability import LinearizationReport, OrbitKernelReport, ProbeResult
@@ -205,13 +205,13 @@ def _rows(value, n, path):
 
 # -- matrix documents ------------------------------------------------------
 
-def matrix_to_doc(m, kind: str | None = None) -> dict:
+def matrix_to_doc(m) -> dict:
     if isinstance(m, SymMatrix):
-        kind = kind or "sym"
+        kind = "sym"
     elif isinstance(m, SkewMatrix):
-        kind = kind or "skew"
+        kind = "skew"
     else:
-        kind = kind or "general"
+        kind = "general"
     arr = np.asarray(m, dtype=float)
     return {
         "spec_version": SPEC_VERSION,
@@ -400,18 +400,16 @@ def linearization_to_doc(rep: LinearizationReport) -> dict:
     }
 
 
-def orbit_kernel_to_doc(rep: OrbitKernelReport, stabilizer_dim: int | None = None) -> dict:
-    doc = {
+def orbit_kernel_to_doc(rep: OrbitKernelReport) -> dict:
+    return {
         "spec_version": SPEC_VERSION,
         "map_rank": rep.map_rank,
         "kernel_dim": rep.kernel_dim,
         "rank_tol": rep.rank_tol,
         "singular_values": [float(s) for s in rep.singular_values],
+        "stabilizer_dim": rep.stabilizer_dim,
+        "excess_kernel_dim": rep.excess_kernel_dim,
     }
-    if stabilizer_dim is not None:
-        doc["stabilizer_dim"] = stabilizer_dim
-        doc["excess_kernel_dim"] = rep.kernel_dim - stabilizer_dim
-    return doc
 
 
 def probe_to_doc(res: ProbeResult, eps: float, exit_factor: float) -> dict:
@@ -430,13 +428,8 @@ def probe_to_doc(res: ProbeResult, eps: float, exit_factor: float) -> dict:
 
 def _trajectory_columns(traj: Trajectory, n: int) -> list[str]:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return (
-        ["t"]
-        + [f"m_{i}_{j}" for i, j in pairs]
-        + ["energy"]
-        + casimir_labels(n)
-        + manakov_labels(traj.manakov_max_power)
-    )
+    return (["t"] + [f"m_{i}_{j}" for i, j in pairs]
+            + invariant_labels(n, traj.manakov_max_power))
 
 
 def _trajectory_table(traj: Trajectory) -> np.ndarray:
@@ -498,14 +491,13 @@ def write_probe_curve_csv(path, res: ProbeResult) -> None:
 
 def drift_summary_doc(traj: Trajectory) -> dict:
     summary = traj.drift_summary()
-    momentum = summary.pop("momentum_displacement")
     return {
         "spec_version": SPEC_VERSION,
         "samples": len(traj.times),
         "dt": traj.step,
         "record_every": traj.record_every,
         "t_end": traj.times[-1],
-        "momentum_displacement": momentum,
-        "max_drift": max(summary.values()) if summary else 0.0,
+        "momentum_displacement": traj.momentum_displacement(),
+        "max_drift": max(summary.values()),
         "drift": summary,
     }

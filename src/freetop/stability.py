@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .body import InertiaSpec, _check_dims, _check_step, _invert_array, _skew_array, _step_count
-from .equilibria import DEFAULT_TOL, NotAnEquilibrium, is_equilibrium
+from .body import InertiaSpec, _check_step, _invert_array, _skew_array, _step_count
+from .equilibria import DEFAULT_TOL, _require_stationary
 
 __all__ = [
     "LinearizationReport",
@@ -56,13 +56,10 @@ def _so_basis(n: int) -> np.ndarray:
     return vec_to_skew(np.eye(d), n)
 
 
-def _kernel_mask(svals: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Singular values counted as zero: those at most rank_tol * sigma_max,
-    or all of them when the map is zero."""
-    smax = svals[0] if svals.size else 0.0
-    if smax == 0.0:
-        return np.ones(svals.shape, dtype=bool)
-    return svals <= rank_tol * smax
+def _kernel_dim(svals: np.ndarray, rank_tol: float) -> int:
+    """Number of singular values counted as zero: those at most
+    rank_tol * sigma_max, so all of them when the map is zero."""
+    return int(np.sum(svals <= rank_tol * svals.max(initial=0.0)))
 
 
 def _sorted_spectrum(eigs: np.ndarray) -> np.ndarray:
@@ -85,21 +82,15 @@ class LinearizationReport:
 class OrbitKernelReport:
     """Rank data of the first-order equilibrium-residual map along orbit
     directions. kernel_dim counts singular values at most
-    rank_tol * sigma_max."""
+    rank_tol * sigma_max; stabilizer_dim is the same count for ad_M, and
+    excess_kernel_dim = kernel_dim - stabilizer_dim."""
 
     map_rank: int
     kernel_dim: int
     singular_values: np.ndarray
     rank_tol: float
-
-
-def _require_equilibrium(m_eq, body: InertiaSpec, tol: float):
-    ok, residual = is_equilibrium(m_eq, body, tol)
-    if not ok:
-        raise NotAnEquilibrium(
-            f"momentum is not stationary (residual {residual:.3e} > tol {tol:.1e})",
-            residual,
-        )
+    stabilizer_dim: int
+    excess_kernel_dim: int
 
 
 def _linearization_matrix(m: np.ndarray, body: InertiaSpec) -> np.ndarray:
@@ -113,9 +104,8 @@ def _linearization_matrix(m: np.ndarray, body: InertiaSpec) -> np.ndarray:
 
 def linearize(m_eq, body: InertiaSpec, tol: float = DEFAULT_TOL) -> LinearizationReport:
     """Spectrum of the linearized flow at a stationary momentum."""
+    _require_stationary(m_eq, body, tol)
     arr = _skew_array(m_eq)
-    _check_dims(arr, body)
-    _require_equilibrium(arr, body, tol)
     mat = _linearization_matrix(arr, body)
     eigs = _sorted_spectrum(np.linalg.eigvals(mat))
     return LinearizationReport(
@@ -132,10 +122,6 @@ def _ad_matrix(m: np.ndarray, n: int) -> np.ndarray:
     return skew_to_vec(e @ m - m @ e).T
 
 
-def _orbit_map(m: np.ndarray, body: InertiaSpec) -> np.ndarray:
-    return _linearization_matrix(m, body) @ _ad_matrix(m, body.n)
-
-
 def orbit_kernel(m_eq, body: InertiaSpec, rank_tol: float = DEFAULT_RANK_TOL,
                  tol: float = DEFAULT_TOL) -> OrbitKernelReport:
     """Kernel of xi -> D(field)(M) [xi, M] at a stationary momentum.
@@ -146,26 +132,27 @@ def orbit_kernel(m_eq, body: InertiaSpec, rank_tol: float = DEFAULT_RANK_TOL,
     """
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
+    _require_stationary(m_eq, body, tol)
     arr = _skew_array(m_eq)
-    _check_dims(arr, body)
-    _require_equilibrium(arr, body, tol)
-    k = _orbit_map(arr, body)
-    svals = np.linalg.svd(k, compute_uv=False)
-    dim = k.shape[0]
-    kernel_dim = int(np.sum(_kernel_mask(svals, rank_tol)))
+    ad = _ad_matrix(arr, body.n)
+    svals = np.linalg.svd(_linearization_matrix(arr, body) @ ad, compute_uv=False)
+    kernel_dim = _kernel_dim(svals, rank_tol)
+    stabilizer_dim = _kernel_dim(np.linalg.svd(ad, compute_uv=False), rank_tol)
     return OrbitKernelReport(
-        map_rank=dim - kernel_dim,
+        map_rank=svals.size - kernel_dim,
         kernel_dim=kernel_dim,
         singular_values=svals,
         rank_tol=rank_tol,
+        stabilizer_dim=stabilizer_dim,
+        excess_kernel_dim=kernel_dim - stabilizer_dim,
     )
 
 
 def stabilizer_dimension(m, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Dimension of {xi in so(n) : [xi, m] = 0} for an n x n matrix m."""
     arr = np.asarray(m, dtype=float)
-    svals = np.linalg.svd(_ad_matrix(arr, arr.shape[-1]), compute_uv=False)
-    return int(np.sum(_kernel_mask(svals, rank_tol)))
+    return _kernel_dim(np.linalg.svd(_ad_matrix(arr, arr.shape[-1]), compute_uv=False),
+                       rank_tol)
 
 
 @dataclass(frozen=True)
@@ -209,9 +196,8 @@ def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
         raise ValueError("dt must be positive")
     record_every = max(1, int(round(0.1 / dt)))
     total = _step_count(horizon, dt, record_every, name="horizon")
+    _require_stationary(m_eq, body, tol)
     arr = _skew_array(m_eq)
-    _check_dims(arr, body)
-    _require_equilibrium(arr, body, tol)
     rng = np.random.default_rng(seed)
     m0 = arr + eps * _unit_skew(body.n, rng)
     _check_step(m0, body, dt)

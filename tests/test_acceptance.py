@@ -169,7 +169,7 @@ def test_criterion_5_conservation_order(warm_kernel):
         traj = ft.integrate(m0, body, dt=1e-3, t_end=10.0, record_every=100,
                             manakov_max_power=4)
         summary = traj.drift_summary()
-        worst = max(v for k, v in summary.items() if k != "momentum_displacement")
+        worst = max(summary.values())
         assert worst < 1e-7, f"drift {worst:.3e}"
 
 

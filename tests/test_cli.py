@@ -337,19 +337,32 @@ class TestClassify:
         assert f"error: invalid input: {field}: momentum" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["classify"], ["stability", "--kernel"]])
-    def test_non_finite_residual_exit3(self, tmp_path, capsys, command):
-        # E01 is stationary for this body, but ||J|| overflows and ||W||^2
-        # underflows, so the residual's scale ||J|| ||W||^2 is inf * 0.
+    def test_stationary_on_huge_body_exit0(self, tmp_path, capsys, command):
+        # E01 is stationary for this body; ||J|| overflows and ||W||^2
+        # underflows, so only a residual taken in scaled units can say so.
         m_path = write(tmp_path / "m.json", {"spec_version": "1", "n": 3, "kind": "skew",
                                              "rows": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]})
         b_path = write(tmp_path / "b.json", {
             "spec_version": "1", "n": 3, "kind": "sym",
             "rows": [[1e200, 1e200, 0.0], [1e200, 3e200, 0.0], [0.0, 0.0, 5e200]]})
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            code = main([command[0], m_path, b_path, *command[1:]])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "numerical failure" in err and "residual nan is not finite" in err
+        with np.errstate(over="ignore"):
+            assert main([command[0], m_path, b_path, *command[1:]]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        if command == ["classify"]:
+            assert [b["axes"] for b in doc["blocks"]] == [[0, 1]]
+            assert doc["fixed_axes"] == [2]
+        else:
+            assert doc["excess_kernel_dim"] == 0
+
+    @pytest.mark.parametrize("command", [["classify"], ["stability", "--kernel"]])
+    def test_tiny_momentum_not_stationary_exit4(self, tmp_path, body3_path, capsys, command):
+        # ||M|| underflows to 0, but this momentum is not the zero momentum:
+        # its residual is 9.1e-2 at every scale.
+        m_path = write(tmp_path / "m.json", {
+            "spec_version": "1", "n": 3, "kind": "skew",
+            "rows": [[0, 1e-170, 1e-170], [-1e-170, 0, 0], [-1e-170, 0, 0]]})
+        assert main([command[0], m_path, body3_path, *command[1:]]) == 4
+        assert "residual 9.07" in capsys.readouterr().err
 
     def test_momentum_beyond_double_range_exit2(self, tmp_path, body3_path, capsys):
         # The first structured part overflows; the second matrix is symmetric,

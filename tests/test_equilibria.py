@@ -101,6 +101,38 @@ class TestIsEquilibrium:
         with pytest.raises(ValueError):
             ft.is_equilibrium(ft.SkewMatrix.zeros(4), body4, tol=0.0)
 
+    def test_residual_is_scale_free(self):
+        # A stationary momentum and one with residual 1e-6. Scaling the
+        # momentum by 2**a leaves the residual's bits unchanged; scaling the
+        # diagonal body by 2**b (which may move its eigenframe by rounding)
+        # leaves the verdict unchanged. Unscaled norms under- or overflow here.
+        lam = np.array([1.0, 1.7, 2.6, 3.2, 4.1, 5.3])
+        body = ft.InertiaSpec.from_eigenvalues(lam)
+        m, _ = ft.generate(read_recipe(((0, 1, 2, 3), 1.5, "random"), ((4, 5), 0.7), seed=3),
+                           body)
+        d = random_skew(6, np.random.default_rng(0)).array
+        moved = m.array + 1e-5 * np.linalg.norm(m.array) * d / np.linalg.norm(d)
+        powers = (-1000, -600, 0, 600, 1000)
+        for arr, stationary in ((m.array, True), (moved, False)):
+            for b in powers:
+                with np.errstate(over="ignore"):
+                    scaled_body = ft.InertiaSpec.from_eigenvalues(np.ldexp(lam, b))
+                results = {ft.is_equilibrium(ft.SkewMatrix(np.ldexp(arr, a)), scaled_body)
+                           for a in powers}
+                assert len(results) == 1, (b, results)
+                ((ok, residual),) = results
+                assert ok == stationary and np.isfinite(residual)
+
+    def test_smallest_moment_underflowing_when_scaled(self):
+        # Scaled so that the largest moment is below 1, 1e-320 * 2**-334 is
+        # 0: the pair sum 2 * lam_0 vanishes, on the diagonal, where M~ is 0.
+        body = ft.InertiaSpec.from_eigenvalues([1e-320, 1e100, 2e100])
+        spin = ft.inertia_apply(rotation_generator(3, 1, 2, 1e-50), body)
+        assert ft.is_equilibrium(spin, body)[0]
+        ok, residual = ft.is_equilibrium(
+            ft.SkewMatrix([[0.0, 1.0, 1.0], [-1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), body)
+        assert not ok and np.isfinite(residual)
+
     def test_both_criterion_forms_agree(self, rng):
         # The two commutator forms must give the same verdict for random
         # momenta, stationary or not (they are equal as matrices).

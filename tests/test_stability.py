@@ -5,8 +5,7 @@ from scipy.optimize import linear_sum_assignment
 
 import freetop as ft
 from freetop.body import _invert_array
-from freetop.stability import (
-    skew_to_vec, vec_to_skew, _ad_matrix, _linearization_matrix, _orbit_map)
+from freetop.stability import skew_to_vec, vec_to_skew, _ad_matrix, _linearization_matrix
 
 from conftest import random_body, random_skew
 from recipes import read_recipe
@@ -203,12 +202,17 @@ class TestOrbitKernel:
             assert (stab, kernel) == FROZEN_KERNELS[name], name
 
 
+def orbit_map(m, body):
+    """The matrix whose singular values ft.orbit_kernel reports."""
+    return _linearization_matrix(m, body) @ _ad_matrix(m, body.n)
+
+
 def orbit_kernel_directions(m, body):
     """Orthonormal basis (columns) of the orbit kernel of a stationary
     momentum, as so(n) vectors: the right singular vectors of the orbit map
     that ft.orbit_kernel counts as kernel."""
     kernel_dim = ft.orbit_kernel(m, body).kernel_dim
-    _, _, vt = np.linalg.svd(_orbit_map(ft.SkewMatrix(m).array, body))
+    _, _, vt = np.linalg.svd(orbit_map(ft.SkewMatrix(m).array, body))
     return vt[vt.shape[0] - kernel_dim:].T
 
 
@@ -241,7 +245,7 @@ class TestNonIsolationSlopes:
 
     def test_generic_direction_first_order(self):
         m, _, body = make_fixture("exotic_n4")
-        k = _orbit_map(m.array, body)
+        k = orbit_map(m.array, body)
         _, _, vt = np.linalg.svd(k)
         xi = vec_to_skew(vt[0], body.n)  # direction of largest first-order response
         r1 = residual_after_orbit_move(m, body, xi, 1e-3)

@@ -2,17 +2,15 @@
 
 The momentum flow is integrated in the inertia eigenframe, where the
 momentum-to-velocity map is an entrywise division by the pairwise
-eigenvalue sums. One RK4 loop has three implementations, and
+eigenvalue sums. One RK4 loop has two implementations, and
 `rk4_momentum` runs the first usable one:
 
-1. numba: `_rk4_momentum_loops` compiled by numba, cached by numba.
-2. C: the same loop in `_rk4.c`, used when numba cannot be imported. The
-   first call builds it once with the system C compiler (``cc`` or
-   ``gcc``) into this package's ``__pycache__`` and loads it with ctypes;
-   later processes load the cached shared object.
-3. numpy: the vectorized twin `rk4_momentum_numpy`, about 100x slower.
+1. C: the loop in `_rk4.c`. The first call builds it once with the system
+   C compiler (``cc`` or ``gcc``) into this package's ``__pycache__`` and
+   loads it with ctypes; later processes load the cached shared object.
+2. numpy: the vectorized twin `rk4_momentum_numpy`, about 100x slower.
    It runs, after one UserWarning per process that names the reason, when
-   neither compiled kernel is usable; tests use it as the reference.
+   the C kernel is unusable; tests use it as the reference.
 
 Importing this module neither compiles nor loads the C kernel.
 """
@@ -28,14 +26,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - declared, but may be missing; the C kernel stands in
-    njit = None
-    HAVE_NUMBA = False
 
 _C_SOURCE = Path(__file__).with_name("_rk4.c")
 # No -march=native and no -ffast-math: results must not depend on the host CPU
@@ -75,68 +65,10 @@ def rk4_momentum_numpy(m0: np.ndarray, pair_sums: np.ndarray, dt: float,
     return out
 
 
-def _rk4_momentum_loops(m0, pair_sums, dt, nsteps, record_every):  # pragma: no cover
-    n = m0.shape[0]
-    nrec = nsteps // record_every
-    out = np.empty((nrec + 1, n, n))
-    for i in range(n):
-        for j in range(n):
-            out[0, i, j] = m0[i, j]
-    m = m0.copy()
-    y = np.empty((n, n))
-    om = np.empty((n, n))
-    k1 = np.empty((n, n))
-    k2 = np.empty((n, n))
-    k3 = np.empty((n, n))
-    k4 = np.empty((n, n))
-
-    def field(src, dst):
-        for i in range(n):
-            for j in range(n):
-                om[i, j] = src[i, j] / pair_sums[i, j]
-        for i in range(n):
-            for j in range(n):
-                acc = 0.0
-                for l in range(n):
-                    acc += src[i, l] * om[l, j]
-                dst[i, j] = acc
-        for i in range(n):
-            dst[i, i] = 0.0
-            for j in range(i + 1, n):
-                c = dst[i, j] - dst[j, i]
-                dst[i, j] = c
-                dst[j, i] = -c
-
-    r = 1
-    for step in range(nsteps):
-        field(m, k1)
-        for i in range(n):
-            for j in range(n):
-                y[i, j] = m[i, j] + 0.5 * dt * k1[i, j]
-        field(y, k2)
-        for i in range(n):
-            for j in range(n):
-                y[i, j] = m[i, j] + 0.5 * dt * k2[i, j]
-        field(y, k3)
-        for i in range(n):
-            for j in range(n):
-                y[i, j] = m[i, j] + dt * k3[i, j]
-        field(y, k4)
-        for i in range(n):
-            for j in range(n):
-                m[i, j] += (dt / 6.0) * (k1[i, j] + 2.0 * (k2[i, j] + k3[i, j]) + k4[i, j])
-        if (step + 1) % record_every == 0:
-            for i in range(n):
-                for j in range(n):
-                    out[r, i, j] = m[i, j]
-            r += 1
-    return out
-
-
-if HAVE_NUMBA:
-    rk4_momentum_numba = njit(cache=True)(_rk4_momentum_loops)
-else:  # pragma: no cover
-    rk4_momentum_numba = None
+# perfbench/workloads.py::backend() reads this name on every benchmark run and
+# fails with AttributeError without it, until it reads `backend()` instead.
+# There is no numba kernel, so it is always None.
+rk4_momentum_numba = None
 
 
 class _BuildError(Exception):
@@ -189,7 +121,7 @@ def _c_kernel():
         fn = ctypes.CDLL(str(_build_c_kernel())).freetop_rk4_momentum
     except (_BuildError, OSError) as exc:
         warnings.warn(
-            f"numba is not installed and the C RK4 kernel is unusable ({exc}); "
+            f"the C RK4 kernel is unusable ({exc}); "
             "integrating with the numpy kernel, about 100x slower",
             UserWarning,
         )
@@ -202,7 +134,7 @@ def _c_kernel():
 
 
 def rk4_momentum_c(m0, pair_sums, dt, nsteps, record_every):
-    """The C kernel; same contract and results as `_rk4_momentum_loops`."""
+    """The C kernel; same contract as `rk4_momentum_numpy`."""
     kernel = _c_kernel()
     if kernel is None:
         raise RuntimeError("the C RK4 kernel is not available")
@@ -223,22 +155,14 @@ def rk4_momentum_c(m0, pair_sums, dt, nsteps, record_every):
 
 
 def backend() -> str:
-    """Name of the kernel `rk4_momentum` runs: "numba", "c" or "numpy".
+    """Name of the kernel `rk4_momentum` runs: "c" or "numpy".
 
-    Without numba, the first call builds or loads the C kernel.
+    The first call builds or loads the C kernel.
     """
-    if rk4_momentum_numba is not None:
-        return "numba"
-    if _c_kernel() is not None:
-        return "c"
-    return "numpy"
+    return "c" if _c_kernel() is not None else "numpy"
 
 
 def rk4_momentum(m0, pair_sums, dt, nsteps, record_every):
-    """Run the first usable kernel of numba, C and numpy (see `backend`)."""
-    kernel = {
-        "numba": rk4_momentum_numba,
-        "c": rk4_momentum_c,
-        "numpy": rk4_momentum_numpy,
-    }[backend()]
+    """Run the C kernel if it is usable, else the numpy twin (see `backend`)."""
+    kernel = rk4_momentum_c if backend() == "c" else rk4_momentum_numpy
     return kernel(m0, pair_sums, float(dt), nsteps, record_every)

@@ -1,9 +1,9 @@
 /* Classical RK4 on dM/dt = [M, M / pair_sums] in the inertia eigenframe.
  *
  * The same loop, in the same floating-point operation order, as
- * _rk4_momentum_loops in _kernels.py. Built without -ffast-math and with
- * -ffp-contract=off, so no step is reassociated or fused and the results
- * are IEEE-deterministic.
+ * rk4_momentum_loops in tests/oracles.py, its bit-for-bit reference. Built
+ * without -ffast-math and with -ffp-contract=off, so no step is reassociated
+ * or fused and the results are IEEE-deterministic.
  *
  * All buffers are C-contiguous float64 arrays owned by the caller:
  *   m0, pair_sums  (n, n)

@@ -20,7 +20,6 @@ from .linalg import (
     SkewMatrix,
     SymMatrix,
     _check_structure,
-    _readonly,
     eigen_symmetric,
 )
 
@@ -64,7 +63,6 @@ class InertiaSpec:
     def __init__(self, j):
         # A read-only copy of its own: J, the frame and pair_sums cannot disagree.
         self.J = SymMatrix(j)
-        _readonly(self.J._a)
         self.frame: EigenFrame = eigen_symmetric(self.J)
         lam = self.frame.eigenvalues
         if lam[0] <= 0.0:
@@ -370,9 +368,8 @@ def integrate(state, body: InertiaSpec, dt: float, t_end: float,
     pass. Steps with dt * ||W(0)||_2 above 0.5 are rejected
     (guard="reject") or allowed with a warning (guard="warn").
 
-    The flow runs in the inertia eigenframe through the first usable
-    kernel of numba, the C kernel and the numpy twin (see
-    `freetop._kernels`).
+    The flow runs in the inertia eigenframe through the C kernel, or the
+    numpy twin where the C kernel cannot be built (see `freetop._kernels`).
     """
     m0 = _skew_array(state)
     nsteps = _step_count(t_end, dt, record_every)

@@ -106,10 +106,11 @@ class ComplexStructure:
         """Block-diagonal quarter-turn in m consecutive coordinate pairs."""
         if m < 1:
             raise ValueError("m must be at least 1")
-        k = SkewMatrix.zeros(2 * m)
-        for b in range(m):
-            k[2 * b, 2 * b + 1] = 1.0
-        return cls(k)
+        k = np.zeros((2 * m, 2 * m))
+        even = np.arange(0, 2 * m, 2)
+        k[even, even + 1] = 1.0
+        k[even + 1, even] = -1.0
+        return cls(SkewMatrix(k))
 
     @classmethod
     def random(cls, m: int, rng: np.random.Generator) -> "ComplexStructure":

@@ -31,6 +31,13 @@ def _as_square(a) -> np.ndarray:
     return arr
 
 
+def _unit(largest):
+    """The power of two that brings `largest` below 1, or 1 if it is below
+    1/2 already: a factor that scales exactly and keeps norms finite."""
+    _, exponent = np.frexp(np.maximum(largest, 0.5))
+    return np.ldexp(1.0, -exponent)
+
+
 def _check_structure(arr: np.ndarray, sign: float) -> None:
     """Raise ValueError unless arr, one matrix or a stack (..., n, n), is
     finite and each matrix a equals sign * a.T within STRUCTURE_TOL of
@@ -44,8 +51,7 @@ def _check_structure(arr: np.ndarray, sign: float) -> None:
     largest = np.abs(arr).max(axis=(-2, -1), initial=0.0)
     if not np.isfinite(largest).all():
         raise ValueError("matrix entries must be finite")
-    _, exponent = np.frexp(np.maximum(largest, 0.5))
-    unit = np.ldexp(1.0, -exponent)  # 1 in the scaled units; 1 when nothing is scaled
+    unit = _unit(largest)  # 1 in the scaled units; 1 when nothing is scaled
     scaled = arr * unit[..., None, None]
     d = scaled - sign * np.swapaxes(scaled, -2, -1)
     defect = np.sqrt((d * d).sum(axis=(-2, -1)))
@@ -64,12 +70,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 class _StructuredMatrix:
-    """Shared storage for SymMatrix / SkewMatrix.
+    """Shared read-only storage for SymMatrix / SkewMatrix.
 
     The invariant entries[j, i] == sign * entries[i, j] holds exactly:
-    construction projects onto the structured part (after checking the
-    input is structured up to STRUCTURE_TOL), and item assignment writes
-    both mirror entries.
+    construction checks the input is structured up to STRUCTURE_TOL,
+    projects it onto its structured part and makes that storage read-only.
     """
 
     __slots__ = ("_a",)
@@ -83,15 +88,7 @@ class _StructuredMatrix:
             raise ValueError("matrix entries too large: their structured part overflows")
         if self._sign < 0:
             np.fill_diagonal(sym, 0.0)
-        self._a = sym
-
-    @classmethod
-    def zeros(cls, n: int):
-        if n < 1:
-            raise ValueError("dimension must be positive")
-        obj = cls.__new__(cls)
-        obj._a = np.zeros((n, n))
-        return obj
+        self._a = _readonly(sym)
 
     @property
     def n(self) -> int:
@@ -99,9 +96,8 @@ class _StructuredMatrix:
 
     @property
     def array(self) -> np.ndarray:
-        """Read-only view of the underlying storage (no copy)."""
-        v = self._a.view()
-        return _readonly(v)
+        """The read-only underlying storage (no copy)."""
+        return self._a
 
     def __array__(self, dtype=None, copy=None):
         out = self._a.copy()
@@ -109,16 +105,6 @@ class _StructuredMatrix:
 
     def __getitem__(self, idx):
         return self._a[idx]
-
-    def __setitem__(self, idx, value):
-        i, j = idx
-        v = float(value)
-        if not np.isfinite(v):
-            raise ValueError("matrix entries must be finite")
-        if self._sign < 0 and i == j and v != 0.0:
-            raise ValueError("diagonal of a skew-symmetric matrix is zero")
-        self._a[i, j] = v
-        self._a[j, i] = self._sign * v
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -193,13 +179,19 @@ def eigen_symmetric(s) -> EigenFrame:
 
     Eigenvalues are ascending; eigenvector signs are fixed by the first
     non-negligible component. Raises ArithmeticError if the reconstruction
-    residual exceeds 1e-10 times the norm of the (symmetrized) input.
+    residual exceeds 1e-10 times the norm of the (symmetrized) input. Both
+    norms are taken after one exact power-of-two scaling (as in
+    `_check_structure`), so they cannot overflow.
     """
     a = s.array if isinstance(s, SymMatrix) else SymMatrix(s).array
     lam, v = np.linalg.eigh(a)
     _fix_column_signs(v)
     frame = EigenFrame(eigenvalues=lam, basis=v)
-    resid = np.linalg.norm(v @ np.diag(lam) @ v.T - a)
-    if resid > 1e-10 * np.linalg.norm(a):
-        raise ArithmeticError(f"eigendecomposition residual {resid:.3e} too large")
+    unit = _unit(np.abs(a).max())
+    scaled = a * unit
+    resid = np.linalg.norm(v @ np.diag(lam * unit) @ v.T - scaled)
+    norm = np.linalg.norm(scaled)
+    if resid > 1e-10 * norm:
+        raise ArithmeticError(
+            f"relative eigendecomposition residual {resid / norm:.3e} exceeds 1e-10")
     return frame

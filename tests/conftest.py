@@ -9,19 +9,20 @@ settings.load_profile("ci")
 
 
 def random_skew(n, rng, scale=1.0):
-    m = ft.SkewMatrix.zeros(n)
+    m = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             m[i, j] = scale * rng.standard_normal()
-    return m
+    return ft.SkewMatrix(m - m.T)
 
 
 def rotation_generator(n, i, j, omega=1.0):
     """Generator of a rotation in the (i, j) coordinate plane: the (i, j)
     entry is +omega, so exp(t * G) rotates e_j toward e_i."""
-    g = ft.SkewMatrix.zeros(n)
+    g = np.zeros((n, n))
     g[i, j] = omega
-    return g
+    g[j, i] = -omega
+    return ft.SkewMatrix(g)
 
 
 def random_sym(n, rng, scale=1.0):

@@ -83,6 +83,68 @@ def rk4_ambient(m0, body, dt, nsteps):
     return m
 
 
+# -- momentum flow in the eigenframe -----------------------------------------
+
+def rk4_momentum_loops(m0, pair_sums, dt, nsteps, record_every):
+    """RK4 in the eigenframe as plain scalar loops, in the operation order of
+    the C kernel (`_rk4.c`), so the two agree bit for bit."""
+    n = m0.shape[0]
+    nrec = nsteps // record_every
+    out = np.empty((nrec + 1, n, n))
+    for i in range(n):
+        for j in range(n):
+            out[0, i, j] = m0[i, j]
+    m = m0.copy()
+    y = np.empty((n, n))
+    om = np.empty((n, n))
+    k1 = np.empty((n, n))
+    k2 = np.empty((n, n))
+    k3 = np.empty((n, n))
+    k4 = np.empty((n, n))
+
+    def field(src, dst):
+        for i in range(n):
+            for j in range(n):
+                om[i, j] = src[i, j] / pair_sums[i, j]
+        for i in range(n):
+            for j in range(n):
+                acc = 0.0
+                for l in range(n):
+                    acc += src[i, l] * om[l, j]
+                dst[i, j] = acc
+        for i in range(n):
+            dst[i, i] = 0.0
+            for j in range(i + 1, n):
+                c = dst[i, j] - dst[j, i]
+                dst[i, j] = c
+                dst[j, i] = -c
+
+    r = 1
+    for step in range(nsteps):
+        field(m, k1)
+        for i in range(n):
+            for j in range(n):
+                y[i, j] = m[i, j] + 0.5 * dt * k1[i, j]
+        field(y, k2)
+        for i in range(n):
+            for j in range(n):
+                y[i, j] = m[i, j] + 0.5 * dt * k2[i, j]
+        field(y, k3)
+        for i in range(n):
+            for j in range(n):
+                y[i, j] = m[i, j] + dt * k3[i, j]
+        field(y, k4)
+        for i in range(n):
+            for j in range(n):
+                m[i, j] += (dt / 6.0) * (k1[i, j] + 2.0 * (k2[i, j] + k3[i, j]) + k4[i, j])
+        if (step + 1) % record_every == 0:
+            for i in range(n):
+                for j in range(n):
+                    out[r, i, j] = m[i, j]
+            r += 1
+    return out
+
+
 def euler3d_linearization(m_star, moments, h=1e-7):
     """Jacobian of the classical vector field by central differences."""
     m_star = np.asarray(m_star, dtype=float)

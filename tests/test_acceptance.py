@@ -142,10 +142,11 @@ def test_criterion_5_conservation_order(warm_kernel):
     with criterion(5, "conservation order"):
         rng = np.random.default_rng(2024)
         body = ft.InertiaSpec.from_eigenvalues([1.0, 2.0, 3.0, 4.0])
-        m0 = ft.SkewMatrix.zeros(4)
+        m0 = np.zeros((4, 4))
         for i in range(4):
             for j in range(i + 1, 4):
                 m0[i, j] = 3.0 * rng.standard_normal()
+        m0 = ft.SkewMatrix(m0 - m0.T)
         labels = invariant_labels(4, 4)
         dts = (0.1, 0.05, 0.025)
         noise_floor = 5e-12

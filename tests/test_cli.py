@@ -345,7 +345,7 @@ class TestClassify:
         b_path = write(tmp_path / "b.json", {
             "spec_version": "1", "n": 3, "kind": "sym",
             "rows": [[1e200, 1e200, 0.0], [1e200, 3e200, 0.0], [0.0, 0.0, 5e200]]})
-        with np.errstate(over="ignore"):
+        with np.errstate(over="raise"):
             assert main([command[0], m_path, b_path, *command[1:]]) == 0
         doc = json.loads(capsys.readouterr().out)
         if command == ["classify"]:

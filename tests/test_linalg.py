@@ -68,44 +68,15 @@ class TestStructuredStorage:
         with pytest.raises(ValueError, match="structural defect"):
             _check_structure(stack, sign)
 
-    def test_set_item_mirrors(self):
-        s = ft.SymMatrix.zeros(3)
-        s[0, 2] = 4.5
-        assert s[2, 0] == 4.5
-        k = ft.SkewMatrix.zeros(3)
-        k[0, 1] = 2.0
-        assert k[1, 0] == -2.0
-
-    def test_skew_diagonal_stays_zero(self):
-        k = ft.SkewMatrix.zeros(3)
-        with pytest.raises(ValueError):
-            k[1, 1] = 1.0
-        k[2, 2] = 0.0  # allowed no-op
-
     def test_near_structured_input_is_exactified(self):
         a = np.array([[0.0, 1.0], [-1.0 + 1e-13, 0.0]])
         k = ft.SkewMatrix(a)
         assert k[0, 1] == -k[1, 0]
 
     def test_array_view_is_readonly(self):
-        s = ft.SymMatrix.zeros(2)
+        s = ft.SymMatrix(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             s.array[0, 0] = 1.0
-
-    @given(dims(), st.integers(0, 10**6))
-    def test_mutation_keeps_structure_exact(self, n, seed):
-        rng = np.random.default_rng(seed)
-        s = ft.SymMatrix.zeros(n)
-        k = ft.SkewMatrix.zeros(n)
-        for _ in range(12):
-            i, j = rng.integers(0, n, size=2)
-            v = float(rng.standard_normal())
-            s[i, j] = v
-            if i != j:
-                k[i, j] = v
-        assert np.array_equal(s.array, s.array.T)
-        assert np.array_equal(k.array, -k.array.T)
-        assert np.all(np.diag(k.array) == 0.0)
 
 
 class TestCommutator:
@@ -183,6 +154,25 @@ class TestEigenSymmetric:
         f2 = ft.eigen_symmetric(s)
         assert np.array_equal(f1.eigenvalues, f2.eigenvalues)
         assert np.array_equal(f1.basis, f2.basis)
+
+    def test_residual_check_scaled_on_huge_input(self):
+        # Unscaled, the residual and ||A|| both overflow for entries above
+        # about 1e154, and inf > 1e-10 * inf is false.
+        a = [[1e200, 1e200, 0.0], [1e200, 3e200, 0.0], [0.0, 0.0, 5e200]]
+        with np.errstate(over="raise"):
+            frame = ft.eigen_symmetric(a)
+        lam, _ = np.linalg.eigh(np.asarray(a) * 2.0 ** -700)
+        np.testing.assert_allclose(frame.eigenvalues * 2.0 ** -700, lam, rtol=1e-14)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_residual_check_rejects_wrong_decomposition(self, monkeypatch, scale):
+        # A basis of unit vectors for a matrix that is not diagonal.
+        a = scale * np.array([[2.0, 1.0], [1.0, 2.0]])
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda s: (scale * np.array([1.0, 3.0]), np.eye(2)))
+        with np.errstate(over="raise"):
+            with pytest.raises(ArithmeticError, match="residual"):
+                ft.eigen_symmetric(a)
 
 
 def eigen_inputs(n, rng):

@@ -56,7 +56,7 @@ class TestScenarioParsing:
             "n": 4, "kind": "skew",
             "rows": np.zeros((4, 4)).tolist()}})
         sc = scenario_from_doc(doc)
-        assert sc.initial == ft.SkewMatrix.zeros(4)
+        assert sc.initial == ft.SkewMatrix(np.zeros((4, 4)))
 
     def test_initial_must_be_single_choice(self):
         doc = base_doc()

@@ -9,7 +9,6 @@ stability and non-isolation numerically.
 from .linalg import (
     SymMatrix,
     SkewMatrix,
-    EigenFrame,
     eigen_symmetric,
 )
 from .body import (
@@ -17,8 +16,6 @@ from .body import (
     Trajectory,
     IntegrationAbort,
     inertia_apply,
-    inertia_invert,
-    vector_field,
     energy,
     casimirs,
     manakov_integrals,
@@ -31,8 +28,9 @@ from .equilibria import (
     NotAnEquilibrium,
     OddBlock,
     AmbiguousClustering,
-    ComplexStructure,
     FrequencyBlock,
+    standard_structure,
+    random_structure,
     EquilibriumStructure,
     is_equilibrium,
     classify,

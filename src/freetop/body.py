@@ -15,21 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .linalg import (
-    EigenFrame,
-    SkewMatrix,
-    SymMatrix,
-    _check_structure,
-    eigen_symmetric,
-)
+from .linalg import SkewMatrix, SymMatrix, _check_structure, _readonly, eigen_symmetric
 
 __all__ = [
     "InertiaSpec",
     "Trajectory",
     "IntegrationAbort",
     "inertia_apply",
-    "inertia_invert",
-    "vector_field",
     "energy",
     "casimirs",
     "manakov_integrals",
@@ -53,33 +45,35 @@ class IntegrationAbort(RuntimeError):
 class InertiaSpec:
     """Inertia matrix J together with its eigenframe.
 
-    J must be symmetric positive-definite with pairwise-distinct
-    eigenvalues: positivity makes every pairwise eigenvalue sum positive,
-    so the momentum-to-velocity map is invertible; distinctness is what
-    the equilibrium classifier relies on. Eigenvalue gaps below
-    GAP_TOL * max(eigenvalue) are rejected as degenerate.
+    J must be symmetric positive-definite with at least two axes and
+    pairwise-distinct eigenvalues: positivity makes every pairwise
+    eigenvalue sum positive, so the momentum-to-velocity map is invertible;
+    distinctness is what the equilibrium classifier relies on. Eigenvalue
+    gaps below GAP_TOL * max(eigenvalue) are rejected as degenerate.
+
+    J, eigenvalues (ascending), basis (the matching eigenvectors as columns)
+    and pair_sums (lambda_i + lambda_j) are read-only arrays fixed here.
     """
 
     def __init__(self, j):
-        # A read-only copy of its own: J, the frame and pair_sums cannot disagree.
+        # A read-only copy of its own: J, its eigenframe and pair_sums cannot disagree.
         self.J = SymMatrix(j)
-        self.frame: EigenFrame = eigen_symmetric(self.J)
-        lam = self.frame.eigenvalues
+        if self.J.n < 2:
+            raise ValueError(f"a body needs at least two axes, got {self.J.n}")
+        lam, self.basis = eigen_symmetric(self.J)
         if lam[0] <= 0.0:
             raise ValueError(
                 f"inertia matrix must be positive definite (smallest eigenvalue {lam[0]:.3e})"
             )
-        if len(lam) > 1:
-            gap = float(np.diff(lam).min())
-            limit = GAP_TOL * float(np.abs(lam).max())
-            if gap < limit:
-                raise ValueError(
-                    f"inertia eigenvalues too close: gap {gap:.3e} below {limit:.3e}; "
-                    "bodies with repeated moments are not supported"
-                )
-        pair = lam[:, None] + lam[None, :]
-        pair.flags.writeable = False
-        self._pair_sums = pair
+        gap = float(np.diff(lam).min())
+        limit = GAP_TOL * float(np.abs(lam).max())
+        if gap < limit:
+            raise ValueError(
+                f"inertia eigenvalues too close: gap {gap:.3e} below {limit:.3e}; "
+                "bodies with repeated moments are not supported"
+            )
+        self.eigenvalues = lam
+        self.pair_sums = _readonly(lam[:, None] + lam[None, :])
 
     @classmethod
     def from_eigenvalues(cls, values) -> "InertiaSpec":
@@ -89,25 +83,12 @@ class InertiaSpec:
     def n(self) -> int:
         return self.J.n
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.frame.eigenvalues
-
-    @property
-    def basis(self) -> np.ndarray:
-        return self.frame.basis
-
-    @property
-    def pair_sums(self) -> np.ndarray:
-        """Matrix of pairwise eigenvalue sums lambda_i + lambda_j."""
-        return self._pair_sums
-
     def to_eigenframe(self, a) -> np.ndarray:
-        q = self.frame.basis
+        q = self.basis
         return q.T @ np.asarray(a, dtype=float) @ q
 
     def from_eigenframe(self, a) -> np.ndarray:
-        q = self.frame.basis
+        q = self.basis
         return q @ np.asarray(a, dtype=float) @ q.T
 
     def __repr__(self):
@@ -135,17 +116,9 @@ def inertia_apply(omega, body: InertiaSpec) -> SkewMatrix:
 
 def _invert_array(m: np.ndarray, body: InertiaSpec) -> np.ndarray:
     mt = body.to_eigenframe(m)
-    ot = mt / body._pair_sums
+    ot = mt / body.pair_sums
     o = body.from_eigenframe(ot)
     return 0.5 * (o - np.swapaxes(o, -2, -1))
-
-
-def inertia_invert(m, body: InertiaSpec) -> SkewMatrix:
-    """Angular velocity of a momentum: entrywise division by the pairwise
-    eigenvalue sums in the inertia eigenframe, rotated back."""
-    arr = _skew_array(m)
-    _check_dims(arr, body)
-    return SkewMatrix(_invert_array(arr, body))
 
 
 def _scaled_velocity(m: np.ndarray, body: InertiaSpec):
@@ -168,19 +141,6 @@ def _scaled_velocity(m: np.ndarray, body: InertiaSpec):
     w = 0.5 * (mt - mt.T) / pair
     _, c = math.frexp(np.abs(w).max())
     return np.ldexp(w, -c), lam, a - b + c
-
-
-def _field_array(m: np.ndarray, body: InertiaSpec) -> np.ndarray:
-    om = _invert_array(m, body)
-    p = m @ om
-    return p - p.T  # [M, W]; the transpose trick is exact for skew factors
-
-
-def vector_field(m, body: InertiaSpec) -> SkewMatrix:
-    """Right-hand side of the momentum equation, [M, W] with W = inverse inertia of M."""
-    arr = _skew_array(m)
-    _check_dims(arr, body)
-    return SkewMatrix(_field_array(arr, body))
 
 
 def _eigenframe_stack(m, body: InertiaSpec) -> np.ndarray:
@@ -322,9 +282,9 @@ class Trajectory:
 def _step_count(span: float, dt: float, record_every: int, name: str = "t_end") -> int:
     """Steps of size dt in span; rejects a span that is not a multiple of
     dt and a record_every that does not divide the step count."""
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
-    if span <= 0:
+    if not span > 0:
         raise ValueError(f"{name} must be positive")
     if record_every < 1:
         raise ValueError("record_every must be a positive integer")
@@ -383,7 +343,7 @@ def integrate(state, body: InertiaSpec, dt: float, t_end: float,
         manakov_max_power = max(2, min(body.n, 4))
 
     # the kernel records in the eigenframe; rotated back once below
-    momenta = _kernels.rk4_momentum(body.to_eigenframe(m0), np.asarray(body._pair_sums), dt,
+    momenta = _kernels.rk4_momentum(body.to_eigenframe(m0), body.pair_sums, dt,
                                     nsteps, record_every)
     times = np.arange(momenta.shape[0]) * record_every * dt
     finite = np.isfinite(momenta).all(axis=(1, 2))

@@ -11,6 +11,7 @@ overwrites outputs byte-identically.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -64,6 +65,16 @@ def _seed_arg(text: str) -> int:
     return int(text)
 
 
+def _positive_arg(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freetop",
@@ -80,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="normal form of a stationary momentum")
     p_cls.add_argument("matrix", help="momentum JSON file (kind 'skew')")
     p_cls.add_argument("body", help="inertia JSON file (kind 'sym' or eigenvalue list)")
-    p_cls.add_argument("--cluster-tol", type=float, default=DEFAULT_CLUSTER_TOL,
+    p_cls.add_argument("--cluster-tol", type=_positive_arg, default=DEFAULT_CLUSTER_TOL,
                        help="frequency grouping tolerance (default %(default)g)")
     p_cls.add_argument("--out", default=None,
                        help="write the structure JSON here instead of stdout")
@@ -105,15 +116,15 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="orbit-direction kernel vs stabilizer report")
     mode.add_argument("--probe", action="store_true",
                       help="perturbation-growth experiment")
-    p_st.add_argument("--rank-tol", type=float, default=1e-8,
+    p_st.add_argument("--rank-tol", type=_positive_arg, default=1e-8,
                       help="relative singular-value cutoff (default %(default)g)")
-    p_st.add_argument("--eps", type=float, default=1e-6,
+    p_st.add_argument("--eps", type=_positive_arg, default=1e-6,
                       help="probe perturbation size (default %(default)g)")
-    p_st.add_argument("--horizon", type=float, default=100.0,
+    p_st.add_argument("--horizon", type=_positive_arg, default=100.0,
                       help="probe time horizon (default %(default)g)")
-    p_st.add_argument("--exit-factor", type=float, default=100.0,
+    p_st.add_argument("--exit-factor", type=_positive_arg, default=100.0,
                       help="probe escape threshold factor (default %(default)g)")
-    p_st.add_argument("--dt", type=float, default=1e-2,
+    p_st.add_argument("--dt", type=_positive_arg, default=1e-2,
                       help="probe integration step (default %(default)g)")
     p_st.add_argument("--out", default=None,
                       help="write the report JSON here instead of stdout")
@@ -122,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # Each command takes only the shared options it reads.
     for p in (p_cls, p_st):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+        p.add_argument("--tol", type=_positive_arg, default=DEFAULT_TOL,
                        help="stationarity residual tolerance (default %(default)g)")
     for p, text in (
             (p_sim, "replaces the scenario's seed, which seeds its recipe's random "

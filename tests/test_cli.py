@@ -110,6 +110,53 @@ class TestHelp:
         assert option in capsys.readouterr().err
 
 
+class TestNumericOptions:
+    @pytest.mark.parametrize("cmd,option", [
+        ("classify", "--tol"), ("classify", "--cluster-tol"),
+        ("stability", "--tol"), ("stability", "--rank-tol"), ("stability", "--eps"),
+        ("stability", "--horizon"), ("stability", "--exit-factor"), ("stability", "--dt")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "1e-3x"])
+    def test_needs_finite_positive(self, tmp_path, capsys, cmd, option, value):
+        # Rejected while parsing, before any file is read. A NaN --tol used to
+        # pass both `tol <= 0` and `residual > tol`, so stability wrote a
+        # report for a momentum that is not stationary.
+        args = ["m.json", "b.json"] + (["--probe"] if cmd == "stability" else [])
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, *args, f"{option}={value}", "--output-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert option in err and "finite positive" in err
+
+
+class TestOneAxisBody:
+    """A body needs two axes in both of its forms: each command exits 2 and
+    names the field that holds the moments."""
+
+    @pytest.fixture(params=["matrix", "eigenvalues"])
+    def body_doc(self, request):
+        if request.param == "matrix":
+            return {"n": 1, "kind": "sym", "rows": [[2.0]]}, "rows"
+        return {"eigenvalues": [2.0]}, "eigenvalues"
+
+    @pytest.mark.parametrize("command", ["simulate", "classify", "probe"])
+    def test_exit2_names_field(self, tmp_path, capsys, body_doc, command):
+        doc, field = body_doc
+        momentum = {"n": 1, "kind": "skew", "rows": [[0.0]]}
+        if command == "simulate":
+            path = write(tmp_path / "scenario.json", {
+                "spec_version": "1", "body": doc, "initial": {"matrix": momentum},
+                "integrator": {"dt": 0.01, "t_end": 0.1}})
+            argv, field = ["simulate", path], f"body.{field}"
+        else:
+            m = write(tmp_path / "m.json", dict(momentum, spec_version="1"))
+            b = write(tmp_path / "b.json", dict(doc, spec_version="1"))
+            argv = (["classify", m, b] if command == "classify"
+                    else ["stability", m, b, "--probe", "--horizon", "1"])
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}: " in err and "two axes" in err
+
+
 class TestSimulate:
     def test_spinning_book_smoke(self, tmp_path):
         scenario = spinning_book_scenario(tmp_path)

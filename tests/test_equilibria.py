@@ -22,55 +22,76 @@ def two_block_regular(body4, w1=1.0, w2=2.0):
     return ft.generate(recipe, body4)
 
 
+def one_block(a):
+    """The structure of one block of rate 1 on all axes of a."""
+    a = np.asarray(a)
+    block = ft.FrequencyBlock(omega=1.0, axes=tuple(range(a.shape[0])), A=a)
+    return ft.EquilibriumStructure((block,), fixed_axes=(), n=a.shape[0])
+
+
 class TestComplexStructure:
     def test_standard(self):
-        k = ft.ComplexStructure.standard(2)
-        assert k.dim == 4 and k.m == 2
-        np.testing.assert_array_equal(k.A.array @ k.A.array, -np.eye(4))
-        assert k.is_signed_permutation()
+        k = ft.standard_structure(2)
+        assert k.shape == (4, 4) and k.shape[0] // 2 == 2
+        np.testing.assert_array_equal(k @ k, -np.eye(4))
+        assert one_block(k).regular
 
     def test_rejects_odd_dimension(self):
         with pytest.raises(ValueError, match="even"):
-            ft.ComplexStructure(ft.SkewMatrix(np.zeros((3, 3))))
+            ft.FrequencyBlock(omega=1.0, axes=(0, 1, 2), A=np.zeros((3, 3)))
 
     def test_rejects_non_orthogonal(self):
-        a = ft.SkewMatrix([[0.0, 0.5], [-0.5, 0.0]])
+        a = [[0.0, 0.5], [-0.5, 0.0]]
         with pytest.raises(ValueError):
-            ft.ComplexStructure(a)
+            ft.FrequencyBlock(omega=1.0, axes=(0, 1), A=a)
 
     def test_signed_permutation_detects_mixing(self):
         g = givens(4, 0, 2, np.pi / 4)
-        k = ft.ComplexStructure.standard(2).A.array
-        a = ft.ComplexStructure(ft.SkewMatrix(g @ k @ g.T))
-        assert not a.is_signed_permutation()
+        k = ft.standard_structure(2)
+        assert not one_block(g @ k @ g.T).regular
+
+    def test_block_A_is_read_only_and_exactly_skew(self):
+        # q k q^T is skew only up to rounding; the block keeps its exactly
+        # skew part, read-only and not shared with the input.
+        q = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))[0]
+        raw = q @ ft.standard_structure(2) @ q.T
+        assert not np.array_equal(raw, -raw.T)
+        block = ft.FrequencyBlock(omega=1.0, axes=(0, 1, 2, 3), A=raw)
+        assert np.array_equal(block.A, -block.A.T)
+        assert np.all(np.diag(block.A) == 0.0)
+        assert not block.A.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            block.A[0, 1] = 0.0
+        raw[0, 1] = 5.0
+        assert abs(block.A[0, 1]) <= 1.0
 
 
 class TestRandomComplexStructure:
     def test_m1_is_quarter_turn(self):
-        k = ft.ComplexStructure.standard(1).A.array
+        k = ft.standard_structure(1)
         for seed in range(8):
-            a = ft.ComplexStructure.random(1, np.random.default_rng(seed)).A.array
+            a = ft.random_structure(1, np.random.default_rng(seed))
             assert np.allclose(a, k, atol=1e-12) or np.allclose(a, -k, atol=1e-12)
 
     def test_square_is_minus_identity(self):
-        a = ft.ComplexStructure.random(2, np.random.default_rng(42)).A.array
+        a = ft.random_structure(2, np.random.default_rng(42))
         assert np.linalg.norm(a @ a + np.eye(4)) <= 1e-12
         assert np.linalg.norm(a.T @ a - np.eye(4)) <= 1e-12
 
     def test_deterministic(self):
-        a = ft.ComplexStructure.random(3, np.random.default_rng(7)).A.array
-        b = ft.ComplexStructure.random(3, np.random.default_rng(7)).A.array
+        a = ft.random_structure(3, np.random.default_rng(7))
+        b = ft.random_structure(3, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
     def test_seeds_differ(self):
         # Smoke test: distinct seeds give visibly different draws.
-        a = ft.ComplexStructure.random(2, np.random.default_rng(0)).A.array
-        b = ft.ComplexStructure.random(2, np.random.default_rng(1)).A.array
+        a = ft.random_structure(2, np.random.default_rng(0))
+        b = ft.random_structure(2, np.random.default_rng(1))
         assert np.linalg.norm(a - b) > 1e-3
 
     def test_m_must_be_positive(self):
         with pytest.raises(ValueError):
-            ft.ComplexStructure.random(0, np.random.default_rng(1))
+            ft.random_structure(0, np.random.default_rng(1))
 
 
 class TestIsEquilibrium:
@@ -81,8 +102,8 @@ class TestIsEquilibrium:
         assert ok and residual <= 1e-12
 
     def test_scaled_structure_always_stationary(self, body4):
-        a = ft.ComplexStructure.random(2, np.random.default_rng(5))
-        m = ft.inertia_apply(ft.SkewMatrix(1.7 * a.A.array), body4)
+        a = ft.random_structure(2, np.random.default_rng(5))
+        m = ft.inertia_apply(ft.SkewMatrix(1.7 * a), body4)
         ok, residual = ft.is_equilibrium(m, body4)
         assert ok and residual <= 1e-12
 
@@ -144,7 +165,7 @@ class TestIsEquilibrium:
                         fixed_axes=range(n - n % 2, n), seed=n), body)
                 else:
                     m = random_skew(n, rng)
-                om = ft.inertia_invert(m, body).array
+                om = oracles.inertia_invert(m, body).array
                 j = body.J.array
                 scale = np.linalg.norm(j) * np.linalg.norm(om) ** 2
                 r1 = np.linalg.norm(oracles.commutator(m.array, om)) / scale
@@ -179,7 +200,7 @@ class TestClassify:
         # Givens rotation in the (0, 2) plane spreads each rotation plane
         # across the principal axes: still stationary, no longer regular.
         g = givens(4, 0, 2, np.pi / 4)
-        k = ft.ComplexStructure.standard(2).A.array
+        k = ft.standard_structure(2)
         a = g @ k @ g.T
         assert np.linalg.norm(a @ a + np.eye(4)) < 1e-14
         # Some row now carries two entries of size 1/sqrt(2).
@@ -248,7 +269,7 @@ class TestBuilders:
         body = ft.InertiaSpec.from_eigenvalues([1.0, 2.0, 3.0])
         s = ft.EquilibriumStructure(
             (ft.FrequencyBlock(omega=1.0, axes=(0, 1),
-                               structure=ft.ComplexStructure.standard(1)),),
+                               A=ft.standard_structure(1)),),
             fixed_axes=(2,), n=3)
         m = ft.build_momentum(s, body)
         expected = np.zeros((3, 3))
@@ -270,15 +291,15 @@ class TestBuilders:
         with pytest.raises(ValueError, match="partition"):
             ft.EquilibriumStructure(
                 (ft.FrequencyBlock(omega=1.0, axes=(0, 1),
-                                   structure=ft.ComplexStructure.standard(1)),),
+                                   A=ft.standard_structure(1)),),
                 fixed_axes=(1, 2), n=4)
 
     def test_rate_collision_rejected(self):
         blocks = (
             ft.FrequencyBlock(omega=1.0, axes=(0, 1),
-                              structure=ft.ComplexStructure.standard(1)),
+                              A=ft.standard_structure(1)),
             ft.FrequencyBlock(omega=1.0 + 1e-9, axes=(2, 3),
-                              structure=ft.ComplexStructure.standard(1)),
+                              A=ft.standard_structure(1)),
         )
         with pytest.raises(ValueError, match="too close"):
             ft.EquilibriumStructure(blocks, fixed_axes=(), n=4)
@@ -335,7 +356,7 @@ class TestGenerate:
     def test_perturbed_structure_fails(self, body4, rng):
         # Necessity of the structure condition: breaking A^2 = -I by a
         # skew (non-orthogonal) perturbation destroys stationarity.
-        a = ft.ComplexStructure.random(2, np.random.default_rng(9)).A.array
+        a = ft.random_structure(2, np.random.default_rng(9))
         delta = random_skew(4, rng, scale=1e-3).array
         om_bad = 1.3 * (a + delta)
         m_bad = ft.inertia_apply(ft.SkewMatrix(om_bad), body4)
@@ -344,10 +365,10 @@ class TestGenerate:
         assert residual > 1e-5
 
     def test_explicit_structure_source(self, body4):
-        a = ft.ComplexStructure.random(2, np.random.default_rng(21))
+        a = ft.random_structure(2, np.random.default_rng(21))
         recipe = read_recipe(((0, 1, 2, 3), 1.0, a))
         m, s = ft.generate(recipe, body4)
-        np.testing.assert_array_equal(s.blocks[0].structure.A.array, a.A.array)
+        np.testing.assert_array_equal(s.blocks[0].A, a)
 
     def test_roundtrip_completeness_1000(self):
         # Classifier completeness: classify(build_momentum(s)) is the
@@ -387,7 +408,7 @@ class TestGenerate:
 
     def test_perturbed_structure_fails_many_seeds(self, body4, rng):
         for seed in range(5):
-            a = ft.ComplexStructure.random(2, np.random.default_rng(seed)).A.array
+            a = ft.random_structure(2, np.random.default_rng(seed))
             delta = random_skew(4, rng, scale=1e-3).array
             m_bad = ft.inertia_apply(ft.SkewMatrix(1.3 * (a + delta)), body4)
             ok, residual = ft.is_equilibrium(m_bad, body4)
@@ -398,7 +419,7 @@ class TestGenerate:
         # multiplicity m each; blocks of size two give simple rates.
         recipe = read_recipe(((0, 1, 2, 3), 1.0, "random"), ((4, 5), 2.0), seed=13)
         m, s = ft.generate(recipe, body6)
-        om = ft.inertia_invert(m, body6)
+        om = oracles.inertia_invert(m, body6)
         eigs = np.linalg.eigvals(om.array)
         rates = np.sort(eigs.imag[eigs.imag > 0])
         np.testing.assert_allclose(rates, [1.0, 1.0, 2.0], atol=1e-9)

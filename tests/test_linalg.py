@@ -112,57 +112,75 @@ class TestCommutator:
 
 class TestEigenSymmetric:
     def test_diagonal_permutation(self):
-        frame = ft.eigen_symmetric(ft.SymMatrix.diagonal([3.0, 1.0, 2.0]))
-        np.testing.assert_array_equal(frame.eigenvalues, [1.0, 2.0, 3.0])
+        lam, basis = ft.eigen_symmetric(ft.SymMatrix.diagonal([3.0, 1.0, 2.0]))
+        np.testing.assert_array_equal(lam, [1.0, 2.0, 3.0])
         expected = np.zeros((3, 3))
         expected[1, 0] = expected[2, 1] = expected[0, 2] = 1.0
-        np.testing.assert_array_equal(frame.basis, expected)
+        np.testing.assert_array_equal(basis, expected)
 
     def test_identity(self):
-        frame = ft.eigen_symmetric(np.eye(4))
-        np.testing.assert_array_equal(frame.eigenvalues, np.ones(4))
-        s = frame.basis @ np.diag(frame.eigenvalues) @ frame.basis.T
+        lam, basis = ft.eigen_symmetric(np.eye(4))
+        np.testing.assert_array_equal(lam, np.ones(4))
+        s = basis @ np.diag(lam) @ basis.T
         np.testing.assert_allclose(s, np.eye(4), atol=1e-12)
 
     def test_random_reconstruction(self, rng):
         s = random_sym(5, rng)
-        frame = ft.eigen_symmetric(s)
-        rec = frame.basis @ np.diag(frame.eigenvalues) @ frame.basis.T
+        lam, basis = ft.eigen_symmetric(s)
+        rec = basis @ np.diag(lam) @ basis.T
         assert np.linalg.norm(rec - s.array) < 1e-10 * np.linalg.norm(s.array)
 
     @given(dims(), st.integers(0, 10**6))
     def test_invariants_random(self, n, seed):
         rng = np.random.default_rng(seed)
         s = random_sym(n, rng, scale=3.0)
-        frame = ft.eigen_symmetric(s)
-        assert np.all(np.diff(frame.eigenvalues) >= 0)
-        assert np.linalg.norm(frame.basis.T @ frame.basis - np.eye(n)) <= 1e-12 * n
-        rec = frame.basis @ np.diag(frame.eigenvalues) @ frame.basis.T
+        lam, basis = ft.eigen_symmetric(s)
+        assert np.all(np.diff(lam) >= 0)
+        assert np.linalg.norm(basis.T @ basis - np.eye(n)) <= 1e-12 * n
+        rec = basis @ np.diag(lam) @ basis.T
         assert np.linalg.norm(rec - s.array) <= 1e-10 * max(1e-30, np.linalg.norm(s.array))
 
     def test_sign_convention(self, rng):
         s = random_sym(6, rng)
-        frame = ft.eigen_symmetric(s)
+        _, basis = ft.eigen_symmetric(s)
         for k in range(6):
-            col = frame.basis[:, k]
+            col = basis[:, k]
             lead = col[np.abs(col) > 1e-12][0]
             assert lead > 0
 
     def test_deterministic_bitwise(self, rng):
         s = random_sym(7, rng)
-        f1 = ft.eigen_symmetric(s)
-        f2 = ft.eigen_symmetric(s)
-        assert np.array_equal(f1.eigenvalues, f2.eigenvalues)
-        assert np.array_equal(f1.basis, f2.basis)
+        lam1, basis1 = ft.eigen_symmetric(s)
+        lam2, basis2 = ft.eigen_symmetric(s)
+        assert np.array_equal(lam1, lam2)
+        assert np.array_equal(basis1, basis2)
+
+    def test_returns_read_only_arrays(self, rng):
+        lam, basis = ft.eigen_symmetric(random_sym(4, rng))
+        assert isinstance(lam, np.ndarray) and isinstance(basis, np.ndarray)
+        assert lam.shape == (4,) and basis.shape == (4, 4)
+        for arr in (lam, basis):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_orthonormality_check_rejects_skewed_basis(self, monkeypatch):
+        # Columns of unit length that are not orthogonal: a LAPACK failure,
+        # so ArithmeticError (a numerical failure, exit 3), not bad input.
+        c = np.sqrt(0.5)
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda s: (np.array([1.0, 3.0]), np.array([[1.0, c], [0.0, c]])))
+        with pytest.raises(ArithmeticError, match="orthonormal"):
+            ft.eigen_symmetric([[2.0, 1.0], [1.0, 2.0]])
 
     def test_residual_check_scaled_on_huge_input(self):
         # Unscaled, the residual and ||A|| both overflow for entries above
         # about 1e154, and inf > 1e-10 * inf is false.
         a = [[1e200, 1e200, 0.0], [1e200, 3e200, 0.0], [0.0, 0.0, 5e200]]
         with np.errstate(over="raise"):
-            frame = ft.eigen_symmetric(a)
-        lam, _ = np.linalg.eigh(np.asarray(a) * 2.0 ** -700)
-        np.testing.assert_allclose(frame.eigenvalues * 2.0 ** -700, lam, rtol=1e-14)
+            lam, _ = ft.eigen_symmetric(a)
+        lam_ref, _ = np.linalg.eigh(np.asarray(a) * 2.0 ** -700)
+        np.testing.assert_allclose(lam * 2.0 ** -700, lam_ref, rtol=1e-14)
 
     @pytest.mark.parametrize("scale", [1.0, 1e200])
     def test_residual_check_rejects_wrong_decomposition(self, monkeypatch, scale):
@@ -200,21 +218,21 @@ class TestEigenAgainstReferences:
             # Every comparison at 1e-12 * ||A|| (||A|| >= 1 for these inputs);
             # measured differences stay below 3e-14.
             tol = 1e-12 * np.linalg.norm(a)
-            frame = ft.eigen_symmetric(a)
+            lam, basis = ft.eigen_symmetric(a)
             lam_c, basis_c = oracles.cyclic_jacobi(a)
             lam_e, basis_e = np.linalg.eigh(a)
             oracles.fix_column_signs_loop(basis_e)
             if kind == "diagonal":
-                assert np.array_equal(frame.eigenvalues, lam_c)
-                assert np.array_equal(frame.basis, basis_c)
+                assert np.array_equal(lam, lam_c)
+                assert np.array_equal(basis, basis_c)
             for lam_ref, basis_ref in ((lam_c, basis_c), (lam_e, basis_e)):
-                assert np.max(np.abs(frame.eigenvalues - lam_ref)) <= tol, kind
+                assert np.max(np.abs(lam - lam_ref)) <= tol, kind
                 if kind != "clustered":
-                    assert np.max(np.abs(frame.basis - basis_ref)) <= tol, kind
+                    assert np.max(np.abs(basis - basis_ref)) <= tol, kind
                     continue
                 # Within a cluster the basis is not unique; its projector is.
                 for idx in np.split(np.arange(n), np.flatnonzero(np.diff(lam_ref) > 1e-6) + 1):
-                    proj = frame.basis[:, idx] @ frame.basis[:, idx].T
+                    proj = basis[:, idx] @ basis[:, idx].T
                     proj_ref = basis_ref[:, idx] @ basis_ref[:, idx].T
                     assert np.max(np.abs(proj - proj_ref)) <= tol, kind
 
@@ -224,27 +242,27 @@ class TestEigenAgainstReferences:
         a = np.zeros((6, 6))
         a[:3, :3] = random_sym(3, rng).array + 10.0 * np.eye(3)
         a[3:, 3:] = 2.0 * np.eye(3)
-        frame = ft.eigen_symmetric(a)
-        np.testing.assert_array_equal(frame.eigenvalues[:3], [2.0, 2.0, 2.0])
-        np.testing.assert_array_equal(frame.basis[:, :3], np.eye(6)[:, 3:])
+        lam, basis = ft.eigen_symmetric(a)
+        np.testing.assert_array_equal(lam[:3], [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(basis[:, :3], np.eye(6)[:, 3:])
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_zero_matrix(self, n):
-        frame = ft.eigen_symmetric(np.zeros((n, n)))
-        np.testing.assert_array_equal(frame.eigenvalues, np.zeros(n))
-        np.testing.assert_array_equal(frame.basis, np.eye(n))
+        lam, basis = ft.eigen_symmetric(np.zeros((n, n)))
+        np.testing.assert_array_equal(lam, np.zeros(n))
+        np.testing.assert_array_equal(basis, np.eye(n))
 
     def test_nearly_symmetric_input_is_accepted(self):
         # Accepted as symmetric (defect 1e-9 within STRUCTURE_TOL), so it is
         # decomposed and checked as its symmetric part [[1, 5e-10], [5e-10, 2]].
-        frame = ft.eigen_symmetric([[1.0, 1e-9], [0.0, 2.0]])
-        np.testing.assert_allclose(frame.eigenvalues, [1.0, 2.0], rtol=1e-15)
+        lam, _ = ft.eigen_symmetric([[1.0, 1e-9], [0.0, 2.0]])
+        np.testing.assert_allclose(lam, [1.0, 2.0], rtol=1e-15)
 
     @pytest.mark.parametrize("value", [3.5, -2.0])
     def test_one_by_one(self, value):
-        frame = ft.eigen_symmetric([[value]])
-        np.testing.assert_array_equal(frame.eigenvalues, [value])
-        np.testing.assert_array_equal(frame.basis, [[1.0]])
+        lam, basis = ft.eigen_symmetric([[value]])
+        np.testing.assert_array_equal(lam, [value])
+        np.testing.assert_array_equal(basis, [[1.0]])
 
 
 # Reads rotated bodies for n = 2..64 from stdin, writes the eigenframes' bits.
@@ -255,8 +273,8 @@ import freetop as ft
 raw = np.frombuffer(sys.stdin.buffer.read())
 for n in range(2, 65):
     a, raw = raw[: n * n].reshape(n, n), raw[n * n:]
-    frame = ft.eigen_symmetric(a)
-    sys.stdout.buffer.write(frame.eigenvalues.tobytes() + frame.basis.tobytes())
+    lam, basis = ft.eigen_symmetric(a)
+    sys.stdout.buffer.write(lam.tobytes() + basis.tobytes())
 """
 
 

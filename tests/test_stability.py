@@ -114,6 +114,12 @@ class TestLinearize:
         with pytest.raises(ft.NotAnEquilibrium):
             ft.linearize(random_skew(4, rng), body4)
 
+    def test_nan_tol_rejected(self, body4, rng):
+        # NaN fails every comparison, so `tol <= 0` and `residual > tol`
+        # both let it through to a report on a non-stationary momentum.
+        with pytest.raises(ValueError, match="tol"):
+            ft.linearize(random_skew(4, rng), body4, tol=float("nan"))
+
     def test_middle_axis_unstable_n3(self, body3):
         m, m_vec = principal_momentum_3d(1)
         rep = ft.linearize(m, body3)
@@ -165,8 +171,9 @@ class TestOrbitKernel:
             ft.orbit_kernel(random_skew(4, rng), body4)
 
     def test_rank_tol_positive(self, body4):
-        with pytest.raises(ValueError):
-            ft.orbit_kernel(ft.SkewMatrix(np.zeros((4, 4))), body4, rank_tol=0.0)
+        for rank_tol in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                ft.orbit_kernel(ft.SkewMatrix(np.zeros((4, 4))), body4, rank_tol=rank_tol)
 
     def test_dimension_mismatch(self, body4):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -296,6 +303,11 @@ class TestInstabilityProbe:
             ft.instability_probe(m, body3, eps=0.0, horizon=1.0, exit_factor=10.0)
         with pytest.raises(ValueError):
             ft.instability_probe(m, body3, eps=1e-6, horizon=1.0, exit_factor=1.0)
+        for bad in ({"eps": float("nan")}, {"exit_factor": float("nan")},
+                    {"dt": float("nan")}, {"horizon": float("nan")}, {"tol": float("nan")}):
+            args = {"eps": 1e-6, "horizon": 1.0, "exit_factor": 10.0, **bad}
+            with pytest.raises(ValueError):
+                ft.instability_probe(m, body3, **args)
 
     def test_horizon_must_be_step_multiple(self, body3):
         m, _ = principal_momentum_3d(1)

@@ -28,14 +28,15 @@ from .equilibria import (
     classify,
     generate,
 )
-from .linalg import SkewMatrix
 from .serialize import (
     SchemaError,
+    _at,
     drift_summary_doc,
     dumps_canonical,
     linearization_to_doc,
     load_json,
     matrix_to_doc,
+    momentum_for_body,
     orbit_kernel_to_doc,
     probe_to_doc,
     read_body,
@@ -201,17 +202,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _read_momentum_and_body(args):
-    """The momentum and body files, checked against each other: the
-    momentum must be skew (any kind) and of the body's dimension."""
+    """The momentum and body files, checked against each other by
+    momentum_for_body."""
     m = read_matrix(args.matrix)
     body = read_body(args.body)
-    try:
-        m = m if isinstance(m, SkewMatrix) else SkewMatrix(m)
-    except ValueError as exc:
-        raise SchemaError("rows", f"momentum {exc}") from exc
-    if m.n != body.n:
-        raise SchemaError("n", f"momentum has n = {m.n}, the body has n = {body.n}")
-    return m, body
+    return momentum_for_body(m, body), body
 
 
 def _cmd_classify(args) -> int:
@@ -227,10 +222,8 @@ def _cmd_generate(args) -> int:
     body = read_body(args.body)
     default_seed = args.seed if args.seed is not None else 0
     structure = recipe_from_doc(load_json(args.recipe), default_seed=default_seed)
-    try:
+    with _at("<root>"):
         momentum, structure = generate(structure, body)
-    except ValueError as exc:
-        raise SchemaError("<root>", str(exc)) from exc
     write_json(_resolve(outdir, args.out_momentum), matrix_to_doc(momentum))
     write_json(_resolve(outdir, args.out_structure), structure_to_doc(structure))
     return EXIT_OK

@@ -69,7 +69,7 @@ class OddBlock(ClassificationError):
 
 
 class AmbiguousClustering(ClassificationError):
-    """Two rotation rates closer than cluster_tol but farther than tol."""
+    """Two groups of rotation rates closer than cluster_tol."""
 
 
 def _structure_defect(a: np.ndarray) -> float:
@@ -157,10 +157,17 @@ class FrequencyBlock:
             raise ValueError("block axes must be strictly ascending")
 
 
-def _squared_gap(w1: float, w2: float) -> float:
-    """Relative separation of two rates, measured on the squares."""
-    a, b = w1 * w1, w2 * w2
-    return abs(a - b) / max(a, b)
+def _check_rate_gaps(rates, cluster_tol: float, e: int = 0) -> None:
+    """Raise ValueError unless each rate of a descending list is distinct
+    from the next: 1 - (w2 / w1)^2 >= cluster_tol. The rates are w * 2**e;
+    the message names them in those units."""
+    for w1, w2 in zip(rates, rates[1:]):
+        gap = 1.0 - (w2 / w1) ** 2
+        if gap < cluster_tol:
+            with np.errstate(over="ignore"):
+                w1, w2 = np.ldexp([w1, w2], e)
+            raise ValueError(f"block rates {w1:.9g} and {w2:.9g} too close "
+                             f"(squared gap {gap:.3e} < {cluster_tol:.1e})")
 
 
 class EquilibriumStructure:
@@ -180,13 +187,7 @@ class EquilibriumStructure:
             raise ValueError(
                 f"block and fixed axes must partition 0..{n - 1}, got {sorted(used)}"
             )
-        for i in range(len(blocks) - 1):
-            gap = _squared_gap(blocks[i].omega, blocks[i + 1].omega)
-            if gap < cluster_tol:
-                raise ValueError(
-                    f"block rates {blocks[i].omega:.6g} and {blocks[i + 1].omega:.6g} "
-                    f"too close (squared gap {gap:.3e} < {cluster_tol:.1e})"
-                )
+        _check_rate_gaps([b.omega for b in blocks], cluster_tol)
         self.blocks = blocks
         self.fixed_axes = fixed_axes
         self.n = n
@@ -215,9 +216,9 @@ class EquilibriumStructure:
 
 
 def _stationarity(m, body: InertiaSpec, tol: float):
-    """(w, s, e, residual) of a momentum: W~ = w * 2**e from _scaled_velocity,
-    s = w^2, and the stationarity residual, which is 0 for the zero
-    momentum."""
+    """(arr, w, s, e, residual) of a momentum: its checked skew array,
+    W~ = w * 2**e from _scaled_velocity, s = w^2, and the stationarity
+    residual, which is 0 for the zero momentum."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     arr = _skew_array(m)
@@ -226,10 +227,10 @@ def _stationarity(m, body: InertiaSpec, tol: float):
     s = w @ w
     s = 0.5 * (s + s.T)
     if not arr.any():
-        return w, s, e, 0.0
+        return arr, w, s, e, 0.0
     c = (lam[:, None] - lam[None, :]) * s  # [J, W^2] in the eigenframe
     residual = np.linalg.norm(c) / (np.linalg.norm(lam) * np.linalg.norm(w) ** 2)
-    return w, s, e, float(residual)
+    return arr, w, s, e, float(residual)
 
 
 def is_equilibrium(m, body: InertiaSpec, tol: float = DEFAULT_TOL):
@@ -241,7 +242,7 @@ def is_equilibrium(m, body: InertiaSpec, tol: float = DEFAULT_TOL):
     lambda scaled by powers of two (see docs/conventions.md), so a finite
     momentum always gives a finite residual.
     """
-    residual = _stationarity(m, body, tol)[3]
+    residual = _stationarity(m, body, tol)[4]
     return residual <= tol, residual
 
 
@@ -249,34 +250,22 @@ def _require_stationary(m, body: InertiaSpec, tol: float):
     """_stationarity of a momentum stationary within tol; raises
     NotAnEquilibrium otherwise."""
     out = _stationarity(m, body, tol)
-    if out[3] > tol:
+    if out[4] > tol:
         raise NotAnEquilibrium(
-            f"momentum is not stationary (residual {out[3]:.3e} > tol {tol:.1e})", out[3])
+            f"momentum is not stationary (residual {out[4]:.3e} > tol {tol:.1e})", out[4])
     return out
 
 
-def _cluster_rates(values: np.ndarray, tol: float, cluster_tol: float):
-    """Group squared rates (descending) into frequency clusters.
-
-    values must be positive and sorted descending. Two values join the
-    same cluster when they differ from the cluster head by at most
-    tol * head, start a new cluster when they differ by at least
-    cluster_tol * head, and raise AmbiguousClustering in between.
-    """
+def _cluster_rates(values: np.ndarray, tol: float):
+    """Group squared rates into frequency clusters: values, positive and
+    sorted descending, join the cluster whose head (its largest value)
+    they are within tol * head of, and start a new one otherwise."""
     groups: list[list[int]] = []
     for i, v in enumerate(values):
-        if groups:
-            head = values[groups[-1][0]]
-            diff = head - v
-            if diff <= tol * head:
-                groups[-1].append(i)
-                continue
-            if diff < cluster_tol * head:
-                raise AmbiguousClustering(
-                    f"rates^2 {head:.9g} and {v:.9g} are separated by {diff:.3e}, "
-                    f"between tol ({tol * head:.3e}) and cluster_tol ({cluster_tol * head:.3e})"
-                )
-        groups.append([i])
+        if groups and values[groups[-1][0]] - v <= tol * values[groups[-1][0]]:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
     return groups
 
 
@@ -289,12 +278,13 @@ def classify(m, body: InertiaSpec, tol: float = DEFAULT_TOL,
     block of W on each cluster, validates each block / rate as a complex
     structure, and reports the signed-permutation (regular) flag.
 
-    Raises NotAnEquilibrium, OddBlock, or AmbiguousClustering, and
+    Raises NotAnEquilibrium, OddBlock, or AmbiguousClustering when two
+    group rates fail the rate-gap rule of EquilibriumStructure, and
     ArithmeticError for a rate outside the double range.
     """
     if not 0 < tol < cluster_tol:
         raise ValueError("need 0 < tol < cluster_tol")
-    om_t, s, e, r_eq = _require_stationary(m, body, tol)
+    _, om_t, s, e, r_eq = _require_stationary(m, body, tol)
     n = body.n
     consumed = r_eq
     if not om_t.any():
@@ -323,13 +313,18 @@ def classify(m, body: InertiaSpec, tol: float = DEFAULT_TOL,
     order = np.argsort(-vals, kind="stable")
     vals_sorted = vals[order]
     axes_sorted = live[order]
-    groups = _cluster_rates(vals_sorted, tol, cluster_tol)
+    groups = _cluster_rates(vals_sorted, tol)
+    rates = [np.sqrt(np.mean(vals_sorted[g])) for g in groups]
+    try:
+        _check_rate_gaps(rates, cluster_tol, e)
+    except ValueError as exc:
+        raise AmbiguousClustering(str(exc)) from exc
 
     # Entries of W outside the diagonal blocks (and on zero-group rows)
     # must vanish.
     allowed = np.zeros((n, n), dtype=bool)
     blocks = []
-    for g in groups:
+    for g, rate in zip(groups, rates):
         axes = np.sort(axes_sorted[g])
         if len(axes) % 2 != 0:
             raise OddBlock(
@@ -337,7 +332,6 @@ def classify(m, body: InertiaSpec, tol: float = DEFAULT_TOL,
                 "nonzero rates pair up, so the tolerances are misconfigured"
             )
         allowed[np.ix_(axes, axes)] = True
-        rate = np.sqrt(np.mean(vals_sorted[g]))
         a = om_t[np.ix_(axes, axes)] / rate  # exactly skew, as om_t is
         try:
             consumed = max(consumed, _structure_defect(a))

@@ -7,6 +7,7 @@ Running one is deterministic given the file plus the effective seed.
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -15,6 +16,7 @@ from .equilibria import generate
 from .linalg import SkewMatrix
 from .serialize import (
     SchemaError,
+    _at,
     _check_version,
     _join,
     _number,
@@ -22,6 +24,7 @@ from .serialize import (
     _want,
     body_from_doc,
     matrix_from_doc,
+    momentum_for_body,
     recipe_from_doc,
 )
 
@@ -61,19 +64,12 @@ def scenario_from_doc(doc, seed_override: int | None = None) -> Scenario:
     keys = set(raw_initial.keys())
     if keys == {"matrix"}:
         m = matrix_from_doc(raw_initial["matrix"], "initial.matrix", require_version=False)
-        if not isinstance(m, SkewMatrix):
-            raise SchemaError("initial.matrix.kind", "initial momentum must have kind 'skew'")
-        if m.n != body.n:
-            raise SchemaError("initial.matrix.n",
-                              f"momentum has n = {m.n}, the body has n = {body.n}")
-        initial = m
+        initial = momentum_for_body(m, body, "initial.matrix")
     elif keys == {"recipe"}:
         structure = recipe_from_doc(raw_initial["recipe"], "initial.recipe",
                                     default_seed=seed)
-        try:
+        with _at("initial.recipe"):
             initial, _ = generate(structure, body)
-        except ValueError as exc:
-            raise SchemaError("initial.recipe", str(exc)) from exc
     else:
         raise SchemaError("initial", "expected exactly one of 'matrix' or 'recipe'")
 
@@ -98,22 +94,24 @@ def scenario_from_doc(doc, seed_override: int | None = None) -> Scenario:
         raise SchemaError("integrator.dt", "must be positive")
     if t_end <= 0:
         raise SchemaError("integrator.t_end", "must be positive")
-    try:
+    with _at("integrator"):
         records = _sample_count(t_end, dt, record_every)
-    except ValueError as exc:
-        raise SchemaError("integrator", str(exc)) from exc
     if records > sys.maxsize // (8 * body.n * body.n):
         raise SchemaError("integrator", f"{records} samples are more than an array can hold")
 
     outputs = doc.get("outputs", {})
     if not isinstance(outputs, dict):
         raise SchemaError("outputs", "expected an object")
+    named = {}
     for key, value in outputs.items():
         if key not in OUTPUT_KEYS:
             raise SchemaError(_join("outputs", key),
                               f"unknown output (known: {', '.join(OUTPUT_KEYS)})")
         if not isinstance(value, str) or not value or "\0" in value:
             raise SchemaError(_join("outputs", key), "expected a file name")
+        first = named.setdefault(os.path.normpath(value), key)
+        if first != key:
+            raise SchemaError(_join("outputs", key), f"names the same file as outputs.{first}")
 
     return Scenario(body=body, initial=initial, dt=dt, t_end=t_end,
                     record_every=record_every, guard=guard, seed=seed,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
     "matrix_to_doc",
     "matrix_from_doc",
     "read_matrix",
+    "momentum_for_body",
     "body_from_doc",
     "read_body",
     "structure_to_doc",
@@ -142,6 +144,18 @@ def load_json(path):
 
 # -- generic field helpers ------------------------------------------------
 
+@contextmanager
+def _at(path: str):
+    """Report a library ValueError raised inside as a SchemaError on path,
+    with the same message; a SchemaError passes unchanged."""
+    try:
+        yield
+    except SchemaError:
+        raise
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from exc
+
+
 def _want(doc, field, kinds, path, kind_name):
     if field not in doc:
         raise SchemaError(_join(path, field), "missing required field")
@@ -240,18 +254,29 @@ def matrix_from_doc(doc, path: str = "", require_version: bool = True):
     if kind not in ("sym", "skew", "general"):
         raise SchemaError(_join(path, "kind"), f"unknown kind {kind!r}")
     rows = _rows(_want(doc, "rows", list, path, "a list"), n, _join(path, "rows"))
-    try:
+    with _at(_join(path, "rows")):
         if kind == "sym":
             return SymMatrix(rows)
         if kind == "skew":
             return SkewMatrix(rows)
-    except ValueError as exc:
-        raise SchemaError(_join(path, "rows"), str(exc)) from exc
     return rows
 
 
 def read_matrix(path):
     return matrix_from_doc(load_json(path))
+
+
+def momentum_for_body(m, body: InertiaSpec, path: str = "") -> SkewMatrix:
+    """A matrix read by matrix_from_doc, taken as a momentum of body: any
+    kind whose rows are skew, of the body's dimension. Errors name the
+    document's rows or n."""
+    try:
+        m = m if isinstance(m, SkewMatrix) else SkewMatrix(m)
+    except ValueError as exc:
+        raise SchemaError(_join(path, "rows"), f"momentum {exc}") from exc
+    if m.n != body.n:
+        raise SchemaError(_join(path, "n"), f"momentum has n = {m.n}, the body has n = {body.n}")
+    return m
 
 
 def body_from_doc(doc, path: str = "", require_version: bool = True) -> InertiaSpec:
@@ -263,17 +288,13 @@ def body_from_doc(doc, path: str = "", require_version: bool = True) -> InertiaS
             _check_version(doc, path)
         raw = _want(doc, "eigenvalues", list, path, "a list")
         vals = [_number(v, f"{_join(path, 'eigenvalues')}[{k}]") for k, v in enumerate(raw)]
-        try:
+        with _at(_join(path, "eigenvalues")):
             return InertiaSpec.from_eigenvalues(vals)
-        except ValueError as exc:
-            raise SchemaError(_join(path, "eigenvalues"), str(exc)) from exc
     m = matrix_from_doc(doc, path, require_version=require_version)
     if not isinstance(m, SymMatrix):
         raise SchemaError(_join(path, "kind"), "inertia matrix must have kind 'sym'")
-    try:
+    with _at(_join(path, "rows")):
         return InertiaSpec(m)
-    except ValueError as exc:
-        raise SchemaError(_join(path, "rows"), str(exc)) from exc
 
 
 def read_body(path) -> InertiaSpec:
@@ -300,6 +321,18 @@ def structure_to_doc(s: EquilibriumStructure) -> dict:
     }
 
 
+def _block_fields(doc, path: str):
+    """(path, entry, omega, axes) of each entry of a structure's or a
+    recipe's "blocks" list."""
+    for k, rb in enumerate(_want(doc, "blocks", list, path, "a list")):
+        bpath = _join(path, f"blocks[{k}]")
+        if not isinstance(rb, dict):
+            raise SchemaError(bpath, "expected an object")
+        omega = _number(_want(rb, "omega", (int, float), bpath, "a number"), _join(bpath, "omega"))
+        axes = _int_list(_want(rb, "axes", list, bpath, "a list"), _join(bpath, "axes"))
+        yield bpath, rb, omega, axes
+
+
 def structure_from_doc(doc, path: str = "") -> EquilibriumStructure:
     if not isinstance(doc, dict):
         raise SchemaError(path or "<root>", "expected a JSON object")
@@ -307,25 +340,15 @@ def structure_from_doc(doc, path: str = "") -> EquilibriumStructure:
     n = _want(doc, "n", int, path, "an integer")
     if n < 1:
         raise SchemaError(_join(path, "n"), "dimension must be positive")
-    raw_blocks = _want(doc, "blocks", list, path, "a list")
     blocks = []
-    for k, rb in enumerate(raw_blocks):
-        bpath = _join(path, f"blocks[{k}]")
-        if not isinstance(rb, dict):
-            raise SchemaError(bpath, "expected an object")
-        omega = _number(_want(rb, "omega", (int, float), bpath, "a number"), _join(bpath, "omega"))
-        axes = _int_list(_want(rb, "axes", list, bpath, "a list"), _join(bpath, "axes"))
+    for bpath, rb, omega, axes in _block_fields(doc, path):
         a_rows = _rows(_want(rb, "A", list, bpath, "a list"), len(axes), _join(bpath, "A"))
-        try:
+        with _at(bpath):
             blocks.append(FrequencyBlock(omega=omega, axes=tuple(axes), A=a_rows))
-        except ValueError as exc:
-            raise SchemaError(bpath, str(exc)) from exc
     fixed = _int_list(_want(doc, "fixed_axes", list, path, "a list"), _join(path, "fixed_axes"))
     residual = _number(doc.get("residual", 0.0), _join(path, "residual"))
-    try:
+    with _at(path or "<root>"):
         structure = EquilibriumStructure(blocks, fixed, n=n, residual=residual)
-    except ValueError as exc:
-        raise SchemaError(path or "<root>", str(exc)) from exc
     if "regular" in doc and _want(doc, "regular", bool, path, "a boolean") != structure.regular:
         raise SchemaError(_join(path, "regular"),
                           f"flag {doc['regular']} contradicts the block structures")
@@ -347,14 +370,8 @@ def recipe_from_doc(doc, path: str = "", default_seed: int | None = None) -> Equ
     seed = doc.get("seed")
     seed = default_seed if seed is None else _seed(seed, _join(path, "seed"))
     rng = None if seed is None else np.random.default_rng(seed)
-    raw_blocks = _want(doc, "blocks", list, path, "a list")
     blocks = []
-    for k, rb in enumerate(raw_blocks):
-        bpath = _join(path, f"blocks[{k}]")
-        if not isinstance(rb, dict):
-            raise SchemaError(bpath, "expected an object")
-        omega = _number(_want(rb, "omega", (int, float), bpath, "a number"), _join(bpath, "omega"))
-        axes = _int_list(_want(rb, "axes", list, bpath, "a list"), _join(bpath, "axes"))
+    for bpath, rb, omega, axes in _block_fields(doc, path):
         if not axes or len(axes) % 2 != 0:
             raise SchemaError(_join(bpath, "axes"),
                               f"expected a positive even number of axes, got {len(axes)}")
@@ -372,21 +389,15 @@ def recipe_from_doc(doc, path: str = "", default_seed: int | None = None) -> Equ
         else:
             raise SchemaError(spath, "expected 'standard', 'random', or {'A': rows}")
         perm = np.argsort(axes, kind="stable")
-        try:
+        with _at(spath):
             a = SkewMatrix(a[np.ix_(perm, perm)]).array
             _structure_defect(a)
-        except ValueError as exc:
-            raise SchemaError(spath, str(exc)) from exc
-        try:
+        with _at(bpath):
             blocks.append(FrequencyBlock(omega=omega, axes=tuple(sorted(axes)), A=a))
-        except ValueError as exc:
-            raise SchemaError(bpath, str(exc)) from exc
     fixed = _int_list(doc.get("fixed_axes", []), _join(path, "fixed_axes"))
     n = len(fixed) + sum(len(b.axes) for b in blocks)
-    try:
+    with _at(path or "<root>"):
         return EquilibriumStructure(blocks, fixed, n=n)
-    except ValueError as exc:
-        raise SchemaError(path or "<root>", str(exc)) from exc
 
 
 # -- stability reports -----------------------------------------------------
@@ -435,12 +446,9 @@ def _trajectory_columns(traj: Trajectory, n: int) -> list[str]:
 
 def _trajectory_table(traj: Trajectory) -> np.ndarray:
     """One row per sample: t, upper-triangle momentum entries (row-major)
-    and the invariants. Non-finite entries raise ArithmeticError."""
+    and the invariants."""
     iu = np.triu_indices(traj.momenta.shape[-1], k=1)
-    table = np.column_stack((traj.times, traj.momenta[:, iu[0], iu[1]], traj.invariants))
-    if not np.isfinite(table).all():
-        raise ArithmeticError("cannot serialize a trajectory with non-finite values")
-    return table
+    return np.column_stack((traj.times, traj.momenta[:, iu[0], iu[1]], traj.invariants))
 
 
 # Rows are formatted a block at a time, so memory stays flat however long
@@ -450,7 +458,10 @@ _ROW_BLOCK = 1024
 
 def _write_rows(path, table: np.ndarray, template: str, header: str = "") -> None:
     """Write header, then each table row through a %-template whose
-    "%.17g" fields give the same text as format_float."""
+    "%.17g" fields give the same text as format_float. A table with a
+    non-finite value raises ArithmeticError before the file is opened."""
+    if not np.isfinite(table).all():
+        raise ArithmeticError(f"cannot serialize non-finite values to {path}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header)
         for start in range(0, table.shape[0], _ROW_BLOCK):
@@ -482,12 +493,9 @@ def write_trajectory_jsonl(path, traj: Trajectory) -> None:
 
 
 def write_probe_curve_csv(path, res: ProbeResult) -> None:
-    """Columns: t, deviation. Non-finite values raise ArithmeticError before
-    the file is opened."""
-    table = np.column_stack((res.times, res.deviations))
-    if not np.isfinite(table).all():
-        raise ArithmeticError("cannot serialize a probe curve with non-finite values")
-    _write_rows(path, table, "%.17g,%.17g\n", "t,deviation\n")
+    """Columns: t, deviation."""
+    _write_rows(path, np.column_stack((res.times, res.deviations)), "%.17g,%.17g\n",
+                "t,deviation\n")
 
 
 def drift_summary_doc(traj: Trajectory) -> dict:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .body import InertiaSpec, _check_step, _invert_array, _skew_array, _step_count
+from .body import InertiaSpec, _check_step, _invert_array, _step_count
 from .equilibria import DEFAULT_TOL, _require_stationary
 
 __all__ = [
@@ -104,8 +104,7 @@ def _linearization_matrix(m: np.ndarray, body: InertiaSpec) -> np.ndarray:
 
 def linearize(m_eq, body: InertiaSpec, tol: float = DEFAULT_TOL) -> LinearizationReport:
     """Spectrum of the linearized flow at a stationary momentum."""
-    _require_stationary(m_eq, body, tol)
-    arr = _skew_array(m_eq)
+    arr = _require_stationary(m_eq, body, tol)[0]
     mat = _linearization_matrix(arr, body)
     eigs = _sorted_spectrum(np.linalg.eigvals(mat))
     return LinearizationReport(
@@ -132,8 +131,7 @@ def orbit_kernel(m_eq, body: InertiaSpec, rank_tol: float = DEFAULT_RANK_TOL,
     """
     if not rank_tol > 0:
         raise ValueError("rank_tol must be positive")
-    _require_stationary(m_eq, body, tol)
-    arr = _skew_array(m_eq)
+    arr = _require_stationary(m_eq, body, tol)[0]
     ad = _ad_matrix(arr, body.n)
     svals = np.linalg.svd(_linearization_matrix(arr, body) @ ad, compute_uv=False)
     kernel_dim = _kernel_dim(svals, rank_tol)
@@ -196,8 +194,7 @@ def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
         raise ValueError("dt must be positive")
     record_every = max(1, int(round(0.1 / dt)))
     total = _step_count(horizon, dt, record_every, name="horizon")
-    _require_stationary(m_eq, body, tol)
-    arr = _skew_array(m_eq)
+    arr = _require_stationary(m_eq, body, tol)[0]
     rng = np.random.default_rng(seed)
     m0 = arr + eps * _unit_skew(body.n, rng)
     _check_step(m0, body, dt)

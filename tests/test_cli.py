@@ -169,6 +169,26 @@ class TestSimulate:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["n"] == 3 and report["samples"] == 11
 
+    def test_inline_momentum_any_kind_if_skew(self, tmp_path, capsys):
+        # The momentum rule of classify and stability: any kind whose rows
+        # are skew.
+        rows = [[0, 0, 4], [0, 0, 0.01], [-4, -0.01, 0]]
+        doc = {"spec_version": "1", "body": {"eigenvalues": [1.0, 2.0, 3.0]},
+               "initial": {"matrix": {"n": 3, "kind": "general", "rows": rows}},
+               "integrator": {"dt": 0.01, "t_end": 0.1}}
+        assert main(["simulate", write(tmp_path / "general.json", doc)]) == 0
+        assert json.loads(capsys.readouterr().out)["samples"] == 11
+
+    def test_outputs_must_name_distinct_files(self, tmp_path, capsys):
+        doc = json.loads(open(spinning_book_scenario(tmp_path)).read())
+        doc["outputs"] = {"trajectory_csv": "out.txt", "report_json": "./out.txt"}
+        path = write(tmp_path / "same.json", doc)
+        assert main(["simulate", path, "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: invalid input: outputs.report_json: names the same file as "
+            "outputs.trajectory_csv")
+        assert not (tmp_path / "out" / "out.txt").exists()
+
     def test_equilibrium_recipe_scenario(self, tmp_path):
         doc = {
             "spec_version": "1",
@@ -340,6 +360,22 @@ class TestClassify:
         write(path, ser.matrix_to_doc(m))
         assert main(["classify", str(path), body4_path]) == 5
         assert "undecided" in capsys.readouterr().err
+
+    def test_group_rates_too_close_exit5(self, tmp_path, capsys):
+        # Squared rates 1, 1 - 5e-11 and 1 - 1.00001e-6 on a stationary
+        # momentum: the first two form one group, whose rate is less than
+        # cluster_tol from the third. The message gives the rates in the
+        # momentum's units, not in the classifier's scaled ones.
+        body = ft.InertiaSpec.from_eigenvalues([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        om = np.zeros((6, 6))
+        om[[0, 2, 4], [1, 3, 5]] = np.sqrt([1.0, 1.0 - 5e-11, 1.0 - 1.00001e-6])
+        m_path = write(tmp_path / "m.json",
+                       ser.matrix_to_doc(ft.inertia_apply(ft.SkewMatrix(om - om.T), body)))
+        b_path = write(tmp_path / "b.json",
+                       {"spec_version": "1", "eigenvalues": [1, 2, 3, 4, 5, 6]})
+        assert main(["classify", m_path, b_path]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: classification undecided: block rates 1 and 0.9999995 ")
 
     def test_out_file(self, tmp_path, body4_path):
         m_path = self.make_equilibrium(tmp_path, body4_path)
@@ -583,6 +619,27 @@ class TestGenerateAndStability:
         assert main(["stability", str(path), body3_path, "--probe",
                      "--horizon", "1.05"]) == 2
         assert "divide" in capsys.readouterr().err
+
+    def test_equal_huge_rates_exit2(self, tmp_path, body4_path, capsys):
+        # The squares of the rates overflow; the rates are still equal.
+        recipe = write(tmp_path / "huge.json", {
+            "spec_version": "1", "fixed_axes": [],
+            "blocks": [{"omega": 1e200, "axes": [0, 1]}, {"omega": 1e200, "axes": [2, 3]}]})
+        assert main(["generate", recipe, body4_path, "--output-dir", str(tmp_path)]) == 2
+        assert "too close" in capsys.readouterr().err
+        assert not (tmp_path / "momentum.json").exists()
+
+    def test_tiny_distinct_rates_roundtrip(self, tmp_path, body4_path, capsys):
+        # The squares of the rates underflow to 0; the rates are a factor of
+        # two apart.
+        recipe = write(tmp_path / "tiny.json", {
+            "spec_version": "1", "fixed_axes": [],
+            "blocks": [{"omega": 2e-200, "axes": [0, 1]}, {"omega": 1e-200, "axes": [2, 3]}]})
+        assert main(["generate", recipe, body4_path, "--output-dir", str(tmp_path)]) == 0
+        assert main(["classify", str(tmp_path / "momentum.json"), body4_path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [b["axes"] for b in doc["blocks"]] == [[0, 1], [2, 3]]
+        assert doc["regular"] is True
 
     def test_output_dir_env(self, tmp_path, body4_path, recipe_path, monkeypatch):
         target = tmp_path / "from_env"

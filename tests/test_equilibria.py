@@ -236,6 +236,17 @@ class TestClassify:
         # A tighter clustering tolerance resolves the same input.
         s = ft.classify(m, body4, cluster_tol=1e-9, tol=1e-12)
         assert len(s.blocks) == 2
+        # Squared rates 1, 1 - 5e-11 and 1 - 1.00001e-6: the first two join
+        # within tol, and the third sits 1.00001e-6 below the group's head
+        # but less than cluster_tol below its mean rate. The gap is judged
+        # on the group rates, so it is ambiguous, not an invalid structure.
+        body6 = ft.InertiaSpec.from_eigenvalues([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        om = np.zeros((6, 6))
+        om[[0, 2, 4], [1, 3, 5]] = np.sqrt([1.0, 1.0 - 5e-11, 1.0 - 1.00001e-6])
+        m = ft.inertia_apply(ft.SkewMatrix(om - om.T), body6)
+        assert ft.is_equilibrium(m, body6) == (True, 0.0)
+        with pytest.raises(ft.AmbiguousClustering, match="rates 1 and 0.9999995"):
+            ft.classify(m, body6)
 
     def test_odd_group_detected(self):
         # Mixing a rotation axis with a fixed axis spreads one squared rate
@@ -303,6 +314,10 @@ class TestBuilders:
         )
         with pytest.raises(ValueError, match="too close"):
             ft.EquilibriumStructure(blocks, fixed_axes=(), n=4)
+        # Equal rates whose squares overflow are just as close.
+        huge = tuple(ft.FrequencyBlock(omega=1e200, axes=b.axes, A=b.A) for b in blocks)
+        with pytest.raises(ValueError, match="too close"):
+            ft.EquilibriumStructure(huge, fixed_axes=(), n=4)
 
     def test_classify_roundtrip_examples(self, body4):
         for seed in (1, 2, 3):
@@ -352,6 +367,15 @@ class TestGenerate:
     def test_rate_collision_rejected(self):
         with pytest.raises(ValueError, match="too close"):
             read_recipe(((0, 1), 1.0), ((2, 3), 1.0))
+        with pytest.raises(ValueError, match="too close"):
+            read_recipe(((0, 1), 1e200), ((2, 3), 1e200))
+
+    def test_tiny_distinct_rates(self, body4):
+        # The squared rates underflow to 0, but the rates are a factor of
+        # two apart: a regular equilibrium that classifies back.
+        m, s = ft.generate(read_recipe(((0, 1), 2e-200), ((2, 3), 1e-200)), body4)
+        assert [b.omega for b in s.blocks] == [2e-200, 1e-200]
+        assert ft.classify(m, body4).matches(s)
 
     def test_perturbed_structure_fails(self, body4, rng):
         # Necessity of the structure condition: breaking A^2 = -I by a

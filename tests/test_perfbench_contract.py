@@ -1,0 +1,66 @@
+"""What the benchmark in perfbench/ uses of the package.
+
+perfbench builds its inputs through the package and wraps package
+functions by name, so a change that renames such a function or refuses
+one of its inputs breaks the benchmark, not this suite. These tests load
+perfbench/inputs.py and perfbench/tracing.py from the checkout and check
+both uses.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import freetop as ft
+from freetop.scenario import scenario_from_doc
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    """perfbench/<name>.py as the module perfbench_<name>; dataclasses need
+    it registered before it runs."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def inputs():
+    return _load("inputs")
+
+
+def test_soundness_items_build(inputs):
+    items = inputs.soundness_items(1)
+    assert len(items) == 36
+    for item in items:
+        assert ft.is_equilibrium(item.momentum, item.body, 1e-10)[0]
+
+
+def test_simulate_items_build(inputs):
+    items = inputs.simulate_items(1)
+    assert len(items) == 6
+    for item in items:
+        sc = scenario_from_doc(item.doc)
+        assert sc.body.n == item.n
+        assert sorted(sc.outputs) == sorted(inputs.OUTPUT_NAMES)
+
+
+def test_pipeline_items_build(inputs):
+    items = inputs.pipeline_items(1)
+    assert [item.n for item in items] == list(inputs.PIPELINE_DIMS) * 3
+    for item in items:
+        assert item.structure.n == item.n
+
+
+def test_traced_functions_resolve():
+    tracing = _load("tracing")
+    for modname, funcs in tracing.TRACED.items():
+        module = importlib.import_module(modname)
+        for func in funcs:
+            assert callable(getattr(module, func, None)), f"{modname}.{func}"

@@ -71,6 +71,21 @@ class TestScenarioParsing:
         with pytest.raises(SchemaError, match="skew"):
             scenario_from_doc(doc)
 
+    def test_matrix_initial_not_skew_names_rows(self):
+        doc = base_doc(initial={"matrix": {
+            "n": 4, "kind": "general", "rows": np.eye(4).tolist()}})
+        with pytest.raises(SchemaError) as exc:
+            scenario_from_doc(doc)
+        assert exc.value.field == "initial.matrix.rows"
+        assert str(exc.value).startswith("initial.matrix.rows: momentum matrix is not skew")
+
+    def test_matrix_initial_dimension_named(self):
+        doc = base_doc(initial={"matrix": {
+            "n": 2, "kind": "skew", "rows": [[0.0, 1.0], [-1.0, 0.0]]}})
+        with pytest.raises(SchemaError) as exc:
+            scenario_from_doc(doc)
+        assert str(exc.value) == "initial.matrix.n: momentum has n = 2, the body has n = 4"
+
     @pytest.mark.parametrize("field,value,message", [
         ("dt", -0.1, "positive"),
         ("t_end", 0.0, "positive"),
@@ -89,6 +104,16 @@ class TestScenarioParsing:
         doc = base_doc(outputs={"plot_png": "x.png"})
         with pytest.raises(SchemaError, match="plot_png"):
             scenario_from_doc(doc)
+
+    @pytest.mark.parametrize("names", [("out.txt", "./out.txt"), ("a/b.csv", "a//c/../b.csv"),
+                                       ("x", "x")])
+    def test_outputs_must_name_distinct_files(self, names):
+        doc = base_doc(outputs={"trajectory_csv": names[0], "invariants_json": "drift.json",
+                                "report_json": names[1]})
+        with pytest.raises(SchemaError) as exc:
+            scenario_from_doc(doc)
+        assert exc.value.field == "outputs.report_json"
+        assert "same file as outputs.trajectory_csv" in str(exc.value)
 
     def test_bad_seed_type(self):
         with pytest.raises(SchemaError, match="seed"):

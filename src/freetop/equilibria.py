@@ -279,8 +279,9 @@ def classify(m, body: InertiaSpec, tol: float = DEFAULT_TOL,
     structure, and reports the signed-permutation (regular) flag.
 
     Raises NotAnEquilibrium, OddBlock, or AmbiguousClustering when two
-    group rates fail the rate-gap rule of EquilibriumStructure, and
-    ArithmeticError for a rate outside the double range.
+    group rates fail the rate-gap rule of EquilibriumStructure or a group's
+    block is not a complex structure, and ArithmeticError for a rate outside
+    the double range.
     """
     if not 0 < tol < cluster_tol:
         raise ValueError("need 0 < tol < cluster_tol")
@@ -336,7 +337,16 @@ def classify(m, body: InertiaSpec, tol: float = DEFAULT_TOL,
         try:
             consumed = max(consumed, _structure_defect(a))
         except ValueError as exc:
-            raise NotAnEquilibrium(f"block on axes {axes.tolist()}: {exc}", r_eq) from exc
+            # Stationary within tol, but the squared rates joined within tol
+            # are not one rate within STRUCTURE_DEFECT_TOL: neither one block
+            # nor two.
+            hi, lo = vals_sorted[g[0]], vals_sorted[g[-1]]
+            with np.errstate(over="ignore"):
+                w_hi, w_lo = np.ldexp(np.sqrt([hi, lo]), e)
+            raise AmbiguousClustering(
+                f"group on axes {axes.tolist()} joins rates {w_hi:.12g} and "
+                f"{w_lo:.12g} (squared gap {1.0 - lo / hi:.3e}), but its block "
+                f"is not a complex structure: {exc}") from exc
         with np.errstate(over="ignore"):
             omega = float(np.ldexp(rate, e))
         if not 0.0 < omega < np.inf:

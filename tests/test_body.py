@@ -1,3 +1,4 @@
+import hashlib
 import re
 import shutil
 import subprocess
@@ -419,11 +420,37 @@ class TestIntegrate:
         assert list(summary) == invariant_labels(4, 3)
 
 
+def pinned_inputs(n):
+    """Eigenframe inputs made without BLAS, so they are the same bits on
+    every machine: a seeded skew momentum and the pair sums of seeded
+    moments of inertia."""
+    rng = np.random.default_rng(n)
+    moments = rng.uniform(1.0, 3.0, n)
+    a = rng.standard_normal((n, n))
+    return a - a.T, np.add.outer(moments, moments)
+
+
+# SHA-256 of rk4_momentum_c(*pinned_inputs(n), 1e-2, 200, 50) as little-endian
+# float64, recorded with the -O2 build of the plain loop. A kernel change that
+# moves any bit fails here.
+PINNED_DIGESTS = {
+    2: "1846f5d55d2875d0271b6b11c01a10d6f49b86def0d49361d35b4554fbe95be8",
+    3: "23372b4d18070affdcd29edb1561f8beae718b06561048c4db454bbad4351df4",
+    4: "db31930d6d3938f78fa598b54e7249296a1d49194111938fde8678fbe9dab8fc",
+    5: "581a2506a05c72e5f5c1e28ce698507ef1ed72c4eab680979f8b76413b34384b",
+    6: "45b494d6eebd07f0ac26937905443447b6c874e51fc361a366b8102341e1d540",
+    7: "f71d8d5cfb51a3292a38605f8ff0cc961714a27b112a843b2c19805ee91fcb42",
+    8: "5e683f7582d70c273ab659e9b5fc736deeca2483ca55d5e69f39a509267a57df",
+    9: "2bea1620bc8a9c15995dd040661fc3c21f312972ae519d474c6d586d2d36e7f0",
+    10: "c1308b618c985424d95a420406c410d1652508a7f0223286bd97185b46fb0271",
+}
+
+
 class TestKernelTwins:
     @pytest.mark.parametrize("name", COMPILED)
     def test_twins_bitwise_comparable(self, name, rng):
         kernel = _kernels.rk4_momentum_c
-        for n in range(3, 17):
+        for n in range(2, 17):
             body = random_body(n, rng)
             mt0 = body.to_eigenframe(random_skew(n, rng).array)
             pair = np.asarray(body.pair_sums)
@@ -434,6 +461,32 @@ class TestKernelTwins:
             # Same operation order as the scalar loops, so equal bit for bit.
             np.testing.assert_array_equal(kernel(mt0, pair, 1e-3, 2, 1),
                                           oracles.rk4_momentum_loops(mt0, pair, 1e-3, 2, 1))
+
+    @pytest.mark.parametrize("name", COMPILED)
+    def test_every_size_case_matches_oracle(self, name, rng):
+        # n = 2..8 run the constant-size copies of the loop, n = 9 the
+        # runtime-size one just past them. At dt = 1e-3 a last-bit change in
+        # a stage seldom reaches the recorded states; at 5e-2 it does.
+        for n in range(2, 10):
+            body = random_body(n, rng)
+            mt0 = body.to_eigenframe(random_skew(n, rng).array)
+            pair = np.asarray(body.pair_sums)
+            np.testing.assert_array_equal(_kernels.rk4_momentum_c(mt0, pair, 5e-2, 20, 5),
+                                          oracles.rk4_momentum_loops(mt0, pair, 5e-2, 20, 5))
+
+    @pytest.mark.parametrize("name", COMPILED)
+    def test_pinned_digests(self, name):
+        for n, digest in PINNED_DIGESTS.items():
+            out = _kernels.rk4_momentum_c(*pinned_inputs(n), 1e-2, 200, 50)
+            assert np.isfinite(out).all()
+            assert hashlib.sha256(out.astype("<f8").tobytes()).hexdigest() == digest, n
+
+    def test_flags_keep_results_deterministic(self):
+        # Results must not depend on the host CPU or on reassociation.
+        flags = _kernels._C_FLAGS
+        assert "-ffp-contract=off" in flags
+        for banned in ("-ffast-math", "-Ofast", "-march=", "-mfma"):
+            assert not [f for f in flags if f.startswith(banned)], banned
 
     @pytest.mark.parametrize("fault", [
         "no_compiler",
@@ -477,6 +530,14 @@ class TestKernelTwins:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "False"]
+        # Loading the cached kernel imports neither subprocess nor hashlib.
+        if _kernels._c_kernel() is not None:
+            code = ("import sys, freetop._kernels as k; "
+                    "print(k._c_kernel() is not None, 'subprocess' in sys.modules, "
+                    "'hashlib' in sys.modules)")
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.split() == ["True", "False", "False"]
 
     def test_casimir_trace_helper(self, rng):
         m = random_skew(6, rng).array

@@ -376,6 +376,18 @@ class TestClassify:
         assert main(["classify", m_path, b_path]) == 5
         err = capsys.readouterr().err
         assert err.startswith("error: classification undecided: block rates 1 and 0.9999995 ")
+        # Squared rates 1 and 1 - 3e-10 join into one group that is not a
+        # complex structure within 1e-10: also undecided, not exit 4.
+        om = np.zeros((4, 4))
+        om[[0, 2], [1, 3]] = np.sqrt([1.0, 1.0 - 3e-10])
+        body = ft.InertiaSpec.from_eigenvalues([1.0, 2.0, 3.0, 4.0])
+        m_path = write(tmp_path / "m.json",
+                       ser.matrix_to_doc(ft.inertia_apply(ft.SkewMatrix(om - om.T), body)))
+        b_path = write(tmp_path / "b.json", {"spec_version": "1", "eigenvalues": [1, 2, 3, 4]})
+        assert main(["classify", m_path, b_path]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: classification undecided: group on axes [0, 1, 2, 3] "
+                              "joins rates 1 and 0.99999999985 (squared gap 3.000e-10)")
 
     def test_out_file(self, tmp_path, body4_path):
         m_path = self.make_equilibrium(tmp_path, body4_path)

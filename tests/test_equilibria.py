@@ -247,6 +247,17 @@ class TestClassify:
         assert ft.is_equilibrium(m, body6) == (True, 0.0)
         with pytest.raises(ft.AmbiguousClustering, match="rates 1 and 0.9999995"):
             ft.classify(m, body6)
+        # Squared rates 1 and 1 - gap join within tol into one group, whose
+        # block is then not a complex structure within 1e-10: neither one
+        # rate nor two, so ambiguous, not "not a stationary rotation".
+        om = np.zeros((4, 4))
+        for gap in (2e-10, 3e-10, 9e-10):
+            om[[0, 2], [1, 3]] = np.sqrt([1.0, 1.0 - gap])
+            m = ft.inertia_apply(ft.SkewMatrix(om - om.T), body4)
+            assert ft.is_equilibrium(m, body4) == (True, 0.0)
+            with pytest.raises(ft.AmbiguousClustering,
+                               match=rf"rates 1 and 0\.99999999\d* \(squared gap {gap:.3e}\)"):
+                ft.classify(m, body4)
 
     def test_odd_group_detected(self):
         # Mixing a rotation axis with a fixed axis spreads one squared rate

@@ -7,7 +7,8 @@ stability and non-isolation numerically.
 """
 
 from .linalg import (
-    SymMatrix,
+    sym,
+    skew,
     SkewMatrix,
     eigen_symmetric,
 )

@@ -89,7 +89,10 @@ def _build_c_kernel() -> Path:
     and the result is renamed into place, so a concurrent process never
     loads a partial file.
     """
-    found = [path for path in map(shutil.which, _COMPILERS) if path]
+    # The compiler finds its assembler and linker through PATH, so it runs
+    # with the search path that found it: the default one where PATH is unset.
+    search = os.pathsep.join(os.get_exec_path())
+    found = [path for path in (shutil.which(c, path=search) for c in _COMPILERS) if path]
     if not found:
         raise _BuildError(f"no C compiler found (looked for {', '.join(_COMPILERS)})")
     cc = os.path.realpath(found[0])
@@ -108,7 +111,8 @@ def _build_c_kernel() -> Path:
     with tempfile.TemporaryDirectory(dir=_CACHE_DIR) as tmp:
         built = os.path.join(tmp, target.name)
         proc = subprocess.run([cc, *_C_FLAGS, "-o", built, str(_C_SOURCE)],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PATH": search})
         if proc.returncode != 0:
             raise _BuildError(
                 f"{cc} exited with status {proc.returncode}: {proc.stderr.strip()}"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .linalg import SkewMatrix, SymMatrix, _check_structure, _readonly, eigen_symmetric
+from .linalg import _check_structure, _readonly, eigen_symmetric, skew, sym
 
 __all__ = [
     "InertiaSpec",
@@ -57,9 +57,9 @@ class InertiaSpec:
 
     def __init__(self, j):
         # A read-only copy of its own: J, its eigenframe and pair_sums cannot disagree.
-        self.J = SymMatrix(j)
-        if self.J.n < 2:
-            raise ValueError(f"a body needs at least two axes, got {self.J.n}")
+        self.J = sym(j)
+        if self.n < 2:
+            raise ValueError(f"a body needs at least two axes, got {self.n}")
         lam, self.basis = eigen_symmetric(self.J)
         if lam[0] <= 0.0:
             raise ValueError(
@@ -77,11 +77,14 @@ class InertiaSpec:
 
     @classmethod
     def from_eigenvalues(cls, values) -> "InertiaSpec":
-        return cls(SymMatrix.diagonal(values))
+        vals = np.asarray(values, dtype=float)
+        if vals.ndim != 1 or vals.size < 1:
+            raise ValueError("expected a nonempty 1-d list of diagonal values")
+        return cls(np.diag(vals))
 
     @property
     def n(self) -> int:
-        return self.J.n
+        return self.J.shape[0]
 
     def to_eigenframe(self, a) -> np.ndarray:
         q = self.basis
@@ -95,23 +98,17 @@ class InertiaSpec:
         return f"InertiaSpec(n={self.n}, eigenvalues={self.eigenvalues.tolist()})"
 
 
-def _skew_array(m) -> np.ndarray:
-    if isinstance(m, SkewMatrix):
-        return m.array
-    return SkewMatrix(m).array
-
-
 def _check_dims(arr: np.ndarray, body: InertiaSpec) -> None:
     if arr.shape[0] != body.n:
         raise ValueError(f"dimension mismatch: state is {arr.shape[0]}, body is {body.n}")
 
 
-def inertia_apply(omega, body: InertiaSpec) -> SkewMatrix:
-    """Momentum of an angular velocity: W J + J W."""
-    w = _skew_array(omega)
+def inertia_apply(omega, body: InertiaSpec) -> np.ndarray:
+    """Momentum of an angular velocity: skew(W J + J W)."""
+    w = skew(omega)
     _check_dims(w, body)
-    j = body.J.array
-    return SkewMatrix(w @ j + j @ w)
+    j = body.J
+    return skew(w @ j + j @ w)
 
 
 def _invert_array(m: np.ndarray, body: InertiaSpec) -> np.ndarray:
@@ -146,16 +143,14 @@ def _scaled_velocity(m: np.ndarray, body: InertiaSpec):
 def _eigenframe_stack(m, body: InertiaSpec) -> np.ndarray:
     """Momenta (..., n, n) of the body's dimension, in the inertia eigenframe.
 
-    Like SkewMatrix, rejects entries that are not finite or not
-    skew-symmetric. The rotated stack is made exactly skew, so rounding in
-    the rotation leaves no diagonal behind.
+    Like skew, rejects entries that are not finite or not skew-symmetric.
+    The rotated stack is made exactly skew, so rounding in the rotation
+    leaves no diagonal behind.
     """
-    checked = isinstance(m, SkewMatrix)
-    arr = m.array if checked else np.asarray(m, dtype=float)
+    arr = np.asarray(m, dtype=float)
     if arr.ndim < 2 or arr.shape[-2:] != (body.n, body.n):
         raise ValueError(f"dimension mismatch: state is {arr.shape}, body is {body.n}")
-    if not checked:
-        _check_structure(arr, -1.0)
+    _check_structure(arr, -1.0)
     mt = body.to_eigenframe(arr)
     return 0.5 * (mt - np.swapaxes(mt, -2, -1))
 
@@ -180,7 +175,7 @@ def casimirs(m) -> np.ndarray:
 
     m may be one momentum or a stack (..., n, n); the traces are the last axis.
     """
-    arr = m.array if isinstance(m, SkewMatrix) else np.asarray(m, dtype=float)
+    arr = np.asarray(m, dtype=float)
     m2 = arr @ arr
     out = []
     acc = m2
@@ -322,7 +317,7 @@ def integrate(state, body: InertiaSpec, dt: float, t_end: float,
               guard: str = "reject") -> Trajectory:
     """Fixed-step RK4 integration of the momentum equation.
 
-    state is anything accepted by SkewMatrix. Samples are recorded every
+    state is anything accepted by skew. Samples are recorded every
     `record_every` steps, which must divide the total step count
     round(t_end / dt), and their invariants are computed in one batched
     pass. Steps with dt * ||W(0)||_2 above 0.5 are rejected
@@ -331,7 +326,7 @@ def integrate(state, body: InertiaSpec, dt: float, t_end: float,
     The flow runs in the inertia eigenframe through the C kernel, or the
     numpy twin where the C kernel cannot be built (see `freetop._kernels`).
     """
-    m0 = _skew_array(state)
+    m0 = skew(state)
     nsteps = _step_count(t_end, dt, record_every)
     if guard not in ("reject", "warn"):
         raise ValueError("guard must be 'reject' or 'warn'")

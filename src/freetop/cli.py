@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cls = sub.add_parser("classify",
                            help="normal form of a stationary momentum")
-    p_cls.add_argument("matrix", help="momentum JSON file (kind 'skew')")
+    p_cls.add_argument("matrix", help="momentum JSON file (skew rows, any kind)")
     p_cls.add_argument("body", help="inertia JSON file (kind 'sym' or eigenvalue list)")
     p_cls.add_argument("--cluster-tol", type=_positive_arg, default=DEFAULT_CLUSTER_TOL,
                        help="frequency grouping tolerance (default %(default)g)")
@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_st = sub.add_parser("stability",
                           help="stability reports for a stationary momentum")
-    p_st.add_argument("matrix", help="momentum JSON file (kind 'skew')")
+    p_st.add_argument("matrix", help="momentum JSON file (skew rows, any kind)")
     p_st.add_argument("body", help="inertia JSON file")
     mode = p_st.add_mutually_exclusive_group(required=True)
     mode.add_argument("--spectrum", action="store_true",

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import InertiaSpec, inertia_apply, _check_dims, _scaled_velocity, _skew_array
-from .linalg import SkewMatrix
+from .body import InertiaSpec, inertia_apply, _check_dims, _scaled_velocity
+from .linalg import SkewMatrix, skew
 
 __all__ = [
     "ClassificationError",
@@ -112,7 +112,7 @@ def random_structure(m: int, rng: np.random.Generator) -> np.ndarray:
     d = np.sign(np.diag(r))
     d[d == 0] = 1.0
     q = q * d
-    return SkewMatrix(q @ k @ q.T).array
+    return skew(q @ k @ q.T)
 
 
 def _is_signed_permutation(a: np.ndarray) -> bool:
@@ -144,7 +144,7 @@ class FrequencyBlock:
     def __post_init__(self):
         axes = tuple(int(a) for a in self.axes)
         object.__setattr__(self, "axes", axes)
-        a = SkewMatrix(self.A).array
+        a = skew(self.A)
         object.__setattr__(self, "A", a)
         _structure_defect(a)
         if not self.omega > 0:
@@ -221,7 +221,7 @@ def _stationarity(m, body: InertiaSpec, tol: float):
     residual, which is 0 for the zero momentum."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    arr = _skew_array(m)
+    arr = skew(m)
     _check_dims(arr, body)
     w, lam, e = _scaled_velocity(arr, body)
     s = w @ w
@@ -367,7 +367,7 @@ def classify(m, body: InertiaSpec, tol: float = DEFAULT_TOL,
                                 cluster_tol=cluster_tol)
 
 
-def build_omega(structure: EquilibriumStructure, body: InertiaSpec) -> SkewMatrix:
+def build_omega(structure: EquilibriumStructure, body: InertiaSpec) -> np.ndarray:
     """Assemble the angular velocity of a structure in the ambient frame."""
     if structure.n != body.n:
         raise ValueError(f"structure is {structure.n}-dimensional, body is {body.n}")
@@ -375,23 +375,24 @@ def build_omega(structure: EquilibriumStructure, body: InertiaSpec) -> SkewMatri
     for b in structure.blocks:
         idx = np.ix_(b.axes, b.axes)
         om_t[idx] = b.omega * b.A
-    return SkewMatrix(body.from_eigenframe(om_t))
+    return skew(body.from_eigenframe(om_t))
 
 
-def build_momentum(structure: EquilibriumStructure, body: InertiaSpec) -> SkewMatrix:
+def build_momentum(structure: EquilibriumStructure, body: InertiaSpec) -> np.ndarray:
     return inertia_apply(build_omega(structure, body), body)
 
 
 def generate(structure: EquilibriumStructure, body: InertiaSpec):
     """Realize a structure as a stationary momentum of body.
 
-    Returns (momentum, structure), with structure.residual set to the
-    momentum's stationarity residual. Standard structures give regular
-    equilibria, random structures on blocks of four or more axes exotic
-    ones (up to a measure-zero set of draws). Raises ValueError when the
+    Returns (momentum, structure): the momentum as a SkewMatrix, and
+    structure with its residual set to the momentum's stationarity
+    residual. Standard structures give regular equilibria, random
+    structures on blocks of four or more axes exotic ones (up to a
+    measure-zero set of draws). Raises ValueError when the
     structure's dimension is not the body's.
     """
-    momentum = build_momentum(structure, body)
+    momentum = SkewMatrix(build_momentum(structure, body))
     ok, residual = is_equilibrium(momentum, body, 1e-10)
     if not ok:
         raise ArithmeticError(

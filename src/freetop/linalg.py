@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "SymMatrix",
+    "sym",
+    "skew",
     "SkewMatrix",
     "eigen_symmetric",
 ]
@@ -19,13 +20,6 @@ __all__ = [
 # Relative structural defect tolerated when ingesting nearly symmetric /
 # nearly skew arrays; storage is exact after ingestion.
 STRUCTURE_TOL = 1e-9
-
-
-def _as_square(a) -> np.ndarray:
-    arr = np.array(a, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    return arr
 
 
 def _unit(largest):
@@ -66,72 +60,48 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _StructuredMatrix:
-    """Shared read-only storage for SymMatrix / SkewMatrix.
+def _structured(entries, sign: float) -> np.ndarray:
+    arr = np.array(entries, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    _check_structure(arr, sign)
+    out = 0.5 * (arr + sign * arr.T)
+    if not np.isfinite(out).all():
+        raise ValueError("matrix entries too large: their structured part overflows")
+    if sign < 0:
+        np.fill_diagonal(out, 0.0)
+    return _readonly(out)
 
-    The invariant entries[j, i] == sign * entries[i, j] holds exactly:
-    construction checks the input is structured up to STRUCTURE_TOL,
-    projects it onto its structured part and makes that storage read-only.
-    """
 
-    __slots__ = ("_a",)
-    _sign: float  # +1.0 symmetric, -1.0 skew
+def sym(a) -> np.ndarray:
+    """The symmetric part of a square matrix that is symmetric within
+    STRUCTURE_TOL (see `_check_structure`), as a new read-only float64
+    array; raises ValueError otherwise."""
+    return _structured(a, 1.0)
+
+
+def skew(a) -> np.ndarray:
+    """The skew part of a square matrix that is skew-symmetric within
+    STRUCTURE_TOL, with an exactly zero diagonal, as a new read-only float64
+    array; raises ValueError otherwise. A SkewMatrix gives its storage."""
+    if isinstance(a, SkewMatrix):
+        return a.array
+    return _structured(a, -1.0)
+
+
+class SkewMatrix:
+    """A momentum checked once: `array` is skew(entries), which skew gives
+    back without a second check. `generate` returns one; everything else
+    takes and returns plain arrays."""
+
+    __slots__ = ("array",)
 
     def __init__(self, entries):
-        arr = _as_square(entries)
-        _check_structure(arr, self._sign)
-        sym = 0.5 * (arr + self._sign * arr.T)
-        if not np.isfinite(sym).all():
-            raise ValueError("matrix entries too large: their structured part overflows")
-        if self._sign < 0:
-            np.fill_diagonal(sym, 0.0)
-        self._a = _readonly(sym)
-
-    @property
-    def n(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def array(self) -> np.ndarray:
-        """The read-only underlying storage (no copy)."""
-        return self._a
+        self.array = skew(entries)
 
     def __array__(self, dtype=None, copy=None):
-        out = self._a.copy()
+        out = self.array.copy()
         return out if dtype is None else out.astype(dtype)
-
-    def __getitem__(self, idx):
-        return self._a[idx]
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._a.shape == other._a.shape and bool(np.all(self._a == other._a))
-
-    __hash__ = None
-
-    def __repr__(self):
-        kind = type(self).__name__
-        return f"{kind}(n={self.n})\n{self._a!r}"
-
-
-class SymMatrix(_StructuredMatrix):
-    """Real symmetric matrix with structurally enforced symmetry."""
-
-    _sign = 1.0
-
-    @classmethod
-    def diagonal(cls, values) -> "SymMatrix":
-        vals = np.asarray(values, dtype=float)
-        if vals.ndim != 1 or vals.size < 1:
-            raise ValueError("expected a nonempty 1-d list of diagonal values")
-        return cls(np.diag(vals))
-
-
-class SkewMatrix(_StructuredMatrix):
-    """Real skew-symmetric matrix with structurally enforced antisymmetry."""
-
-    _sign = -1.0
 
 
 def _fix_column_signs(q: np.ndarray) -> None:
@@ -144,15 +114,15 @@ def _fix_column_signs(q: np.ndarray) -> None:
 def eigen_symmetric(s) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix by LAPACK (`np.linalg.eigh`).
 
-    Returns (eigenvalues, basis) as read-only arrays, like `np.linalg.eigh`:
+    Decomposes sym(s), so raises ValueError where sym does. Returns
+    (eigenvalues, basis) as read-only arrays, like `np.linalg.eigh`:
     eigenvalues ascending, basis columns the matching orthonormal
     eigenvectors, each with its first non-negligible component positive.
     Raises ArithmeticError if the basis is not orthonormal to 1e-12 * n or
-    the reconstruction residual exceeds 1e-10 times the norm of the
-    (symmetrized) input. Both residual norms are taken after one exact
+    the reconstruction residual exceeds 1e-10 times the norm of sym(s). Both residual norms are taken after one exact
     power-of-two scaling (as in `_check_structure`), so they cannot overflow.
     """
-    a = s.array if isinstance(s, SymMatrix) else SymMatrix(s).array
+    a = sym(s)
     lam, v = np.linalg.eigh(a)
     _fix_column_signs(v)
     n = a.shape[0]

@@ -11,9 +11,10 @@ import os
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .body import InertiaSpec, Trajectory, _step_count, integrate
 from .equilibria import generate
-from .linalg import SkewMatrix
 from .serialize import (
     SchemaError,
     _at,
@@ -35,11 +36,11 @@ OUTPUT_KEYS = ("trajectory_csv", "trajectory_jsonl", "invariants_json", "report_
 
 @dataclass
 class Scenario:
-    """A checked scenario file; initial is the momentum, resolved from the
-    recipe when the file gives one."""
+    """A checked scenario file; initial is the momentum as a read-only skew
+    array, resolved from the recipe when the file gives one."""
 
     body: InertiaSpec
-    initial: SkewMatrix
+    initial: np.ndarray
     dt: float
     t_end: float
     record_every: int = 1
@@ -69,7 +70,7 @@ def scenario_from_doc(doc, seed_override: int | None = None) -> Scenario:
         structure = recipe_from_doc(raw_initial["recipe"], "initial.recipe",
                                     default_seed=seed)
         with _at("initial.recipe"):
-            initial, _ = generate(structure, body)
+            initial = generate(structure, body)[0].array
     else:
         raise SchemaError("initial", "expected exactly one of 'matrix' or 'recipe'")
 

@@ -23,7 +23,7 @@ from .equilibria import (
     random_structure,
     standard_structure,
 )
-from .linalg import SkewMatrix, SymMatrix
+from .linalg import skew
 from .stability import LinearizationReport, OrbitKernelReport, ProbeResult
 
 __all__ = [
@@ -120,8 +120,11 @@ def dumps_canonical(obj) -> str:
 
 
 def write_json(path, obj) -> None:
+    """Write obj as canonical JSON. An obj that cannot be serialized raises
+    before the file is opened, so an existing file is left as it was."""
+    text = dumps_canonical(obj) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(obj) + "\n")
+        fh.write(text)
 
 
 def _parse_int(text: str):
@@ -226,13 +229,16 @@ def _rows(value, n, path):
 # -- matrix documents ------------------------------------------------------
 
 def matrix_to_doc(m) -> dict:
-    if isinstance(m, SymMatrix):
-        kind = "sym"
-    elif isinstance(m, SkewMatrix):
+    """A matrix document whose kind is the one the entries satisfy exactly:
+    "skew" if m == -m.T (so the zero matrix is "skew"), else "sym" if
+    m == m.T, else "general"."""
+    arr = np.asarray(m, dtype=float)
+    if np.array_equal(arr, -arr.T):
         kind = "skew"
+    elif np.array_equal(arr, arr.T):
+        kind = "sym"
     else:
         kind = "general"
-    arr = np.asarray(m, dtype=float)
     return {
         "spec_version": SPEC_VERSION,
         "n": int(arr.shape[0]),
@@ -242,7 +248,11 @@ def matrix_to_doc(m) -> dict:
 
 
 def matrix_from_doc(doc, path: str = "", require_version: bool = True):
-    """Parse {"n", "kind", "rows"} into SymMatrix / SkewMatrix / ndarray."""
+    """The rows of a {"n", "kind", "rows"} document as an array.
+
+    The kind must be one of "sym", "skew" and "general", but it does not
+    decide how the rows are checked: the role that reads them does
+    (body_from_doc, momentum_for_body)."""
     if not isinstance(doc, dict):
         raise SchemaError(path or "<root>", "expected a JSON object")
     if require_version:
@@ -253,29 +263,24 @@ def matrix_from_doc(doc, path: str = "", require_version: bool = True):
     kind = _want(doc, "kind", str, path, "a string")
     if kind not in ("sym", "skew", "general"):
         raise SchemaError(_join(path, "kind"), f"unknown kind {kind!r}")
-    rows = _rows(_want(doc, "rows", list, path, "a list"), n, _join(path, "rows"))
-    with _at(_join(path, "rows")):
-        if kind == "sym":
-            return SymMatrix(rows)
-        if kind == "skew":
-            return SkewMatrix(rows)
-    return rows
+    return _rows(_want(doc, "rows", list, path, "a list"), n, _join(path, "rows"))
 
 
 def read_matrix(path):
     return matrix_from_doc(load_json(path))
 
 
-def momentum_for_body(m, body: InertiaSpec, path: str = "") -> SkewMatrix:
-    """A matrix read by matrix_from_doc, taken as a momentum of body: any
-    kind whose rows are skew, of the body's dimension. Errors name the
-    document's rows or n."""
+def momentum_for_body(m, body: InertiaSpec, path: str = "") -> np.ndarray:
+    """The rows read by matrix_from_doc, taken as a momentum of body: any
+    kind whose rows are skew, of the body's dimension, as skew(m). Errors
+    name the document's rows or n."""
     try:
-        m = m if isinstance(m, SkewMatrix) else SkewMatrix(m)
+        m = skew(m)
     except ValueError as exc:
         raise SchemaError(_join(path, "rows"), f"momentum {exc}") from exc
-    if m.n != body.n:
-        raise SchemaError(_join(path, "n"), f"momentum has n = {m.n}, the body has n = {body.n}")
+    n = m.shape[0]
+    if n != body.n:
+        raise SchemaError(_join(path, "n"), f"momentum has n = {n}, the body has n = {body.n}")
     return m
 
 
@@ -290,11 +295,11 @@ def body_from_doc(doc, path: str = "", require_version: bool = True) -> InertiaS
         vals = [_number(v, f"{_join(path, 'eigenvalues')}[{k}]") for k, v in enumerate(raw)]
         with _at(_join(path, "eigenvalues")):
             return InertiaSpec.from_eigenvalues(vals)
-    m = matrix_from_doc(doc, path, require_version=require_version)
-    if not isinstance(m, SymMatrix):
+    rows = matrix_from_doc(doc, path, require_version=require_version)
+    if doc["kind"] != "sym":
         raise SchemaError(_join(path, "kind"), "inertia matrix must have kind 'sym'")
     with _at(_join(path, "rows")):
-        return InertiaSpec(m)
+        return InertiaSpec(rows)
 
 
 def read_body(path) -> InertiaSpec:
@@ -390,7 +395,7 @@ def recipe_from_doc(doc, path: str = "", default_seed: int | None = None) -> Equ
             raise SchemaError(spath, "expected 'standard', 'random', or {'A': rows}")
         perm = np.argsort(axes, kind="stable")
         with _at(spath):
-            a = SkewMatrix(a[np.ix_(perm, perm)]).array
+            a = skew(a[np.ix_(perm, perm)])
             _structure_defect(a)
         with _at(bpath):
             blocks.append(FrequencyBlock(omega=omega, axes=tuple(sorted(axes)), A=a))

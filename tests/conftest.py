@@ -13,7 +13,7 @@ def random_skew(n, rng, scale=1.0):
     for i in range(n):
         for j in range(i + 1, n):
             m[i, j] = scale * rng.standard_normal()
-    return ft.SkewMatrix(m - m.T)
+    return ft.skew(m - m.T)
 
 
 def rotation_generator(n, i, j, omega=1.0):
@@ -22,12 +22,12 @@ def rotation_generator(n, i, j, omega=1.0):
     g = np.zeros((n, n))
     g[i, j] = omega
     g[j, i] = -omega
-    return ft.SkewMatrix(g)
+    return ft.skew(g)
 
 
 def random_sym(n, rng, scale=1.0):
     a = rng.standard_normal((n, n)) * scale
-    return ft.SymMatrix(0.5 * (a + a.T))
+    return ft.sym(0.5 * (a + a.T))
 
 
 def random_body(n, rng, min_gap=0.1):
@@ -35,7 +35,7 @@ def random_body(n, rng, min_gap=0.1):
     nontrivial eigenframe."""
     lam = 1.0 + np.cumsum(min_gap + rng.random(n))
     q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    return ft.InertiaSpec(ft.SymMatrix(q @ np.diag(lam) @ q.T))
+    return ft.InertiaSpec(ft.sym(q @ np.diag(lam) @ q.T))
 
 
 @pytest.fixture

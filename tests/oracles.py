@@ -70,7 +70,7 @@ def euler3d_solve(m0, moments, t_end):
 # -- momentum flow in the ambient frame --------------------------------------
 
 def _skew_of_body(m, body):
-    arr = m.array if isinstance(m, ft.SkewMatrix) else ft.SkewMatrix(m).array
+    arr = ft.skew(m)
     if arr.shape[0] != body.n:
         raise ValueError(f"dimension mismatch: state is {arr.shape[0]}, body is {body.n}")
     return arr
@@ -79,23 +79,23 @@ def _skew_of_body(m, body):
 def inertia_invert(m, body):
     """Angular velocity of a momentum: entrywise division by the pairwise
     eigenvalue sums in the inertia eigenframe, rotated back."""
-    return ft.SkewMatrix(_invert_array(_skew_of_body(m, body), body))
+    return ft.skew(_invert_array(_skew_of_body(m, body), body))
 
 
 def vector_field(m, body):
     """Right-hand side of the momentum equation, [M, W] with W = inverse inertia of M."""
     arr = _skew_of_body(m, body)
     p = arr @ _invert_array(arr, body)
-    return ft.SkewMatrix(p - p.T)  # [M, W]; the transpose trick is exact for skew factors
+    return ft.skew(p - p.T)  # [M, W]; the transpose trick is exact for skew factors
 
 
 def rk4_ambient(m0, body, dt, nsteps):
     """Classical RK4 on dM/dt = [M, W] in the ambient frame, one
     vector_field call per stage; returns the momentum after nsteps."""
-    m = np.asarray(m0.array if isinstance(m0, ft.SkewMatrix) else m0, dtype=float)
+    m = np.asarray(m0, dtype=float)
 
     def field(y):
-        return vector_field(y, body).array
+        return vector_field(y, body)
 
     for _ in range(nsteps):
         k1 = field(m)
@@ -225,7 +225,7 @@ def linearize_fd(m_eq, body, h=None):
     if h is None:
         scale = np.linalg.norm(m)
         h = 1e-6 * scale if scale > 0 else 1e-6
-    return fd_operator(lambda d: vector_field(ft.SkewMatrix(m + d), body).array,
+    return fd_operator(lambda d: vector_field(m + d, body),
                        m.shape[0], h)
 
 
@@ -254,7 +254,7 @@ def two_kernel_dims(m_eq, body, h=1e-6, rank_tol=1e-6):
 
     def orbit_residual(xi):
         g = expm(xi)
-        return vector_field(ft.SkewMatrix(g @ m @ g.T), body).array
+        return vector_field(g @ m @ g.T, body)
 
     pairs = so_pairs(n)
     dim = len(pairs)

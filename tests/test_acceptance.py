@@ -36,7 +36,7 @@ def criterion(num, name):
 @pytest.fixture(scope="module")
 def warm_kernel():
     body = ft.InertiaSpec.from_eigenvalues([1.0, 2.0])
-    m = ft.SkewMatrix([[0.0, 0.1], [-0.1, 0.0]])
+    m = ft.skew([[0.0, 0.1], [-0.1, 0.0]])
     ft.integrate(m, body, dt=1e-2, t_end=0.1, record_every=10)
 
 
@@ -74,11 +74,11 @@ def test_criterion_1_commutator_identity():
         for case in range(1000):
             n = 3 + case % 6
             body = random_body(n, rng)
-            m = random_skew(n, rng).array
-            om = oracles.inertia_invert(m, body).array
+            m = random_skew(n, rng)
+            om = oracles.inertia_invert(m, body)
             lhs = m @ om - om @ m
-            rhs = body.J.array @ (om @ om) - (om @ om) @ body.J.array
-            scale = np.linalg.norm(body.J.array) * np.linalg.norm(om) ** 2
+            rhs = body.J @ (om @ om) - (om @ om) @ body.J
+            scale = np.linalg.norm(body.J) * np.linalg.norm(om) ** 2
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * scale
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
@@ -108,7 +108,7 @@ def test_criterion_3_classifier_roundtrip(recipe_suite):
             assert got.matches(structure), (
                 f"{got} vs {structure}")
             rebuilt = ft.build_momentum(got, body)
-            assert np.linalg.norm(rebuilt.array - momentum.array) <= \
+            assert np.linalg.norm(rebuilt - momentum.array) <= \
                 1e-8 * np.linalg.norm(momentum.array)
 
 
@@ -146,7 +146,7 @@ def test_criterion_5_conservation_order(warm_kernel):
         for i in range(4):
             for j in range(i + 1, 4):
                 m0[i, j] = 3.0 * rng.standard_normal()
-        m0 = ft.SkewMatrix(m0 - m0.T)
+        m0 = ft.skew(m0 - m0.T)
         labels = invariant_labels(4, 4)
         dts = (0.1, 0.05, 0.025)
         noise_floor = 5e-12
@@ -185,7 +185,7 @@ def test_criterion_6_classical_crosscheck(warm_kernel):
         for _ in range(3):
             m_vec = rng.standard_normal(3)
             dense = oracles.euler3d_solve(m_vec, moments, 1.0)
-            traj = ft.integrate(ft.SkewMatrix(oracles.hat(m_vec)), body,
+            traj = ft.integrate(ft.skew(oracles.hat(m_vec)), body,
                                 dt=1e-3, t_end=1.0, record_every=100)
             for t, m in zip(traj.times, traj.momenta):
                 got = oracles.unhat(m)
@@ -194,7 +194,7 @@ def test_criterion_6_classical_crosscheck(warm_kernel):
         def principal(axis):
             m_vec = np.zeros(3)
             m_vec[axis] = moments[axis]
-            return ft.SkewMatrix(oracles.hat(m_vec))
+            return ft.skew(oracles.hat(m_vec))
 
         probe_kwargs = dict(eps=1e-6, horizon=100.0, exit_factor=100.0, seed=1)
         middle = ft.instability_probe(principal(1), body, **probe_kwargs)
@@ -242,7 +242,7 @@ def test_criterion_8_linearization_correctness():
         for axis in range(3):
             m_vec = np.zeros(3)
             m_vec[axis] = oracles.moments_of([1.0, 2.0, 3.0])[axis]
-            cases.append((ft.SkewMatrix(oracles.hat(m_vec)), body3))
+            cases.append((ft.skew(oracles.hat(m_vec)), body3))
         for momentum, body in cases:
             rep = ft.linearize(momentum, body)
             fd = oracles.linearize_fd(momentum, body)

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ class TestInertiaSpec:
             lam = np.concatenate(([ratio], np.sort(rng.uniform(0.1, 1.0, n - 2)), [1.0]))
             q = np.linalg.qr(rng.standard_normal((n, n)))[0]
             a = q @ np.diag(lam) @ q.T
-            body = ft.InertiaSpec(ft.SymMatrix(0.5 * (a + a.T)))
+            body = ft.InertiaSpec(ft.sym(0.5 * (a + a.T)))
             assert abs(body.eigenvalues[0] - ratio) <= 1e-14
 
     def test_rejects_moments_beyond_double_range(self):
@@ -62,12 +63,11 @@ class TestInertiaSpec:
         j = np.array([[2.0, 0.1, 0.0], [0.1, 3.0, 0.0], [0.0, 0.0, 5.0]])
         body = ft.InertiaSpec(j)
         j[0, 2] = j[2, 0] = 0.5
-        assert body.J.array[0, 2] == 0.0
+        assert body.J[0, 2] == 0.0
+        assert isinstance(body.J, np.ndarray) and body.J.dtype == np.float64
         with pytest.raises(ValueError, match="read-only"):
-            body.J.array[0, 1] = 0.2
-        with pytest.raises(TypeError):
             body.J[0, 1] = 0.2
-        assert body.J.array[0, 1] == 0.1
+        assert body.J[0, 1] == 0.1
 
     def test_pair_sums(self, body3):
         expected = np.array([[2.0, 3.0, 4.0], [3.0, 4.0, 5.0], [4.0, 5.0, 6.0]])
@@ -83,28 +83,28 @@ class TestInertiaSpec:
 class TestInertiaMaps:
     def test_apply_hand_example(self):
         body = ft.InertiaSpec.from_eigenvalues([1.0, 2.0])
-        om = ft.SkewMatrix([[0.0, 1.0], [-1.0, 0.0]])
-        np.testing.assert_array_equal(ft.inertia_apply(om, body).array,
+        om = ft.skew([[0.0, 1.0], [-1.0, 0.0]])
+        np.testing.assert_array_equal(ft.inertia_apply(om, body),
                                       [[0.0, 3.0], [-3.0, 0.0]])
 
     def test_apply_zero(self, body4):
-        assert np.all(ft.inertia_apply(ft.SkewMatrix(np.zeros((4, 4))), body4).array == 0.0)
+        assert np.all(ft.inertia_apply(ft.skew(np.zeros((4, 4))), body4) == 0.0)
 
     def test_invert_hand_example(self):
         body = ft.InertiaSpec.from_eigenvalues([1.0, 2.0])
-        m = ft.SkewMatrix([[0.0, 3.0], [-3.0, 0.0]])
-        np.testing.assert_allclose(oracles.inertia_invert(m, body).array,
+        m = ft.skew([[0.0, 3.0], [-3.0, 0.0]])
+        np.testing.assert_allclose(oracles.inertia_invert(m, body),
                                    [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15)
 
     def test_invert_zero(self, body4):
-        assert np.all(oracles.inertia_invert(ft.SkewMatrix(np.zeros((4, 4))), body4).array == 0.0)
+        assert np.all(oracles.inertia_invert(ft.skew(np.zeros((4, 4))), body4) == 0.0)
 
     def test_pairwise_sum_rule_in_eigenframe(self, rng):
         body = random_body(5, rng)
         om = random_skew(5, rng)
         m = ft.inertia_apply(om, body)
-        mt = body.to_eigenframe(m.array)
-        ot = body.to_eigenframe(om.array)
+        mt = body.to_eigenframe(m)
+        ot = body.to_eigenframe(om)
         np.testing.assert_allclose(mt, np.asarray(body.pair_sums) * ot, atol=1e-12)
 
     @pytest.mark.parametrize("n", range(2, 11))
@@ -112,14 +112,14 @@ class TestInertiaMaps:
         body = random_body(n, rng)
         om = random_skew(n, rng)
         om2 = oracles.inertia_invert(ft.inertia_apply(om, body), body)
-        assert np.linalg.norm(om2.array - om.array) <= 1e-11 * np.linalg.norm(om.array)
+        assert np.linalg.norm(om2 - om) <= 1e-11 * np.linalg.norm(om)
         m = random_skew(n, rng)
         m2 = ft.inertia_apply(oracles.inertia_invert(m, body), body)
-        assert np.linalg.norm(m2.array - m.array) <= 1e-11 * np.linalg.norm(m.array)
+        assert np.linalg.norm(m2 - m) <= 1e-11 * np.linalg.norm(m)
 
     def test_dimension_mismatch(self, body3):
         with pytest.raises(ValueError, match="mismatch"):
-            ft.inertia_apply(ft.SkewMatrix(np.zeros((4, 4))), body3)
+            ft.inertia_apply(ft.skew(np.zeros((4, 4))), body3)
 
 
 class TestVectorField:
@@ -129,17 +129,17 @@ class TestVectorField:
             body = random_body(n, rng)
             m = random_skew(n, rng)
             om = oracles.inertia_invert(m, body)
-            lhs = oracles.vector_field(m, body).array
-            rhs = oracles.commutator(body.J, om.array @ om.array)
-            scale = np.linalg.norm(body.J.array) * np.linalg.norm(om.array) ** 2
+            lhs = oracles.vector_field(m, body)
+            rhs = oracles.commutator(body.J, om @ om)
+            scale = np.linalg.norm(body.J) * np.linalg.norm(om) ** 2
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * scale
 
     def test_reduces_to_classical_euler(self, body3, rng):
         for _ in range(20):
             m_vec = rng.standard_normal(3)
-            m = ft.SkewMatrix(oracles.hat(m_vec))
+            m = ft.skew(oracles.hat(m_vec))
             rhs = oracles.euler3d_rhs(m_vec, oracles.moments_of([1.0, 2.0, 3.0]))
-            got = oracles.unhat(oracles.vector_field(m, body3).array)
+            got = oracles.unhat(oracles.vector_field(m, body3))
             np.testing.assert_allclose(got, rhs, atol=1e-13)
 
     def test_equilibrium_stationary(self, body4):
@@ -147,15 +147,15 @@ class TestVectorField:
         m, _ = ft.generate(recipe, body4)
         om = oracles.inertia_invert(m, body4)
         f = oracles.vector_field(m, body4)
-        assert np.linalg.norm(f.array) <= \
-            1e-10 * np.linalg.norm(m.array) * np.linalg.norm(om.array)
+        assert np.linalg.norm(f) <= \
+            1e-10 * np.linalg.norm(m.array) * np.linalg.norm(om)
 
     def test_casimir_tangency(self, rng):
         # d/dt tr(M^2k) = 2k tr(M^(2k-1) [M, W]) vanishes identically.
         for n in (3, 5, 6):
             body = random_body(n, rng)
-            m = random_skew(n, rng).array
-            f = oracles.vector_field(m, body).array
+            m = random_skew(n, rng)
+            f = oracles.vector_field(m, body)
             power = m
             for k in range(1, n // 2 + 1):
                 deriv = 2 * k * np.trace(power @ f)
@@ -166,12 +166,12 @@ class TestVectorField:
 
 class TestEnergy:
     def test_zero(self, body4):
-        assert ft.energy(ft.SkewMatrix(np.zeros((4, 4))), body4) == 0.0
+        assert ft.energy(ft.skew(np.zeros((4, 4))), body4) == 0.0
 
     def test_hand_value(self):
         # M W = [[-3, 0], [0, -3]] so -tr(M W)/4 = 3/2.
         body = ft.InertiaSpec.from_eigenvalues([1.0, 2.0])
-        m = ft.SkewMatrix([[0.0, 3.0], [-3.0, 0.0]])
+        m = ft.skew([[0.0, 3.0], [-3.0, 0.0]])
         assert ft.energy(m, body) == pytest.approx(1.5, rel=1e-15)
 
     def test_positive_for_nonzero(self, rng):
@@ -183,7 +183,7 @@ class TestEnergy:
     def test_classical_normalization(self, body3, rng):
         moments = oracles.moments_of([1.0, 2.0, 3.0])
         w_vec = rng.standard_normal(3)
-        om = ft.SkewMatrix(oracles.hat(w_vec))
+        om = ft.skew(oracles.hat(w_vec))
         m = ft.inertia_apply(om, body3)
         classical = 0.5 * float(np.sum(moments * w_vec**2))
         assert ft.energy(m, body3) == pytest.approx(classical, rel=1e-13)
@@ -199,12 +199,12 @@ class TestManakovIntegrals:
     def test_lambda_zero_term_is_casimir(self, body4, rng):
         m = random_skew(4, rng)
         vals = ft.manakov_integrals(m, body4, 2)
-        assert vals[0] == pytest.approx(float(np.trace(m.array @ m.array)), rel=1e-13)
+        assert vals[0] == pytest.approx(float(np.trace(m @ m)), rel=1e-13)
 
     def test_leading_term_constant(self, body4, rng):
         m = random_skew(4, rng)
         vals = ft.manakov_integrals(m, body4, 2)
-        j = body4.J.array
+        j = body4.J
         assert vals[2] == pytest.approx(float(np.trace(np.linalg.matrix_power(j, 4))),
                                         rel=1e-13)
 
@@ -212,11 +212,11 @@ class TestManakovIntegrals:
         # Coefficients must reproduce direct evaluations of
         # tr((M + z J^2)^k) at generic points z.
         body = random_body(5, rng)
-        m = random_skew(5, rng).array
+        m = random_skew(5, rng)
         max_power = 5
         vals = ft.manakov_integrals(m, body, max_power)
         labels = ft.manakov_labels(max_power)
-        j2 = body.J.array @ body.J.array
+        j2 = body.J @ body.J
         for z in (0.37, -1.21, 2.0):
             idx = 0
             for k in range(2, max_power + 1):
@@ -245,18 +245,18 @@ class TestBatchedInvariants:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_table_matches_reference_rotated_body(self, n, rng):
         body = random_body(n, rng)
-        stack = np.stack([random_skew(n, rng, scale=2.0).array for _ in range(7)])
+        stack = np.stack([random_skew(n, rng, scale=2.0) for _ in range(7)])
         table = ft.compute_invariants(stack, body, n)
         assert table.shape == (7, len(invariant_labels(n, n)))
         for m, row in zip(stack, table):
-            ref, scale = oracles.invariants_reference(m, body.J.array, n)
+            ref, scale = oracles.invariants_reference(m, body.J, n)
             assert np.all(np.abs(row - ref) <= 1e-13 * scale), np.abs(row - ref) / scale
 
     def test_single_and_batched_calls_agree(self, rng):
         # One code path broadcasts over the stack, so each row is bitwise the
         # single-sample result.
         body = random_body(5, rng)
-        stack = np.stack([random_skew(5, rng).array for _ in range(4)])
+        stack = np.stack([random_skew(5, rng) for _ in range(4)])
         table = ft.compute_invariants(stack, body, 4)
         energies = ft.energy(stack, body)
         spectral = ft.manakov_integrals(stack, body, 4)
@@ -274,7 +274,7 @@ class TestBatchedInvariants:
     ], ids=["energy", "manakov_integrals", "compute_invariants"])
     @pytest.mark.parametrize("bad", ["symmetric", "nan", "one_bad_row", "huge_symmetric"])
     def test_rejects_non_skew_or_non_finite(self, fn, bad, body4, rng):
-        m = random_skew(4, rng).array.copy()
+        m = random_skew(4, rng).copy()
         if bad == "symmetric":
             m = np.abs(m)
         elif bad == "nan":
@@ -292,7 +292,7 @@ class TestBatchedInvariants:
         # sum_i M~_ii * lambda_i^p; the eigenframe stack is exactly skew, so
         # rounding in the rotation leaves nothing in these columns.
         body = random_body(5, rng)
-        stack = np.stack([random_skew(5, rng).array for _ in range(3)])
+        stack = np.stack([random_skew(5, rng) for _ in range(3)])
         table = ft.compute_invariants(stack, body, 4)
         labels = invariant_labels(5, 4)
         for label in ("manakov_2_1", "manakov_3_2", "manakov_4_3"):
@@ -300,10 +300,10 @@ class TestBatchedInvariants:
 
     def test_near_skew_input_uses_its_skew_part(self, rng):
         body = random_body(4, rng)
-        nudged = random_skew(4, rng).array.copy()
+        nudged = random_skew(4, rng).copy()
         nudged[0, 1] += 1e-12
         nudged[2, 2] = 1e-12
-        exact = ft.SkewMatrix(nudged)
+        exact = ft.skew(nudged)
         np.testing.assert_allclose(ft.compute_invariants(nudged, body, 4),
                                    ft.compute_invariants(exact, body, 4), rtol=1e-14, atol=1e-14)
         assert ft.energy(nudged, body) == pytest.approx(ft.energy(exact, body), rel=1e-15)
@@ -316,7 +316,7 @@ class TestBatchedInvariants:
         assert traj.momenta.shape == (11, 6, 6)
         np.testing.assert_array_equal(traj.momenta, -traj.momenta.transpose(0, 2, 1))
         for m, row in zip(traj.momenta, traj.invariants):
-            ref, scale = oracles.invariants_reference(m, body.J.array, 4)
+            ref, scale = oracles.invariants_reference(m, body.J, 4)
             assert np.all(np.abs(row - ref) <= 1e-13 * scale)
 
     def test_non_finite_sample_aborts_with_its_time(self, body3, monkeypatch):
@@ -363,7 +363,7 @@ class TestStepRK4:
 
     def test_matches_classical_oracle(self, body3, rng):
         m_vec = rng.standard_normal(3)
-        m = ft.SkewMatrix(oracles.hat(m_vec))
+        m = ft.skew(oracles.hat(m_vec))
         sol = oracles.euler3d_solve(m_vec, oracles.moments_of([1.0, 2.0, 3.0]), 1.0)
         traj = ft.integrate(m, body3, dt=1e-3, t_end=1.0, record_every=1000)
         got = oracles.unhat(traj.momenta[-1])
@@ -371,7 +371,7 @@ class TestStepRK4:
 
     def test_overflow_aborts(self, body3):
         # The guard only warns, so the kernel itself runs into overflow.
-        huge = ft.SkewMatrix([[0.0, 1e160, 0.0], [-1e160, 0.0, 1e160], [0.0, -1e160, 0.0]])
+        huge = ft.skew([[0.0, 1e160, 0.0], [-1e160, 0.0, 1e160], [0.0, -1e160, 0.0]])
         with pytest.warns(UserWarning, match="guard"):
             with pytest.raises(ft.IntegrationAbort, match="non-finite near t = "):
                 ft.integrate(huge, body3, dt=1e3, t_end=1e4, guard="warn")
@@ -402,7 +402,7 @@ class TestIntegrate:
         m0 = random_skew(6, rng)
         kwargs = dict(dt=1e-3, t_end=0.2, record_every=20)
         fast = ft.integrate(m0, body6, **kwargs)
-        slow = _kernels.rk4_momentum_numpy(body6.to_eigenframe(m0.array),
+        slow = _kernels.rk4_momentum_numpy(body6.to_eigenframe(m0),
                                            np.asarray(body6.pair_sums), 1e-3, 200, 20)
         np.testing.assert_allclose(fast.momenta, body6.from_eigenframe(slow), atol=1e-12)
 
@@ -452,7 +452,7 @@ class TestKernelTwins:
         kernel = _kernels.rk4_momentum_c
         for n in range(2, 17):
             body = random_body(n, rng)
-            mt0 = body.to_eigenframe(random_skew(n, rng).array)
+            mt0 = body.to_eigenframe(random_skew(n, rng))
             pair = np.asarray(body.pair_sums)
             a = kernel(mt0, pair, 1e-3, 50, 10)
             b = _kernels.rk4_momentum_numpy(mt0, pair, 1e-3, 50, 10)
@@ -469,7 +469,7 @@ class TestKernelTwins:
         # a stage seldom reaches the recorded states; at 5e-2 it does.
         for n in range(2, 10):
             body = random_body(n, rng)
-            mt0 = body.to_eigenframe(random_skew(n, rng).array)
+            mt0 = body.to_eigenframe(random_skew(n, rng))
             pair = np.asarray(body.pair_sums)
             np.testing.assert_array_equal(_kernels.rk4_momentum_c(mt0, pair, 5e-2, 20, 5),
                                           oracles.rk4_momentum_loops(mt0, pair, 5e-2, 20, 5))
@@ -509,7 +509,7 @@ class TestKernelTwins:
             monkeypatch.setattr(_kernels, "_CACHE_DIR", blocker / "__pycache__")
             reason = "Errno.*" + re.escape(str(blocker))
         body = random_body(5, rng)
-        mt0 = body.to_eigenframe(random_skew(5, rng).array)
+        mt0 = body.to_eigenframe(random_skew(5, rng))
         pair = np.asarray(body.pair_sums)
         _kernels._c_kernel.cache_clear()
         try:
@@ -523,6 +523,20 @@ class TestKernelTwins:
             _kernels._c_kernel.cache_clear()
         np.testing.assert_array_equal(got, _kernels.rk4_momentum_numpy(mt0, pair, 1e-3, 50, 10))
         np.testing.assert_array_equal(again, got)
+
+    @NEEDS_CC
+    def test_builds_with_no_path_in_the_environment(self, tmp_path):
+        # The compiler is found on the default search path and must run with
+        # it, or it cannot find its linker.
+        code = ("import sys, warnings, pathlib, freetop._kernels as k; "
+                "k._CACHE_DIR = pathlib.Path(sys.argv[1]); "
+                "warnings.simplefilter('error'); print(k.backend())")
+        src = str(Path(ft.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cache")],
+                              capture_output=True, text=True, env={"PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["c"]
+        assert list((tmp_path / "cache").glob("_rk4-*.so"))
 
     def test_import_builds_nothing(self):
         code = ("import sys, freetop, freetop._kernels as k; "
@@ -540,7 +554,7 @@ class TestKernelTwins:
             assert proc.stdout.split() == ["True", "False", "False"]
 
     def test_casimir_trace_helper(self, rng):
-        m = random_skew(6, rng).array
+        m = random_skew(6, rng)
         vals = casimirs(m)
         assert len(vals) == 3
         assert vals[0] == pytest.approx(np.trace(m @ m), rel=1e-14)

@@ -173,11 +173,12 @@ class TestSimulate:
         # The momentum rule of classify and stability: any kind whose rows
         # are skew.
         rows = [[0, 0, 4], [0, 0, 0.01], [-4, -0.01, 0]]
-        doc = {"spec_version": "1", "body": {"eigenvalues": [1.0, 2.0, 3.0]},
-               "initial": {"matrix": {"n": 3, "kind": "general", "rows": rows}},
-               "integrator": {"dt": 0.01, "t_end": 0.1}}
-        assert main(["simulate", write(tmp_path / "general.json", doc)]) == 0
-        assert json.loads(capsys.readouterr().out)["samples"] == 11
+        for kind in ("general", "sym"):
+            doc = {"spec_version": "1", "body": {"eigenvalues": [1.0, 2.0, 3.0]},
+                   "initial": {"matrix": {"n": 3, "kind": kind, "rows": rows}},
+                   "integrator": {"dt": 0.01, "t_end": 0.1}}
+            assert main(["simulate", write(tmp_path / f"{kind}.json", doc)]) == 0
+            assert json.loads(capsys.readouterr().out)["samples"] == 11
 
     def test_outputs_must_name_distinct_files(self, tmp_path, capsys):
         doc = json.loads(open(spinning_book_scenario(tmp_path)).read())
@@ -355,7 +356,7 @@ class TestClassify:
         om = np.zeros((4, 4))
         om[0, 1], om[1, 0] = 1.0, -1.0
         om[2, 3], om[3, 2] = 1.0 + 5e-8, -(1.0 + 5e-8)
-        m = ft.inertia_apply(ft.SkewMatrix(om), body)
+        m = ft.inertia_apply(ft.skew(om), body)
         path = tmp_path / "close.json"
         write(path, ser.matrix_to_doc(m))
         assert main(["classify", str(path), body4_path]) == 5
@@ -370,7 +371,7 @@ class TestClassify:
         om = np.zeros((6, 6))
         om[[0, 2, 4], [1, 3, 5]] = np.sqrt([1.0, 1.0 - 5e-11, 1.0 - 1.00001e-6])
         m_path = write(tmp_path / "m.json",
-                       ser.matrix_to_doc(ft.inertia_apply(ft.SkewMatrix(om - om.T), body)))
+                       ser.matrix_to_doc(ft.inertia_apply(ft.skew(om - om.T), body)))
         b_path = write(tmp_path / "b.json",
                        {"spec_version": "1", "eigenvalues": [1, 2, 3, 4, 5, 6]})
         assert main(["classify", m_path, b_path]) == 5
@@ -382,7 +383,7 @@ class TestClassify:
         om[[0, 2], [1, 3]] = np.sqrt([1.0, 1.0 - 3e-10])
         body = ft.InertiaSpec.from_eigenvalues([1.0, 2.0, 3.0, 4.0])
         m_path = write(tmp_path / "m.json",
-                       ser.matrix_to_doc(ft.inertia_apply(ft.SkewMatrix(om - om.T), body)))
+                       ser.matrix_to_doc(ft.inertia_apply(ft.skew(om - om.T), body)))
         b_path = write(tmp_path / "b.json", {"spec_version": "1", "eigenvalues": [1, 2, 3, 4]})
         assert main(["classify", m_path, b_path]) == 5
         err = capsys.readouterr().err
@@ -421,6 +422,7 @@ class TestClassify:
         ("general", [[0.0, 1.0], [1.0, 0.0]], "rows"),
         ("sym", [[1.0, 0.0], [0.0, 0.0]], "rows"),
         ("skew", [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "n"),
+        ("skew", [[1.0, 2.0], [2.0, 1.0]], "rows"),
     ])
     def test_momentum_unusable_with_body_exit2(self, tmp_path, capsys, command, kind, rows,
                                                field):
@@ -430,6 +432,21 @@ class TestClassify:
         b_path = write(tmp_path / "b.json", {"spec_version": "1", "eigenvalues": [1.0, 2.0]})
         assert main([command[0], m_path, b_path, *command[1:]]) == 2
         assert f"error: invalid input: {field}: momentum" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["classify"], ["stability", "--kernel"]])
+    @pytest.mark.parametrize("kind", ["sym", "general", "skew"])
+    def test_momentum_any_kind_if_skew_exit0(self, tmp_path, body3_path, capsys, command,
+                                             kind):
+        # The kind names what the writer saw; the reader checks the rows as a
+        # momentum whatever the kind says.
+        m_path = write(tmp_path / "m.json", {"spec_version": "1", "n": 3, "kind": kind,
+                                             "rows": [[0, 2, 0], [-2, 0, 0], [0, 0, 0]]})
+        assert main([command[0], m_path, body3_path, *command[1:]]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        if command == ["classify"]:
+            assert [b["axes"] for b in doc["blocks"]] == [[0, 1]] and doc["regular"]
+        else:
+            assert doc["excess_kernel_dim"] == 0
 
     @pytest.mark.parametrize("command", [["classify"], ["stability", "--kernel"]])
     def test_stationary_on_huge_body_exit0(self, tmp_path, capsys, command):
@@ -617,7 +634,7 @@ class TestGenerateAndStability:
         m = np.zeros((3, 3))
         m[0, 2], m[0, 1] = 4.0, 3.0
         path = tmp_path / "off.json"
-        write(path, ser.matrix_to_doc(ft.SkewMatrix(m - m.T)))
+        write(path, ser.matrix_to_doc(ft.skew(m - m.T)))
         args = ["stability", str(path), body3_path, "--horizon", "1"]
         assert main(args + ["--probe"]) == 4
         assert "not a stationary rotation" in capsys.readouterr().err

@@ -103,7 +103,7 @@ class TestIsEquilibrium:
 
     def test_scaled_structure_always_stationary(self, body4):
         a = ft.random_structure(2, np.random.default_rng(5))
-        m = ft.inertia_apply(ft.SkewMatrix(1.7 * a), body4)
+        m = ft.inertia_apply(ft.skew(1.7 * a), body4)
         ok, residual = ft.is_equilibrium(m, body4)
         assert ok and residual <= 1e-12
 
@@ -114,12 +114,12 @@ class TestIsEquilibrium:
             assert not ok and residual > 1e-3
 
     def test_zero_momentum(self, body4):
-        ok, residual = ft.is_equilibrium(ft.SkewMatrix(np.zeros((4, 4))), body4)
+        ok, residual = ft.is_equilibrium(ft.skew(np.zeros((4, 4))), body4)
         assert ok and residual == 0.0
 
     def test_tol_positive(self, body4):
         with pytest.raises(ValueError):
-            ft.is_equilibrium(ft.SkewMatrix(np.zeros((4, 4))), body4, tol=0.0)
+            ft.is_equilibrium(ft.skew(np.zeros((4, 4))), body4, tol=0.0)
 
     def test_residual_is_scale_free(self):
         # A stationary momentum and one with residual 1e-6. Scaling the
@@ -130,14 +130,14 @@ class TestIsEquilibrium:
         body = ft.InertiaSpec.from_eigenvalues(lam)
         m, _ = ft.generate(read_recipe(((0, 1, 2, 3), 1.5, "random"), ((4, 5), 0.7), seed=3),
                            body)
-        d = random_skew(6, np.random.default_rng(0)).array
+        d = random_skew(6, np.random.default_rng(0))
         moved = m.array + 1e-5 * np.linalg.norm(m.array) * d / np.linalg.norm(d)
         powers = (-1000, -600, 0, 600, 1000)
         for arr, stationary in ((m.array, True), (moved, False)):
             for b in powers:
                 with np.errstate(over="ignore"):
                     scaled_body = ft.InertiaSpec.from_eigenvalues(np.ldexp(lam, b))
-                results = {ft.is_equilibrium(ft.SkewMatrix(np.ldexp(arr, a)), scaled_body)
+                results = {ft.is_equilibrium(ft.skew(np.ldexp(arr, a)), scaled_body)
                            for a in powers}
                 assert len(results) == 1, (b, results)
                 ((ok, residual),) = results
@@ -150,7 +150,7 @@ class TestIsEquilibrium:
         spin = ft.inertia_apply(rotation_generator(3, 1, 2, 1e-50), body)
         assert ft.is_equilibrium(spin, body)[0]
         ok, residual = ft.is_equilibrium(
-            ft.SkewMatrix([[0.0, 1.0, 1.0], [-1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), body)
+            ft.skew([[0.0, 1.0, 1.0], [-1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), body)
         assert not ok and np.isfinite(residual)
 
     def test_both_criterion_forms_agree(self, rng):
@@ -165,10 +165,10 @@ class TestIsEquilibrium:
                         fixed_axes=range(n - n % 2, n), seed=n), body)
                 else:
                     m = random_skew(n, rng)
-                om = oracles.inertia_invert(m, body).array
-                j = body.J.array
+                om = oracles.inertia_invert(m, body)
+                j = body.J
                 scale = np.linalg.norm(j) * np.linalg.norm(om) ** 2
-                r1 = np.linalg.norm(oracles.commutator(m.array, om)) / scale
+                r1 = np.linalg.norm(oracles.commutator(m, om)) / scale
                 r2 = np.linalg.norm(oracles.commutator(j, om @ om)) / scale
                 tol = 1e-9
                 assert (r1 <= tol) == (r2 <= tol)
@@ -205,7 +205,7 @@ class TestClassify:
         assert np.linalg.norm(a @ a + np.eye(4)) < 1e-14
         # Some row now carries two entries of size 1/sqrt(2).
         assert np.sum(np.abs(np.abs(a) - np.sqrt(0.5)) < 1e-12) > 0
-        m = ft.inertia_apply(ft.SkewMatrix(1.1 * a), body4)
+        m = ft.inertia_apply(ft.skew(1.1 * a), body4)
         s = ft.classify(m, body4)
         assert not s.regular
         assert len(s.blocks) == 1
@@ -213,7 +213,7 @@ class TestClassify:
         assert s.blocks[0].omega == pytest.approx(1.1, rel=1e-12)
 
     def test_zero_momentum_all_fixed(self, body4):
-        s = ft.classify(ft.SkewMatrix(np.zeros((4, 4))), body4)
+        s = ft.classify(ft.skew(np.zeros((4, 4))), body4)
         assert s.blocks == () and s.fixed_axes == (0, 1, 2, 3)
         assert s.regular
 
@@ -230,7 +230,7 @@ class TestClassify:
         om[1, 0] = -1.0
         om[2, 3] = 1.0 + 5e-8
         om[3, 2] = -om[2, 3]
-        m = ft.inertia_apply(ft.SkewMatrix(om), body4)
+        m = ft.inertia_apply(ft.skew(om), body4)
         with pytest.raises(ft.AmbiguousClustering):
             ft.classify(m, body4)
         # A tighter clustering tolerance resolves the same input.
@@ -243,7 +243,7 @@ class TestClassify:
         body6 = ft.InertiaSpec.from_eigenvalues([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         om = np.zeros((6, 6))
         om[[0, 2, 4], [1, 3, 5]] = np.sqrt([1.0, 1.0 - 5e-11, 1.0 - 1.00001e-6])
-        m = ft.inertia_apply(ft.SkewMatrix(om - om.T), body6)
+        m = ft.inertia_apply(ft.skew(om - om.T), body6)
         assert ft.is_equilibrium(m, body6) == (True, 0.0)
         with pytest.raises(ft.AmbiguousClustering, match="rates 1 and 0.9999995"):
             ft.classify(m, body6)
@@ -253,7 +253,7 @@ class TestClassify:
         om = np.zeros((4, 4))
         for gap in (2e-10, 3e-10, 9e-10):
             om[[0, 2], [1, 3]] = np.sqrt([1.0, 1.0 - gap])
-            m = ft.inertia_apply(ft.SkewMatrix(om - om.T), body4)
+            m = ft.inertia_apply(ft.skew(om - om.T), body4)
             assert ft.is_equilibrium(m, body4) == (True, 0.0)
             with pytest.raises(ft.AmbiguousClustering,
                                match=rf"rates 1 and 0\.99999999\d* \(squared gap {gap:.3e}\)"):
@@ -271,7 +271,7 @@ class TestClassify:
         om[2, 3] = w2
         om[3, 2] = -w2
         g = givens(5, 2, 4, np.pi / 4)
-        m = ft.inertia_apply(ft.SkewMatrix(g @ om @ g.T), body)
+        m = ft.inertia_apply(ft.skew(g @ om @ g.T), body)
         with pytest.raises(ft.OddBlock):
             ft.classify(m, body, tol=0.09, cluster_tol=0.4)
 
@@ -297,12 +297,12 @@ class TestBuilders:
         expected = np.zeros((3, 3))
         expected[0, 1] = 3.0  # (lambda_0 + lambda_1) * omega
         expected[1, 0] = -3.0
-        np.testing.assert_allclose(m.array, expected, atol=1e-15)
+        np.testing.assert_allclose(m, expected, atol=1e-15)
 
     def test_empty_structure(self, body4):
         s = ft.EquilibriumStructure((), fixed_axes=(0, 1, 2, 3), n=4)
-        assert np.linalg.norm(ft.build_omega(s, body4).array) == 0.0
-        assert np.linalg.norm(ft.build_momentum(s, body4).array) == 0.0
+        assert np.linalg.norm(ft.build_omega(s, body4)) == 0.0
+        assert np.linalg.norm(ft.build_momentum(s, body4)) == 0.0
 
     def test_dimension_mismatch(self, body3):
         s = ft.EquilibriumStructure((), fixed_axes=(0, 1, 2, 3), n=4)
@@ -392,9 +392,9 @@ class TestGenerate:
         # Necessity of the structure condition: breaking A^2 = -I by a
         # skew (non-orthogonal) perturbation destroys stationarity.
         a = ft.random_structure(2, np.random.default_rng(9))
-        delta = random_skew(4, rng, scale=1e-3).array
+        delta = random_skew(4, rng, scale=1e-3)
         om_bad = 1.3 * (a + delta)
-        m_bad = ft.inertia_apply(ft.SkewMatrix(om_bad), body4)
+        m_bad = ft.inertia_apply(ft.skew(om_bad), body4)
         ok, residual = ft.is_equilibrium(m_bad, body4)
         assert not ok
         assert residual > 1e-5
@@ -444,8 +444,8 @@ class TestGenerate:
     def test_perturbed_structure_fails_many_seeds(self, body4, rng):
         for seed in range(5):
             a = ft.random_structure(2, np.random.default_rng(seed))
-            delta = random_skew(4, rng, scale=1e-3).array
-            m_bad = ft.inertia_apply(ft.SkewMatrix(1.3 * (a + delta)), body4)
+            delta = random_skew(4, rng, scale=1e-3)
+            m_bad = ft.inertia_apply(ft.skew(1.3 * (a + delta)), body4)
             ok, residual = ft.is_equilibrium(m_bad, body4)
             assert not ok and residual > 1e-5
 
@@ -455,7 +455,7 @@ class TestGenerate:
         recipe = read_recipe(((0, 1, 2, 3), 1.0, "random"), ((4, 5), 2.0), seed=13)
         m, s = ft.generate(recipe, body6)
         om = oracles.inertia_invert(m, body6)
-        eigs = np.linalg.eigvals(om.array)
+        eigs = np.linalg.eigvals(om)
         rates = np.sort(eigs.imag[eigs.imag > 0])
         np.testing.assert_allclose(rates, [1.0, 1.0, 2.0], atol=1e-9)
         for block in s.blocks:

@@ -20,31 +20,31 @@ def dims(lo=2, hi=8):
 class TestStructuredStorage:
     def test_sym_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="not symmetric"):
-            ft.SymMatrix([[1.0, 2.0], [0.0, 1.0]])
+            ft.sym([[1.0, 2.0], [0.0, 1.0]])
         # Unscaled Frobenius norms of these overflow, and inf > tol * inf is false.
         with pytest.raises(ValueError, match="not symmetric"):
-            ft.SymMatrix([[1.0, 1e300], [-1e300, 1.0]])
+            ft.sym([[1.0, 1e300], [-1e300, 1.0]])
 
     def test_skew_rejects_symmetric(self):
         with pytest.raises(ValueError, match="not skew"):
-            ft.SkewMatrix([[0.0, 1.0], [1.0, 0.0]])
+            ft.skew([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="not skew"):
-            ft.SkewMatrix([[0.0, 1e300], [1e300, 0.0]])
+            ft.skew([[0.0, 1e300], [1e300, 0.0]])
 
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError):
-            ft.SymMatrix([[1.0, 2.0, 3.0]])
+            ft.sym([[1.0, 2.0, 3.0]])
         with pytest.raises(ValueError):
-            ft.SymMatrix([[np.nan, 0.0], [0.0, 1.0]])
+            ft.sym([[np.nan, 0.0], [0.0, 1.0]])
 
     def test_rejects_overflowing_structured_part(self):
         # a_ij + a_ji overflows, so the stored part would hold inf.
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="overflows"):
-                ft.SymMatrix([[1e308, 0.0], [0.0, 1.0]])
+                ft.sym([[1e308, 0.0], [0.0, 1.0]])
             with pytest.raises(ValueError, match="overflows"):
-                ft.SkewMatrix([[0.0, 1e308], [-1e308, 0.0]])
-            big = ft.SymMatrix([[8e307, 0.0], [0.0, 1.0]])  # 2 * 8e307 is still finite
+                ft.skew([[0.0, 1e308], [-1e308, 0.0]])
+            big = ft.sym([[8e307, 0.0], [0.0, 1.0]])  # 2 * 8e307 is still finite
         assert big[0, 0] == 8e307
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -70,13 +70,37 @@ class TestStructuredStorage:
 
     def test_near_structured_input_is_exactified(self):
         a = np.array([[0.0, 1.0], [-1.0 + 1e-13, 0.0]])
-        k = ft.SkewMatrix(a)
+        k = ft.skew(a)
         assert k[0, 1] == -k[1, 0]
 
     def test_array_view_is_readonly(self):
-        s = ft.SymMatrix(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            s.array[0, 0] = 1.0
+        a = np.array([[1.0, 2.0], [-2.0, 1.0]])
+        for out in (ft.sym(a + a.T), ft.skew(a - a.T), ft.SkewMatrix(a - a.T).array):
+            assert type(out) is np.ndarray and out.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                out[0, 0] = 1.0
+        sym = ft.sym(a + a.T)
+        assert not np.shares_memory(sym, a) and np.array_equal(sym, [[2.0, 0.0], [0.0, 2.0]])
+
+    def test_structured_parts_are_exact(self, rng):
+        a = rng.standard_normal((5, 5))
+        s, k = ft.sym(a + a.T + 1e-12 * a), ft.skew(a - a.T + 1e-12 * a)
+        assert np.array_equal(s, s.T) and np.array_equal(k, -k.T)
+        assert np.all(np.diag(k) == 0.0)
+        # Idempotent bit for bit.
+        assert np.array_equal(ft.sym(s), s) and np.array_equal(ft.skew(k), k)
+
+    def test_skew_matrix_is_its_checked_array(self):
+        entries = [[0.0, 1.0], [-1.0 + 1e-13, 0.0]]
+        m = ft.SkewMatrix(entries)
+        np.testing.assert_array_equal(m.array, ft.skew(entries))
+        assert ft.skew(m) is m.array  # checked once: no copy, no second check
+        copy = np.asarray(m)
+        np.testing.assert_array_equal(copy, m.array)
+        copy[0, 1] = 5.0  # __array__ gives a copy of its own
+        assert m.array[0, 1] == 0.5 * (1.0 + 1.0 - 1e-13)
+        with pytest.raises(ValueError, match="not skew"):
+            ft.SkewMatrix([[1.0, 0.0], [0.0, 1.0]])
 
 
 class TestCommutator:
@@ -87,13 +111,13 @@ class TestCommutator:
     def test_hand_example_2x2(self):
         # a = diag(1, 2), b = quarter-turn generator:
         # ab = [[0, 1], [-2, 0]], ba = [[0, 2], [-1, 0]], ab - ba = [[0, -1], [-1, 0]]
-        a = ft.SymMatrix.diagonal([1.0, 2.0])
-        b = ft.SkewMatrix([[0.0, 1.0], [-1.0, 0.0]])
+        a = np.diag([1.0, 2.0])
+        b = ft.skew([[0.0, 1.0], [-1.0, 0.0]])
         expected = np.array([[0.0, -1.0], [-1.0, 0.0]])
         assert np.array_equal(oracles.commutator(a, b), expected)
 
     def test_scalar_matrix_commutes(self):
-        j = ft.SymMatrix.diagonal([1.0, 2.0, 3.0])
+        j = np.diag([1.0, 2.0, 3.0])
         s = -4.0 * np.eye(3)
         assert np.all(oracles.commutator(j, s) == 0.0)
 
@@ -112,7 +136,7 @@ class TestCommutator:
 
 class TestEigenSymmetric:
     def test_diagonal_permutation(self):
-        lam, basis = ft.eigen_symmetric(ft.SymMatrix.diagonal([3.0, 1.0, 2.0]))
+        lam, basis = ft.eigen_symmetric(np.diag([3.0, 1.0, 2.0]))
         np.testing.assert_array_equal(lam, [1.0, 2.0, 3.0])
         expected = np.zeros((3, 3))
         expected[1, 0] = expected[2, 1] = expected[0, 2] = 1.0
@@ -128,7 +152,7 @@ class TestEigenSymmetric:
         s = random_sym(5, rng)
         lam, basis = ft.eigen_symmetric(s)
         rec = basis @ np.diag(lam) @ basis.T
-        assert np.linalg.norm(rec - s.array) < 1e-10 * np.linalg.norm(s.array)
+        assert np.linalg.norm(rec - s) < 1e-10 * np.linalg.norm(s)
 
     @given(dims(), st.integers(0, 10**6))
     def test_invariants_random(self, n, seed):
@@ -138,7 +162,7 @@ class TestEigenSymmetric:
         assert np.all(np.diff(lam) >= 0)
         assert np.linalg.norm(basis.T @ basis - np.eye(n)) <= 1e-12 * n
         rec = basis @ np.diag(lam) @ basis.T
-        assert np.linalg.norm(rec - s.array) <= 1e-10 * max(1e-30, np.linalg.norm(s.array))
+        assert np.linalg.norm(rec - s) <= 1e-10 * max(1e-30, np.linalg.norm(s))
 
     def test_sign_convention(self, rng):
         s = random_sym(6, rng)
@@ -240,7 +264,7 @@ class TestEigenAgainstReferences:
         # The 2*I block is decoupled from the rest, so its eigenvectors come
         # back as exact unit vectors.
         a = np.zeros((6, 6))
-        a[:3, :3] = random_sym(3, rng).array + 10.0 * np.eye(3)
+        a[:3, :3] = random_sym(3, rng) + 10.0 * np.eye(3)
         a[3:, 3:] = 2.0 * np.eye(3)
         lam, basis = ft.eigen_symmetric(a)
         np.testing.assert_array_equal(lam[:3], [2.0, 2.0, 2.0])

@@ -16,6 +16,7 @@ import pytest
 
 import freetop as ft
 from freetop.scenario import scenario_from_doc
+from freetop.serialize import body_from_doc
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -49,6 +50,8 @@ def test_simulate_items_build(inputs):
         sc = scenario_from_doc(item.doc)
         assert sc.body.n == item.n
         assert sorted(sc.outputs) == sorted(inputs.OUTPUT_NAMES)
+        # matrix_to_doc names the kind the entries satisfy; these are skew.
+        assert item.doc["initial"]["matrix"]["kind"] == "skew"
 
 
 def test_pipeline_items_build(inputs):
@@ -56,6 +59,7 @@ def test_pipeline_items_build(inputs):
     assert [item.n for item in items] == list(inputs.PIPELINE_DIMS) * 3
     for item in items:
         assert item.structure.n == item.n
+        assert body_from_doc(item.body_doc).n == item.n
 
 
 def test_traced_functions_resolve():
@@ -64,3 +68,16 @@ def test_traced_functions_resolve():
         module = importlib.import_module(modname)
         for func in funcs:
             assert callable(getattr(module, func, None)), f"{modname}.{func}"
+
+
+def test_body_runs_the_traced_eigensolver():
+    # The eigen_symmetric layer is traced where InertiaSpec looks it up.
+    tracing = _load("tracing")
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        ft.InertiaSpec.from_eigenvalues([1.0, 2.0, 3.0])
+    finally:
+        tracing.uninstall(patches)
+    assert [span[tracing.NAME] for span in tracer.spans] == [
+        "body.InertiaSpec", "linalg.eigen_symmetric"]

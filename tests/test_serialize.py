@@ -92,15 +92,16 @@ class TestMatrixDocs:
         doc = ser.matrix_to_doc(m)
         assert doc["kind"] == "skew" and doc["n"] == 4
         m2 = ser.matrix_from_doc(json.loads(ser.dumps_canonical(doc)))
-        assert isinstance(m2, ft.SkewMatrix)
-        np.testing.assert_array_equal(m2.array, m.array)
+        assert isinstance(m2, np.ndarray)
+        np.testing.assert_array_equal(m2, m)
 
     def test_roundtrip_sym(self):
-        s = ft.SymMatrix.diagonal([1.0, 2.0])
+        s = np.diag([1.0, 2.0])
         doc = ser.matrix_to_doc(s)
         assert doc["kind"] == "sym"
         s2 = ser.matrix_from_doc(doc)
-        assert isinstance(s2, ft.SymMatrix)
+        assert isinstance(s2, np.ndarray)
+        np.testing.assert_array_equal(s2, s)
 
     def test_general_kind(self, rng):
         a = rng.standard_normal((3, 3))
@@ -108,6 +109,34 @@ class TestMatrixDocs:
         assert doc["kind"] == "general"
         out = ser.matrix_from_doc(doc)
         assert isinstance(out, np.ndarray)
+
+    @pytest.mark.parametrize("rows, kind", [
+        (np.zeros((3, 3)), "skew"),  # the zero matrix is both; skew wins
+        ([[0.0, 2.0], [-2.0, 0.0]], "skew"),
+        ([[0.0, -0.0], [0.0, 0.0]], "skew"),
+        ([[1.0, 2.0], [2.0, 5.0]], "sym"),
+        ([[0.0, 2.0], [2.0, 0.0]], "sym"),
+        ([[1.0, 2.0], [-2.0, 0.0]], "general"),  # skew off the diagonal only
+        ([[0.0, 1.0], [-1.0 + 1e-13, 0.0]], "general"),  # skew within tolerance, not exactly
+        ([[1.0, 2.0], [2.0 + 1e-13, 1.0]], "general"),
+        ([[1.0, 2.0], [3.0, 4.0]], "general"),
+    ])
+    def test_kind_is_what_the_entries_satisfy_exactly(self, rows, kind):
+        assert ser.matrix_to_doc(rows)["kind"] == kind
+
+    def test_kind_of_package_matrices(self, body4):
+        recipe = read_recipe(((0, 1), 2.0), ((2, 3), 1.0))
+        momentum, _ = ft.generate(recipe, body4)
+        assert ser.matrix_to_doc(momentum)["kind"] == "skew"
+        assert ser.matrix_to_doc(body4.J)["kind"] == "sym"
+        assert ser.matrix_to_doc(ft.skew(np.zeros((2, 2))))["kind"] == "skew"
+
+    def test_every_kind_reads_back_its_rows(self):
+        # The rows are checked by the role that reads them, not by the kind.
+        rows = [[0.0, 1.0], [1.0, 0.0]]
+        for kind in ("sym", "skew", "general"):
+            doc = {"spec_version": "1", "n": 2, "kind": kind, "rows": rows}
+            np.testing.assert_array_equal(ser.matrix_from_doc(doc), rows)
 
     def test_missing_field_named(self):
         with pytest.raises(ser.SchemaError, match="rows"):
@@ -119,11 +148,28 @@ class TestMatrixDocs:
         with pytest.raises(ser.SchemaError, match=r"rows\[1\]\[1\]"):
             ser.matrix_from_doc(doc)
 
-    def test_structure_violation_reported_on_rows(self):
-        doc = {"spec_version": "1", "n": 2, "kind": "skew",
-               "rows": [[0.0, 1.0], [1.0, 0.0]]}
-        with pytest.raises(ser.SchemaError, match="rows"):
-            ser.matrix_from_doc(doc)
+    def test_structure_violation_reported_on_rows(self, body3):
+        # A body's rows must be symmetric and a momentum's skew, whatever
+        # kind the document names; the error names the rows.
+        body_doc = {"spec_version": "1", "n": 2, "kind": "sym",
+                    "rows": [[1.0, 1.0], [-1.0, 2.0]]}
+        with pytest.raises(ser.SchemaError, match=r"^rows: matrix is not symmetric"):
+            ser.body_from_doc(body_doc)
+        for kind in ("skew", "sym", "general"):
+            rows = ser.matrix_from_doc({"spec_version": "1", "n": 3, "kind": kind,
+                                        "rows": np.eye(3).tolist()})
+            with pytest.raises(ser.SchemaError,
+                               match=r"^rows: momentum matrix is not skew-symmetric"):
+                ser.momentum_for_body(rows, body3)
+
+    def test_momentum_for_body_is_a_read_only_skew_array(self, body3):
+        rows = ser.matrix_from_doc({"spec_version": "1", "n": 3, "kind": "sym",
+                                    "rows": [[0, 2, 0], [-2, 0, 0], [0, 0, 0]]})
+        m = ser.momentum_for_body(rows, body3)
+        np.testing.assert_array_equal(m, rows)
+        assert not m.flags.writeable
+        with pytest.raises(ser.SchemaError, match=r"^n: momentum has n = 3, the body has n = 4"):
+            ser.momentum_for_body(rows, ft.InertiaSpec.from_eigenvalues([1.0, 2.0, 3.0, 4.0]))
 
     def test_unknown_kind(self):
         with pytest.raises(ser.SchemaError, match="kind"):
@@ -140,7 +186,14 @@ class TestMatrixDocs:
         path = tmp_path / "m.json"
         ser.write_json(path, ser.matrix_to_doc(m))
         m2 = ser.read_matrix(path)
-        np.testing.assert_array_equal(m2.array, m.array)
+        np.testing.assert_array_equal(m2, m)
+
+    def test_write_json_keeps_old_file_when_serialization_fails(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("previous\n")
+        with pytest.raises(ArithmeticError):
+            ser.write_json(path, {"x": math.nan})
+        assert path.read_bytes() == b"previous\n"
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -155,7 +208,7 @@ class TestBodyDocs:
         assert body.n == 3
 
     def test_from_matrix(self):
-        doc = ser.matrix_to_doc(ft.SymMatrix.diagonal([1.0, 2.0]))
+        doc = ser.matrix_to_doc(np.diag([1.0, 2.0]))
         assert ser.body_from_doc(doc).n == 2
 
     def test_rejects_skew_kind(self, rng):

@@ -61,13 +61,13 @@ MOMENTS_3D = oracles.moments_of([1.0, 2.0, 3.0])
 def principal_momentum_3d(axis, rate=1.0):
     m_vec = np.zeros(3)
     m_vec[axis] = MOMENTS_3D[axis] * rate
-    return ft.SkewMatrix(oracles.hat(m_vec)), m_vec
+    return ft.skew(oracles.hat(m_vec)), m_vec
 
 
 class TestBasis:
     def test_isometry_roundtrip(self, rng):
         for n in (2, 4, 7):
-            m = random_skew(n, rng).array
+            m = random_skew(n, rng)
             vec = skew_to_vec(m)
             assert vec.shape == (n * (n - 1) // 2,)
             assert np.linalg.norm(vec) == pytest.approx(np.linalg.norm(m), rel=1e-14)
@@ -91,7 +91,7 @@ class TestBasis:
     @pytest.mark.parametrize("n", [2, 3, 5, 9])
     def test_stacked_operators_match_column_loop(self, n, rng):
         body = random_body(n, rng)
-        m = random_skew(n, rng).array
+        m = random_skew(n, rng)
         om = _invert_array(m, body)
 
         def lin(e):
@@ -104,7 +104,7 @@ class TestBasis:
 
 class TestLinearize:
     def test_zero_momentum_zero_operator(self, body4):
-        rep = ft.linearize(ft.SkewMatrix(np.zeros((4, 4))), body4)
+        rep = ft.linearize(ft.skew(np.zeros((4, 4))), body4)
         assert rep.dim == 6
         np.testing.assert_array_equal(rep.matrix, np.zeros((6, 6)))
         np.testing.assert_array_equal(rep.spectrum, np.zeros(6, dtype=complex))
@@ -162,7 +162,7 @@ class TestLinearize:
 
 class TestOrbitKernel:
     def test_zero_momentum_full_kernel(self, body4):
-        rep = ft.orbit_kernel(ft.SkewMatrix(np.zeros((4, 4))), body4)
+        rep = ft.orbit_kernel(ft.skew(np.zeros((4, 4))), body4)
         assert rep.kernel_dim == 6 and rep.map_rank == 0
         assert ft.stabilizer_dimension(np.zeros((4, 4))) == 6
 
@@ -173,11 +173,11 @@ class TestOrbitKernel:
     def test_rank_tol_positive(self, body4):
         for rank_tol in (0.0, float("nan")):
             with pytest.raises(ValueError):
-                ft.orbit_kernel(ft.SkewMatrix(np.zeros((4, 4))), body4, rank_tol=rank_tol)
+                ft.orbit_kernel(ft.skew(np.zeros((4, 4))), body4, rank_tol=rank_tol)
 
     def test_dimension_mismatch(self, body4):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            ft.orbit_kernel(ft.SkewMatrix(np.zeros((3, 3))), body4)
+            ft.orbit_kernel(ft.skew(np.zeros((3, 3))), body4)
 
     @pytest.mark.parametrize("name", list(FROZEN_KERNELS))
     def test_frozen_dimensions(self, name):
@@ -219,13 +219,13 @@ def orbit_kernel_directions(m, body):
     momentum, as so(n) vectors: the right singular vectors of the orbit map
     that ft.orbit_kernel counts as kernel."""
     kernel_dim = ft.orbit_kernel(m, body).kernel_dim
-    _, _, vt = np.linalg.svd(orbit_map(ft.SkewMatrix(m).array, body))
+    _, _, vt = np.linalg.svd(orbit_map(ft.skew(m), body))
     return vt[vt.shape[0] - kernel_dim:].T
 
 
 def residual_after_orbit_move(m, body, xi, s):
     g = expm(s * xi)
-    moved = ft.SkewMatrix(g @ m.array @ g.T)
+    moved = ft.skew(g @ m.array @ g.T)
     _, residual = ft.is_equilibrium(moved, body, tol=1.0)
     return residual
 
@@ -292,7 +292,7 @@ class TestInstabilityProbe:
     def test_step_guard(self, body3):
         # A stable rotation with ||W|| = 10: at dt = 1 the deviation blows up
         # numerically, which must not be reported as a physical escape.
-        m = ft.SkewMatrix([[0.0, 0.0, 0.0], [0.0, 0.0, 50.0], [0.0, -50.0, 0.0]])
+        m = ft.skew([[0.0, 0.0, 0.0], [0.0, 0.0, 50.0], [0.0, -50.0, 0.0]])
         with pytest.raises(ft.IntegrationAbort, match="guard"):
             ft.instability_probe(m, body3, eps=1e-6, horizon=100.0, exit_factor=100.0,
                                  dt=1.0)
@@ -327,7 +327,7 @@ class TestInstabilityProbe:
         m = np.zeros((3, 3))
         m[0, 2], m[0, 1] = 4.0, 3.0
         with pytest.raises(ft.NotAnEquilibrium):
-            ft.instability_probe(ft.SkewMatrix(m - m.T), body3, eps=1e-6, horizon=1.0,
+            ft.instability_probe(ft.skew(m - m.T), body3, eps=1e-6, horizon=1.0,
                                  exit_factor=100.0)
 
     def test_deterministic(self, body3):

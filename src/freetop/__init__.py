@@ -16,10 +16,7 @@ from .body import (
     InertiaSpec,
     Trajectory,
     IntegrationAbort,
-    inertia_apply,
-    energy,
     casimirs,
-    manakov_integrals,
     manakov_labels,
     compute_invariants,
     integrate,
@@ -35,8 +32,6 @@ from .equilibria import (
     EquilibriumStructure,
     is_equilibrium,
     classify,
-    build_omega,
-    build_momentum,
     generate,
 )
 from .stability import (

@@ -21,12 +21,8 @@ __all__ = [
     "InertiaSpec",
     "Trajectory",
     "IntegrationAbort",
-    "inertia_apply",
-    "energy",
     "casimirs",
-    "manakov_integrals",
     "manakov_labels",
-    "casimir_labels",
     "compute_invariants",
     "integrate",
 ]
@@ -103,14 +99,6 @@ def _check_dims(arr: np.ndarray, body: InertiaSpec) -> None:
         raise ValueError(f"dimension mismatch: state is {arr.shape[0]}, body is {body.n}")
 
 
-def inertia_apply(omega, body: InertiaSpec) -> np.ndarray:
-    """Momentum of an angular velocity: skew(W J + J W)."""
-    w = skew(omega)
-    _check_dims(w, body)
-    j = body.J
-    return skew(w @ j + j @ w)
-
-
 def _invert_array(m: np.ndarray, body: InertiaSpec) -> np.ndarray:
     mt = body.to_eigenframe(m)
     ot = mt / body.pair_sums
@@ -140,36 +128,6 @@ def _scaled_velocity(m: np.ndarray, body: InertiaSpec):
     return np.ldexp(w, -c), lam, a - b + c
 
 
-def _eigenframe_stack(m, body: InertiaSpec) -> np.ndarray:
-    """Momenta (..., n, n) of the body's dimension, in the inertia eigenframe.
-
-    Like skew, rejects entries that are not finite or not skew-symmetric.
-    The rotated stack is made exactly skew, so rounding in the rotation
-    leaves no diagonal behind.
-    """
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim < 2 or arr.shape[-2:] != (body.n, body.n):
-        raise ValueError(f"dimension mismatch: state is {arr.shape}, body is {body.n}")
-    _check_structure(arr, -1.0)
-    mt = body.to_eigenframe(arr)
-    return 0.5 * (mt - np.swapaxes(mt, -2, -1))
-
-
-def _energy(mt: np.ndarray, body: InertiaSpec) -> np.ndarray:
-    return 0.25 * np.sum(mt * mt / body.pair_sums, axis=(-2, -1))
-
-
-def energy(m, body: InertiaSpec):
-    """Kinetic energy -tr(M W) / 4, evaluated as sum(M~^2 / pair_sums) / 4
-    in the inertia eigenframe.
-
-    The normalization makes n = 3 reduce to the familiar sum of
-    (moment * rate^2) / 2 over the principal axes. m may be one momentum
-    or a stack (..., n, n).
-    """
-    return _energy(_eigenframe_stack(m, body), body)
-
-
 def casimirs(m) -> np.ndarray:
     """Traces of even powers tr(M^(2k)) for k = 1 .. n // 2, in any frame.
 
@@ -185,11 +143,12 @@ def casimirs(m) -> np.ndarray:
     return np.stack(out, axis=-1)
 
 
-def casimir_labels(n: int) -> list[str]:
-    return [f"casimir_{k}" for k in range(1, n // 2 + 1)]
-
-
 def _manakov(mt: np.ndarray, body: InertiaSpec, max_power: int) -> np.ndarray:
+    """Coefficients of z^j in tr((M + z J^2)^k) for k = 2 .. max_power and
+    j = 0 .. k, ascending k then ascending j, of eigenframe momenta mt
+    (..., n, n). Every coefficient is a first integral of the motion. In
+    the eigenframe J^2 = diag(lambda^2), so a product with it scales columns.
+    """
     if max_power < 2:
         raise ValueError("max_power must be at least 2")
     if max_power > body.n:
@@ -209,21 +168,8 @@ def _manakov(mt: np.ndarray, body: InertiaSpec, max_power: int) -> np.ndarray:
     return np.stack(out, axis=-1)
 
 
-def manakov_integrals(m, body: InertiaSpec, max_power: int) -> np.ndarray:
-    """Conserved spectral coefficients of the momentum flow.
-
-    For the matrix pencil M + z * J^2, returns the coefficient of z^j in
-    tr((M + z J^2)^k) for every k = 2 .. max_power and j = 0 .. k, ordered
-    by ascending k then ascending j. Every coefficient is a first integral
-    of the motion. The traces are taken in the inertia eigenframe, where
-    J^2 = diag(lambda^2) and a product with it scales columns. m may be one
-    momentum or a stack (..., n, n); the coefficients are the last axis.
-    """
-    return _manakov(_eigenframe_stack(m, body), body, max_power)
-
-
 def manakov_labels(max_power: int) -> list[str]:
-    """Column labels matching manakov_integrals ordering."""
+    """Labels of the Manakov columns of compute_invariants, in order."""
     return [f"manakov_{k}_{j}" for k in range(2, max_power + 1) for j in range(k + 1)]
 
 
@@ -231,16 +177,25 @@ def compute_invariants(m, body: InertiaSpec, max_power: int) -> np.ndarray:
     """Energy, Casimirs and Manakov coefficients of one momentum or a stack.
 
     Returns an array (..., k) whose last axis follows invariant_labels(n,
-    max_power); a stack (S, n, n) takes one batched pass.
+    max_power); a stack (S, n, n) takes one batched pass, and each momentum
+    is checked like skew. The energy -tr(M W) / 4 is evaluated as
+    sum(M~^2 / pair_sums) / 4 in the inertia eigenframe (docs/conventions.md).
     """
-    mt = _eigenframe_stack(m, body)
+    arr = np.asarray(m, dtype=float)
+    if arr.ndim < 2 or arr.shape[-2:] != (body.n, body.n):
+        raise ValueError(f"dimension mismatch: state is {arr.shape}, body is {body.n}")
+    _check_structure(arr, -1.0)
+    mt = body.to_eigenframe(arr)
+    # exactly skew, so rounding in the rotation leaves no diagonal behind
+    mt = 0.5 * (mt - np.swapaxes(mt, -2, -1))
+    energy = 0.25 * np.sum(mt * mt / body.pair_sums, axis=(-2, -1))
     return np.concatenate(
-        (_energy(mt, body)[..., None], casimirs(mt), _manakov(mt, body, max_power)),
-        axis=-1)
+        (energy[..., None], casimirs(mt), _manakov(mt, body, max_power)), axis=-1)
 
 
 def invariant_labels(n: int, max_power: int) -> list[str]:
-    return ["energy"] + casimir_labels(n) + manakov_labels(max_power)
+    casimir = [f"casimir_{k}" for k in range(1, n // 2 + 1)]
+    return ["energy"] + casimir + manakov_labels(max_power)
 
 
 @dataclass

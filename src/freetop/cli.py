@@ -11,6 +11,7 @@ overwrites outputs byte-identically.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -49,7 +50,7 @@ from .serialize import (
     write_trajectory_jsonl,
 )
 from .scenario import run_scenario, scenario_from_doc
-from .stability import instability_probe, linearize, orbit_kernel
+from .stability import DEFAULT_RANK_TOL, instability_probe, linearize, orbit_kernel
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -58,6 +59,10 @@ EXIT_NOT_EQUILIBRIUM = 4
 EXIT_AMBIGUOUS = 5
 
 OUTPUT_DIR_ENV = "FREETOP_OUTPUT_DIR"
+
+# The two output options of a command that could name one file.
+OUTPUT_PAIRS = {"generate": ("--out-momentum", "--out-structure"),
+                "stability": ("--out", "--curve-out")}
 
 
 def _seed_arg(text: str) -> int:
@@ -76,6 +81,7 @@ def _positive_arg(text: str) -> float:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freetop",
@@ -117,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="orbit-direction kernel vs stabilizer report")
     mode.add_argument("--probe", action="store_true",
                       help="perturbation-growth experiment")
-    p_st.add_argument("--rank-tol", type=_positive_arg, default=1e-8,
+    p_st.add_argument("--rank-tol", type=_positive_arg, default=DEFAULT_RANK_TOL,
                       help="relative singular-value cutoff (default %(default)g)")
     p_st.add_argument("--eps", type=_positive_arg, default=1e-6,
                       help="probe perturbation size (default %(default)g)")
@@ -150,11 +156,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _outdir_name(args) -> str:
+    return args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "."
+
+
 def _outdir(args) -> Path:
-    raw = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "."
-    path = Path(raw)
+    path = Path(_outdir_name(args))
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _same_file(args, *options) -> bool:
+    """True when every option is set and all name one file: the same
+    os.path.normpath once joined to the output directory."""
+    names = [getattr(args, opt[2:].replace("-", "_")) for opt in options]
+    return all(names) and len({os.path.normpath(os.path.join(_outdir_name(args), name))
+                               for name in names}) == 1
 
 
 def _resolve(outdir: Path, name: str) -> Path:
@@ -253,6 +270,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "curve_out", None) and not args.probe:
         parser.error("--curve-out applies to --probe only")
+    pair = OUTPUT_PAIRS.get(args.command)
+    if pair and _same_file(args, *pair):
+        parser.error(f"{pair[1]} names the same file as {pair[0]}")
     handlers = {
         "simulate": _cmd_simulate,
         "classify": _cmd_classify,
@@ -271,8 +291,7 @@ def main(argv=None) -> int:
     except (IntegrationAbort, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (SchemaError, FileNotFoundError, IsADirectoryError, PermissionError,
-            ValueError, MemoryError) as exc:
+    except (SchemaError, OSError, ValueError, MemoryError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

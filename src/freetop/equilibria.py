@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import InertiaSpec, inertia_apply, _check_dims, _scaled_velocity
+from .body import InertiaSpec, _check_dims, _scaled_velocity
 from .linalg import SkewMatrix, skew
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "EquilibriumStructure",
     "is_equilibrium",
     "classify",
-    "build_omega",
-    "build_momentum",
     "generate",
 ]
 
@@ -367,32 +365,24 @@ def classify(m, body: InertiaSpec, tol: float = DEFAULT_TOL,
                                 cluster_tol=cluster_tol)
 
 
-def build_omega(structure: EquilibriumStructure, body: InertiaSpec) -> np.ndarray:
-    """Assemble the angular velocity of a structure in the ambient frame."""
-    if structure.n != body.n:
-        raise ValueError(f"structure is {structure.n}-dimensional, body is {body.n}")
-    om_t = np.zeros((body.n, body.n))
-    for b in structure.blocks:
-        idx = np.ix_(b.axes, b.axes)
-        om_t[idx] = b.omega * b.A
-    return skew(body.from_eigenframe(om_t))
-
-
-def build_momentum(structure: EquilibriumStructure, body: InertiaSpec) -> np.ndarray:
-    return inertia_apply(build_omega(structure, body), body)
-
-
 def generate(structure: EquilibriumStructure, body: InertiaSpec):
     """Realize a structure as a stationary momentum of body.
 
-    Returns (momentum, structure): the momentum as a SkewMatrix, and
-    structure with its residual set to the momentum's stationarity
-    residual. Standard structures give regular equilibria, random
-    structures on blocks of four or more axes exotic ones (up to a
-    measure-zero set of draws). Raises ValueError when the
+    Returns (momentum, structure): the momentum M = W J + J W as a
+    SkewMatrix, W the structure's angular velocity rotated out of the
+    inertia eigenframe, and structure with its residual set to the
+    momentum's stationarity residual. Standard structures give regular
+    equilibria, random structures on blocks of four or more axes exotic
+    ones (up to a measure-zero set of draws). Raises ValueError when the
     structure's dimension is not the body's.
     """
-    momentum = SkewMatrix(build_momentum(structure, body))
+    if structure.n != body.n:
+        raise ValueError(f"structure is {structure.n}-dimensional, body is {body.n}")
+    w = np.zeros((body.n, body.n))
+    for b in structure.blocks:
+        w[np.ix_(b.axes, b.axes)] = b.omega * b.A
+    w = skew(body.from_eigenframe(w))
+    momentum = SkewMatrix(w @ body.J + body.J @ w)
     ok, residual = is_equilibrium(momentum, body, 1e-10)
     if not ok:
         raise ArithmeticError(

@@ -4,9 +4,11 @@ Everything here stays deliberately separate from the package internals:
 the classical three-dimensional top is integrated through scipy from the
 textbook vector equations, derivative operators are rebuilt by plain
 finite differencing, and ranks are taken from Gram-matrix eigenvalues
-rather than the SVD path the package uses. The ambient-frame operators
-inertia_invert and vector_field are the package's own inverse inertia map
-and momentum field; only the tests and the references here use them.
+rather than the SVD path the package uses. inertia_apply is the inertia
+map skew(W J + J W) in the ambient frame, with no eigenframe in it; the
+ambient-frame operators inertia_invert and vector_field are the package's
+own inverse inertia map and momentum field. Only the tests and the
+references here use them.
 """
 
 import math
@@ -14,6 +16,7 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm, solve_sylvester
+from scipy.sparse.csgraph import connected_components
 
 import freetop as ft
 from freetop.body import _invert_array
@@ -74,6 +77,12 @@ def _skew_of_body(m, body):
     if arr.shape[0] != body.n:
         raise ValueError(f"dimension mismatch: state is {arr.shape[0]}, body is {body.n}")
     return arr
+
+
+def inertia_apply(omega, body):
+    """Momentum of an angular velocity: skew(W J + J W), in the ambient frame."""
+    w = _skew_of_body(omega, body)
+    return ft.skew(w @ body.J + body.J @ w)
 
 
 def inertia_invert(m, body):
@@ -269,6 +278,29 @@ def two_kernel_dims(m_eq, body, h=1e-6, rank_tol=1e-6):
     _, kernel_dim = gram_rank_kernel(k_mat, rank_tol)
     _, stab_dim = gram_rank_kernel(ad_mat, rank_tol)
     return stab_dim, kernel_dim
+
+
+def expected_dims(structure):
+    """(stabilizer_dim, excess_kernel_dim) of a stationary rotation, from
+    its normal form alone.
+
+    A block of 2k axes whose A splits them into c A-invariant axis sets
+    (the connected components of A's support) adds k to the stabilizer
+    and (k - 1)^2 + c - 1 to the excess kernel; z fixed axes add
+    z (z - 1) / 2 to the stabilizer. The stabilizer count is that of a
+    skew matrix whose nonzero eigenvalue pairs are distinct. The excess
+    count is an observed rule: c = 1 (a generic random structure) gives
+    (k - 1)^2, c = k (a standard one) gives k (k - 1), the dimension of
+    the orthogonal complex structures on R^2k.
+    """
+    z = len(structure.fixed_axes)
+    stabilizer, excess = z * (z - 1) // 2, 0
+    for block in structure.blocks:
+        k = len(block.axes) // 2
+        c = connected_components(np.abs(block.A) > 1e-8, directed=False)[0]
+        stabilizer += k
+        excess += (k - 1) ** 2 + c - 1
+    return stabilizer, excess
 
 
 # -- conserved quantities, one sample at a time in the ambient frame --------

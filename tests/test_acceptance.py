@@ -100,15 +100,15 @@ def test_criterion_2_generator_soundness(recipe_suite, warm_kernel):
 
 
 def test_criterion_3_classifier_roundtrip(recipe_suite):
-    """classify(build_momentum(s)) reproduces every canonical structure:
+    """classify(generate(s)) reproduces every canonical structure:
     axes and flags exactly, rates to 1e-8 relative."""
     with criterion(3, "classifier round-trip"):
         for body, _, momentum, structure in recipe_suite:
             got = ft.classify(momentum, body)
             assert got.matches(structure), (
                 f"{got} vs {structure}")
-            rebuilt = ft.build_momentum(got, body)
-            assert np.linalg.norm(rebuilt - momentum.array) <= \
+            rebuilt, _ = ft.generate(got, body)
+            assert np.linalg.norm(rebuilt.array - momentum.array) <= \
                 1e-8 * np.linalg.norm(momentum.array)
 
 

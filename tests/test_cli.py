@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import freetop as ft
-from freetop import serialize as ser
+from freetop import cli, serialize as ser
 from freetop.cli import main
 
 from conftest import random_skew, rotation_generator
 from recipes import read_recipe
+import oracles
 
 
 @pytest.fixture
@@ -356,7 +357,7 @@ class TestClassify:
         om = np.zeros((4, 4))
         om[0, 1], om[1, 0] = 1.0, -1.0
         om[2, 3], om[3, 2] = 1.0 + 5e-8, -(1.0 + 5e-8)
-        m = ft.inertia_apply(ft.skew(om), body)
+        m = oracles.inertia_apply(ft.skew(om), body)
         path = tmp_path / "close.json"
         write(path, ser.matrix_to_doc(m))
         assert main(["classify", str(path), body4_path]) == 5
@@ -371,7 +372,7 @@ class TestClassify:
         om = np.zeros((6, 6))
         om[[0, 2, 4], [1, 3, 5]] = np.sqrt([1.0, 1.0 - 5e-11, 1.0 - 1.00001e-6])
         m_path = write(tmp_path / "m.json",
-                       ser.matrix_to_doc(ft.inertia_apply(ft.skew(om - om.T), body)))
+                       ser.matrix_to_doc(oracles.inertia_apply(ft.skew(om - om.T), body)))
         b_path = write(tmp_path / "b.json",
                        {"spec_version": "1", "eigenvalues": [1, 2, 3, 4, 5, 6]})
         assert main(["classify", m_path, b_path]) == 5
@@ -383,7 +384,7 @@ class TestClassify:
         om[[0, 2], [1, 3]] = np.sqrt([1.0, 1.0 - 3e-10])
         body = ft.InertiaSpec.from_eigenvalues([1.0, 2.0, 3.0, 4.0])
         m_path = write(tmp_path / "m.json",
-                       ser.matrix_to_doc(ft.inertia_apply(ft.skew(om - om.T), body)))
+                       ser.matrix_to_doc(oracles.inertia_apply(ft.skew(om - om.T), body)))
         b_path = write(tmp_path / "b.json", {"spec_version": "1", "eigenvalues": [1, 2, 3, 4]})
         assert main(["classify", m_path, b_path]) == 5
         err = capsys.readouterr().err
@@ -579,7 +580,7 @@ class TestGenerateAndStability:
 
     def test_spectrum_report(self, tmp_path, body3_path, capsys):
         body = ser.read_body(body3_path)
-        m = ft.inertia_apply(rotation_generator(3, 0, 2, 1.0), body)
+        m = oracles.inertia_apply(rotation_generator(3, 0, 2, 1.0), body)
         path = tmp_path / "mid.json"
         write(path, ser.matrix_to_doc(m))
         assert main(["stability", str(path), body3_path, "--spectrum"]) == 0
@@ -589,7 +590,7 @@ class TestGenerateAndStability:
 
     def test_probe_with_curve(self, tmp_path, body3_path, capsys):
         body = ser.read_body(body3_path)
-        m = ft.inertia_apply(rotation_generator(3, 0, 2, 1.0), body)
+        m = oracles.inertia_apply(rotation_generator(3, 0, 2, 1.0), body)
         path = tmp_path / "mid.json"
         write(path, ser.matrix_to_doc(m))
         curve = tmp_path / "curve.csv"
@@ -613,7 +614,7 @@ class TestGenerateAndStability:
     @pytest.mark.parametrize("mode", ["--spectrum", "--kernel"])
     def test_curve_out_needs_probe(self, tmp_path, body3_path, capsys, mode):
         body = ser.read_body(body3_path)
-        m = ft.inertia_apply(rotation_generator(3, 0, 2, 1.0), body)
+        m = oracles.inertia_apply(rotation_generator(3, 0, 2, 1.0), body)
         path = tmp_path / "mid.json"
         write(path, ser.matrix_to_doc(m))
         curve = tmp_path / "curve.csv"
@@ -642,7 +643,7 @@ class TestGenerateAndStability:
 
     def test_probe_rejects_truncated_horizon(self, tmp_path, body3_path, capsys):
         body = ser.read_body(body3_path)
-        m = ft.inertia_apply(rotation_generator(3, 0, 2, 1.0), body)
+        m = oracles.inertia_apply(rotation_generator(3, 0, 2, 1.0), body)
         path = tmp_path / "mid.json"
         write(path, ser.matrix_to_doc(m))
         assert main(["stability", str(path), body3_path, "--probe",
@@ -675,6 +676,70 @@ class TestGenerateAndStability:
         monkeypatch.setenv("FREETOP_OUTPUT_DIR", str(target))
         assert main(["generate", recipe_path, body4_path, "--seed", "1"]) == 0
         assert (target / "momentum.json").exists()
+
+    def test_calls_in_one_process_are_independent(self, tmp_path, body4_path, recipe_path,
+                                                  capsys):
+        # The parser is built once per process; no option of one call
+        # carries over to the next.
+        assert main(["generate", recipe_path, body4_path, "--seed", "3",
+                     "--output-dir", str(tmp_path)]) == 0
+        m_path = str(tmp_path / "momentum.json")
+        kernel = tmp_path / "a.json"
+        assert main(["stability", m_path, body4_path, "--kernel", "--out", "a.json",
+                     "--rank-tol", "1e-3", "--output-dir", str(tmp_path)]) == 0
+        first = kernel.read_bytes()
+        assert json.loads(first)["rank_tol"] == 1e-3
+        capsys.readouterr()
+        assert main(["stability", m_path, body4_path, "--spectrum"]) == 0
+        assert "spectrum" in json.loads(capsys.readouterr().out)
+        assert kernel.read_bytes() == first
+        assert main(["stability", m_path, body4_path, "--kernel"]) == 0
+        assert json.loads(capsys.readouterr().out)["rank_tol"] == 1e-8
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_output_dir_is_a_file_exit2(self, tmp_path, body4_path, recipe_path, capsys,
+                                        monkeypatch):
+        afile = tmp_path / "afile"
+        afile.write_text("keep")
+        assert main(["generate", recipe_path, body4_path, "--output-dir", str(afile)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid input: ")
+        monkeypatch.setenv("FREETOP_OUTPUT_DIR", str(afile))
+        assert main(["generate", recipe_path, body4_path]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid input: ")
+        assert afile.read_text() == "keep"
+
+    @pytest.mark.parametrize("command", ["generate", "stability"])
+    def test_output_under_a_file_exit2(self, tmp_path, body4_path, recipe_path, capsys,
+                                       command):
+        assert main(["generate", recipe_path, body4_path, "--output-dir", str(tmp_path)]) == 0
+        (tmp_path / "afile").write_text("keep")
+        argv = {"generate": ["generate", recipe_path, body4_path,
+                             "--out-momentum", "afile/x.json"],
+                "stability": ["stability", str(tmp_path / "momentum.json"), body4_path,
+                              "--kernel", "--out", "afile/x.json"]}[command]
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid input: ")
+        assert (tmp_path / "afile").read_text() == "keep"
+
+    @pytest.mark.parametrize("command", ["generate", "stability"])
+    def test_two_outputs_must_name_distinct_files(self, tmp_path, body4_path, recipe_path,
+                                                  capsys, command):
+        assert main(["generate", recipe_path, body4_path, "--output-dir", str(tmp_path)]) == 0
+        out = tmp_path / "out"
+        argv, message = {
+            "generate": (["generate", recipe_path, body4_path,
+                          "--out-momentum", "x.json", "--out-structure", "./x.json"],
+                         "--out-structure names the same file as --out-momentum"),
+            "stability": (["stability", str(tmp_path / "momentum.json"), body4_path,
+                           "--probe", "--horizon", "1", "--out", "x", "--curve-out",
+                           str(out / "x")],
+                          "--curve-out names the same file as --out"),
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--output-dir", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+        assert not out.exists()
 
 
 class TestConsoleScript:

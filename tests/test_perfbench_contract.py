@@ -3,8 +3,8 @@
 perfbench builds its inputs through the package and wraps package
 functions by name, so a change that renames such a function or refuses
 one of its inputs breaks the benchmark, not this suite. These tests load
-perfbench/inputs.py and perfbench/tracing.py from the checkout and check
-both uses.
+perfbench/inputs.py, perfbench/tracing.py and perfbench/workloads.py from
+the checkout and check those uses.
 """
 
 import importlib
@@ -34,6 +34,17 @@ def _load(name):
 @pytest.fixture(scope="module")
 def inputs():
     return _load("inputs")
+
+
+@pytest.fixture(scope="module")
+def workloads(inputs):
+    """perfbench/workloads.py, which imports inputs and tracing by their
+    plain names (perfbench/run.py puts perfbench/ on the path)."""
+    sys.modules.update(inputs=inputs, tracing=_load("tracing"))
+    try:
+        return _load("workloads")
+    finally:
+        del sys.modules["inputs"], sys.modules["tracing"]
 
 
 def test_soundness_items_build(inputs):
@@ -81,3 +92,18 @@ def test_body_runs_the_traced_eigensolver():
         tracing.uninstall(patches)
     assert [span[tracing.NAME] for span in tracer.spans] == [
         "body.InertiaSpec", "linalg.eigen_symmetric"]
+
+
+def test_perturbed_soundness_items_are_refused(workloads, tmp_path):
+    # --inject perturb reads every other generated momentum's .array and
+    # builds a SkewMatrix a little off it, which is_equilibrium must refuse.
+    bench = workloads.Soundness(1, tmp_path, quick=True, inject="perturb")
+    for i, item in enumerate(bench.items):
+        assert ft.is_equilibrium(item.momentum, item.body, 1e-10)[0] == (i % 2 == 0), i
+    assert bench.run(0)[1] is None
+    assert bench.run(1)[1].startswith("not stationary")
+
+
+def test_backend_reads_the_kernel_module(workloads):
+    # backend() reads freetop._kernels.rk4_momentum_numba.
+    assert isinstance(workloads.backend(), str)

@@ -11,6 +11,7 @@ from freetop.scenario import scenario_from_doc
 
 from conftest import random_skew, rotation_generator
 from recipes import read_recipe, recipe_doc
+import oracles
 
 
 class TestFloatFormat:
@@ -419,7 +420,7 @@ class TestTrajectoryExport:
         assert json.loads(text)["spec_version"] == "1"
 
     def test_probe_curve_csv(self, tmp_path, body3):
-        m = ft.inertia_apply(rotation_generator(3, 1, 2, 1.0), body3)
+        m = oracles.inertia_apply(rotation_generator(3, 1, 2, 1.0), body3)
         res = ft.instability_probe(m, body3, eps=1e-6, horizon=1.0,
                                    exit_factor=10.0, seed=0)
         path = tmp_path / "curve.csv"

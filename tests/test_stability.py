@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 from scipy.optimize import linear_sum_assignment
 
 import freetop as ft
@@ -8,7 +8,7 @@ from freetop.body import _invert_array
 from freetop.stability import skew_to_vec, vec_to_skew, _ad_matrix, _linearization_matrix
 
 from conftest import random_body, random_skew
-from recipes import read_recipe
+from recipes import read_recipe, spaced_rates
 import oracles
 
 
@@ -202,11 +202,63 @@ class TestOrbitKernel:
         svals = rep.singular_values
         assert np.all(np.diff(svals) <= 0) and np.all(svals >= 0)
 
+    def test_dimensions_match_normal_form(self):
+        # oracles.expected_dims against the rank rule on generated
+        # equilibria: n = 4..16, diagonal and rotated bodies, moments and
+        # rates drawn from continuous distributions.
+        rng = np.random.default_rng(8016)
+        seen = set()
+        for case in range(156):
+            n = 4 + case % 13
+            if case % 2:
+                body = random_body(n, rng)
+            else:
+                body = ft.InertiaSpec.from_eigenvalues(1.0 + np.cumsum(0.1 + rng.random(n)))
+            structure, shapes = random_normal_form(n, rng)
+            m, _ = ft.generate(structure, body)
+            rep = ft.orbit_kernel(m, body)
+            got = (rep.stabilizer_dim, rep.excess_kernel_dim)
+            assert got == oracles.expected_dims(structure), (case, shapes)
+            seen.update((k, kind) for _, k, kind in shapes)
+        assert {(k, kind) for k in (2, 3, 4) for kind in ("standard", "random", "mixed")} <= seen
+
     def test_oracle_agreement(self):
         for name in FROZEN_KERNELS:
             m, _, body = make_fixture(name)
             stab, kernel = oracles.two_kernel_dims(m.array, body)
             assert (stab, kernel) == FROZEN_KERNELS[name], name
+
+
+def shuffled_structure(k, kind, rng):
+    """A complex structure on 2k axes, its axes shuffled: standard_structure,
+    random_structure, or ("mixed") a block sum of random structures of
+    random sizes (a random structure on one pair is a quarter turn)."""
+    if kind == "standard":
+        a = ft.standard_structure(k)
+    elif kind == "random":
+        a = ft.random_structure(k, rng)
+    else:
+        sizes = []
+        while sum(sizes) < k:
+            sizes.append(int(rng.integers(1, k - sum(sizes) + 1)))
+        a = block_diag(*(ft.random_structure(s, rng) for s in sizes))
+    p = rng.permutation(2 * k)
+    return a[np.ix_(p, p)]
+
+
+def random_normal_form(n, rng):
+    """An EquilibriumStructure on n axes: blocks of 2..12 axes with shuffled
+    standard, random or mixed structures, the other axes fixed."""
+    axes = [int(a) for a in rng.permutation(n)]
+    shapes = []
+    while len(axes) >= 2 and not (shapes and rng.random() < 0.15):
+        k = int(rng.integers(1, min(6, len(axes) // 2) + 1))
+        shapes.append((sorted(axes[:2 * k]), k, str(rng.choice(["standard", "random", "mixed"]))))
+        axes = axes[2 * k:]
+    blocks = [ft.FrequencyBlock(omega=float(w), axes=tuple(block_axes),
+                                A=shuffled_structure(k, kind, rng))
+              for (block_axes, k, kind), w in zip(shapes, spaced_rates(len(shapes), rng))]
+    return ft.EquilibriumStructure(blocks, fixed_axes=axes, n=n), shapes
 
 
 def orbit_map(m, body):

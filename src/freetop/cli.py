@@ -60,10 +60,6 @@ EXIT_AMBIGUOUS = 5
 
 OUTPUT_DIR_ENV = "FREETOP_OUTPUT_DIR"
 
-# The two output options of a command that could name one file.
-OUTPUT_PAIRS = {"generate": ("--out-momentum", "--out-structure"),
-                "stability": ("--out", "--curve-out")}
-
 
 def _seed_arg(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
@@ -156,49 +152,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _outdir_name(args) -> str:
-    return args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "."
+def _outputs(args, names: dict) -> dict:
+    """The path of each set name of names (label -> file name or None),
+    joined to the output directory. An empty name, or a name of the same
+    file (by os.path.abspath) as an earlier one, is a SchemaError on its
+    label; the directory is made only when every name passes."""
+    outdir = Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or ".")
+    paths, seen = {}, {}
+    for label, name in names.items():
+        if name is None:
+            continue
+        if not name:
+            raise SchemaError(label, "expected a file name")
+        paths[label] = outdir / name
+        first = seen.setdefault(os.path.abspath(paths[label]), label)
+        if first != label:
+            raise SchemaError(label, f"names the same file as {first}")
+    outdir.mkdir(parents=True, exist_ok=True)
+    return paths
 
 
-def _outdir(args) -> Path:
-    path = Path(_outdir_name(args))
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _same_file(args, *options) -> bool:
-    """True when every option is set and all name one file: the same
-    os.path.normpath once joined to the output directory."""
-    names = [getattr(args, opt[2:].replace("-", "_")) for opt in options]
-    return all(names) and len({os.path.normpath(os.path.join(_outdir_name(args), name))
-                               for name in names}) == 1
-
-
-def _resolve(outdir: Path, name: str) -> Path:
-    p = Path(name)
-    return p if p.is_absolute() else outdir / p
-
-
-def _emit(args, outdir: Path, doc) -> None:
-    if getattr(args, "out", None):
-        write_json(_resolve(outdir, args.out), doc)
-    else:
+def _emit(path, doc) -> None:
+    if path is None:
         print(dumps_canonical(doc))
+    else:
+        write_json(path, doc)
 
 
 def _cmd_simulate(args) -> int:
-    outdir = _outdir(args)
     sc = scenario_from_doc(load_json(args.scenario), seed_override=args.seed)
+    paths = _outputs(args, {f"outputs.{key}": name for key, name in sc.outputs.items()})
     traj = run_scenario(sc)
-    outputs = sc.outputs
-    if "trajectory_csv" in outputs:
-        write_trajectory_csv(_resolve(outdir, outputs["trajectory_csv"]), traj)
-    if "trajectory_jsonl" in outputs:
-        write_trajectory_jsonl(_resolve(outdir, outputs["trajectory_jsonl"]), traj)
+    if "outputs.trajectory_csv" in paths:
+        write_trajectory_csv(paths["outputs.trajectory_csv"], traj)
+    if "outputs.trajectory_jsonl" in paths:
+        write_trajectory_jsonl(paths["outputs.trajectory_jsonl"], traj)
     summary = drift_summary_doc(traj)
-    if "invariants_json" in outputs:
-        write_json(_resolve(outdir, outputs["invariants_json"]), summary)
-    if "report_json" in outputs:
+    if "outputs.invariants_json" in paths:
+        write_json(paths["outputs.invariants_json"], summary)
+    if "outputs.report_json" in paths:
         report = {
             "spec_version": summary["spec_version"],
             "n": sc.body.n,
@@ -212,8 +204,8 @@ def _cmd_simulate(args) -> int:
             "momentum_displacement": summary["momentum_displacement"],
             "max_drift": summary["max_drift"],
         }
-        write_json(_resolve(outdir, outputs["report_json"]), report)
-    if not outputs:
+        write_json(paths["outputs.report_json"], report)
+    if not paths:
         print(dumps_canonical(summary))
     return EXIT_OK
 
@@ -227,27 +219,28 @@ def _read_momentum_and_body(args):
 
 
 def _cmd_classify(args) -> int:
-    outdir = _outdir(args)
+    out = _outputs(args, {"--out": args.out}).get("--out")
     m, body = _read_momentum_and_body(args)
     structure = classify(m, body, tol=args.tol, cluster_tol=args.cluster_tol)
-    _emit(args, outdir, structure_to_doc(structure))
+    _emit(out, structure_to_doc(structure))
     return EXIT_OK
 
 
 def _cmd_generate(args) -> int:
-    outdir = _outdir(args)
+    paths = _outputs(args, {"--out-momentum": args.out_momentum,
+                            "--out-structure": args.out_structure})
     body = read_body(args.body)
     default_seed = args.seed if args.seed is not None else 0
     structure = recipe_from_doc(load_json(args.recipe), default_seed=default_seed)
     with _at("<root>"):
         momentum, structure = generate(structure, body)
-    write_json(_resolve(outdir, args.out_momentum), matrix_to_doc(momentum))
-    write_json(_resolve(outdir, args.out_structure), structure_to_doc(structure))
+    write_json(paths["--out-momentum"], matrix_to_doc(momentum))
+    write_json(paths["--out-structure"], structure_to_doc(structure))
     return EXIT_OK
 
 
 def _cmd_stability(args) -> int:
-    outdir = _outdir(args)
+    paths = _outputs(args, {"--out": args.out, "--curve-out": args.curve_out})
     m, body = _read_momentum_and_body(args)
     if args.spectrum:
         doc = linearization_to_doc(linearize(m, body, tol=args.tol))
@@ -259,20 +252,17 @@ def _cmd_stability(args) -> int:
                                    exit_factor=args.exit_factor, seed=seed, dt=args.dt,
                                    tol=args.tol)
         doc = probe_to_doc(result, eps=args.eps, exit_factor=args.exit_factor)
-        if args.curve_out:
-            write_probe_curve_csv(_resolve(outdir, args.curve_out), result)
-    _emit(args, outdir, doc)
+        if "--curve-out" in paths:
+            write_probe_curve_csv(paths["--curve-out"], result)
+    _emit(paths.get("--out"), doc)
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "curve_out", None) and not args.probe:
+    if getattr(args, "curve_out", None) is not None and not args.probe:
         parser.error("--curve-out applies to --probe only")
-    pair = OUTPUT_PAIRS.get(args.command)
-    if pair and _same_file(args, *pair):
-        parser.error(f"{pair[1]} names the same file as {pair[0]}")
     handlers = {
         "simulate": _cmd_simulate,
         "classify": _cmd_classify,

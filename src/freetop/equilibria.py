@@ -217,7 +217,7 @@ def _stationarity(m, body: InertiaSpec, tol: float):
     """(arr, w, s, e, residual) of a momentum: its checked skew array,
     W~ = w * 2**e from _scaled_velocity, s = w^2, and the stationarity
     residual, which is 0 for the zero momentum."""
-    if not tol > 0:
+    if not 0 < tol < np.inf:
         raise ValueError("tol must be positive")
     arr = skew(m)
     _check_dims(arr, body)

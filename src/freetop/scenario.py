@@ -7,7 +7,6 @@ Running one is deterministic given the file plus the effective seed.
 
 from __future__ import annotations
 
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -103,16 +102,12 @@ def scenario_from_doc(doc, seed_override: int | None = None) -> Scenario:
     outputs = doc.get("outputs", {})
     if not isinstance(outputs, dict):
         raise SchemaError("outputs", "expected an object")
-    named = {}
     for key, value in outputs.items():
         if key not in OUTPUT_KEYS:
             raise SchemaError(_join("outputs", key),
                               f"unknown output (known: {', '.join(OUTPUT_KEYS)})")
         if not isinstance(value, str) or not value or "\0" in value:
             raise SchemaError(_join("outputs", key), "expected a file name")
-        first = named.setdefault(os.path.normpath(value), key)
-        if first != key:
-            raise SchemaError(_join("outputs", key), f"names the same file as outputs.{first}")
 
     return Scenario(body=body, initial=initial, dt=dt, t_end=t_end,
                     record_every=record_every, guard=guard, seed=seed,

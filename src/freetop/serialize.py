@@ -143,6 +143,8 @@ def load_json(path):
             return json.load(fh, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise SchemaError("", f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise SchemaError("", "JSON nested too deeply") from exc
 
 
 # -- generic field helpers ------------------------------------------------

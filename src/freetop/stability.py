@@ -129,7 +129,7 @@ def orbit_kernel(m_eq, body: InertiaSpec, rank_tol: float = DEFAULT_RANK_TOL,
     moves M along its orbit while preserving stationarity to first order,
     certifying a positive-dimensional set of equilibria on the orbit.
     """
-    if not rank_tol > 0:
+    if not 0 < rank_tol < np.inf:
         raise ValueError("rank_tol must be positive")
     arr = _require_stationary(m_eq, body, tol)[0]
     ad = _ad_matrix(arr, body.n)
@@ -186,7 +186,7 @@ def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
     STEP_GUARD (IntegrationAbort), W the angular velocity of the perturbed
     start.
     """
-    if not eps > 0:
+    if not 0 < eps < np.inf:
         raise ValueError("eps must be positive")
     if not exit_factor > 1:
         raise ValueError("exit_factor must exceed 1")

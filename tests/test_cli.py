@@ -181,15 +181,27 @@ class TestSimulate:
             assert main(["simulate", write(tmp_path / f"{kind}.json", doc)]) == 0
             assert json.loads(capsys.readouterr().out)["samples"] == 11
 
-    def test_outputs_must_name_distinct_files(self, tmp_path, capsys):
+    @pytest.mark.parametrize("first, second", [
+        ("out.txt", "./out.txt"),
+        ("a/b.csv", "a//c/../b.csv"),
+        ("x", "x"),
+        # An absolute name under a relative output directory.
+        ("{tmp}/out/y.txt", "y.txt"),
+        # A name that leaves the output directory and comes back.
+        ("../out/z.txt", "z.txt"),
+    ], ids=["dot", "dotdot", "equal", "absolute", "parent"])
+    def test_outputs_must_name_distinct_files(self, tmp_path, capsys, monkeypatch,
+                                              first, second):
         doc = json.loads(open(spinning_book_scenario(tmp_path)).read())
-        doc["outputs"] = {"trajectory_csv": "out.txt", "report_json": "./out.txt"}
+        doc["outputs"] = {"trajectory_csv": first.format(tmp=tmp_path),
+                          "invariants_json": "drift.json", "report_json": second}
         path = write(tmp_path / "same.json", doc)
-        assert main(["simulate", path, "--output-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith(
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", path, "--output-dir", "out"]) == 2
+        assert capsys.readouterr().err == (
             "error: invalid input: outputs.report_json: names the same file as "
-            "outputs.trajectory_csv")
-        assert not (tmp_path / "out" / "out.txt").exists()
+            "outputs.trajectory_csv\n")
+        assert not (tmp_path / "out").exists()
 
     def test_equilibrium_recipe_scenario(self, tmp_path):
         doc = {
@@ -721,25 +733,57 @@ class TestGenerateAndStability:
         assert capsys.readouterr().err.startswith("error: invalid input: ")
         assert (tmp_path / "afile").read_text() == "keep"
 
-    @pytest.mark.parametrize("command", ["generate", "stability"])
+    @pytest.mark.parametrize("command, first, second, outdir", [
+        ("generate", "x.json", "./x.json", "{tmp}/out"),
+        ("stability", "x", "{tmp}/out/x", "{tmp}/out"),
+        # A relative output directory, reached by an absolute name or through "..".
+        ("generate", "{tmp}/out/x", "x", "out"),
+        ("generate", "../out/x", "x", "out"),
+        ("stability", "{tmp}/out/x", "x", "out"),
+        ("stability", "../out/x", "x", "out"),
+    ], ids=["generate", "stability", "generate-absolute", "generate-parent",
+            "stability-absolute", "stability-parent"])
     def test_two_outputs_must_name_distinct_files(self, tmp_path, body4_path, recipe_path,
-                                                  capsys, command):
+                                                  capsys, monkeypatch, command, first, second,
+                                                  outdir):
         assert main(["generate", recipe_path, body4_path, "--output-dir", str(tmp_path)]) == 0
-        out = tmp_path / "out"
+        first, second, outdir = (name.format(tmp=tmp_path) for name in (first, second, outdir))
         argv, message = {
             "generate": (["generate", recipe_path, body4_path,
-                          "--out-momentum", "x.json", "--out-structure", "./x.json"],
-                         "--out-structure names the same file as --out-momentum"),
+                          "--out-momentum", first, "--out-structure", second],
+                         "--out-structure: names the same file as --out-momentum"),
             "stability": (["stability", str(tmp_path / "momentum.json"), body4_path,
-                           "--probe", "--horizon", "1", "--out", "x", "--curve-out",
-                           str(out / "x")],
-                          "--curve-out names the same file as --out"),
+                           "--probe", "--horizon", "1", "--out", first, "--curve-out", second],
+                          "--curve-out: names the same file as --out"),
         }[command]
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--output-dir", str(out)])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.endswith(f"error: {message}\n")
-        assert not out.exists()
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--output-dir", outdir]) == 2
+        assert capsys.readouterr().err == f"error: invalid input: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
+class TestEveryCommand:
+    @pytest.mark.parametrize("argv, label", [
+        (["classify", "m.json", "b.json", "--out", ""], "--out"),
+        (["generate", "r.json", "b.json", "--out-momentum", ""], "--out-momentum"),
+        (["stability", "m.json", "b.json", "--probe", "--curve-out", ""], "--curve-out"),
+    ], ids=["classify", "generate", "stability"])
+    def test_empty_output_name_exit2(self, tmp_path, capsys, monkeypatch, argv, label):
+        # The input files do not exist: the name is refused before any is read.
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--output-dir", "out"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: invalid input: {label}: expected a file name\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["classify", "simulate"])
+    def test_deeply_nested_json_exit2(self, tmp_path, body4_path, capsys, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        argv = {"classify": ["classify", str(deep), body4_path],
+                "simulate": ["simulate", str(deep)]}[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: invalid input: JSON nested too deeply\n"
 
 
 class TestConsoleScript:

@@ -7,11 +7,14 @@ recipe, a short integration) with values over the whole double range, and
 then broken in a few places: a field dropped or given a wrong type, an entry
 replaced, a row cut short, an oversized integer. Every outcome must be one
 of the documented exit codes, and an exit-2 message must name the field.
+Pairs of output names, in several forms of one file or of two, must exit 2
+exactly when they are empty or name one file.
 """
 
 import contextlib
 import io
 import json
+import os
 import re
 import tempfile
 import warnings
@@ -278,3 +281,83 @@ def test_simulate_reader_outcomes(doc):
     code, err = _run(["simulate"], [("s.json", doc)])
     _check_outcome(code, err, {"<root>", "spec_version", "seed", "body", "initial",
                                "integrator", "outputs"})
+
+
+# Forms of an output name; "{b}" is a base name and "{abs}" the absolute
+# output directory, whose last component is "out".
+NAME_FORMS = ["{b}", "./{b}", "d/../{b}", "../out/{b}", "{abs}/{b}", ""]
+OUTPUT_LABELS = {"generate": ("--out-momentum", "--out-structure"),
+                 "stability": ("--out", "--curve-out"),
+                 "simulate": ("outputs.trajectory_csv", "outputs.report_json")}
+
+names = st.builds(lambda form, base: form.replace("{b}", base),
+                  st.sampled_from(NAME_FORMS), st.sampled_from(["x", "y"]))
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.sampled_from(sorted(OUTPUT_LABELS)), st.sampled_from(["flag", "environment"]),
+       st.booleans(), names, names)
+def test_two_output_names(command, where, absolute, first, second):
+    """Exit 2, with nothing written, exactly when the two names are empty or
+    one file (equal os.path.abspath once joined to the output directory);
+    else exit 0 with both files written."""
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = Path(tmp, "in")
+        inputs.mkdir()
+        outdir = str(Path(tmp, "out")) if absolute else "out"
+        first, second = (name.replace("{abs}", str(Path(tmp, "out"))) for name in (first, second))
+        # "d/../x" resolves only where d exists.
+        Path(tmp, "out", "d").mkdir(parents=True)
+        body = inputs / "b.json"
+        body.write_text('{"spec_version": "1", "eigenvalues": [1.0, 2.0, 3.0]}')
+        if command == "generate":
+            recipe = inputs / "r.json"
+            recipe.write_text(json.dumps({"spec_version": "1", "fixed_axes": [1],
+                                          "blocks": [{"omega": 1.0, "axes": [0, 2]}]}))
+            argv = ["generate", str(recipe), str(body), "--out-momentum", first,
+                    "--out-structure", second]
+        elif command == "stability":
+            momentum = inputs / "m.json"
+            momentum.write_text(json.dumps({"spec_version": "1", "n": 3, "kind": "skew",
+                                            "rows": [[0, 0, 4], [0, 0, 0], [-4, 0, 0]]}))
+            argv = ["stability", str(momentum), str(body), "--probe", "--horizon", "1",
+                    "--out", first, "--curve-out", second]
+        else:
+            scenario = inputs / "s.json"
+            scenario.write_text(json.dumps({
+                "spec_version": "1", "body": {"eigenvalues": [1.0, 2.0, 3.0]},
+                "initial": {"matrix": {"n": 3, "kind": "skew",
+                                       "rows": [[0, 0, 4], [0, 0, 0], [-4, 0, 0]]}},
+                "integrator": {"dt": 0.1, "t_end": 0.1},
+                "outputs": {"trajectory_csv": first, "report_json": second}}))
+            argv = ["simulate", str(scenario)]
+        if where == "flag":
+            argv += ["--output-dir", outdir]
+
+        before = sorted(Path(tmp).rglob("*"))
+        paths = [os.path.abspath(os.path.join(tmp, outdir, name)) for name in (first, second)]
+        empty = "" in (first, second)
+        clash = not empty and paths[0] == paths[1]
+        cwd, env = os.getcwd(), os.environ.pop("FREETOP_OUTPUT_DIR", None)
+        err = io.StringIO()
+        try:
+            os.chdir(tmp)
+            if where == "environment":
+                os.environ["FREETOP_OUTPUT_DIR"] = outdir
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+            os.environ.pop("FREETOP_OUTPUT_DIR", None)
+            if env is not None:
+                os.environ["FREETOP_OUTPUT_DIR"] = env
+        labels = OUTPUT_LABELS[command]
+        if empty or clash:
+            assert code == 2, err.getvalue()
+            assert sorted(Path(tmp).rglob("*")) == before
+            if clash:
+                assert err.getvalue() == (f"error: invalid input: {labels[1]}: names the "
+                                          f"same file as {labels[0]}\n")
+        else:
+            assert code == 0, err.getvalue()
+            assert all(os.path.isfile(p) for p in paths)

@@ -106,16 +106,6 @@ class TestScenarioParsing:
         with pytest.raises(SchemaError, match="plot_png"):
             scenario_from_doc(doc)
 
-    @pytest.mark.parametrize("names", [("out.txt", "./out.txt"), ("a/b.csv", "a//c/../b.csv"),
-                                       ("x", "x")])
-    def test_outputs_must_name_distinct_files(self, names):
-        doc = base_doc(outputs={"trajectory_csv": names[0], "invariants_json": "drift.json",
-                                "report_json": names[1]})
-        with pytest.raises(SchemaError) as exc:
-            scenario_from_doc(doc)
-        assert exc.value.field == "outputs.report_json"
-        assert "same file as outputs.trajectory_csv" in str(exc.value)
-
     def test_bad_seed_type(self):
         with pytest.raises(SchemaError, match="seed"):
             scenario_from_doc(base_doc(seed="abc"))

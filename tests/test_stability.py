@@ -389,3 +389,26 @@ class TestInstabilityProbe:
         b = ft.instability_probe(m, body3, eps=1e-6, horizon=5.0,
                                  exit_factor=100.0, seed=7)
         assert np.array_equal(a.deviations, b.deviations)
+
+
+def _off_equilibrium_3d():
+    m = np.zeros((3, 3))
+    m[0, 2], m[0, 1] = 4.0, 3.0
+    return ft.skew(m - m.T)
+
+
+@pytest.mark.parametrize("call, message", [
+    # An infinite tolerance would call this non-stationary momentum stationary.
+    (lambda body: ft.is_equilibrium(_off_equilibrium_3d(), body, tol=np.inf),
+     "tol must be positive"),
+    # ... put every direction in the kernel ...
+    (lambda body: ft.orbit_kernel(principal_momentum_3d(1)[0], body, rank_tol=np.inf),
+     "rank_tol must be positive"),
+    # ... and give NaN deviations.
+    (lambda body: ft.instability_probe(principal_momentum_3d(1)[0], body, eps=np.inf,
+                                       horizon=1.0, exit_factor=10.0),
+     "eps must be positive"),
+], ids=["is_equilibrium-tol", "orbit_kernel-rank_tol", "instability_probe-eps"])
+def test_infinite_tolerance_rejected(body3, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(body3)

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import freetop as ft
+from freetop.cli import main
 from freetop.equilibria import generate
 from freetop.scenario import run_scenario, scenario_from_doc
 from freetop.serialize import SchemaError, body_from_doc, recipe_from_doc
@@ -105,6 +108,20 @@ class TestScenarioParsing:
         doc = base_doc(outputs={"plot_png": "x.png"})
         with pytest.raises(SchemaError, match="plot_png"):
             scenario_from_doc(doc)
+
+    @pytest.mark.parametrize("names", [("out.txt", "./out.txt"), ("a/b.csv", "a//c/../b.csv"),
+                                       ("x", "x")])
+    def test_outputs_must_name_distinct_files(self, tmp_path, capsys, names):
+        # The CLI refuses the scenario when it places its outputs, before it runs.
+        doc = base_doc(outputs={"trajectory_csv": names[0], "invariants_json": "drift.json",
+                                "report_json": names[1]})
+        path = tmp_path / "same.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid input: outputs.report_json: names the same file as "
+            "outputs.trajectory_csv\n")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_seed_type(self):
         with pytest.raises(SchemaError, match="seed"):

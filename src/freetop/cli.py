@@ -3,7 +3,7 @@
 Commands: simulate, classify, generate, stability. Exit codes:
 0 success, 2 unreadable or schema-invalid input (including a run with too
 many samples to record), 3 numerical abort, 4 momentum is not stationary,
-5 ambiguous frequency clustering.
+5 classification undecided.
 Every command is deterministic given its inputs and seed; re-running
 overwrites outputs byte-identically.
 """
@@ -138,26 +138,34 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (p_cls, p_st):
         p.add_argument("--tol", type=_positive_arg, default=DEFAULT_TOL,
                        help="stationarity residual tolerance (default %(default)g)")
-    for p, text in (
-            (p_sim, "replaces the scenario's seed, which seeds its recipe's random "
-                    "structures unless the recipe pins a seed (default: the scenario's "
-                    "seed, else 0)"),
-            (p_gen, "seed for the recipe's random structures unless the recipe pins a "
-                    "seed (default 0)"),
-            (p_st, "seed for the --probe perturbation (default 0)")):
-        p.add_argument("--seed", type=_seed_arg, default=None, help=text)
-    for p in (p_sim, p_cls, p_gen, p_st):
+    for p, default, text in (
+            (p_sim, None, "replaces the scenario's seed, which seeds its recipe's random "
+                          "structures unless the recipe pins a seed (default: the "
+                          "scenario's seed, else 0)"),
+            (p_gen, 0, "seed for the recipe's random structures unless the recipe pins a "
+                       "seed (default 0)"),
+            (p_st, 0, "seed for the --probe perturbation (default 0)")):
+        p.add_argument("--seed", type=_seed_arg, default=default, help=text)
+    for p, handler in ((p_sim, _cmd_simulate), (p_cls, _cmd_classify),
+                       (p_gen, _cmd_generate), (p_st, _cmd_stability)):
         p.add_argument("--output-dir", default=None,
                        help=f"directory for output files (default: ${OUTPUT_DIR_ENV} or '.')")
+        p.set_defaults(handler=handler)
     return parser
 
 
-def _outputs(args, names: dict) -> dict:
+def _output_dir(args) -> Path:
+    """--output-dir, which must not be empty, else a non-empty $FREETOP_OUTPUT_DIR, else '.'."""
+    if args.output_dir == "":
+        raise SchemaError("--output-dir", "expected a directory name")
+    return Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or ".")
+
+
+def _outputs(outdir: Path, names: dict) -> dict:
     """The path of each set name of names (label -> file name or None),
-    joined to the output directory. An empty name, or a name of the same
-    file (by os.path.abspath) as an earlier one, is a SchemaError on its
-    label; the directory is made only when every name passes."""
-    outdir = Path(args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or ".")
+    joined to outdir. An empty name, or a name of the same file (by
+    os.path.realpath, so through symbolic links) as an earlier one, is a
+    SchemaError on its label; outdir is made only when every name passes."""
     paths, seen = {}, {}
     for label, name in names.items():
         if name is None:
@@ -165,7 +173,7 @@ def _outputs(args, names: dict) -> dict:
         if not name:
             raise SchemaError(label, "expected a file name")
         paths[label] = outdir / name
-        first = seen.setdefault(os.path.abspath(paths[label]), label)
+        first = seen.setdefault(os.path.realpath(paths[label]), label)
         if first != label:
             raise SchemaError(label, f"names the same file as {first}")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -180,8 +188,9 @@ def _emit(path, doc) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    outdir = _output_dir(args)
     sc = scenario_from_doc(load_json(args.scenario), seed_override=args.seed)
-    paths = _outputs(args, {f"outputs.{key}": name for key, name in sc.outputs.items()})
+    paths = _outputs(outdir, {f"outputs.{key}": name for key, name in sc.outputs.items()})
     traj = run_scenario(sc)
     if "outputs.trajectory_csv" in paths:
         write_trajectory_csv(paths["outputs.trajectory_csv"], traj)
@@ -219,7 +228,7 @@ def _read_momentum_and_body(args):
 
 
 def _cmd_classify(args) -> int:
-    out = _outputs(args, {"--out": args.out}).get("--out")
+    out = _outputs(_output_dir(args), {"--out": args.out}).get("--out")
     m, body = _read_momentum_and_body(args)
     structure = classify(m, body, tol=args.tol, cluster_tol=args.cluster_tol)
     _emit(out, structure_to_doc(structure))
@@ -227,11 +236,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    paths = _outputs(args, {"--out-momentum": args.out_momentum,
-                            "--out-structure": args.out_structure})
+    paths = _outputs(_output_dir(args), {"--out-momentum": args.out_momentum,
+                                         "--out-structure": args.out_structure})
     body = read_body(args.body)
-    default_seed = args.seed if args.seed is not None else 0
-    structure = recipe_from_doc(load_json(args.recipe), default_seed=default_seed)
+    structure = recipe_from_doc(load_json(args.recipe), default_seed=args.seed)
     with _at("<root>"):
         momentum, structure = generate(structure, body)
     write_json(paths["--out-momentum"], matrix_to_doc(momentum))
@@ -240,16 +248,17 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    paths = _outputs(args, {"--out": args.out, "--curve-out": args.curve_out})
+    if args.curve_out is not None and not args.probe:
+        raise SchemaError("--curve-out", "applies to --probe only")
+    paths = _outputs(_output_dir(args), {"--out": args.out, "--curve-out": args.curve_out})
     m, body = _read_momentum_and_body(args)
     if args.spectrum:
         doc = linearization_to_doc(linearize(m, body, tol=args.tol))
     elif args.kernel:
         doc = orbit_kernel_to_doc(orbit_kernel(m, body, rank_tol=args.rank_tol, tol=args.tol))
     else:
-        seed = args.seed if args.seed is not None else 0
         result = instability_probe(m, body, eps=args.eps, horizon=args.horizon,
-                                   exit_factor=args.exit_factor, seed=seed, dt=args.dt,
+                                   exit_factor=args.exit_factor, seed=args.seed, dt=args.dt,
                                    tol=args.tol)
         doc = probe_to_doc(result, eps=args.eps, exit_factor=args.exit_factor)
         if "--curve-out" in paths:
@@ -259,18 +268,9 @@ def _cmd_stability(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "curve_out", None) is not None and not args.probe:
-        parser.error("--curve-out applies to --probe only")
-    handlers = {
-        "simulate": _cmd_simulate,
-        "classify": _cmd_classify,
-        "generate": _cmd_generate,
-        "stability": _cmd_stability,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except NotAnEquilibrium as exc:
         print(f"error: not a stationary rotation: {exc} "
               f"(residual {exc.residual:.6e})", file=sys.stderr)

@@ -67,7 +67,8 @@ class OddBlock(ClassificationError):
 
 
 class AmbiguousClustering(ClassificationError):
-    """Two groups of rotation rates closer than cluster_tol."""
+    """Classification undecided: a stationary momentum whose normal form
+    fails a check of classify, such as two rates closer than cluster_tol."""
 
 
 def _structure_defect(a: np.ndarray) -> float:
@@ -276,10 +277,11 @@ def classify(m, body: InertiaSpec, tol: float = DEFAULT_TOL,
     block of W on each cluster, validates each block / rate as a complex
     structure, and reports the signed-permutation (regular) flag.
 
-    Raises NotAnEquilibrium, OddBlock, or AmbiguousClustering when two
-    group rates fail the rate-gap rule of EquilibriumStructure or a group's
-    block is not a complex structure, and ArithmeticError for a rate outside
-    the double range.
+    Raises NotAnEquilibrium exactly when is_equilibrium(m, body, tol) is
+    false; then OddBlock, or AmbiguousClustering when W^2 is not diagonal or
+    W has off-block entries beyond tol, two group rates fail the rate-gap rule
+    of EquilibriumStructure or a group's block is not a complex structure.
+    Raises ArithmeticError for a rate outside the double range.
     """
     if not 0 < tol < cluster_tol:
         raise ValueError("need 0 < tol < cluster_tol")
@@ -297,10 +299,8 @@ def classify(m, body: InertiaSpec, tol: float = DEFAULT_TOL,
     off = s - np.diag(np.diag(s))
     r_diag = float(np.max(np.abs(off)) / scale_s)
     if r_diag > tol:
-        raise NotAnEquilibrium(
-            f"W^2 is not diagonal in the inertia eigenframe (residual {r_diag:.3e})",
-            r_diag,
-        )
+        raise AmbiguousClustering("W^2 is not diagonal in the inertia eigenframe: "
+                                  f"off-diagonal {r_diag:.3e} > tol {tol:.1e}")
     consumed = max(consumed, r_diag)
 
     d = np.diag(s)
@@ -356,9 +356,8 @@ def classify(m, body: InertiaSpec, tol: float = DEFAULT_TOL,
     stray = np.where(allowed, 0.0, om_t)
     r_stray = float(np.max(np.abs(stray)) / scale_w) if stray.size else 0.0
     if r_stray > tol:
-        raise NotAnEquilibrium(
-            f"W has off-block entries of relative size {r_stray:.3e}", r_stray
-        )
+        raise AmbiguousClustering(
+            f"W has off-block entries of relative size {r_stray:.3e} > tol {tol:.1e}")
     consumed = max(consumed, r_stray)
 
     return EquilibriumStructure(blocks, zero_axes, n=n, residual=consumed,

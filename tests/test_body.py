@@ -19,10 +19,9 @@ import oracles
 
 # The compiled RK4 kernel, run where it builds and compared with the numpy
 # twin. Building the C kernel here is its availability check.
-COMPILED = [
-    pytest.param("c", marks=pytest.mark.skipif(
-        _kernels._c_kernel() is None, reason="the C kernel could not be built")),
-]
+NEEDS_C_KERNEL = pytest.mark.skipif(
+    _kernels._c_kernel() is None, reason="the C kernel could not be built")
+COMPILED = [pytest.param("c", marks=NEEDS_C_KERNEL)]
 NEEDS_CC = pytest.mark.skipif(
     not any(map(shutil.which, _kernels._COMPILERS)), reason="no C compiler")
 
@@ -486,6 +485,18 @@ class TestKernelTwins:
             out = _kernels.rk4_momentum_c(*pinned_inputs(n), 1e-2, 200, 50)
             assert np.isfinite(out).all()
             assert hashlib.sha256(out.astype("<f8").tobytes()).hexdigest() == digest, n
+
+    @NEEDS_C_KERNEL
+    @pytest.mark.parametrize("m0, pair_sums, nsteps, record_every, match", [
+        (np.zeros((3, 4)), np.zeros((3, 4)), 1, 1, "square and of one shape"),
+        (np.zeros((3, 3)), np.zeros((4, 4)), 1, 1, "square and of one shape"),
+        (np.zeros((3, 3)), np.zeros((3, 3)), -1, 1, "nsteps must be >= 0"),
+        (np.zeros((3, 3)), np.zeros((3, 3)), 1, 0, "record_every >= 1"),
+    ], ids=["m0-not-square", "pair-sums-shape", "negative-nsteps", "record-every-0"])
+    def test_c_kernel_checks_arguments(self, m0, pair_sums, nsteps, record_every, match):
+        # Checked before the foreign call, which would read out of bounds.
+        with pytest.raises(ValueError, match=match):
+            _kernels.rk4_momentum_c(m0, pair_sums, 1e-3, nsteps, record_every)
 
     def test_flags_keep_results_deterministic(self):
         # Results must not depend on the host CPU or on reassociation.

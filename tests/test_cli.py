@@ -9,7 +9,7 @@ import freetop as ft
 from freetop import cli, serialize as ser
 from freetop.cli import main
 
-from conftest import random_skew, rotation_generator
+from conftest import random_skew, rotation_generator, tilted_momentum
 from recipes import read_recipe
 import oracles
 
@@ -410,6 +410,18 @@ class TestClassify:
         assert err.startswith("error: classification undecided: group on axes [0, 1, 2, 3] "
                               "joins rates 1 and 0.99999999985 (squared gap 3.000e-10)")
 
+    @pytest.mark.parametrize("b", [2e-9, 4e-9])
+    def test_stationary_without_normal_form_exit5(self, tmp_path, body3_path, capsys, b):
+        # W = E02 + b E12 is stationary within the default tol (residual
+        # 3.8e-10 and 7.6e-10), so stability runs; classify cannot put it in
+        # normal form within tol, which is undecided, not exit 4.
+        m = tilted_momentum(b, ser.read_body(body3_path))
+        m_path = write(tmp_path / "m.json", ser.matrix_to_doc(m))
+        assert main(["stability", m_path, body3_path, "--kernel"]) == 0
+        capsys.readouterr()
+        assert main(["classify", m_path, body3_path]) == 5
+        assert capsys.readouterr().err.startswith("error: classification undecided: ")
+
     def test_out_file(self, tmp_path, body4_path):
         m_path = self.make_equilibrium(tmp_path, body4_path)
         out = tmp_path / "structure.json"
@@ -637,10 +649,9 @@ class TestGenerateAndStability:
         path = tmp_path / "mid.json"
         write(path, ser.matrix_to_doc(m))
         curve = tmp_path / "curve.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["stability", str(path), body3_path, mode, "--curve-out", str(curve)])
-        assert exc.value.code == 2
-        assert "--curve-out" in capsys.readouterr().err
+        assert main(["stability", str(path), body3_path, mode, "--curve-out", str(curve)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: invalid input: --curve-out: applies to --probe only\n")
         assert not curve.exists()
 
     def test_stability_requires_equilibrium(self, tmp_path, body4_path, rng):
@@ -695,6 +706,15 @@ class TestGenerateAndStability:
         monkeypatch.setenv("FREETOP_OUTPUT_DIR", str(target))
         assert main(["generate", recipe_path, body4_path, "--seed", "1"]) == 0
         assert (target / "momentum.json").exists()
+
+    def test_empty_output_dir_env_is_unset(self, tmp_path, body4_path, recipe_path,
+                                           monkeypatch):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setenv("FREETOP_OUTPUT_DIR", "")
+        assert main(["generate", recipe_path, body4_path]) == 0
+        assert sorted(p.name for p in work.iterdir()) == ["momentum.json", "structure.json"]
 
     def test_calls_in_one_process_are_independent(self, tmp_path, body4_path, recipe_path,
                                                   capsys):
@@ -768,6 +788,19 @@ class TestGenerateAndStability:
         assert capsys.readouterr().err == f"error: invalid input: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_names_through_a_link_are_one_file(self, tmp_path, body4_path, recipe_path,
+                                               capsys, monkeypatch):
+        # out/here links to out, so here/x.json and x.json are one file.
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "here").symlink_to(".")
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["generate", recipe_path, body4_path, "--output-dir", "out",
+                     "--out-momentum", "here/x.json", "--out-structure", "x.json"]) == 2
+        assert capsys.readouterr().err == ("error: invalid input: --out-structure: names the "
+                                           "same file as --out-momentum\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestEveryCommand:
     @pytest.mark.parametrize("argv, label", [
@@ -782,6 +815,21 @@ class TestEveryCommand:
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: invalid input: {label}: expected a file name\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "s.json"], ["classify", "m.json", "b.json"],
+        ["generate", "r.json", "b.json"], ["stability", "m.json", "b.json", "--kernel"],
+    ], ids=lambda argv: argv[0])
+    def test_empty_output_dir_exit2(self, tmp_path, capsys, monkeypatch, argv):
+        # The input files do not exist: the directory is refused before any
+        # is read, and the environment does not stand in for it.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("FREETOP_OUTPUT_DIR", "envdir")
+        assert main(argv + ["--output-dir", ""]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: invalid input: --output-dir: expected a directory "
+                                  "name\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["classify", "simulate"])
     def test_deeply_nested_json_exit2(self, tmp_path, body4_path, capsys, command):

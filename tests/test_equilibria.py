@@ -3,7 +3,7 @@ import pytest
 
 import freetop as ft
 
-from conftest import random_body, random_skew, rotation_generator
+from conftest import random_body, random_skew, rotation_generator, tilted_momentum
 from recipes import read_recipe
 import oracles
 
@@ -258,6 +258,35 @@ class TestClassify:
             with pytest.raises(ft.AmbiguousClustering,
                                match=rf"rates 1 and 0\.99999999\d* \(squared gap {gap:.3e}\)"):
                 ft.classify(m, body4)
+
+    @pytest.mark.parametrize("b, match", [
+        (2e-9, r"off-block entries of relative size 1\.414e-09 > tol 1\.0e-09"),
+        (4e-9, r"W\^2 is not diagonal .*: off-diagonal 2\.000e-09 > tol 1\.0e-09"),
+    ], ids=["off-block", "w2-off-diagonal"])
+    def test_stationary_without_normal_form_is_ambiguous(self, body3, b, match):
+        # Stationary within tol, but W^2 or W is not block-diagonal within
+        # tol: the normal form is undecided, not "not a stationary rotation".
+        m = tilted_momentum(b, body3)
+        assert ft.is_equilibrium(m, body3)[0]
+        with pytest.raises(ft.AmbiguousClustering, match=match):
+            ft.classify(m, body3)
+
+    def test_not_an_equilibrium_exactly_when_not_stationary(self, body3):
+        # The sweep crosses the stationarity boundary (b about 5.3e-9) and
+        # both checks above; outcomes of every kind occur.
+        outcomes = set()
+        for b in np.geomspace(1e-10, 1e-8, 41):
+            m = tilted_momentum(b, body3)
+            try:
+                ft.classify(m, body3)
+                outcome = "classified"
+            except ft.NotAnEquilibrium:
+                outcome = "not stationary"
+            except ft.AmbiguousClustering:
+                outcome = "undecided"
+            assert (outcome == "not stationary") == (not ft.is_equilibrium(m, body3)[0]), b
+            outcomes.add(outcome)
+        assert outcomes == {"classified", "not stationary", "undecided"}
 
     def test_odd_group_detected(self):
         # Mixing a rotation axis with a fixed axis spreads one squared rate

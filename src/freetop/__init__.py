@@ -24,7 +24,6 @@ from .body import (
 from .equilibria import (
     ClassificationError,
     NotAnEquilibrium,
-    OddBlock,
     AmbiguousClustering,
     FrequencyBlock,
     standard_structure,

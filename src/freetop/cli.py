@@ -25,7 +25,6 @@ from .equilibria import (
     DEFAULT_TOL,
     AmbiguousClustering,
     NotAnEquilibrium,
-    OddBlock,
     classify,
     generate,
 )
@@ -165,7 +164,7 @@ def _outputs(outdir: Path, names: dict) -> dict:
     """The path of each set name of names (label -> file name or None),
     joined to outdir. An empty name, or a name of the same file (by
     os.path.realpath, so through symbolic links) as an earlier one, is a
-    SchemaError on its label; outdir is made only when every name passes."""
+    SchemaError on its label. Nothing is made: see _write."""
     paths, seen = {}, {}
     for label, name in names.items():
         if name is None:
@@ -176,15 +175,21 @@ def _outputs(outdir: Path, names: dict) -> dict:
         first = seen.setdefault(os.path.realpath(paths[label]), label)
         if first != label:
             raise SchemaError(label, f"names the same file as {first}")
-    outdir.mkdir(parents=True, exist_ok=True)
     return paths
 
 
-def _emit(path, doc) -> None:
+def _write(outdir: Path, writer, path, data) -> None:
+    """writer(path, data), after making outdir if need be: a run makes its
+    output directory only when it writes a file there."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    writer(path, data)
+
+
+def _emit(outdir: Path, path, doc) -> None:
     if path is None:
         print(dumps_canonical(doc))
     else:
-        write_json(path, doc)
+        _write(outdir, write_json, path, doc)
 
 
 def _cmd_simulate(args) -> int:
@@ -193,12 +198,12 @@ def _cmd_simulate(args) -> int:
     paths = _outputs(outdir, {f"outputs.{key}": name for key, name in sc.outputs.items()})
     traj = run_scenario(sc)
     if "outputs.trajectory_csv" in paths:
-        write_trajectory_csv(paths["outputs.trajectory_csv"], traj)
+        _write(outdir, write_trajectory_csv, paths["outputs.trajectory_csv"], traj)
     if "outputs.trajectory_jsonl" in paths:
-        write_trajectory_jsonl(paths["outputs.trajectory_jsonl"], traj)
+        _write(outdir, write_trajectory_jsonl, paths["outputs.trajectory_jsonl"], traj)
     summary = drift_summary_doc(traj)
     if "outputs.invariants_json" in paths:
-        write_json(paths["outputs.invariants_json"], summary)
+        _write(outdir, write_json, paths["outputs.invariants_json"], summary)
     if "outputs.report_json" in paths:
         report = {
             "spec_version": summary["spec_version"],
@@ -213,7 +218,7 @@ def _cmd_simulate(args) -> int:
             "momentum_displacement": summary["momentum_displacement"],
             "max_drift": summary["max_drift"],
         }
-        write_json(paths["outputs.report_json"], report)
+        _write(outdir, write_json, paths["outputs.report_json"], report)
     if not paths:
         print(dumps_canonical(summary))
     return EXIT_OK
@@ -228,29 +233,32 @@ def _read_momentum_and_body(args):
 
 
 def _cmd_classify(args) -> int:
-    out = _outputs(_output_dir(args), {"--out": args.out}).get("--out")
+    outdir = _output_dir(args)
+    out = _outputs(outdir, {"--out": args.out}).get("--out")
     m, body = _read_momentum_and_body(args)
     structure = classify(m, body, tol=args.tol, cluster_tol=args.cluster_tol)
-    _emit(out, structure_to_doc(structure))
+    _emit(outdir, out, structure_to_doc(structure))
     return EXIT_OK
 
 
 def _cmd_generate(args) -> int:
-    paths = _outputs(_output_dir(args), {"--out-momentum": args.out_momentum,
-                                         "--out-structure": args.out_structure})
+    outdir = _output_dir(args)
+    paths = _outputs(outdir, {"--out-momentum": args.out_momentum,
+                              "--out-structure": args.out_structure})
     body = read_body(args.body)
     structure = recipe_from_doc(load_json(args.recipe), default_seed=args.seed)
     with _at("<root>"):
         momentum, structure = generate(structure, body)
-    write_json(paths["--out-momentum"], matrix_to_doc(momentum))
-    write_json(paths["--out-structure"], structure_to_doc(structure))
+    _write(outdir, write_json, paths["--out-momentum"], matrix_to_doc(momentum))
+    _write(outdir, write_json, paths["--out-structure"], structure_to_doc(structure))
     return EXIT_OK
 
 
 def _cmd_stability(args) -> int:
     if args.curve_out is not None and not args.probe:
         raise SchemaError("--curve-out", "applies to --probe only")
-    paths = _outputs(_output_dir(args), {"--out": args.out, "--curve-out": args.curve_out})
+    outdir = _output_dir(args)
+    paths = _outputs(outdir, {"--out": args.out, "--curve-out": args.curve_out})
     m, body = _read_momentum_and_body(args)
     if args.spectrum:
         doc = linearization_to_doc(linearize(m, body, tol=args.tol))
@@ -262,8 +270,8 @@ def _cmd_stability(args) -> int:
                                    tol=args.tol)
         doc = probe_to_doc(result, eps=args.eps, exit_factor=args.exit_factor)
         if "--curve-out" in paths:
-            write_probe_curve_csv(paths["--curve-out"], result)
-    _emit(paths.get("--out"), doc)
+            _write(outdir, write_probe_curve_csv, paths["--curve-out"], result)
+    _emit(outdir, paths.get("--out"), doc)
     return EXIT_OK
 
 
@@ -275,7 +283,7 @@ def main(argv=None) -> int:
         print(f"error: not a stationary rotation: {exc} "
               f"(residual {exc.residual:.6e})", file=sys.stderr)
         return EXIT_NOT_EQUILIBRIUM
-    except (AmbiguousClustering, OddBlock) as exc:
+    except AmbiguousClustering as exc:
         print(f"error: classification undecided: {exc}", file=sys.stderr)
         return EXIT_AMBIGUOUS
     except (IntegrationAbort, ArithmeticError, np.linalg.LinAlgError) as exc:

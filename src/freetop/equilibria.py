@@ -12,7 +12,7 @@ it is *exotic*. Exotic equilibria require a repeated rotation rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .linalg import SkewMatrix, skew
 __all__ = [
     "ClassificationError",
     "NotAnEquilibrium",
-    "OddBlock",
     "AmbiguousClustering",
     "FrequencyBlock",
     "standard_structure",
@@ -58,17 +57,10 @@ class NotAnEquilibrium(ClassificationError):
         self.residual = residual
 
 
-class OddBlock(ClassificationError):
-    """A frequency group with an odd number of axes.
-
-    Impossible for a true stationary rotation (nonzero rates pair up);
-    signals misconfigured tolerances.
-    """
-
-
 class AmbiguousClustering(ClassificationError):
     """Classification undecided: a stationary momentum whose normal form
-    fails a check of classify, such as two rates closer than cluster_tol."""
+    fails a check of classify, such as two rates closer than cluster_tol or
+    a frequency group with an odd number of axes."""
 
 
 def _structure_defect(a: np.ndarray) -> float:
@@ -132,20 +124,22 @@ class FrequencyBlock:
     axes are indices into the ascending eigenvalue order of the inertia
     matrix, stored ascending; A, the block's complex structure (orthogonal,
     skew, A^2 = -I), is expressed in that axis order and stored as an
-    exactly skew read-only array. Blocks compare by identity; compare
-    structures with EquilibriumStructure.matches.
+    exactly skew read-only array; defect is its measured distance from a
+    complex structure (see _structure_defect). Blocks compare by identity;
+    compare structures with EquilibriumStructure.matches.
     """
 
     omega: float
     axes: tuple
     A: np.ndarray
+    defect: float = field(init=False, repr=False)
 
     def __post_init__(self):
         axes = tuple(int(a) for a in self.axes)
         object.__setattr__(self, "axes", axes)
         a = skew(self.A)
         object.__setattr__(self, "A", a)
-        _structure_defect(a)
+        object.__setattr__(self, "defect", _structure_defect(a))
         if not self.omega > 0:
             raise ValueError("block frequency must be positive")
         if len(axes) != a.shape[0]:
@@ -156,15 +150,12 @@ class FrequencyBlock:
             raise ValueError("block axes must be strictly ascending")
 
 
-def _check_rate_gaps(rates, cluster_tol: float, e: int = 0) -> None:
+def _check_rate_gaps(rates, cluster_tol: float) -> None:
     """Raise ValueError unless each rate of a descending list is distinct
-    from the next: 1 - (w2 / w1)^2 >= cluster_tol. The rates are w * 2**e;
-    the message names them in those units."""
+    from the next: 1 - (w2 / w1)^2 >= cluster_tol."""
     for w1, w2 in zip(rates, rates[1:]):
         gap = 1.0 - (w2 / w1) ** 2
         if gap < cluster_tol:
-            with np.errstate(over="ignore"):
-                w1, w2 = np.ldexp([w1, w2], e)
             raise ValueError(f"block rates {w1:.9g} and {w2:.9g} too close "
                              f"(squared gap {gap:.3e} < {cluster_tol:.1e})")
 
@@ -273,21 +264,21 @@ def classify(m, body: InertiaSpec, tol: float = DEFAULT_TOL,
     """Normal form of a stationary rotation.
 
     In the inertia eigenframe: checks that W^2 is diagonal, groups its
-    diagonal into frequency clusters (plus a zero group), extracts the
-    block of W on each cluster, validates each block / rate as a complex
-    structure, and reports the signed-permutation (regular) flag.
+    diagonal into frequency clusters (plus a zero group), and builds a
+    FrequencyBlock from the block of W on each cluster and an
+    EquilibriumStructure from the blocks; those types own the
+    complex-structure and rate-gap rules.
 
     Raises NotAnEquilibrium exactly when is_equilibrium(m, body, tol) is
-    false; then OddBlock, or AmbiguousClustering when W^2 is not diagonal or
-    W has off-block entries beyond tol, two group rates fail the rate-gap rule
-    of EquilibriumStructure or a group's block is not a complex structure.
-    Raises ArithmeticError for a rate outside the double range.
+    false; then AmbiguousClustering when W^2 is not diagonal or W has
+    off-block entries beyond tol, a group has an odd number of axes or a
+    block that is not a complex structure, or two group rates fail the
+    rate-gap rule. Raises ArithmeticError for a rate outside the double range.
     """
     if not 0 < tol < cluster_tol:
         raise ValueError("need 0 < tol < cluster_tol")
     _, om_t, s, e, r_eq = _require_stationary(m, body, tol)
     n = body.n
-    consumed = r_eq
     if not om_t.any():
         return EquilibriumStructure((), tuple(range(n)), n=n, residual=0.0,
                                     cluster_tol=cluster_tol)
@@ -301,7 +292,6 @@ def classify(m, body: InertiaSpec, tol: float = DEFAULT_TOL,
     if r_diag > tol:
         raise AmbiguousClustering("W^2 is not diagonal in the inertia eigenframe: "
                                   f"off-diagonal {r_diag:.3e} > tol {tol:.1e}")
-    consumed = max(consumed, r_diag)
 
     d = np.diag(s)
     zero_mask = np.abs(d) <= tol * scale_s
@@ -312,28 +302,29 @@ def classify(m, body: InertiaSpec, tol: float = DEFAULT_TOL,
     order = np.argsort(-vals, kind="stable")
     vals_sorted = vals[order]
     axes_sorted = live[order]
-    groups = _cluster_rates(vals_sorted, tol)
-    rates = [np.sqrt(np.mean(vals_sorted[g])) for g in groups]
-    try:
-        _check_rate_gaps(rates, cluster_tol, e)
-    except ValueError as exc:
-        raise AmbiguousClustering(str(exc)) from exc
 
     # Entries of W outside the diagonal blocks (and on zero-group rows)
     # must vanish.
     allowed = np.zeros((n, n), dtype=bool)
     blocks = []
-    for g, rate in zip(groups, rates):
+    for g in _cluster_rates(vals_sorted, tol):
         axes = np.sort(axes_sorted[g])
         if len(axes) % 2 != 0:
-            raise OddBlock(
+            raise AmbiguousClustering(
                 f"frequency group on axes {axes.tolist()} has odd size; "
                 "nonzero rates pair up, so the tolerances are misconfigured"
             )
         allowed[np.ix_(axes, axes)] = True
+        rate = np.sqrt(np.mean(vals_sorted[g]))
+        with np.errstate(over="ignore"):
+            omega = float(np.ldexp(rate, e))
+        if not 0.0 < omega < np.inf:
+            raise ArithmeticError(
+                f"rotation rate {rate:.6g} * 2**{e} on axes {axes.tolist()} "
+                "is outside the double range")
         a = om_t[np.ix_(axes, axes)] / rate  # exactly skew, as om_t is
         try:
-            consumed = max(consumed, _structure_defect(a))
+            blocks.append(FrequencyBlock(omega=omega, axes=axes, A=a))
         except ValueError as exc:
             # Stationary within tol, but the squared rates joined within tol
             # are not one rate within STRUCTURE_DEFECT_TOL: neither one block
@@ -345,23 +336,18 @@ def classify(m, body: InertiaSpec, tol: float = DEFAULT_TOL,
                 f"group on axes {axes.tolist()} joins rates {w_hi:.12g} and "
                 f"{w_lo:.12g} (squared gap {1.0 - lo / hi:.3e}), but its block "
                 f"is not a complex structure: {exc}") from exc
-        with np.errstate(over="ignore"):
-            omega = float(np.ldexp(rate, e))
-        if not 0.0 < omega < np.inf:
-            raise ArithmeticError(
-                f"rotation rate {rate:.6g} * 2**{e} on axes {axes.tolist()} "
-                "is outside the double range")
-        blocks.append(FrequencyBlock(omega=omega, axes=tuple(int(x) for x in axes), A=a))
 
-    stray = np.where(allowed, 0.0, om_t)
-    r_stray = float(np.max(np.abs(stray)) / scale_w) if stray.size else 0.0
+    r_stray = float(np.max(np.abs(np.where(allowed, 0.0, om_t))) / scale_w)
     if r_stray > tol:
         raise AmbiguousClustering(
             f"W has off-block entries of relative size {r_stray:.3e} > tol {tol:.1e}")
-    consumed = max(consumed, r_stray)
 
-    return EquilibriumStructure(blocks, zero_axes, n=n, residual=consumed,
-                                cluster_tol=cluster_tol)
+    try:
+        return EquilibriumStructure(blocks, zero_axes, n=n, cluster_tol=cluster_tol,
+                                    residual=max(r_eq, r_diag, r_stray,
+                                                 *(b.defect for b in blocks)))
+    except ValueError as exc:
+        raise AmbiguousClustering(str(exc)) from exc
 
 
 def generate(structure: EquilibriumStructure, body: InertiaSpec):
@@ -380,7 +366,8 @@ def generate(structure: EquilibriumStructure, body: InertiaSpec):
     w = np.zeros((body.n, body.n))
     for b in structure.blocks:
         w[np.ix_(b.axes, b.axes)] = b.omega * b.A
-    w = skew(body.from_eigenframe(w))
+    w = body.from_eigenframe(w)
+    w = 0.5 * (w - w.T)  # skew's projection, unchecked: SkewMatrix checks M
     momentum = SkewMatrix(w @ body.J + body.J @ w)
     ok, residual = is_equilibrium(momentum, body, 1e-10)
     if not ok:

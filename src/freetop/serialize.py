@@ -393,14 +393,14 @@ def recipe_from_doc(doc, path: str = "", default_seed: int | None = None) -> Equ
         elif isinstance(source, dict) and "A" in source:
             spath = _join(spath, "A")
             a = _rows(source["A"], len(axes), spath)
+            with _at(spath):
+                _structure_defect(skew(a))
         else:
             raise SchemaError(spath, "expected 'standard', 'random', or {'A': rows}")
         perm = np.argsort(axes, kind="stable")
-        with _at(spath):
-            a = skew(a[np.ix_(perm, perm)])
-            _structure_defect(a)
         with _at(bpath):
-            blocks.append(FrequencyBlock(omega=omega, axes=tuple(sorted(axes)), A=a))
+            blocks.append(FrequencyBlock(omega=omega, axes=tuple(sorted(axes)),
+                                         A=a[np.ix_(perm, perm)]))
     fixed = _int_list(doc.get("fixed_axes", []), _join(path, "fixed_axes"))
     n = len(fixed) + sum(len(b.axes) for b in blocks)
     with _at(path or "<root>"):

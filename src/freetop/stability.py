@@ -111,7 +111,7 @@ def linearize(m_eq, body: InertiaSpec, tol: float = DEFAULT_TOL) -> Linearizatio
         dim=mat.shape[0],
         matrix=mat,
         spectrum=eigs,
-        max_real_part=float(eigs.real.max()) if eigs.size else 0.0,
+        max_real_part=float(eigs.real.max()),
     )
 
 
@@ -179,8 +179,10 @@ def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
 
     m_eq must be stationary to within tol (NotAnEquilibrium otherwise).
     escaped is True when the deviation reaches exit_factor * eps before
-    the horizon; integration stops at the first crossing. The deviation
-    curve is recorded about every 0.1 time units: every round(0.1 / dt)
+    the horizon, or when a recorded state is not finite; integration stops
+    at the first such record, whose time is exit_time. The deviation curve
+    ends with a crossing record, or with the record before a non-finite
+    one. It is recorded about every 0.1 time units: every round(0.1 / dt)
     steps (at least 1), which must divide the step count horizon / dt.
     Like integrate, the probe rejects a step with dt * ||W||_2 above
     STEP_GUARD (IntegrationAbort), W the angular velocity of the perturbed

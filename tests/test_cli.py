@@ -831,6 +831,22 @@ class TestEveryCommand:
                                   "name\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, code", [
+        (["classify", "m.json", "b.json"], 0),  # the structure goes to stdout
+        (["classify", "m.json", "missing.json"], 2),
+        (["generate", "bad.json", "b.json"], 2),
+    ], ids=["classify-stdout", "classify-missing-body", "generate-unreadable-recipe"])
+    def test_output_dir_made_only_to_write_a_file(self, tmp_path, capsys, monkeypatch,
+                                                  argv, code):
+        monkeypatch.chdir(tmp_path)
+        body = ft.InertiaSpec.from_eigenvalues([1.0, 2.0, 3.0])
+        write(tmp_path / "b.json", {"spec_version": "1", "eigenvalues": [1.0, 2.0, 3.0]})
+        write(tmp_path / "m.json", ser.matrix_to_doc(
+            oracles.inertia_apply(rotation_generator(3, 0, 1, 1.0), body)))
+        (tmp_path / "bad.json").write_text("{")
+        assert main(argv + ["--output-dir", "newdir"]) == code
+        assert not (tmp_path / "newdir").exists()
+
     @pytest.mark.parametrize("command", ["classify", "simulate"])
     def test_deeply_nested_json_exit2(self, tmp_path, body4_path, capsys, command):
         deep = tmp_path / "deep.json"

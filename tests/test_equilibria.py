@@ -17,6 +17,17 @@ def givens(n, i, j, theta):
     return g
 
 
+def turned(a, theta):
+    """a conjugated by a rotation of angle theta in the (0, 2) plane."""
+    g = givens(a.shape[0], 0, 2, theta)
+    return g @ a @ g.T
+
+
+J2, J4 = ft.standard_structure(1), ft.standard_structure(2)
+X4 = ft.random_structure(2, np.random.default_rng(0))
+MATCH_TOL = ft.equilibria.MATCH_TOL
+
+
 def two_block_regular(body4, w1=1.0, w2=2.0):
     recipe = read_recipe(((0, 1), w1), ((2, 3), w2))
     return ft.generate(recipe, body4)
@@ -301,7 +312,7 @@ class TestClassify:
         om[3, 2] = -w2
         g = givens(5, 2, 4, np.pi / 4)
         m = oracles.inertia_apply(ft.skew(g @ om @ g.T), body)
-        with pytest.raises(ft.OddBlock):
+        with pytest.raises(ft.AmbiguousClustering, match="odd size"):
             ft.classify(m, body, tol=0.09, cluster_tol=0.4)
 
     def test_tol_ordering_enforced(self, body4):
@@ -358,6 +369,28 @@ class TestBuilders:
         huge = tuple(ft.FrequencyBlock(omega=1e200, axes=b.axes, A=b.A) for b in blocks)
         with pytest.raises(ValueError, match="too close"):
             ft.EquilibriumStructure(huge, fixed_axes=(), n=4)
+
+    @pytest.mark.parametrize("first, second, same", [
+        ((3, [(1.0, (0, 1), J2)], (2,)), (4, [(1.0, (0, 1), J2)], (2, 3)), False),
+        ((4, [(1.0, (0, 1, 2, 3), J4)], ()), (4, [(1.0, (0, 1, 2, 3), X4)], ()), False),
+        ((4, [(1.0, (0, 1), J2)], (2, 3)), (4, [(1.0, (2, 3), J2)], (0, 1)), False),
+        ((4, [(1.0, (0, 1, 2, 3), J4)], ()),
+         (4, [(2.0, (0, 1), J2), (1.0, (2, 3), J2)], ()), False),
+        ((4, [(2.0, (0, 1), J2), (1.0, (2, 3), J2)], ()),
+         (4, [(2.0, (0, 2), J2), (1.0, (1, 3), J2)], ()), False),
+        ((2, [(1.0, (0, 1), J2)], ()), (2, [(1.0 + 2 * MATCH_TOL, (0, 1), J2)], ()), False),
+        ((4, [(1.0, (0, 1, 2, 3), X4)], ()), (4, [(1.0, (0, 1, 2, 3), turned(X4, 1e-6))], ()),
+         False),
+        ((4, [(1.0, (0, 1, 2, 3), X4)], ()),
+         (4, [(1.0 + MATCH_TOL / 2, (0, 1, 2, 3), turned(X4, 1e-10))], ()), True),
+    ], ids=["n", "regular", "fixed-axes", "block-count", "block-axes", "rate", "entry",
+            "within-tolerances"])
+    def test_matches_compares_every_part(self, first, second, same):
+        a, b = (ft.EquilibriumStructure(
+            [ft.FrequencyBlock(omega=w, axes=axes, A=k) for w, axes, k in blocks],
+            fixed_axes=fixed, n=n) for n, blocks, fixed in (first, second))
+        assert a.matches(b) is same
+        assert b.matches(a) is same
 
     def test_classify_roundtrip_examples(self, body4):
         for seed in (1, 2, 3):

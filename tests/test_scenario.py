@@ -97,6 +97,8 @@ class TestScenarioParsing:
         ("guard", "panic", "reject"),
         ("manakov_max_power", 1, "manakov_max_power: expected an integer from 2 to the dimension 4"),
         ("manakov_max_power", 5, "manakov_max_power: expected an integer from 2 to the dimension 4"),
+        ("manakov_max_power", 2.5, r"^integrator\.manakov_max_power: expected an integer$"),
+        ("manakov_max_power", True, r"^integrator\.manakov_max_power: expected an integer$"),
     ])
     def test_integrator_validation(self, field, value, message):
         doc = base_doc()
@@ -108,6 +110,14 @@ class TestScenarioParsing:
         doc = base_doc(outputs={"plot_png": "x.png"})
         with pytest.raises(SchemaError, match="plot_png"):
             scenario_from_doc(doc)
+
+    @pytest.mark.parametrize("outputs", [["trajectory.csv"], "trajectory.csv"],
+                             ids=["list", "string"])
+    def test_outputs_must_be_an_object(self, outputs):
+        with pytest.raises(SchemaError) as exc:
+            scenario_from_doc(base_doc(outputs=outputs))
+        assert exc.value.field == "outputs"
+        assert str(exc.value) == "outputs: expected an object"
 
     @pytest.mark.parametrize("names", [("out.txt", "./out.txt"), ("a/b.csv", "a//c/../b.csv"),
                                        ("x", "x")])

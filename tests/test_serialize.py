@@ -139,6 +139,13 @@ class TestMatrixDocs:
             doc = {"spec_version": "1", "n": 2, "kind": kind, "rows": rows}
             np.testing.assert_array_equal(ser.matrix_from_doc(doc), rows)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_dimension_must_be_positive(self, n):
+        with pytest.raises(ser.SchemaError) as exc:
+            ser.matrix_from_doc({"spec_version": "1", "n": n, "kind": "skew", "rows": []})
+        assert exc.value.field == "n"
+        assert str(exc.value) == "n: dimension must be positive"
+
     def test_missing_field_named(self):
         with pytest.raises(ser.SchemaError, match="rows"):
             ser.matrix_from_doc({"spec_version": "1", "n": 2, "kind": "skew"})
@@ -253,6 +260,15 @@ class TestStructureDocs:
         doc[field] = value
         with pytest.raises(ser.SchemaError, match=message):
             ser.structure_from_doc(doc)
+
+    @pytest.mark.parametrize("reader", [ser.matrix_from_doc, ser.body_from_doc,
+                                        ser.structure_from_doc, ser.recipe_from_doc],
+                             ids=lambda reader: reader.__name__)
+    def test_document_must_be_an_object(self, reader):
+        with pytest.raises(ser.SchemaError) as exc:
+            reader([{"spec_version": "1"}])
+        assert exc.value.field == "<root>"
+        assert str(exc.value) == "<root>: expected a JSON object"
 
     def test_block_errors_are_located(self):
         doc = {"spec_version": "1", "n": 2,

@@ -4,6 +4,7 @@ from scipy.linalg import block_diag, expm
 from scipy.optimize import linear_sum_assignment
 
 import freetop as ft
+from freetop import serialize as ser
 from freetop.body import _invert_array
 from freetop.stability import skew_to_vec, vec_to_skew, _ad_matrix, _linearization_matrix
 
@@ -330,6 +331,29 @@ class TestInstabilityProbe:
         assert not result.escaped
         assert result.exit_time is None
         assert result.deviations.max() < 1e-4
+
+    def test_non_finite_record_is_an_escape(self, body3, monkeypatch, tmp_path):
+        # A kernel that returns a NaN record: the probe escapes at that
+        # record's time and keeps the finite curve before it.
+        real = ft._kernels.rk4_momentum
+
+        def nan_at_record_5(*args):
+            rec = real(*args).copy()
+            rec[5] = np.nan
+            return rec
+
+        monkeypatch.setattr(ft._kernels, "rk4_momentum", nan_at_record_5)
+        m, _ = principal_momentum_3d(0)
+        result = ft.instability_probe(m, body3, eps=1e-6, horizon=10.0,
+                                      exit_factor=100.0, seed=1, dt=0.01)
+        assert result.escaped
+        assert result.exit_time == 5 * 10 * 0.01  # record 5, one record every 10 steps
+        assert result.times.size == 5 and result.times[-1] < result.exit_time
+        assert np.all(np.isfinite(result.deviations))
+        doc = ser.probe_to_doc(result, eps=1e-6, exit_factor=100.0)
+        assert (doc["escaped"], doc["exit_time"], doc["samples"]) == (True, result.exit_time, 5)
+        ser.write_probe_curve_csv(tmp_path / "curve.csv", result)
+        assert len((tmp_path / "curve.csv").read_text().splitlines()) == 6
 
     def test_exotic_probe_records_curve(self):
         m, _, body = make_fixture("exotic_n4")

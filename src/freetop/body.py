@@ -74,8 +74,8 @@ class InertiaSpec:
     @classmethod
     def from_eigenvalues(cls, values) -> "InertiaSpec":
         vals = np.asarray(values, dtype=float)
-        if vals.ndim != 1 or vals.size < 1:
-            raise ValueError("expected a nonempty 1-d list of diagonal values")
+        if vals.ndim != 1:  # np.diag would read a 2-d list as its diagonal
+            raise ValueError("expected a 1-d list of diagonal values")
         return cls(np.diag(vals))
 
     @property
@@ -267,6 +267,13 @@ def _check_step(m: np.ndarray, body: InertiaSpec, dt: float, guard: str = "rejec
         warnings.warn(msg)
 
 
+def _require_finite(what: str, samples: np.ndarray, times: np.ndarray) -> None:
+    """Raise IntegrationAbort at the first sample that is not all finite."""
+    finite = np.isfinite(samples.reshape(times.size, -1)).all(axis=1)
+    if not finite.all():
+        raise IntegrationAbort(f"{what} became non-finite near t = {times[np.argmin(finite)]:.6g}")
+
+
 def integrate(state, body: InertiaSpec, dt: float, t_end: float,
               record_every: int = 1, *, manakov_max_power: int | None = None,
               guard: str = "reject") -> Trajectory:
@@ -276,7 +283,8 @@ def integrate(state, body: InertiaSpec, dt: float, t_end: float,
     `record_every` steps, which must divide the total step count
     round(t_end / dt), and their invariants are computed in one batched
     pass. Steps with dt * ||W(0)||_2 above 0.5 are rejected
-    (guard="reject") or allowed with a warning (guard="warn").
+    (guard="reject") or allowed with a warning (guard="warn"). A recorded
+    momentum or invariant that is not finite raises IntegrationAbort.
 
     The flow runs in the inertia eigenframe through the C kernel, or the
     numpy twin where the C kernel cannot be built (see `freetop._kernels`).
@@ -296,13 +304,12 @@ def integrate(state, body: InertiaSpec, dt: float, t_end: float,
     momenta = _kernels.rk4_momentum(body.to_eigenframe(m0), body.pair_sums, dt,
                                     nsteps, record_every)
     times = np.arange(momenta.shape[0]) * record_every * dt
-    finite = np.isfinite(momenta).all(axis=(1, 2))
-    if not finite.all():
-        raise IntegrationAbort(
-            f"momentum became non-finite near t = {times[np.argmin(finite)]:.6g}")
+    _require_finite("momentum", momenta, times)
     momenta = body.from_eigenframe(momenta)
     momenta = 0.5 * (momenta - momenta.transpose(0, 2, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        invariants = compute_invariants(momenta, body, manakov_max_power)
+    _require_finite("invariants", invariants, times)
     return Trajectory(
-        times=times, momenta=momenta,
-        invariants=compute_invariants(momenta, body, manakov_max_power),
+        times=times, momenta=momenta, invariants=invariants,
         step=dt, record_every=record_every, manakov_max_power=manakov_max_power)

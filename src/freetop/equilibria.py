@@ -64,20 +64,16 @@ class AmbiguousClustering(ClassificationError):
 
 
 def _structure_defect(a: np.ndarray) -> float:
-    """max(||A^T A - I||, ||A^2 + I||) of a skew matrix A of even dimension;
-    raises ValueError unless A is a complex structure within
-    STRUCTURE_DEFECT_TOL."""
+    """||A^T A - I|| of an exactly skew matrix A of even dimension, which is
+    ||A^2 + I|| too (A^T = -A); raises ValueError unless A is a complex
+    structure within STRUCTURE_DEFECT_TOL."""
     n = a.shape[0]
     if n % 2 != 0:
         raise ValueError(f"complex structures need even dimension, got {n}")
-    eye = np.eye(n)
-    ortho_defect = float(np.linalg.norm(a.T @ a - eye))
-    square_defect = float(np.linalg.norm(a @ a + eye))
-    if ortho_defect > STRUCTURE_DEFECT_TOL:
-        raise ValueError(f"not orthogonal: defect {ortho_defect:.3e}")
-    if square_defect > STRUCTURE_DEFECT_TOL:
-        raise ValueError(f"square is not -identity: defect {square_defect:.3e}")
-    return max(ortho_defect, square_defect)
+    defect = float(np.linalg.norm(a.T @ a - np.eye(n)))
+    if defect > STRUCTURE_DEFECT_TOL:
+        raise ValueError(f"not orthogonal: defect {defect:.3e}")
+    return defect
 
 
 def standard_structure(m: int) -> np.ndarray:

@@ -65,11 +65,10 @@ def _structured(entries, sign: float) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     _check_structure(arr, sign)
+    # arr is finite here, so a skew part's diagonal x + (-x) is exactly +0
     out = 0.5 * (arr + sign * arr.T)
     if not np.isfinite(out).all():
         raise ValueError("matrix entries too large: their structured part overflows")
-    if sign < 0:
-        np.fill_diagonal(out, 0.0)
     return _readonly(out)
 
 
@@ -126,8 +125,6 @@ def eigen_symmetric(s) -> tuple[np.ndarray, np.ndarray]:
     lam, v = np.linalg.eigh(a)
     _fix_column_signs(v)
     n = a.shape[0]
-    if np.any(np.diff(lam) < 0):
-        raise ArithmeticError("eigenvalues are not ascending")
     defect = np.linalg.norm(v.T @ v - np.eye(n))
     if defect > 1e-12 * n:
         raise ArithmeticError(f"eigenbasis not orthonormal: defect {defect:.3e}")

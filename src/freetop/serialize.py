@@ -152,11 +152,10 @@ def load_json(path):
 @contextmanager
 def _at(path: str):
     """Report a library ValueError raised inside as a SchemaError on path,
-    with the same message; a SchemaError passes unchanged."""
+    with the same message. Only library calls go inside, so no SchemaError
+    arises there."""
     try:
         yield
-    except SchemaError:
-        raise
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
 

@@ -16,6 +16,7 @@ import numpy as np
 from . import _kernels
 from .body import InertiaSpec, _check_step, _invert_array, _step_count
 from .equilibria import DEFAULT_TOL, _require_stationary
+from .linalg import _unit
 
 __all__ = [
     "LinearizationReport",
@@ -178,12 +179,13 @@ def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
     the deviation ||M(t) - M_eq||.
 
     m_eq must be stationary to within tol (NotAnEquilibrium otherwise).
-    escaped is True when the deviation reaches exit_factor * eps before
-    the horizon, or when a recorded state is not finite; integration stops
-    at the first such record, whose time is exit_time. The deviation curve
-    ends with a crossing record, or with the record before a non-finite
-    one. It is recorded about every 0.1 time units: every round(0.1 / dt)
-    steps (at least 1), which must divide the step count horizon / dt.
+    The probe stops and escapes at the first record whose deviation is not
+    below exit_factor * eps, NaN and inf included; exit_time is its time.
+    The curve holds the finite deviations. They are measured in units of
+    the power of two above the largest entry of M~(0) and M~_eq, an exact
+    scaling, so they cannot overflow. Records come about every 0.1 time
+    units: every round(0.1 / dt) steps (at least 1), which must divide the
+    step count horizon / dt.
     Like integrate, the probe rejects a step with dt * ||W||_2 above
     STEP_GUARD (IntegrationAbort), W the angular velocity of the perturbed
     start.
@@ -205,34 +207,32 @@ def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
 
     meq_t = body.to_eigenframe(arr)
     m_t = body.to_eigenframe(m0)
+    unit = _unit(max(np.abs(m_t).max(), np.abs(meq_t).max()))
+
+    def deviation(m):  # a state that blows up gives inf or NaN, which escapes
+        return float(np.linalg.norm((m - meq_t) * unit) / unit)
 
     times = [0.0]
-    devs = [float(np.linalg.norm(m_t - meq_t))]
-    escaped = False
+    devs = [deviation(m_t)]
     exit_time = None
     done = 0
     chunk_records = 32
-    while done < total and not escaped:
+    while done < total and exit_time is None:
         nsteps = min(chunk_records * record_every, total - done)
         rec = _kernels.rk4_momentum(m_t, body.pair_sums, dt, nsteps, record_every)
         for r in range(1, rec.shape[0]):
             t = (done + r * record_every) * dt
-            sample = rec[r]
-            if not np.all(np.isfinite(sample)):
-                escaped = True
-                exit_time = t
-                break
-            dev = float(np.linalg.norm(sample - meq_t))
-            times.append(t)
-            devs.append(dev)
-            if dev >= threshold:
-                escaped = True
+            dev = deviation(rec[r])
+            if np.isfinite(dev):
+                times.append(t)
+                devs.append(dev)
+            if not dev < threshold:
                 exit_time = t
                 break
         m_t = rec[-1]
         done += nsteps
     return ProbeResult(
-        escaped=escaped,
+        escaped=exit_time is not None,
         exit_time=exit_time,
         times=np.array(times),
         deviations=np.array(devs),

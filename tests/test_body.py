@@ -53,6 +53,19 @@ class TestInertiaSpec:
             body = ft.InertiaSpec(ft.sym(0.5 * (a + a.T)))
             assert abs(body.eigenvalues[0] - ratio) <= 1e-14
 
+    @pytest.mark.parametrize("values, match", [
+        ([[1.0, 2.0], [3.0, 4.0]], "expected a 1-d list"),
+        ([], "at least two axes, got 0"),
+    ], ids=["two-dimensional", "empty"])
+    def test_from_eigenvalues_rejects(self, values, match):
+        # np.diag would read a 2-d list as its diagonal.
+        with pytest.raises(ValueError, match=match):
+            ft.InertiaSpec.from_eigenvalues(values)
+
+    def test_repr(self):
+        body = ft.InertiaSpec.from_eigenvalues([1.0, 2.5])
+        assert repr(body) == "InertiaSpec(n=2, eigenvalues=[1.0, 2.5])"
+
     def test_rejects_moments_beyond_double_range(self):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
             ft.InertiaSpec(np.diag([1e308, 1.5e308, 1e-320]))
@@ -292,6 +305,11 @@ class TestBatchedInvariants:
         with pytest.raises(ValueError, match="skew-symmetric|finite"):
             fn(m, body4)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 4), (3,)])
+    def test_rejects_another_dimension(self, body3, shape):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ft.compute_invariants(np.zeros(shape), body3, 2)
+
     def test_single_m_coefficients_are_exactly_zero(self, rng):
         # With one factor M against powers of the diagonal J^2 the trace is
         # sum_i M~_ii * lambda_i^p; the eigenframe stack is exactly skew, so
@@ -334,6 +352,23 @@ class TestBatchedInvariants:
         m0 = oracles.inertia_apply(rotation_generator(3, 0, 2), body3)
         with pytest.raises(ft.IntegrationAbort, match=r"near t = 0\.3$"):
             ft.integrate(m0, body3, dt=0.01, t_end=1.0, record_every=10)
+
+    def test_overflowing_invariants_abort_with_their_time(self, body3, monkeypatch):
+        # Finite records from t = 0.3 on whose squares overflow: the
+        # invariants are refused before a trajectory is returned, and numpy
+        # warns of nothing on the way.
+        def kernel(m0, pair, dt, nsteps, record_every):
+            out = np.repeat(m0[None], nsteps // record_every + 1, axis=0)
+            out[3:] *= 1e200
+            return out
+
+        monkeypatch.setattr(_kernels, "rk4_momentum", kernel)
+        m0 = oracles.inertia_apply(rotation_generator(3, 0, 2), body3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ft.IntegrationAbort,
+                               match=r"^invariants became non-finite near t = 0\.3$"):
+                ft.integrate(m0, body3, dt=0.01, t_end=1.0, record_every=10)
 
 
 class TestStepRK4:
@@ -393,6 +428,16 @@ class TestIntegrate:
     def test_record_every_must_divide(self, body3, rng):
         with pytest.raises(ValueError, match="divide"):
             ft.integrate(random_skew(3, rng), body3, dt=1e-2, t_end=1.0, record_every=7)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"record_every": 0}, "record_every must be a positive integer"),
+        ({"t_end": 0.004}, "t_end shorter than one step"),
+        ({"guard": "x"}, "guard must be 'reject' or 'warn'"),
+    ], ids=["record-every-0", "t-end-below-half-a-step", "unknown-guard"])
+    def test_rejects_arguments(self, body3, rng, kwargs, match):
+        args = {"dt": 1e-2, "t_end": 1.0, **kwargs}
+        with pytest.raises(ValueError, match=match):
+            ft.integrate(random_skew(3, rng), body3, **args)
 
     def test_guard_reject_and_warn(self, body3, rng):
         m0 = random_skew(3, rng, scale=50.0)
@@ -498,6 +543,11 @@ class TestKernelTwins:
         with pytest.raises(ValueError, match=match):
             _kernels.rk4_momentum_c(m0, pair_sums, 1e-3, nsteps, record_every)
 
+    def test_c_kernel_refuses_when_unusable(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_c_kernel", lambda: None)
+        with pytest.raises(RuntimeError, match="C RK4 kernel is not available"):
+            _kernels.rk4_momentum_c(np.zeros((3, 3)), np.ones((3, 3)), 1e-3, 1, 1)
+
     def test_flags_keep_results_deterministic(self):
         # Results must not depend on the host CPU or on reassociation.
         flags = _kernels._C_FLAGS
@@ -554,6 +604,15 @@ class TestKernelTwins:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["c"]
         assert list((tmp_path / "cache").glob("_rk4-*.so"))
+
+    @NEEDS_CC
+    def test_builds_once_into_an_empty_cache(self, tmp_path, monkeypatch):
+        # In this process, so the build runs whatever the package cache holds.
+        cache = tmp_path / "cache"
+        monkeypatch.setattr(_kernels, "_CACHE_DIR", cache)
+        built = _kernels._build_c_kernel()
+        assert list(cache.iterdir()) == [built]  # renamed into place, no temporary left
+        assert _kernels._build_c_kernel() == built
 
     def test_import_builds_nothing(self):
         code = ("import sys, freetop, freetop._kernels as k; "

@@ -284,25 +284,32 @@ class TestSimulate:
 
     def test_overflowing_invariants_exit3(self, tmp_path, capsys):
         # In two dimensions the momentum is constant, so it stays finite, but
-        # tr(M^2) overflows: a numerical failure, not an unreadable input.
+        # tr(M^2) overflows: a numerical failure, not an unreadable input,
+        # found before any output is written or its directory made.
         doc = {"spec_version": "1", "body": {"eigenvalues": [1.0, 2.0]},
                "initial": {"matrix": {"n": 2, "kind": "skew",
                                       "rows": [[0.0, 1e200], [-1e200, 0.0]]}},
-               "integrator": {"dt": 0.1, "t_end": 0.1, "guard": "warn"}}
-        with pytest.warns(UserWarning, match="guard"), \
-                np.errstate(over="ignore", invalid="ignore"):
-            assert main(["simulate", write(tmp_path / "big.json", doc)]) == 3
-        assert "error: numerical failure: cannot serialize non-finite" in capsys.readouterr().err
+               "integrator": {"dt": 0.1, "t_end": 0.1, "guard": "warn"},
+               "outputs": {"trajectory_csv": "t.csv"}}
+        outdir = tmp_path / "newdir"
+        with pytest.warns(UserWarning, match="guard"):
+            assert main(["simulate", write(tmp_path / "big.json", doc),
+                         "--output-dir", str(outdir)]) == 3
+        assert capsys.readouterr().err == (
+            "error: numerical failure: invariants became non-finite near t = 0\n")
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("settings", [
-        {"record_every": 7},  # does not divide the 1000 steps
-        {"t_end": 1e308},  # t_end / dt overflows
-        {"t_end": 1e200},  # more samples than an array can hold
+        ({"record_every": 7}, "must divide the step count"),
+        ({"t_end": 1e308}, "is too many steps"),
+        ({"t_end": 1e200, "record_every": 1}, "samples are more than an array can hold"),
     ])
     def test_step_count_errors_name_integrator(self, tmp_path, capsys, settings):
-        scenario = spinning_book_scenario(tmp_path, **settings)
+        integrator, message = settings
+        scenario = spinning_book_scenario(tmp_path, **integrator)
         assert main(["simulate", scenario, "--output-dir", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith("error: invalid input: integrator: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid input: integrator: ") and message in err
 
     @pytest.mark.parametrize("initial, field", [
         ({"matrix": {"n": 2, "kind": "skew", "rows": [[0.0, 1.0], [-1.0, 0.0]]}},

@@ -56,6 +56,10 @@ class TestComplexStructure:
         with pytest.raises(ValueError):
             ft.FrequencyBlock(omega=1.0, axes=(0, 1), A=a)
 
+    def test_rejects_axes_of_another_size(self):
+        with pytest.raises(ValueError, match="4 axes but a structure of dimension 2"):
+            ft.FrequencyBlock(omega=1.0, axes=(0, 1, 2, 3), A=J2)
+
     def test_signed_permutation_detects_mixing(self):
         g = givens(4, 0, 2, np.pi / 4)
         k = ft.standard_structure(2)
@@ -348,6 +352,12 @@ class TestBuilders:
         s = ft.EquilibriumStructure((), fixed_axes=(0, 1, 2, 3), n=4)
         with pytest.raises(ValueError, match="4-dimensional, body is 3"):
             ft.generate(s, body3)
+
+    def test_generate_refuses_a_momentum_it_cannot_make_stationary(self, body4,
+                                                                   monkeypatch):
+        monkeypatch.setattr(ft.equilibria, "is_equilibrium", lambda m, body, tol: (False, 0.5))
+        with pytest.raises(ArithmeticError, match="misses the stationarity residual: 5.000e-01"):
+            two_block_regular(body4)
 
     def test_axis_collision_rejected(self):
         with pytest.raises(ValueError, match="partition"):

@@ -47,6 +47,14 @@ class TestCanonicalDumps:
         doc = {"rows": rng.standard_normal((3, 3)).tolist(), "n": 3}
         assert ser.dumps_canonical(doc) == ser.dumps_canonical(doc)
 
+    def test_empty_containers(self):
+        assert ser.dumps_canonical({}) == "{}"
+        assert ser.dumps_canonical({"a": {}, "b": []}) == '{\n  "a": {},\n  "b": []\n}'
+
+    def test_rejects_other_types(self):
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            ser.dumps_canonical({"a": object()})
+
     def test_numpy_scalars_and_arrays(self):
         doc = {"x": np.float64(0.1), "k": np.int64(3), "v": np.arange(3.0)}
         assert json.loads(ser.dumps_canonical(doc)) == {"x": 0.1, "k": 3, "v": [0, 1, 2]}

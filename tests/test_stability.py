@@ -355,6 +355,26 @@ class TestInstabilityProbe:
         ser.write_probe_curve_csv(tmp_path / "curve.csv", result)
         assert len((tmp_path / "curve.csv").read_text().splitlines()) == 6
 
+    def test_deviation_beyond_the_norm_range_is_measured(self, tmp_path):
+        # |M| is about 4e156, where a plain Frobenius norm of the deviation
+        # overflows (above about 1.3e154) and an infinite deviation would
+        # read as an escape at t = 1.9. In power-of-two units it is finite
+        # and crosses exit_factor * eps = 1e156 later.
+        body = ft.InertiaSpec.from_eigenvalues(np.array([1.0, 2.0, 3.0]) * 1e156)
+        w = np.zeros((3, 3))
+        w[0, 2], w[2, 0] = 1.0, -1.0
+        m = ft.skew(w @ body.J + body.J @ w)
+        result = ft.instability_probe(m, body, eps=1e154, horizon=100.0,
+                                      exit_factor=100.0, dt=1e-2)
+        assert np.all(np.isfinite(result.deviations))
+        assert result.escaped and result.exit_time > 1.9
+        assert result.times[-1] == result.exit_time
+        assert result.deviations[-1] >= 1e156 > result.deviations[-2]
+        doc = ser.probe_to_doc(result, eps=1e154, exit_factor=100.0)
+        assert doc["max_deviation"] == result.deviations[-1]
+        ser.write_probe_curve_csv(tmp_path / "curve.csv", result)
+        assert len((tmp_path / "curve.csv").read_text().splitlines()) == result.times.size + 1
+
     def test_exotic_probe_records_curve(self):
         m, _, body = make_fixture("exotic_n4")
         result = ft.instability_probe(m, body, eps=1e-6, horizon=20.0,

@@ -1,22 +1,20 @@
-"""Fast fixed-step integration kernels for the momentum equation.
+"""The fixed-step RK4 kernel for the momentum equation.
 
 The momentum flow is integrated in the inertia eigenframe, where the
 momentum-to-velocity map is an entrywise division by the pairwise
-eigenvalue sums. One RK4 loop has two implementations, and
-`rk4_momentum` runs the first usable one:
+eigenvalue sums. `rk4_momentum` runs the one RK4 loop, in `_rk4.c`. The
+first call builds it once with the system C compiler (``cc`` or ``gcc``)
+into this package's ``__pycache__`` and loads it with ctypes; later
+processes load the cached shared object. It is built at -O3 with a
+separate, constant-size copy of the loop for each n = 2..8, which the
+compiler unrolls and vectorizes (the first build takes under 1 s, once).
+Its results are bit for bit those of the scalar loops in
+`tests/oracles.py`.
 
-1. C: the loop in `_rk4.c`. The first call builds it once with the system
-   C compiler (``cc`` or ``gcc``) into this package's ``__pycache__`` and
-   loads it with ctypes; later processes load the cached shared object.
-   It is built at -O3 with a separate, constant-size copy of the loop for
-   each n = 2..8, which the compiler unrolls and vectorizes (the first
-   build takes under 1 s, once). Its results are bit for bit those of the
-   scalar loops in `tests/oracles.py`.
-2. numpy: the vectorized twin `rk4_momentum_numpy`, about 100x slower.
-   It runs, after one UserWarning per process that names the reason, when
-   the C kernel is unusable; tests use it as the reference.
-
-Importing this module neither compiles nor loads the C kernel.
+Where the kernel cannot be built or loaded, `rk4_momentum` raises
+KernelUnavailable with the reason. A failed build is not cached, so each
+call tries again. Importing this module neither compiles nor loads the
+kernel.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ import functools
 import os
 import shutil
 import tempfile
-import warnings
 import zlib
 from pathlib import Path
 
@@ -40,45 +37,14 @@ _C_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 _COMPILERS = ("cc", "gcc")
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
 
-
-def rk4_momentum_numpy(m0: np.ndarray, pair_sums: np.ndarray, dt: float,
-                       nsteps: int, record_every: int) -> np.ndarray:
-    """Classical RK4 on dM/dt = [M, M / pair_sums] (eigenframe coordinates).
-
-    Returns an array of shape (nsteps // record_every + 1, n, n) holding
-    the state every `record_every` steps, starting with m0.
-    """
-
-    def field(m):
-        om = m / pair_sums
-        p = m @ om
-        return p - p.T
-
-    nrec = nsteps // record_every
-    out = np.empty((nrec + 1,) + m0.shape)
-    out[0] = m0
-    m = m0.copy()
-    r = 1
-    for step in range(nsteps):
-        k1 = field(m)
-        k2 = field(m + (0.5 * dt) * k1)
-        k3 = field(m + (0.5 * dt) * k2)
-        k4 = field(m + dt * k3)
-        m = m + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if (step + 1) % record_every == 0:
-            out[r] = m
-            r += 1
-    return out
-
-
 # perfbench/workloads.py::backend() reads this name on every benchmark run and
-# fails with AttributeError without it, until it reads `backend()` instead.
-# There is no numba kernel, so it is always None.
+# fails with AttributeError without it, until perfbench stops reading it
+# (ROADMAP item 1). There is no numba kernel, so it is always None.
 rk4_momentum_numba = None
 
 
-class _BuildError(Exception):
-    """The C kernel could not be built; the message says why."""
+class KernelUnavailable(RuntimeError):
+    """The C kernel could not be built or loaded; the message says why."""
 
 
 def _build_c_kernel() -> Path:
@@ -94,7 +60,7 @@ def _build_c_kernel() -> Path:
     search = os.pathsep.join(os.get_exec_path())
     found = [path for path in (shutil.which(c, path=search) for c in _COMPILERS) if path]
     if not found:
-        raise _BuildError(f"no C compiler found (looked for {', '.join(_COMPILERS)})")
+        raise KernelUnavailable(f"no C compiler found (looked for {', '.join(_COMPILERS)})")
     cc = os.path.realpath(found[0])
     cc_stat = os.stat(cc)
     key = _C_SOURCE.read_bytes() + repr(
@@ -114,7 +80,7 @@ def _build_c_kernel() -> Path:
                               capture_output=True, text=True,
                               env={**os.environ, "PATH": search})
         if proc.returncode != 0:
-            raise _BuildError(
+            raise KernelUnavailable(
                 f"{cc} exited with status {proc.returncode}: {proc.stderr.strip()}"
             )
         os.replace(built, target)
@@ -125,17 +91,13 @@ def _build_c_kernel() -> Path:
 def _c_kernel():
     """The C kernel as a ctypes function, built or loaded on the first call.
 
-    None, after one UserWarning, when it cannot be built or loaded.
+    Raises KernelUnavailable when it cannot be built or loaded. The cache
+    keeps no exception, so the next call tries again.
     """
     try:
         fn = ctypes.CDLL(str(_build_c_kernel())).freetop_rk4_momentum
-    except (_BuildError, OSError) as exc:
-        warnings.warn(
-            f"the C RK4 kernel is unusable ({exc}); "
-            "integrating with the numpy kernel, about 100x slower",
-            UserWarning,
-        )
-        return None
+    except OSError as exc:
+        raise KernelUnavailable(str(exc)) from exc
     buf = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
     fn.argtypes = [buf, buf, ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
                    ctypes.c_int64, buf, buf]
@@ -143,11 +105,13 @@ def _c_kernel():
     return fn
 
 
-def rk4_momentum_c(m0, pair_sums, dt, nsteps, record_every):
-    """The C kernel; same contract as `rk4_momentum_numpy`."""
-    kernel = _c_kernel()
-    if kernel is None:
-        raise RuntimeError("the C RK4 kernel is not available")
+def rk4_momentum(m0, pair_sums, dt, nsteps, record_every):
+    """Classical RK4 on dM/dt = [M, M / pair_sums] (eigenframe coordinates).
+
+    Returns an array of shape (nsteps // record_every + 1, n, n) holding
+    the state every `record_every` steps, starting with m0. Raises
+    KernelUnavailable where the C kernel cannot be built or loaded.
+    """
     m0 = np.ascontiguousarray(m0, dtype=np.float64)
     pair_sums = np.ascontiguousarray(pair_sums, dtype=np.float64)
     if m0.ndim != 2 or m0.shape[0] != m0.shape[1] or pair_sums.shape != m0.shape:
@@ -160,19 +124,6 @@ def rk4_momentum_c(m0, pair_sums, dt, nsteps, record_every):
     n = m0.shape[0]
     out = np.empty((nsteps // record_every + 1, n, n))
     work = np.empty((7, n, n))
-    kernel(m0, pair_sums, float(dt), n, nsteps, record_every, out, work)
+    # Looked up last, so arguments too large to record still raise MemoryError.
+    _c_kernel()(m0, pair_sums, float(dt), n, nsteps, record_every, out, work)
     return out
-
-
-def backend() -> str:
-    """Name of the kernel `rk4_momentum` runs: "c" or "numpy".
-
-    The first call builds or loads the C kernel.
-    """
-    return "c" if _c_kernel() is not None else "numpy"
-
-
-def rk4_momentum(m0, pair_sums, dt, nsteps, record_every):
-    """Run the C kernel if it is usable, else the numpy twin (see `backend`)."""
-    kernel = rk4_momentum_c if backend() == "c" else rk4_momentum_numpy
-    return kernel(m0, pair_sums, float(dt), nsteps, record_every)

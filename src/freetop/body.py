@@ -286,8 +286,9 @@ def integrate(state, body: InertiaSpec, dt: float, t_end: float,
     (guard="reject") or allowed with a warning (guard="warn"). A recorded
     momentum or invariant that is not finite raises IntegrationAbort.
 
-    The flow runs in the inertia eigenframe through the C kernel, or the
-    numpy twin where the C kernel cannot be built (see `freetop._kernels`).
+    The flow runs in the inertia eigenframe through the C kernel of
+    `freetop._kernels`, which raises KernelUnavailable where it cannot be
+    built or loaded.
     """
     m0 = skew(state)
     nsteps = _step_count(t_end, dt, record_every)

@@ -3,7 +3,8 @@
 Commands: simulate, classify, generate, stability. Exit codes:
 0 success, 2 unreadable or schema-invalid input (including a run with too
 many samples to record), 3 numerical abort, 4 momentum is not stationary,
-5 classification undecided.
+5 classification undecided, 6 the RK4 kernel could not be built or loaded
+(simulate and stability --probe only).
 Every command is deterministic given its inputs and seed; re-running
 overwrites outputs byte-identically.
 """
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._kernels import KernelUnavailable
 from .body import IntegrationAbort
 from .equilibria import (
     DEFAULT_CLUSTER_TOL,
@@ -56,6 +58,7 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_NOT_EQUILIBRIUM = 4
 EXIT_AMBIGUOUS = 5
+EXIT_KERNEL = 6
 
 OUTPUT_DIR_ENV = "FREETOP_OUTPUT_DIR"
 
@@ -286,6 +289,9 @@ def main(argv=None) -> int:
     except AmbiguousClustering as exc:
         print(f"error: classification undecided: {exc}", file=sys.stderr)
         return EXIT_AMBIGUOUS
+    except KernelUnavailable as exc:
+        print(f"error: RK4 kernel unavailable: {exc}", file=sys.stderr)
+        return EXIT_KERNEL
     except (IntegrationAbort, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -188,7 +188,8 @@ def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
     step count horizon / dt.
     Like integrate, the probe rejects a step with dt * ||W||_2 above
     STEP_GUARD (IntegrationAbort), W the angular velocity of the perturbed
-    start.
+    start, and raises KernelUnavailable where the C kernel of
+    `freetop._kernels` cannot be built or loaded.
     """
     if not 0 < eps < np.inf:
         raise ValueError("eps must be positive")

@@ -117,6 +117,36 @@ def rk4_ambient(m0, body, dt, nsteps):
 
 # -- momentum flow in the eigenframe -----------------------------------------
 
+def rk4_momentum_numpy(m0: np.ndarray, pair_sums: np.ndarray, dt: float,
+                       nsteps: int, record_every: int) -> np.ndarray:
+    """Classical RK4 on dM/dt = [M, M / pair_sums] (eigenframe coordinates).
+
+    Returns an array of shape (nsteps // record_every + 1, n, n) holding
+    the state every `record_every` steps, starting with m0.
+    """
+
+    def field(m):
+        om = m / pair_sums
+        p = m @ om
+        return p - p.T
+
+    nrec = nsteps // record_every
+    out = np.empty((nrec + 1,) + m0.shape)
+    out[0] = m0
+    m = m0.copy()
+    r = 1
+    for step in range(nsteps):
+        k1 = field(m)
+        k2 = field(m + (0.5 * dt) * k1)
+        k3 = field(m + (0.5 * dt) * k2)
+        k4 = field(m + dt * k3)
+        m = m + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if (step + 1) % record_every == 0:
+            out[r] = m
+            r += 1
+    return out
+
+
 def rk4_momentum_loops(m0, pair_sums, dt, nsteps, record_every):
     """RK4 in the eigenframe as plain scalar loops, in the operation order of
     the C kernel (`_rk4.c`), so the two agree bit for bit."""

@@ -17,11 +17,9 @@ from conftest import random_body, random_skew, rotation_generator
 from recipes import read_recipe
 import oracles
 
-# The compiled RK4 kernel, run where it builds and compared with the numpy
-# twin. Building the C kernel here is its availability check.
-NEEDS_C_KERNEL = pytest.mark.skipif(
-    _kernels._c_kernel() is None, reason="the C kernel could not be built")
-COMPILED = [pytest.param("c", marks=NEEDS_C_KERNEL)]
+# The one RK4 kernel, the C loop, compared with the references in oracles.py.
+# It is never skipped: a host where it cannot be built fails these tests.
+COMPILED = ["c"]
 NEEDS_CC = pytest.mark.skipif(
     not any(map(shutil.which, _kernels._COMPILERS)), reason="no C compiler")
 
@@ -448,12 +446,11 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("name", COMPILED)
     def test_kernel_paths_agree(self, name, body6, rng):
-        assert _kernels.backend() == name
         m0 = random_skew(6, rng)
         kwargs = dict(dt=1e-3, t_end=0.2, record_every=20)
         fast = ft.integrate(m0, body6, **kwargs)
-        slow = _kernels.rk4_momentum_numpy(body6.to_eigenframe(m0),
-                                           np.asarray(body6.pair_sums), 1e-3, 200, 20)
+        slow = oracles.rk4_momentum_numpy(body6.to_eigenframe(m0),
+                                          np.asarray(body6.pair_sums), 1e-3, 200, 20)
         np.testing.assert_allclose(fast.momenta, body6.from_eigenframe(slow), atol=1e-12)
 
     def test_matches_plain_stepper(self, body4, rng):
@@ -480,7 +477,7 @@ def pinned_inputs(n):
     return a - a.T, np.add.outer(moments, moments)
 
 
-# SHA-256 of rk4_momentum_c(*pinned_inputs(n), 1e-2, 200, 50) as little-endian
+# SHA-256 of rk4_momentum(*pinned_inputs(n), 1e-2, 200, 50) as little-endian
 # float64, recorded with the -O2 build of the plain loop. A kernel change that
 # moves any bit fails here.
 PINNED_DIGESTS = {
@@ -499,13 +496,13 @@ PINNED_DIGESTS = {
 class TestKernelTwins:
     @pytest.mark.parametrize("name", COMPILED)
     def test_twins_bitwise_comparable(self, name, rng):
-        kernel = _kernels.rk4_momentum_c
+        kernel = _kernels.rk4_momentum
         for n in range(2, 17):
             body = random_body(n, rng)
             mt0 = body.to_eigenframe(random_skew(n, rng))
             pair = np.asarray(body.pair_sums)
             a = kernel(mt0, pair, 1e-3, 50, 10)
-            b = _kernels.rk4_momentum_numpy(mt0, pair, 1e-3, 50, 10)
+            b = oracles.rk4_momentum_numpy(mt0, pair, 1e-3, 50, 10)
             np.testing.assert_allclose(a, b, atol=1e-13)
             np.testing.assert_array_equal(kernel(mt0, pair, 1e-3, 50, 10), a)
             # Same operation order as the scalar loops, so equal bit for bit.
@@ -521,17 +518,16 @@ class TestKernelTwins:
             body = random_body(n, rng)
             mt0 = body.to_eigenframe(random_skew(n, rng))
             pair = np.asarray(body.pair_sums)
-            np.testing.assert_array_equal(_kernels.rk4_momentum_c(mt0, pair, 5e-2, 20, 5),
+            np.testing.assert_array_equal(_kernels.rk4_momentum(mt0, pair, 5e-2, 20, 5),
                                           oracles.rk4_momentum_loops(mt0, pair, 5e-2, 20, 5))
 
     @pytest.mark.parametrize("name", COMPILED)
     def test_pinned_digests(self, name):
         for n, digest in PINNED_DIGESTS.items():
-            out = _kernels.rk4_momentum_c(*pinned_inputs(n), 1e-2, 200, 50)
+            out = _kernels.rk4_momentum(*pinned_inputs(n), 1e-2, 200, 50)
             assert np.isfinite(out).all()
             assert hashlib.sha256(out.astype("<f8").tobytes()).hexdigest() == digest, n
 
-    @NEEDS_C_KERNEL
     @pytest.mark.parametrize("m0, pair_sums, nsteps, record_every, match", [
         (np.zeros((3, 4)), np.zeros((3, 4)), 1, 1, "square and of one shape"),
         (np.zeros((3, 3)), np.zeros((4, 4)), 1, 1, "square and of one shape"),
@@ -541,12 +537,22 @@ class TestKernelTwins:
     def test_c_kernel_checks_arguments(self, m0, pair_sums, nsteps, record_every, match):
         # Checked before the foreign call, which would read out of bounds.
         with pytest.raises(ValueError, match=match):
-            _kernels.rk4_momentum_c(m0, pair_sums, 1e-3, nsteps, record_every)
+            _kernels.rk4_momentum(m0, pair_sums, 1e-3, nsteps, record_every)
 
-    def test_c_kernel_refuses_when_unusable(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "_c_kernel", lambda: None)
-        with pytest.raises(RuntimeError, match="C RK4 kernel is not available"):
-            _kernels.rk4_momentum_c(np.zeros((3, 3)), np.ones((3, 3)), 1e-3, 1, 1)
+    def test_c_kernel_refuses_when_unusable(self, tmp_path, monkeypatch):
+        # A built file that does not load: the loader's reason, on every call.
+        broken = tmp_path / "_rk4-broken.so"
+        broken.write_text("not a shared object\n")
+        monkeypatch.setattr(_kernels, "_build_c_kernel", lambda: broken)
+        _kernels._c_kernel.cache_clear()
+        try:
+            for _ in range(2):
+                with pytest.raises(_kernels.KernelUnavailable,
+                                   match=re.escape(str(broken))) as exc:
+                    _kernels.rk4_momentum(np.zeros((3, 3)), np.ones((3, 3)), 1e-3, 1, 1)
+                assert isinstance(exc.value.__cause__, OSError)
+        finally:
+            _kernels._c_kernel.cache_clear()
 
     def test_flags_keep_results_deterministic(self):
         # Results must not depend on the host CPU or on reassociation.
@@ -561,6 +567,8 @@ class TestKernelTwins:
         pytest.param("unwritable_cache", marks=NEEDS_CC),
     ])
     def test_fallback_warns_once(self, fault, rng, tmp_path, monkeypatch):
+        # There is no fallback: each call raises KernelUnavailable with the
+        # build's reason, because a failed build is not cached.
         if fault == "no_compiler":
             missing = tmp_path / "missing-cc"
             monkeypatch.setattr(_kernels, "_COMPILERS", (str(missing),))
@@ -580,29 +588,24 @@ class TestKernelTwins:
         pair = np.asarray(body.pair_sums)
         _kernels._c_kernel.cache_clear()
         try:
-            with pytest.warns(UserWarning, match=reason):
-                got = _kernels.rk4_momentum(mt0, pair, 1e-3, 50, 10)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert _kernels.backend() == "numpy"
-                again = _kernels.rk4_momentum(mt0, pair, 1e-3, 50, 10)
+            for _ in range(2):
+                with pytest.raises(_kernels.KernelUnavailable, match=reason):
+                    _kernels.rk4_momentum(mt0, pair, 1e-3, 50, 10)
         finally:
             _kernels._c_kernel.cache_clear()
-        np.testing.assert_array_equal(got, _kernels.rk4_momentum_numpy(mt0, pair, 1e-3, 50, 10))
-        np.testing.assert_array_equal(again, got)
 
     @NEEDS_CC
     def test_builds_with_no_path_in_the_environment(self, tmp_path):
         # The compiler is found on the default search path and must run with
         # it, or it cannot find its linker.
-        code = ("import sys, warnings, pathlib, freetop._kernels as k; "
-                "k._CACHE_DIR = pathlib.Path(sys.argv[1]); "
-                "warnings.simplefilter('error'); print(k.backend())")
+        code = ("import sys, warnings, pathlib, numpy as np, freetop._kernels as k; "
+                "k._CACHE_DIR = pathlib.Path(sys.argv[1]); warnings.simplefilter('error'); "
+                "print(len(k.rk4_momentum(np.zeros((3, 3)), np.ones((3, 3)), 1e-3, 4, 2)))")
         src = str(Path(ft.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cache")],
                               capture_output=True, text=True, env={"PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["c"]
+        assert proc.stdout.split() == ["3"]
         assert list((tmp_path / "cache").glob("_rk4-*.so"))
 
     @NEEDS_CC
@@ -621,13 +624,13 @@ class TestKernelTwins:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "False"]
         # Loading the cached kernel imports neither subprocess nor hashlib.
-        if _kernels._c_kernel() is not None:
-            code = ("import sys, freetop._kernels as k; "
-                    "print(k._c_kernel() is not None, 'subprocess' in sys.modules, "
-                    "'hashlib' in sys.modules)")
-            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            assert proc.stdout.split() == ["True", "False", "False"]
+        _kernels._c_kernel()  # builds it here first, so the child only loads it
+        code = ("import sys, freetop._kernels as k; "
+                "print(k._c_kernel() is not None, 'subprocess' in sys.modules, "
+                "'hashlib' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "False", "False"]
 
     def test_casimir_trace_helper(self, rng):
         m = random_skew(6, rng)

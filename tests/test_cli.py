@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import freetop as ft
-from freetop import cli, serialize as ser
+from freetop import _kernels, cli, serialize as ser
 from freetop.cli import main
 
 from conftest import random_skew, rotation_generator, tilted_momentum
@@ -853,6 +853,41 @@ class TestEveryCommand:
         (tmp_path / "bad.json").write_text("{")
         assert main(argv + ["--output-dir", "newdir"]) == code
         assert not (tmp_path / "newdir").exists()
+
+    def test_no_compiler_exit6(self, tmp_path, capsys, monkeypatch):
+        # Only simulate and stability --probe integrate. Without a C compiler
+        # they exit 6 with the build's reason before any output is made; bad
+        # input still exits 2, and the other commands do not need the kernel.
+        missing = tmp_path / "missing-cc"
+        monkeypatch.setattr(_kernels, "_COMPILERS", (str(missing),))
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "b.json", {"spec_version": "1", "eigenvalues": [1.0, 2.0, 3.0, 4.0]})
+        write(tmp_path / "r.json", {"spec_version": "1", "fixed_axes": [],
+                                    "blocks": [{"omega": 1.5, "axes": [0, 1, 2, 3],
+                                                "structure_source": "random"}]})
+        refusal = f"error: RK4 kernel unavailable: no C compiler found (looked for {missing})\n"
+        _kernels._c_kernel.cache_clear()
+        try:
+            assert main(["generate", "r.json", "b.json"]) == 0
+            for mode in ("--spectrum", "--kernel"):
+                assert main(["stability", "momentum.json", "b.json", mode]) == 0
+            assert main(["classify", "momentum.json", "b.json"]) == 0
+            capsys.readouterr()
+            assert main(["stability", "momentum.json", "b.json", "--probe",
+                         "--curve-out", "c.csv", "--output-dir", "probe_out"]) == 6
+            assert capsys.readouterr() == ("", refusal)
+            assert main(["simulate", spinning_book_scenario(tmp_path),
+                         "--output-dir", "sim_out"]) == 6
+            assert capsys.readouterr() == ("", refusal)
+            assert not (tmp_path / "probe_out").exists() and not (tmp_path / "sim_out").exists()
+            for settings, message in (({"dt": 0.0}, "integrator.dt: must be positive"),
+                                      ({"dt": 0.0009765625, "t_end": 1099511627776.0,
+                                        "record_every": 1}, "samples do not fit in memory")):
+                assert main(["simulate", spinning_book_scenario(tmp_path, **settings),
+                             "--output-dir", "sim_out"]) == 2
+                assert message in capsys.readouterr().err
+        finally:
+            _kernels._c_kernel.cache_clear()
 
     @pytest.mark.parametrize("command", ["classify", "simulate"])
     def test_deeply_nested_json_exit2(self, tmp_path, body4_path, capsys, command):

@@ -1,10 +1,12 @@
 """File formats: canonical JSON, matrix / structure / recipe documents,
 trajectory CSV and JSON-lines export.
 
-All floating-point output goes through a 17-significant-digit formatter,
-so emitted values parse back bit-exactly and re-running a command yields
-byte-identical files. Readers validate against the documented schemas and
-report the offending field path.
+Every float in JSON, CSV and JSON-lines output is written by one rule,
+"%.17g" (format_float), so emitted values parse back bit-exactly and
+re-running a command yields byte-identical files. Each array or table is
+checked for finite values once, before its file is opened. Readers
+validate against the documented schemas and report the offending field
+path.
 """
 
 from __future__ import annotations
@@ -72,6 +74,20 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _floats(count: int, sep: str = ", ") -> str:
+    return sep.join(["%.17g"] * count)
+
+
+def _float_template(shape: tuple, level: int) -> str:
+    """The per-item text of a non-empty float array of one or two dimensions
+    at this indent level, with a "%.17g" field for each entry, row-major."""
+    row = "[" + _floats(shape[-1]) + "]"
+    if len(shape) == 1:
+        return row
+    pad = "  " * (level + 1)
+    return "[\n" + ",\n".join([pad + row] * shape[0]) + "\n" + "  " * level + "]"
+
+
 def _emit(obj, level: int) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -83,16 +99,18 @@ def _emit(obj, level: int) -> str:
         return format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
+    # A finite float64 array or float-only list is formatted by one template;
+    # any other takes the per-item path, so that format_float raises for it.
     if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.ndim in (1, 2) and obj.size and np.isfinite(obj).all():
+            return _float_template(obj.shape, level) % tuple(obj.ravel().tolist())
         return _emit(obj.tolist(), level)
     if isinstance(obj, (list, tuple)):
         items = list(obj)
         if not items:
             return "[]"
-        # A float-only list is formatted in one pass; one with a non-finite
-        # value falls through so that format_float raises for it.
         if set(map(type, items)) == {float} and all(map(math.isfinite, items)):
-            return "[" + ", ".join([format(x, ".17g") for x in items]) + "]"
+            return _float_template((len(items),), level) % tuple(items)
         flat = all(not isinstance(it, (list, tuple, dict, np.ndarray)) for it in items)
         if flat:
             return "[" + ", ".join(_emit(it, 0) for it in items) + "]"
@@ -412,9 +430,9 @@ def linearization_to_doc(rep: LinearizationReport) -> dict:
     return {
         "spec_version": SPEC_VERSION,
         "dim": rep.dim,
-        "spectrum": [[float(z.real), float(z.imag)] for z in rep.spectrum],
+        "spectrum": np.column_stack((rep.spectrum.real, rep.spectrum.imag)),
         "max_real_part": rep.max_real_part,
-        "matrix": rep.matrix.tolist(),
+        "matrix": rep.matrix,
     }
 
 
@@ -424,7 +442,7 @@ def orbit_kernel_to_doc(rep: OrbitKernelReport) -> dict:
         "map_rank": rep.map_rank,
         "kernel_dim": rep.kernel_dim,
         "rank_tol": rep.rank_tol,
-        "singular_values": [float(s) for s in rep.singular_values],
+        "singular_values": rep.singular_values,
         "stabilizer_dim": rep.stabilizer_dim,
         "excess_kernel_dim": rep.excess_kernel_dim,
     }
@@ -473,10 +491,6 @@ def _write_rows(path, table: np.ndarray, template: str, header: str = "") -> Non
         for start in range(0, table.shape[0], _ROW_BLOCK):
             fh.writelines(template % tuple(row)
                           for row in table[start:start + _ROW_BLOCK].tolist())
-
-
-def _floats(count: int, sep: str = ", ") -> str:
-    return sep.join(["%.17g"] * count)
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:

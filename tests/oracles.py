@@ -8,9 +8,12 @@ rather than the SVD path the package uses. inertia_apply is the inertia
 map skew(W J + J W) in the ambient frame, with no eigenframe in it; the
 ambient-frame operators inertia_invert and vector_field are the package's
 own inverse inertia map and momentum field. Only the tests and the
-references here use them.
+references here use them. dumps_per_item is the canonical JSON writer as
+it was before float arrays went through one template: it turns an array
+into lists and formats a list item by item or row by row.
 """
 
+import json
 import math
 
 import numpy as np
@@ -424,3 +427,56 @@ def cyclic_jacobi(s, max_sweeps=64):
     v = v[:, order]
     fix_column_signs_loop(v)
     return lam[order], v
+
+
+def _format_float_per_item(x: float) -> str:
+    if not math.isfinite(x):
+        raise ArithmeticError(f"cannot serialize non-finite value {x!r}")
+    return format(float(x), ".17g")
+
+
+def _emit_per_item(obj, level: int) -> str:
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _format_float_per_item(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        return _emit_per_item(obj.tolist(), level)
+    if isinstance(obj, (list, tuple)):
+        items = list(obj)
+        if not items:
+            return "[]"
+        # A float-only list is formatted in one pass; one with a non-finite
+        # value falls through so that format_float raises for it.
+        if set(map(type, items)) == {float} and all(map(math.isfinite, items)):
+            return "[" + ", ".join([format(x, ".17g") for x in items]) + "]"
+        flat = all(not isinstance(it, (list, tuple, dict, np.ndarray)) for it in items)
+        if flat:
+            return "[" + ", ".join(_emit_per_item(it, 0) for it in items) + "]"
+        pad = "  " * (level + 1)
+        close = "  " * level
+        inner = ",\n".join(pad + _emit_per_item(it, level + 1) for it in items)
+        return "[\n" + inner + "\n" + close + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        pad = "  " * (level + 1)
+        close = "  " * level
+        inner = ",\n".join(
+            f"{pad}{json.dumps(str(k))}: {_emit_per_item(v, level + 1)}"
+            for k, v in obj.items()
+        )
+        return "{\n" + inner + "\n" + close + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def dumps_per_item(obj) -> str:
+    """Deterministic JSON text: insertion-ordered keys, floats via
+    format_float, two-space indentation with lists of scalars on one line."""
+    return _emit_per_item(obj, 0)

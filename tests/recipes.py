@@ -41,8 +41,12 @@ def spaced_rates(count, rng, lo=0.5, hi=3.0, min_rel_gap=0.02):
 
 
 def random_recipe(n, rng, kind="mixed"):
-    """The structure of a random block partition of n axes, read from its
-    recipe document.
+    """The structure that random_recipe_doc asks for."""
+    return recipe_from_doc(random_recipe_doc(n, rng, kind))
+
+
+def random_recipe_doc(n, rng, kind="mixed"):
+    """The recipe document of a random block partition of n axes.
 
     kind="regular": every block is a standard pair. kind="exotic": at
     least one block of four or more axes with a random structure.
@@ -83,4 +87,4 @@ def random_recipe(n, rng, kind="mixed"):
     if kind == "exotic" and not exotic_placed:
         raise AssertionError("exotic recipe without a big random block")
     seed = int(rng.integers(0, 2**31))
-    return read_recipe(*blocks, fixed_axes=fixed, seed=seed)
+    return recipe_doc(*blocks, fixed_axes=fixed, seed=seed)

@@ -1,16 +1,17 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import freetop as ft
-from freetop import serialize as ser
+from freetop import cli, serialize as ser
 from freetop.scenario import scenario_from_doc
 
-from conftest import random_skew, rotation_generator
-from recipes import read_recipe, recipe_doc
+from conftest import random_body, random_skew, rotation_generator
+from recipes import random_recipe_doc, read_recipe, recipe_doc
 import oracles
 
 
@@ -61,10 +62,13 @@ class TestCanonicalDumps:
 
 
 def numpy_scalars(obj):
-    """The document with every Python float replaced by numpy.float64, which
-    the writer formats one item at a time through format_float."""
+    """The document with every Python float, and every array, replaced by
+    numpy.float64 entries in lists, which the writer formats one item at a
+    time through format_float."""
     if isinstance(obj, dict):
         return {k: numpy_scalars(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return numpy_scalars(obj.tolist())
     if isinstance(obj, list):
         return [numpy_scalars(v) for v in obj]
     return np.float64(obj) if type(obj) is float else obj
@@ -93,6 +97,128 @@ class TestFloatListFastPath:
         with pytest.raises(ArithmeticError) as per_item:
             ser.dumps_canonical({"rows": [numpy_scalars(row)]})
         assert str(fast.value) == str(per_item.value) == f"cannot serialize non-finite value {bad!r}"
+
+
+def chain_cases():
+    """(n, frame, kind) of the generated chains: diagonal and rotated
+    bodies, standard and exotic equilibria. No exotic one exists at n = 3,
+    so a mixed recipe stands in there."""
+    return [(n, frame, "mixed" if kind == "exotic" and n < 4 else kind)
+            for n in (3, 8, 16) for frame in ("diagonal", "rotated")
+            for kind in ("regular", "exotic")]
+
+
+class TestWriterMatchesPerItem:
+    """Every document the command line writes is the per-item writer's
+    text, byte for byte, whether its floats sit in arrays or in lists."""
+
+    @pytest.fixture
+    def written(self, monkeypatch):
+        docs = []
+
+        def record(path, doc):
+            docs.append((path, doc))
+            ser.write_json(path, doc)
+
+        monkeypatch.setattr(cli, "write_json", record)
+        return docs
+
+    def assert_per_item(self, written, names):
+        assert sorted(Path(path).name for path, _ in written) == sorted(names)
+        for path, doc in written:
+            assert Path(path).read_text() == oracles.dumps_per_item(doc) + "\n"
+
+    @pytest.mark.parametrize("n, frame, kind", chain_cases())
+    def test_generated_chain(self, tmp_path, written, n, frame, kind):
+        rng = np.random.default_rng([n, frame == "rotated", len(kind)])
+        if frame == "rotated":
+            body_doc = ser.matrix_to_doc(random_body(n, rng, min_gap=0.2).J)
+        else:
+            body_doc = {"spec_version": "1",
+                        "eigenvalues": (1.0 + np.cumsum(0.2 + rng.random(n))).tolist()}
+        ser.write_json(tmp_path / "body.json", body_doc)
+        ser.write_json(tmp_path / "recipe.json", random_recipe_doc(n, rng, kind))
+        b, m = str(tmp_path / "body.json"), str(tmp_path / "momentum.json")
+        common = ["--output-dir", str(tmp_path)]
+        for argv in (["generate", str(tmp_path / "recipe.json"), b],
+                     ["classify", m, b, "--out", "classified.json"],
+                     ["stability", m, b, "--kernel", "--out", "kernel.json"],
+                     ["stability", m, b, "--spectrum", "--out", "spectrum.json"],
+                     ["stability", m, b, "--probe", "--horizon", "1", "--out", "probe.json"]):
+            assert cli.main(argv + common) == 0
+        self.assert_per_item(written, ["momentum.json", "structure.json", "classified.json",
+                                       "kernel.json", "spectrum.json", "probe.json"])
+        spectrum = {Path(path).name: doc for path, doc in written}["spectrum.json"]
+        assert isinstance(spectrum["matrix"], np.ndarray)
+
+    def test_simulate(self, tmp_path, written):
+        scenario = {
+            "spec_version": "1",
+            "seed": 0,
+            "body": {"eigenvalues": [1.0, 2.0, 3.0, 4.0]},
+            "initial": {"matrix": ser.matrix_to_doc(random_skew(4, np.random.default_rng(3)))},
+            "integrator": {"dt": 0.01, "t_end": 0.5, "record_every": 5},
+            "outputs": {"invariants_json": "drift.json", "report_json": "report.json"},
+        }
+        ser.write_json(tmp_path / "scenario.json", scenario)
+        assert cli.main(["simulate", str(tmp_path / "scenario.json"),
+                         "--output-dir", str(tmp_path)]) == 0
+        self.assert_per_item(written, ["drift.json", "report.json"])
+
+
+EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e17,
+               123456789012345678.0, -1e-5]
+
+
+def same_as_per_item(obj):
+    """dumps_canonical(obj), at the top level and nested two levels deep,
+    gives the per-item text, or raises the per-item error type and message."""
+    for doc in (obj, {"a": {"b": obj}}):
+        try:
+            expected = oracles.dumps_per_item(doc)
+        except (ArithmeticError, TypeError) as exc:
+            with pytest.raises(type(exc)) as got:
+                ser.dumps_canonical(doc)
+            assert str(got.value) == str(exc)
+        else:
+            assert ser.dumps_canonical(doc) == expected
+
+
+class TestFloatArrayTemplate:
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 3), (1, 1), (2, 3), (3,)])
+    def test_shapes(self, shape, rng):
+        same_as_per_item(rng.standard_normal(shape))
+
+    def test_edge_values(self):
+        values = np.array(EDGE_VALUES)
+        same_as_per_item(values)
+        same_as_per_item(values.reshape(2, 4))
+        same_as_per_item(values.reshape(4, 2).T)
+        same_as_per_item(EDGE_VALUES)
+        assert ser.dumps_canonical(values) == "[" + ", ".join(map(ser.format_float,
+                                                                  EDGE_VALUES)) + "]"
+
+    @pytest.mark.parametrize("array", [
+        np.arange(6).reshape(2, 3),
+        np.array([[True, False]]),
+        np.array([1.5 + 0.5j, 2.0]),
+        np.array([[0.1, -0.0], [1e-5, 3.0]], dtype=np.float32),
+        np.arange(8.0).reshape(2, 2, 2),
+    ], ids=["int", "bool", "complex", "float32", "3d"])
+    def test_other_dtypes_and_ranks(self, array):
+        same_as_per_item(array)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", [(0, 0), (1, 2), (2, 1)])
+    def test_non_finite_raises_and_keeps_file(self, tmp_path, rng, bad, index):
+        array = rng.standard_normal((3, 3))
+        array[index] = bad
+        same_as_per_item(array)
+        path = tmp_path / "doc.json"
+        path.write_text("old\n")
+        with pytest.raises(ArithmeticError, match=f"^cannot serialize non-finite value {bad!r}$"):
+            ser.write_json(path, {"matrix": array})
+        assert path.read_text() == "old\n"
 
 
 class TestMatrixDocs:

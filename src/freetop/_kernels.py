@@ -50,27 +50,25 @@ class KernelUnavailable(RuntimeError):
 def _build_c_kernel() -> Path:
     """The shared object built from `_C_SOURCE`, compiled on a cache miss.
 
-    Its name checksums the source, the flags and the compiler, so changing
-    any of them builds anew. The compiler writes into a temporary directory
-    and the result is renamed into place, so a concurrent process never
-    loads a partial file.
+    Its name checksums the source, the flags and the machine architecture,
+    so changing any of them builds anew, and a cache hit needs no compiler.
+    The compiler writes into a temporary directory and the result is renamed
+    into place, so a concurrent process never loads a partial file.
     """
-    # The compiler finds its assembler and linker through PATH, so it runs
-    # with the search path that found it: the default one where PATH is unset.
-    search = os.pathsep.join(os.get_exec_path())
-    found = [path for path in (shutil.which(c, path=search) for c in _COMPILERS) if path]
-    if not found:
-        raise KernelUnavailable(f"no C compiler found (looked for {', '.join(_COMPILERS)})")
-    cc = os.path.realpath(found[0])
-    cc_stat = os.stat(cc)
-    key = _C_SOURCE.read_bytes() + repr(
-        (_C_FLAGS, cc, cc_stat.st_size, cc_stat.st_mtime_ns)).encode()
+    key = _C_SOURCE.read_bytes() + repr((_C_FLAGS, os.uname().machine)).encode()
     # Two checksums name the file; they do not guard it. zlib is loaded at
     # interpreter start-up, and importing hashlib and subprocess here made a
     # cache hit about 10 ms slower.
     target = _CACHE_DIR / f"_rk4-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
     if target.exists():
         return target
+    # The compiler finds its assembler and linker through PATH, so it runs
+    # with the search path that found it: the default one where PATH is unset.
+    search = os.pathsep.join(os.get_exec_path())
+    found = [path for path in (shutil.which(c, path=search) for c in _COMPILERS) if path]
+    if not found:
+        raise KernelUnavailable(f"no C compiler found (looked for {', '.join(_COMPILERS)})")
+    cc = found[0]
     import subprocess
 
     _CACHE_DIR.mkdir(exist_ok=True)
@@ -119,8 +117,9 @@ def rk4_momentum(m0, pair_sums, dt, nsteps, record_every):
             f"m0 and pair_sums must be square and of one shape, got {m0.shape} "
             f"and {pair_sums.shape}"
         )
-    if nsteps < 0 or record_every < 1:
-        raise ValueError("nsteps must be >= 0 and record_every >= 1")
+    # The C loop takes both counts as int64_t, and ctypes would wrap larger ones.
+    if not (0 <= nsteps < 2**63 and 1 <= record_every < 2**63):
+        raise ValueError("nsteps must be >= 0 and record_every >= 1, both below 2**63")
     n = m0.shape[0]
     out = np.empty((nsteps // record_every + 1, n, n))
     work = np.empty((7, n, n))

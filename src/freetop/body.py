@@ -99,13 +99,6 @@ def _check_dims(arr: np.ndarray, body: InertiaSpec) -> None:
         raise ValueError(f"dimension mismatch: state is {arr.shape[0]}, body is {body.n}")
 
 
-def _invert_array(m: np.ndarray, body: InertiaSpec) -> np.ndarray:
-    mt = body.to_eigenframe(m)
-    ot = mt / body.pair_sums
-    o = body.from_eigenframe(ot)
-    return 0.5 * (o - np.swapaxes(o, -2, -1))
-
-
 def _scaled_velocity(m: np.ndarray, body: InertiaSpec):
     """Angular velocity of one momentum in the inertia eigenframe, in range.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .body import InertiaSpec, _check_step, _invert_array, _step_count
+from .body import InertiaSpec, _check_step, _step_count
 from .equilibria import DEFAULT_TOL, _require_stationary
 from .linalg import _unit
 
@@ -94,32 +94,35 @@ class OrbitKernelReport:
     excess_kernel_dim: int
 
 
-def _linearization_matrix(m: np.ndarray, body: InertiaSpec) -> np.ndarray:
-    """Exact directional derivative dM -> [dM, W] + [M, Jinv(dM)],
-    applied once to the whole so(n) basis stack."""
-    om = _invert_array(m, body)
-    e = _so_basis(body.n)
-    d_om = _invert_array(e, body)
-    return skew_to_vec((e @ om - om @ e) + (m @ d_om - d_om @ m)).T
-
-
-def linearize(m_eq, body: InertiaSpec, tol: float = DEFAULT_TOL) -> LinearizationReport:
-    """Spectrum of the linearized flow at a stationary momentum."""
-    arr = _require_stationary(m_eq, body, tol)[0]
-    mat = _linearization_matrix(arr, body)
-    eigs = _sorted_spectrum(np.linalg.eigvals(mat))
-    return LinearizationReport(
-        dim=mat.shape[0],
-        matrix=mat,
-        spectrum=eigs,
-        max_real_part=float(eigs.real.max()),
-    )
-
-
 def _ad_matrix(m: np.ndarray, n: int) -> np.ndarray:
     """Matrix of xi -> [xi, m] over the so(n) basis."""
     e = _so_basis(n)
     return skew_to_vec(e @ m - m @ e).T
+
+
+def _eigenframe_operators(wt: np.ndarray, pair_sums: np.ndarray):
+    """(L~, ad_M~) in the so(n) basis of the inertia eigenframe, for the angular
+    velocity W~ there and M~ = W~ * P, P the pair sums: L~ = ad_W~ - ad_M~ D^-1
+    is X -> [X, W~] + [M~, X / P], D the pair sums in basis order."""
+    n = wt.shape[0]
+    ad_m = _ad_matrix(wt * pair_sums, n)
+    return _ad_matrix(wt, n) - ad_m / pair_sums[np.triu_indices(n, k=1)], ad_m
+
+
+def linearize(m_eq, body: InertiaSpec, tol: float = DEFAULT_TOL) -> LinearizationReport:
+    """Spectrum of the linearized flow at a stationary momentum: that of
+    L~ in the inertia eigenframe. matrix is R L~ R^T in the ambient basis,
+    R's columns the eigenframe basis elements in ambient coordinates."""
+    _, w, _, e, _ = _require_stationary(m_eq, body, tol)
+    lin, _ = _eigenframe_operators(np.ldexp(w, e), body.pair_sums)
+    rot = skew_to_vec(body.from_eigenframe(_so_basis(body.n))).T
+    eigs = _sorted_spectrum(np.linalg.eigvals(lin))
+    return LinearizationReport(
+        dim=lin.shape[0],
+        matrix=rot @ lin @ rot.T,
+        spectrum=eigs,
+        max_real_part=float(eigs.real.max()),
+    )
 
 
 def orbit_kernel(m_eq, body: InertiaSpec, rank_tol: float = DEFAULT_RANK_TOL,
@@ -129,12 +132,14 @@ def orbit_kernel(m_eq, body: InertiaSpec, rank_tol: float = DEFAULT_RANK_TOL,
     The kernel always contains the stabilizer of M; any excess direction
     moves M along its orbit while preserving stationarity to first order,
     certifying a positive-dimensional set of equilibria on the orbit.
+    The singular values are those of L~ ad_M~ and ad_M~ in the inertia
+    eigenframe, which an orthogonal change to the ambient basis keeps.
     """
     if not 0 < rank_tol < np.inf:
         raise ValueError("rank_tol must be positive")
-    arr = _require_stationary(m_eq, body, tol)[0]
-    ad = _ad_matrix(arr, body.n)
-    svals = np.linalg.svd(_linearization_matrix(arr, body) @ ad, compute_uv=False)
+    _, w, _, e, _ = _require_stationary(m_eq, body, tol)
+    lin, ad = _eigenframe_operators(np.ldexp(w, e), body.pair_sums)
+    svals = np.linalg.svd(lin @ ad, compute_uv=False)
     kernel_dim = _kernel_dim(svals, rank_tol)
     stabilizer_dim = _kernel_dim(np.linalg.svd(ad, compute_uv=False), rank_tol)
     return OrbitKernelReport(
@@ -197,6 +202,8 @@ def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
         raise ValueError("exit_factor must exceed 1")
     if not dt > 0:
         raise ValueError("dt must be positive")
+    if not 0.1 / dt < np.inf:
+        raise ValueError(f"dt={dt} is too small: 0.1 / dt overflows")
     record_every = max(1, int(round(0.1 / dt)))
     total = _step_count(horizon, dt, record_every, name="horizon")
     arr = _require_stationary(m_eq, body, tol)[0]

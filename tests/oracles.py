@@ -6,11 +6,14 @@ textbook vector equations, derivative operators are rebuilt by plain
 finite differencing, and ranks are taken from Gram-matrix eigenvalues
 rather than the SVD path the package uses. inertia_apply is the inertia
 map skew(W J + J W) in the ambient frame, with no eigenframe in it; the
-ambient-frame operators inertia_invert and vector_field are the package's
-own inverse inertia map and momentum field. Only the tests and the
-references here use them. dumps_per_item is the canonical JSON writer as
-it was before float arrays went through one template: it turns an array
-into lists and formats a list item by item or row by row.
+ambient-frame operators invert_array, inertia_invert and vector_field are
+the inverse inertia map and momentum field the package once shipped, and
+ambient_linearization is the linearization built from them. Only the tests
+and the references here use them. pair_block_spectrum predicts the
+linearization spectrum of a regular equilibrium from its normal form alone.
+dumps_per_item is the canonical JSON writer as it was before float arrays
+went through one template: it turns an array into lists and formats a list
+item by item or row by row.
 """
 
 import json
@@ -22,7 +25,7 @@ from scipy.linalg import expm, solve_sylvester
 from scipy.sparse.csgraph import connected_components
 
 import freetop as ft
-from freetop.body import _invert_array
+from freetop.stability import skew_to_vec, vec_to_skew
 
 
 def commutator(a, b):
@@ -88,17 +91,37 @@ def inertia_apply(omega, body):
     return ft.skew(w @ body.J + body.J @ w)
 
 
+def invert_array(m, body):
+    """Angular velocity of a momentum or a stack (..., n, n), unchecked:
+    entrywise division by the pairwise eigenvalue sums in the inertia
+    eigenframe, rotated back and made exactly skew."""
+    mt = body.to_eigenframe(m)
+    ot = mt / body.pair_sums
+    o = body.from_eigenframe(ot)
+    return 0.5 * (o - np.swapaxes(o, -2, -1))
+
+
 def inertia_invert(m, body):
-    """Angular velocity of a momentum: entrywise division by the pairwise
-    eigenvalue sums in the inertia eigenframe, rotated back."""
-    return ft.skew(_invert_array(_skew_of_body(m, body), body))
+    """Angular velocity of a momentum: invert_array of a checked momentum."""
+    return ft.skew(invert_array(_skew_of_body(m, body), body))
 
 
 def vector_field(m, body):
     """Right-hand side of the momentum equation, [M, W] with W = inverse inertia of M."""
     arr = _skew_of_body(m, body)
-    p = arr @ _invert_array(arr, body)
+    p = arr @ invert_array(arr, body)
     return ft.skew(p - p.T)  # [M, W]; the transpose trick is exact for skew factors
+
+
+def ambient_linearization(m, body):
+    """Matrix of dM -> [dM, W] + [M, Jinv(dM)] in the ambient so(n) basis,
+    applied once to the whole basis stack, all in the ambient frame."""
+    m = np.asarray(m, dtype=float)
+    om = invert_array(m, body)
+    d = body.n * (body.n - 1) // 2
+    e = vec_to_skew(np.eye(d), body.n)
+    d_om = invert_array(e, body)
+    return skew_to_vec((e @ om - om @ e) + (m @ d_om - d_om @ m)).T
 
 
 def rk4_ambient(m0, body, dt, nsteps):
@@ -269,6 +292,67 @@ def linearize_fd(m_eq, body, h=None):
         h = 1e-6 * scale if scale > 0 else 1e-6
     return fd_operator(lambda d: vector_field(m + d, body),
                        m.shape[0], h)
+
+
+def pair_block_spectrum(structure, eigenvalues):
+    """Linearization spectrum of a regular equilibrium from its normal form.
+
+    In the inertia eigenframe W~ is omega * A on each block's axes, and
+    M~ = W~ * P with P the pair sums. The axes split into W~-invariant sets
+    S_a: the planes of each block (the connected components of the support
+    of A, a signed permutation) and each fixed axis alone. The linearization
+    maps the S_a x S_b part X of a perturbation to
+    L_ab(X) = X W_b - W_a X + M_a (X / P_ab) - (X / P_ab) M_b. A plane
+    {i, j} of rate omega against a fixed axis k gives the two roots of
+    mu^2 = omega^2 (l_i - l_k)(l_k - l_j) / ((l_i + l_k)(l_j + l_k)); every
+    other pair block is built entry by entry and its eigenvalues taken with
+    np.linalg.eigvals. Returns the union, n (n - 1) / 2 complex values.
+    """
+    lam = np.asarray(eigenvalues, dtype=float)
+    n = lam.size
+    w = np.zeros((n, n))
+    rate = {}  # plane -> its rate
+    for block in structure.blocks:
+        axes = np.asarray(block.axes)
+        for i, a in enumerate(axes):
+            for j, b in enumerate(axes):
+                w[a, b] = block.omega * block.A[i, j]
+        count, labels = connected_components(np.abs(block.A) > 0, directed=False)
+        for c in range(count):
+            rate[tuple(int(a) for a in axes[labels == c])] = block.omega
+    sets = list(rate) + [(int(k),) for k in structure.fixed_axes]
+    psum = lam[:, None] + lam[None, :]
+    m = w * psum
+
+    def coeff(p, q, r, s):
+        """d L(X)[p, q] / d X[r, s], X a full n x n matrix."""
+        out = 0.0
+        if p == r:
+            out += w[s, q] - m[s, q] / psum[r, s]
+        if q == s:
+            out += m[p, r] / psum[r, s] - w[p, r]
+        return out
+
+    eigs = []
+    for a, sa in enumerate(sets):
+        for sb in sets[a:]:
+            if sa is sb:  # skew X within one set: coordinates p < q
+                coords = [(p, q) for p in sa for q in sa if p < q]
+                mat = [[coeff(p, q, r, s) - coeff(p, q, s, r) for r, s in coords]
+                       for p, q in coords]
+            elif {len(sa), len(sb)} == {1, 2}:
+                (i, j), (k,) = (sa, sb) if len(sa) == 2 else (sb, sa)
+                mu2 = (rate[(i, j)] ** 2 * (lam[i] - lam[k]) * (lam[k] - lam[j])
+                       / ((lam[i] + lam[k]) * (lam[j] + lam[k])))
+                mu = np.sqrt(complex(mu2))
+                eigs += [mu, -mu]
+                continue
+            else:
+                coords = [(p, q) for p in sa for q in sb]
+                mat = [[coeff(p, q, r, s) for r, s in coords] for p, q in coords]
+            if coords:
+                eigs += list(np.linalg.eigvals(np.array(mat)))
+    return np.array(eigs, dtype=complex)
 
 
 def gram_rank_kernel(mat, rank_tol):

@@ -533,9 +533,13 @@ class TestKernelTwins:
         (np.zeros((3, 3)), np.zeros((4, 4)), 1, 1, "square and of one shape"),
         (np.zeros((3, 3)), np.zeros((3, 3)), -1, 1, "nsteps must be >= 0"),
         (np.zeros((3, 3)), np.zeros((3, 3)), 1, 0, "record_every >= 1"),
-    ], ids=["m0-not-square", "pair-sums-shape", "negative-nsteps", "record-every-0"])
+        (np.zeros((3, 3)), np.zeros((3, 3)), 2**63, 2**62, "below 2\\*\\*63"),
+        (np.zeros((3, 3)), np.zeros((3, 3)), 1, 2**63, "below 2\\*\\*63"),
+    ], ids=["m0-not-square", "pair-sums-shape", "negative-nsteps", "record-every-0",
+            "nsteps-beyond-int64", "record-every-beyond-int64"])
     def test_c_kernel_checks_arguments(self, m0, pair_sums, nsteps, record_every, match):
-        # Checked before the foreign call, which would read out of bounds.
+        # Checked before the foreign call, which would read out of bounds or
+        # take a count beyond int64_t modulo 2**64.
         with pytest.raises(ValueError, match=match):
             _kernels.rk4_momentum(m0, pair_sums, 1e-3, nsteps, record_every)
 
@@ -566,12 +570,14 @@ class TestKernelTwins:
         pytest.param("compile_error", marks=NEEDS_CC),
         pytest.param("unwritable_cache", marks=NEEDS_CC),
     ])
-    def test_fallback_warns_once(self, fault, rng, tmp_path, monkeypatch):
-        # There is no fallback: each call raises KernelUnavailable with the
-        # build's reason, because a failed build is not cached.
+    def test_refuses_on_every_call(self, fault, rng, tmp_path, monkeypatch):
+        # Each call raises KernelUnavailable with the build's reason, because
+        # a failed build is not cached.
         if fault == "no_compiler":
+            # An empty cache, so that the build needs the missing compiler.
             missing = tmp_path / "missing-cc"
             monkeypatch.setattr(_kernels, "_COMPILERS", (str(missing),))
+            monkeypatch.setattr(_kernels, "_CACHE_DIR", tmp_path / "empty-cache")
             reason = re.escape(f"no C compiler found (looked for {missing})")
         elif fault == "compile_error":
             bad = tmp_path / "bad.c"
@@ -607,6 +613,23 @@ class TestKernelTwins:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["3"]
         assert list((tmp_path / "cache").glob("_rk4-*.so"))
+
+    @NEEDS_CC
+    def test_warm_cache_needs_no_compiler(self, rng, tmp_path, monkeypatch):
+        # The cached file is named without the compiler, so it loads where
+        # no compiler is found.
+        monkeypatch.setattr(_kernels, "_CACHE_DIR", tmp_path / "cache")
+        _kernels._build_c_kernel()
+        monkeypatch.setattr(_kernels, "_COMPILERS", (str(tmp_path / "missing-cc"),))
+        body = random_body(4, rng)
+        mt0 = body.to_eigenframe(random_skew(4, rng))
+        pair = np.asarray(body.pair_sums)
+        _kernels._c_kernel.cache_clear()
+        try:
+            np.testing.assert_array_equal(_kernels.rk4_momentum(mt0, pair, 1e-2, 20, 5),
+                                          oracles.rk4_momentum_loops(mt0, pair, 1e-2, 20, 5))
+        finally:
+            _kernels._c_kernel.cache_clear()
 
     @NEEDS_CC
     def test_builds_once_into_an_empty_cache(self, tmp_path, monkeypatch):

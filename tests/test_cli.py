@@ -311,6 +311,22 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid input: integrator: ") and message in err
 
+    def test_step_counts_beyond_int64_exit2(self, tmp_path, capsys):
+        # 3 * 2**62 steps in 4 records: the C loop takes int64_t counts, which
+        # would wrap to a negative count and leave the records unwritten.
+        doc = {"spec_version": "1", "body": {"eigenvalues": [1.0, 2.0, 3.0]},
+               "initial": {"matrix": {"n": 3, "kind": "skew", "rows": [
+                   [0.0, 0.3, 0.1], [-0.3, 0.0, 0.2], [-0.1, -0.2, 0.0]]}},
+               "integrator": {"dt": 0.5, "t_end": 3.0 * 2**61, "record_every": 2**62},
+               "outputs": {"trajectory_csv": "t.csv", "report_json": "r.json"}}
+        outdir = tmp_path / "newdir"
+        assert main(["simulate", write(tmp_path / "s.json", doc),
+                     "--output-dir", str(outdir)]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid input: nsteps must be >= 0 and record_every >= 1, "
+            "both below 2**63\n")
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("initial, field", [
         ({"matrix": {"n": 2, "kind": "skew", "rows": [[0.0, 1.0], [-1.0, 0.0]]}},
          "initial.matrix.n"),
@@ -649,6 +665,18 @@ class TestGenerateAndStability:
                      "--horizon", "100"]) == 3
         assert "guard" in capsys.readouterr().err
 
+    def test_probe_tiny_dt_exit2(self, tmp_path, body3_path, capsys):
+        # 0.1 / dt, the steps between records, overflows: bad input, not a
+        # numerical failure.
+        body = ser.read_body(body3_path)
+        path = write(tmp_path / "mid.json", ser.matrix_to_doc(
+            oracles.inertia_apply(rotation_generator(3, 0, 2, 1.0), body)))
+        assert main(["stability", path, body3_path, "--probe", "--dt", "1e-320",
+                     "--output-dir", str(tmp_path / "newdir")]) == 2
+        assert capsys.readouterr() == (
+            "", "error: invalid input: dt=1e-320 is too small: 0.1 / dt overflows\n")
+        assert not (tmp_path / "newdir").exists()
+
     @pytest.mark.parametrize("mode", ["--spectrum", "--kernel"])
     def test_curve_out_needs_probe(self, tmp_path, body3_path, capsys, mode):
         body = ser.read_body(body3_path)
@@ -860,6 +888,8 @@ class TestEveryCommand:
         # input still exits 2, and the other commands do not need the kernel.
         missing = tmp_path / "missing-cc"
         monkeypatch.setattr(_kernels, "_COMPILERS", (str(missing),))
+        # An empty cache, so that the build needs the missing compiler.
+        monkeypatch.setattr(_kernels, "_CACHE_DIR", tmp_path / "empty-cache")
         monkeypatch.chdir(tmp_path)
         write(tmp_path / "b.json", {"spec_version": "1", "eigenvalues": [1.0, 2.0, 3.0, 4.0]})
         write(tmp_path / "r.json", {"spec_version": "1", "fixed_axes": [],

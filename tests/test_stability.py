@@ -5,11 +5,10 @@ from scipy.optimize import linear_sum_assignment
 
 import freetop as ft
 from freetop import serialize as ser
-from freetop.body import _invert_array
-from freetop.stability import skew_to_vec, vec_to_skew, _ad_matrix, _linearization_matrix
+from freetop.stability import skew_to_vec, vec_to_skew, _ad_matrix, _eigenframe_operators
 
 from conftest import random_body, random_skew
-from recipes import read_recipe, spaced_rates
+from recipes import random_recipe, read_recipe, spaced_rates
 import oracles
 
 
@@ -22,6 +21,13 @@ def assert_multisets_close(a, b, tol):
     rows, cols = linear_sum_assignment(cost)
     worst = cost[rows, cols].max() if a.size else 0.0
     assert worst <= tol, f"multiset mismatch: worst pairing distance {worst:.3e}"
+
+
+def seeded_body(n, rng, rotated):
+    """random_body, or (rotated=False) a diagonal body with the same spacing."""
+    if rotated:
+        return random_body(n, rng)
+    return ft.InertiaSpec.from_eigenvalues(1.0 + np.cumsum(0.1 + rng.random(n)))
 
 
 def fixture_bodies():
@@ -91,15 +97,20 @@ class TestBasis:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 9])
     def test_stacked_operators_match_column_loop(self, n, rng):
+        # L~ = ad_W~ - ad_M~ D^-1 in the eigenframe, column by column: the
+        # basis element E_ij has the pair sum lambda_i + lambda_j.
         body = random_body(n, rng)
+        wt = random_skew(n, rng)
+        pair = np.asarray(body.pair_sums)
+        mt = wt * pair
+        columns = [oracles.to_coords(e @ wt - wt @ e)
+                   - oracles.to_coords(e @ mt - mt @ e) / pair[i, j]
+                   for i, j in oracles.so_pairs(n)
+                   for e in [oracles.basis_element(n, i, j)]]
+        lin, ad_m = _eigenframe_operators(wt, pair)
+        assert np.array_equal(lin, np.array(columns).T)
+        assert np.array_equal(ad_m, oracles.loop_operator(lambda e: e @ mt - mt @ e, n))
         m = random_skew(n, rng)
-        om = _invert_array(m, body)
-
-        def lin(e):
-            d_om = _invert_array(e, body)
-            return (e @ om - om @ e) + (m @ d_om - d_om @ m)
-
-        assert np.array_equal(_linearization_matrix(m, body), oracles.loop_operator(lin, n))
         assert np.array_equal(_ad_matrix(m, n), oracles.loop_operator(lambda e: e @ m - m @ e, n))
 
 
@@ -145,6 +156,23 @@ class TestLinearize:
         fd = oracles.linearize_fd(m, body)
         rel = np.linalg.norm(rep.matrix - fd) / np.linalg.norm(rep.matrix)
         assert rel <= 1e-5
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+    def test_matrix_matches_ambient_oracle(self, n, rotated):
+        # matrix = R L~ R^T against the ambient stack product of the inverse
+        # inertia map, within 1e-13 relative in the Frobenius norm (about
+        # 1e-14 is seen).
+        rng = np.random.default_rng(1000 * n + rotated)
+        for _ in range(4):
+            body = seeded_body(n, rng, rotated)
+            m, _ = ft.generate(random_recipe(n, rng), body)
+            ref = oracles.ambient_linearization(m.array, body)
+            rep = ft.linearize(m, body)
+            assert np.linalg.norm(rep.matrix - ref) <= 1e-13 * np.linalg.norm(ref)
+            # The spectrum is that of L~, a similar matrix.
+            assert np.linalg.norm(rep.spectrum) == pytest.approx(
+                np.linalg.norm(np.linalg.eigvals(rep.matrix)), rel=1e-6)
 
     @pytest.mark.parametrize("name", ["regular_n4", "exotic_n4", "exotic_full_n6"])
     def test_orbit_tangent_spectrum_symmetry(self, name):
@@ -263,8 +291,9 @@ def random_normal_form(n, rng):
 
 
 def orbit_map(m, body):
-    """The matrix whose singular values ft.orbit_kernel reports."""
-    return _linearization_matrix(m, body) @ _ad_matrix(m, body.n)
+    """The matrix whose singular values ft.orbit_kernel reports, in the
+    ambient basis: the ambient oracle of the linearization times ad_M."""
+    return oracles.ambient_linearization(m, body) @ _ad_matrix(m, body.n)
 
 
 def orbit_kernel_directions(m, body):
@@ -281,6 +310,52 @@ def residual_after_orbit_move(m, body, xi, s):
     moved = ft.skew(g @ m.array @ g.T)
     _, residual = ft.is_equilibrium(moved, body, tol=1.0)
     return residual
+
+
+def regular_normal_form(n, rng):
+    """An EquilibriumStructure on n axes whose blocks of 2, 4 or 6 axes carry
+    shuffled standard structures (so it is regular), the other axes fixed."""
+    axes = [int(a) for a in rng.permutation(n)]
+    shapes = []
+    while len(axes) >= 2 and not (shapes and rng.random() < 0.2):
+        k = int(rng.integers(1, min(3, len(axes) // 2) + 1))
+        shapes.append((sorted(axes[:2 * k]), k))
+        axes = axes[2 * k:]
+    blocks = [ft.FrequencyBlock(omega=float(w), axes=tuple(block_axes),
+                                A=shuffled_structure(k, "standard", rng))
+              for (block_axes, k), w in zip(shapes, spaced_rates(len(shapes), rng))]
+    return ft.EquilibriumStructure(blocks, fixed_axes=axes, n=n)
+
+
+class TestPairBlockSpectrum:
+    @pytest.mark.parametrize("n", range(4, 17))
+    @pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+    def test_regular_spectrum_matches_normal_form(self, n, rotated):
+        # The spectrum of linearize against oracles.pair_block_spectrum, which
+        # shares no code with freetop.stability, as multisets within 1e-12 of
+        # the largest eigenvalue (at least 1); about 5e-15 is seen.
+        rng = np.random.default_rng(100 * n + rotated)
+        for _ in range(3):
+            body = seeded_body(n, rng, rotated)
+            m, structure = ft.generate(regular_normal_form(n, rng), body)
+            assert structure.regular
+            rep = ft.linearize(m, body)
+            predicted = oracles.pair_block_spectrum(structure, body.eigenvalues)
+            tol = 1e-12 * max(1.0, np.abs(predicted).max())
+            assert_multisets_close(rep.spectrum, predicted, tol=tol)
+            # The middle-axis rule: a fixed axis whose moment lies strictly
+            # between the two moments of a 2-axis block makes the rotation
+            # linearly unstable, with the growth rate mu of the closed form.
+            lam = body.eigenvalues
+            for block in structure.blocks:
+                if len(block.axes) != 2:
+                    continue
+                i, j = block.axes
+                for k in structure.fixed_axes:
+                    if lam[i] < lam[k] < lam[j]:
+                        mu = block.omega * np.sqrt((lam[k] - lam[i]) * (lam[j] - lam[k])
+                                                   / ((lam[i] + lam[k]) * (lam[j] + lam[k])))
+                        assert rep.max_real_part >= mu - tol > 0
 
 
 class TestNonIsolationSlopes:

@@ -136,16 +136,19 @@ def casimirs(m) -> np.ndarray:
     return np.stack(out, axis=-1)
 
 
+def _check_max_power(max_power: int, n: int) -> None:
+    if max_power < 2:
+        raise ValueError("max_power must be at least 2")
+    if max_power > n:
+        raise ValueError(f"max_power {max_power} exceeds the dimension {n}")
+
+
 def _manakov(mt: np.ndarray, body: InertiaSpec, max_power: int) -> np.ndarray:
     """Coefficients of z^j in tr((M + z J^2)^k) for k = 2 .. max_power and
     j = 0 .. k, ascending k then ascending j, of eigenframe momenta mt
     (..., n, n). Every coefficient is a first integral of the motion. In
     the eigenframe J^2 = diag(lambda^2), so a product with it scales columns.
     """
-    if max_power < 2:
-        raise ValueError("max_power must be at least 2")
-    if max_power > body.n:
-        raise ValueError(f"max_power {max_power} exceeds the dimension {body.n}")
     lam2 = body.eigenvalues ** 2
     power = [np.eye(body.n)]  # coefficients of (M + z J^2)^k, ascending in z
     out = []
@@ -178,6 +181,7 @@ def compute_invariants(m, body: InertiaSpec, max_power: int) -> np.ndarray:
     if arr.ndim < 2 or arr.shape[-2:] != (body.n, body.n):
         raise ValueError(f"dimension mismatch: state is {arr.shape}, body is {body.n}")
     _check_structure(arr, -1.0)
+    _check_max_power(max_power, body.n)
     mt = body.to_eigenframe(arr)
     # exactly skew, so rounding in the rotation leaves no diagonal behind
     mt = 0.5 * (mt - np.swapaxes(mt, -2, -1))
@@ -223,15 +227,16 @@ class Trajectory:
 
 
 def _step_count(span: float, dt: float, record_every: int, name: str = "t_end") -> int:
-    """Steps of size dt in span; rejects a span that is not a multiple of
-    dt and a record_every that does not divide the step count."""
+    """Steps of size dt in span, the one check of every step grid. Rejects a
+    dt, span or record_every that is not positive, 2**63 steps or more, a span
+    not a multiple of dt, and a record_every that does not divide the steps."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     if not span > 0:
         raise ValueError(f"{name} must be positive")
     if record_every < 1:
         raise ValueError("record_every must be a positive integer")
-    if not np.isfinite(span / dt):
+    if not span / dt < 2**63:
         raise ValueError(f"{name}={span} is too many steps of dt={dt}")
     nsteps = int(round(span / dt))
     if nsteps < 1:
@@ -293,6 +298,7 @@ def integrate(state, body: InertiaSpec, dt: float, t_end: float,
 
     if manakov_max_power is None:
         manakov_max_power = max(2, min(body.n, 4))
+    _check_max_power(manakov_max_power, body.n)
 
     # the kernel records in the eigenframe; rotated back once below
     momenta = _kernels.rk4_momentum(body.to_eigenframe(m0), body.pair_sums, dt,

@@ -9,6 +9,7 @@ experiment watching the deviation grow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,9 +189,9 @@ def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
     below exit_factor * eps, NaN and inf included; exit_time is its time.
     The curve holds the finite deviations. They are measured in units of
     the power of two above the largest entry of M~(0) and M~_eq, an exact
-    scaling, so they cannot overflow. Records come about every 0.1 time
-    units: every round(0.1 / dt) steps (at least 1), which must divide the
-    step count horizon / dt.
+    scaling, so they cannot overflow. horizon / dt is checked as integrate
+    checks t_end / dt. Records come every gcd(steps, k) steps, k = 0.1 / dt
+    rounded and clipped to 1..steps, so the last one is at the horizon.
     Like integrate, the probe rejects a step with dt * ||W||_2 above
     STEP_GUARD (IntegrationAbort), W the angular velocity of the perturbed
     start, and raises KernelUnavailable where the C kernel of
@@ -200,12 +201,8 @@ def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
         raise ValueError("eps must be positive")
     if not exit_factor > 1:
         raise ValueError("exit_factor must exceed 1")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if not 0.1 / dt < np.inf:
-        raise ValueError(f"dt={dt} is too small: 0.1 / dt overflows")
-    record_every = max(1, int(round(0.1 / dt)))
-    total = _step_count(horizon, dt, record_every, name="horizon")
+    total = _step_count(horizon, dt, 1, name="horizon")
+    record_every = math.gcd(total, max(1, round(min(0.1 / dt, total))))
     arr = _require_stationary(m_eq, body, tol)[0]
     rng = np.random.default_rng(seed)
     m0 = arr + eps * _unit_skew(body.n, rng)

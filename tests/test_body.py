@@ -437,6 +437,21 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=match):
             ft.integrate(random_skew(3, rng), body3, **args)
 
+    @pytest.mark.parametrize("power, match", [
+        (9, "max_power 9 exceeds the dimension 3"),
+        (1, "max_power must be at least 2"),
+    ])
+    def test_max_power_checked_before_integrating(self, body3, rng, monkeypatch,
+                                                  power, match):
+        # Two million steps would run before the invariants refused the power.
+        def unreachable(*args):
+            raise AssertionError("the kernel ran before manakov_max_power was checked")
+
+        monkeypatch.setattr(_kernels, "rk4_momentum", unreachable)
+        with pytest.raises(ValueError, match=match):
+            ft.integrate(random_skew(3, rng), body3, 1e-3, 2000.0, record_every=1000,
+                         manakov_max_power=power)
+
     def test_guard_reject_and_warn(self, body3, rng):
         m0 = random_skew(3, rng, scale=50.0)
         with pytest.raises(ft.IntegrationAbort, match="guard"):

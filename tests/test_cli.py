@@ -300,20 +300,22 @@ class TestSimulate:
         assert not outdir.exists()
 
     @pytest.mark.parametrize("settings", [
-        ({"record_every": 7}, "must divide the step count"),
-        ({"t_end": 1e308}, "is too many steps"),
-        ({"t_end": 1e200, "record_every": 1}, "samples are more than an array can hold"),
+        ({"record_every": 7}, "record_every=7 must divide the step count 1000"),
+        ({"t_end": 1e308}, "t_end=1e+308 is too many steps of dt=0.001"),
+        # 2**60 steps, below the 2**63 the C loop can count, in too many records.
+        ({"dt": 2**-10, "t_end": 2.0**50, "record_every": 1},
+         "1152921504606846977 samples are more than an array can hold"),
     ])
     def test_step_count_errors_name_integrator(self, tmp_path, capsys, settings):
         integrator, message = settings
         scenario = spinning_book_scenario(tmp_path, **integrator)
         assert main(["simulate", scenario, "--output-dir", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: invalid input: integrator: ") and message in err
+        assert capsys.readouterr().err == f"error: invalid input: integrator: {message}\n"
 
     def test_step_counts_beyond_int64_exit2(self, tmp_path, capsys):
         # 3 * 2**62 steps in 4 records: the C loop takes int64_t counts, which
-        # would wrap to a negative count and leave the records unwritten.
+        # would wrap to a negative count and leave the records unwritten. The
+        # step count is refused with the scenario field that sets it.
         doc = {"spec_version": "1", "body": {"eigenvalues": [1.0, 2.0, 3.0]},
                "initial": {"matrix": {"n": 3, "kind": "skew", "rows": [
                    [0.0, 0.3, 0.1], [-0.3, 0.0, 0.2], [-0.1, -0.2, 0.0]]}},
@@ -323,8 +325,8 @@ class TestSimulate:
         assert main(["simulate", write(tmp_path / "s.json", doc),
                      "--output-dir", str(outdir)]) == 2
         assert capsys.readouterr().err == (
-            "error: invalid input: nsteps must be >= 0 and record_every >= 1, "
-            "both below 2**63\n")
+            "error: invalid input: integrator: t_end=6.917529027641082e+18 is too many "
+            "steps of dt=0.5\n")
         assert not outdir.exists()
 
     @pytest.mark.parametrize("initial, field", [
@@ -666,16 +668,17 @@ class TestGenerateAndStability:
         assert "guard" in capsys.readouterr().err
 
     def test_probe_tiny_dt_exit2(self, tmp_path, body3_path, capsys):
-        # 0.1 / dt, the steps between records, overflows: bad input, not a
-        # numerical failure.
+        # The default horizon of 100 is 1e22 steps of 1e-20 and infinitely
+        # many of 1e-320: 2**63 steps or more is bad input, as for simulate.
         body = ser.read_body(body3_path)
         path = write(tmp_path / "mid.json", ser.matrix_to_doc(
             oracles.inertia_apply(rotation_generator(3, 0, 2, 1.0), body)))
-        assert main(["stability", path, body3_path, "--probe", "--dt", "1e-320",
-                     "--output-dir", str(tmp_path / "newdir")]) == 2
-        assert capsys.readouterr() == (
-            "", "error: invalid input: dt=1e-320 is too small: 0.1 / dt overflows\n")
-        assert not (tmp_path / "newdir").exists()
+        for dt in ("1e-320", "1e-20"):
+            assert main(["stability", path, body3_path, "--probe", "--dt", dt,
+                         "--output-dir", str(tmp_path / "newdir")]) == 2
+            assert capsys.readouterr() == (
+                "", f"error: invalid input: horizon=100.0 is too many steps of dt={dt}\n")
+            assert not (tmp_path / "newdir").exists()
 
     @pytest.mark.parametrize("mode", ["--spectrum", "--kernel"])
     def test_curve_out_needs_probe(self, tmp_path, body3_path, capsys, mode):
@@ -707,13 +710,22 @@ class TestGenerateAndStability:
         assert main(args + ["--spectrum"]) == 4
 
     def test_probe_rejects_truncated_horizon(self, tmp_path, body3_path, capsys):
+        # Records every round(0.1 / dt) steps would end the curve short of the
+        # horizon (10 of 105 steps, 17 of 10000). They come every gcd of the
+        # two instead, and the curve reaches the horizon or the escape.
         body = ser.read_body(body3_path)
         m = oracles.inertia_apply(rotation_generator(3, 0, 2, 1.0), body)
         path = tmp_path / "mid.json"
         write(path, ser.matrix_to_doc(m))
-        assert main(["stability", str(path), body3_path, "--probe",
-                     "--horizon", "1.05"]) == 2
-        assert "divide" in capsys.readouterr().err
+        curve = tmp_path / "curve.csv"
+        for dt, horizon, spacing in (("0.01", "1.05", 5), ("0.006", "60", 1)):
+            assert main(["stability", str(path), body3_path, "--probe", "--dt", dt,
+                         "--horizon", horizon, "--curve-out", str(curve)]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            times = [float(line.split(",")[0])
+                     for line in curve.read_text().splitlines()[1:]]
+            assert times == [k * spacing * float(dt) for k in range(len(times))]
+            assert times[-1] == (doc["exit_time"] if doc["escaped"] else float(horizon))
 
     def test_equal_huge_rates_exit2(self, tmp_path, body4_path, capsys):
         # The squares of the rates overflow; the rates are still equal.
@@ -910,12 +922,14 @@ class TestEveryCommand:
                          "--output-dir", "sim_out"]) == 6
             assert capsys.readouterr() == ("", refusal)
             assert not (tmp_path / "probe_out").exists() and not (tmp_path / "sim_out").exists()
-            for settings, message in (({"dt": 0.0}, "integrator.dt: must be positive"),
+            for settings, message in (({"dt": 0.0}, "dt must be positive"),
                                       ({"dt": 0.0009765625, "t_end": 1099511627776.0,
-                                        "record_every": 1}, "samples do not fit in memory")):
+                                        "record_every": 1},
+                                       "1125899906842625 samples do not fit in memory")):
                 assert main(["simulate", spinning_book_scenario(tmp_path, **settings),
                              "--output-dir", "sim_out"]) == 2
-                assert message in capsys.readouterr().err
+                assert capsys.readouterr().err == (
+                    f"error: invalid input: integrator: {message}\n")
         finally:
             _kernels._c_kernel.cache_clear()
 

@@ -94,6 +94,8 @@ class TestScenarioParsing:
         ("dt", -0.1, "positive"),
         ("t_end", 0.0, "positive"),
         ("record_every", 0, "positive integer"),
+        ("record_every", 2.5, r"^integrator\.record_every: expected an integer$"),
+        ("record_every", True, r"^integrator\.record_every: expected an integer$"),
         ("guard", "panic", "reject"),
         ("manakov_max_power", 1, "manakov_max_power: expected an integer from 2 to the dimension 4"),
         ("manakov_max_power", 5, "manakov_max_power: expected an integer from 2 to the dimension 4"),

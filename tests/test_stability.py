@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag, expm
@@ -487,12 +489,42 @@ class TestInstabilityProbe:
                                  dt=1e-2)
 
     def test_record_every_must_divide_step_count(self, body3):
-        # 105 steps with the default record_every of 10 used to end the
-        # curve at t = 1.0 without a message.
+        # 105 steps: records every round(0.1 / dt) = 10 steps would end the
+        # curve at t = 1.0, short of the horizon. They come every
+        # gcd(105, 10) = 5 steps instead, and the last one is at t = 1.05.
         m, _ = principal_momentum_3d(1)
-        with pytest.raises(ValueError, match="divide"):
-            ft.instability_probe(m, body3, eps=1e-6, horizon=1.05, exit_factor=100.0,
-                                 dt=1e-2)
+        result = ft.instability_probe(m, body3, eps=1e-6, horizon=1.05, exit_factor=100.0,
+                                      dt=1e-2)
+        assert not result.escaped
+        assert np.array_equal(result.times, np.arange(22) * 5 * 1e-2)
+        assert result.times[-1] == 1.05
+
+    @pytest.mark.parametrize("dt, horizon, spacing, digest", [
+        # round(0.1 / dt) divides the steps: that spacing, and the curves bit
+        # for bit as when round(0.1 / dt) was the only spacing allowed.
+        (0.01, 100.0, 10, "9a6408be916670fc19545f39971b57f3aa5d3ad2279e53adb716beca26f724d8"),
+        (0.02, 30.0, 5, "1373364fe164e4c63a41a8d069f73d0a27029dd258c4ce51d09f25ad76253874"),
+        (0.005, 20.0, 20, "7c228a74bbcb0d6778b6993deed55d2698d0906a5e20e93b2ff7e91e7fa69c37"),
+        # It does not: every gcd(steps, round(0.1 / dt)) steps, with 0.1 / dt
+        # held to at most the step count.
+        (0.006, 60.0, 1, None),  # gcd(10000, 17)
+        (0.01, 0.05, 5, None),  # 5 steps, fewer than round(0.1 / dt) = 10
+        (0.01, 1.05, 5, None),  # gcd(105, 10)
+        (2.0**-1070, 2.0**-1066, 16, None),  # 0.1 / dt overflows
+    ], ids=["0.01-100", "0.02-30", "0.005-20", "0.006-60", "0.01-0.05", "0.01-1.05",
+            "subnormal-dt"])
+    def test_record_grid(self, body3, dt, horizon, spacing, digest):
+        m, _ = principal_momentum_3d(1)
+        result = ft.instability_probe(m, body3, eps=1e-6, horizon=horizon,
+                                      exit_factor=100.0, seed=3, dt=dt)
+        assert np.array_equal(result.times, np.arange(result.times.size) * spacing * dt)
+        if result.escaped:
+            assert result.times[-1] <= result.exit_time <= horizon
+        else:
+            assert result.times[-1] == horizon
+        if digest is not None:
+            curve = result.times.tobytes() + result.deviations.tobytes()
+            assert hashlib.sha256(curve).hexdigest() == digest
 
     def test_requires_equilibrium(self, body3):
         m = np.zeros((3, 3))

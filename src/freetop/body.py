@@ -229,7 +229,13 @@ class Trajectory:
 def _step_count(span: float, dt: float, record_every: int, name: str = "t_end") -> int:
     """Steps of size dt in span, the one check of every step grid. Rejects a
     dt, span or record_every that is not positive, 2**63 steps or more, a span
-    not a multiple of dt, and a record_every that does not divide the steps."""
+    not a multiple of dt, a record_every that does not divide the steps, and
+    an integer dt or span beyond the double range."""
+    for value, field in ((dt, "dt"), (span, name)):
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{field} is an integer too large for a double") from None
     if not dt > 0:
         raise ValueError("dt must be positive")
     if not span > 0:

@@ -23,8 +23,6 @@ __all__ = [
     "LinearizationReport",
     "OrbitKernelReport",
     "ProbeResult",
-    "skew_to_vec",
-    "vec_to_skew",
     "linearize",
     "orbit_kernel",
     "stabilizer_dimension",
@@ -32,30 +30,6 @@ __all__ = [
 ]
 
 DEFAULT_RANK_TOL = 1e-8
-
-
-def skew_to_vec(m) -> np.ndarray:
-    """Coordinates in the basis (E_ij - E_ji) / sqrt(2), pairs i < j
-    lexicographic: an isometry for the Frobenius inner product. Leading
-    axes of a stack are kept."""
-    arr = np.asarray(m, dtype=float)
-    iu = np.triu_indices(arr.shape[-1], k=1)
-    return np.sqrt(2.0) * arr[..., iu[0], iu[1]]
-
-
-def vec_to_skew(c, n: int) -> np.ndarray:
-    """Inverse of skew_to_vec; a (..., d) stack gives (..., n, n)."""
-    vec = np.asarray(c, dtype=float)
-    out = np.zeros(vec.shape[:-1] + (n, n))
-    iu = np.triu_indices(n, k=1)
-    out[..., iu[0], iu[1]] = vec / np.sqrt(2.0)
-    return out - np.swapaxes(out, -2, -1)
-
-
-def _so_basis(n: int) -> np.ndarray:
-    """The orthonormal so(n) basis as a (d, n, n) stack, in skew_to_vec order."""
-    d = n * (n - 1) // 2
-    return vec_to_skew(np.eye(d), n)
 
 
 def _kernel_dim(svals: np.ndarray, rank_tol: float) -> int:
@@ -95,10 +69,21 @@ class OrbitKernelReport:
     excess_kernel_dim: int
 
 
-def _ad_matrix(m: np.ndarray, n: int) -> np.ndarray:
-    """Matrix of xi -> [xi, m] over the so(n) basis."""
-    e = _so_basis(n)
-    return skew_to_vec(e @ m - m @ e).T
+def _ad_matrix(x: np.ndarray, n: int) -> np.ndarray:
+    """Matrix of xi -> [xi, x] over the so(n) basis, in closed form.
+
+    [E_ij - E_ji, x] has +x[j] in row i, -x[i] in row j, -x[:, i] in
+    column j and +x[:, j] in column i; its upper triangle is the column of
+    basis element (i, j). So every entry is exactly one entry of x, but for
+    x[j, j] - x[i, i] at (i, j), which is 0 for a skew x."""
+    i, j = np.triu_indices(n, k=1)
+    p = np.arange(i.size)
+    image = np.zeros((i.size, n, n))
+    image[p, i] = x[j]
+    image[p, j] = -x[i]
+    image[p, :, j] -= x[:, i].T
+    image[p, :, i] += x[:, j].T
+    return image[:, i, j].T
 
 
 def _eigenframe_operators(wt: np.ndarray, pair_sums: np.ndarray):
@@ -110,14 +95,57 @@ def _eigenframe_operators(wt: np.ndarray, pair_sums: np.ndarray):
     return _ad_matrix(wt, n) - ad_m / pair_sums[np.triu_indices(n, k=1)], ad_m
 
 
+def _second_compound(q: np.ndarray) -> np.ndarray:
+    """R with R[(k, l), (i, j)] = q_ki q_lj - q_kj q_li: column (i, j) holds the
+    so(n) coordinates of q (E_ij - E_ji) q^T / sqrt(2)."""
+    i, j = np.triu_indices(q.shape[0], k=1)
+    qi, qj = q[i], q[j]
+    return qi[:, i] * qj[:, j] - qi[:, j] * qj[:, i]
+
+
+def _pair_blocks(w: np.ndarray, tol: float):
+    """Split so(n) by the W~-invariant axis sets of an eigenframe velocity w.
+
+    Entries with |w_ij| <= tol * ||w||_F are zeroed; the sets are the
+    connected components of the support left, a zero axis alone. Basis
+    element (i, j) belongs to the block of the unordered pair of sets of i
+    and j, so operators built from the zeroed w are block-diagonal. Returns
+    (zeroed w, groups): groups[k] is a (blocks, size) array of basis
+    indices, one row per block, one array per block size.
+    """
+    n = w.shape[0]
+    w = np.where(np.abs(w) <= tol * np.linalg.norm(w), 0.0, w)
+    reach = (w != 0.0) | np.eye(n, dtype=bool)
+    while not np.array_equal(step := reach @ reach, reach):
+        reach = step
+    label = np.argmax(reach, axis=1)  # each set named by its first axis
+    i, j = np.triu_indices(n, k=1)
+    key = np.minimum(label[i], label[j]) * n + np.maximum(label[i], label[j])
+    _, block, size = np.unique(key, return_inverse=True, return_counts=True)
+    order = np.lexsort((block, size[block]))
+    groups, start = [], 0
+    for s, count in zip(*np.unique(size, return_counts=True)):
+        groups.append(order[start:start + s * count].reshape(count, s))
+        start += s * count
+    return w, groups
+
+
+def _blocks(op: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """The diagonal blocks of op on the index rows of group, as a stack."""
+    return op[group[:, :, None], group[:, None, :]]
+
+
 def linearize(m_eq, body: InertiaSpec, tol: float = DEFAULT_TOL) -> LinearizationReport:
     """Spectrum of the linearized flow at a stationary momentum: that of
-    L~ in the inertia eigenframe. matrix is R L~ R^T in the ambient basis,
-    R's columns the eigenframe basis elements in ambient coordinates."""
+    L~ in the inertia eigenframe, solved on its pair blocks (_pair_blocks,
+    with this tol). matrix is R L~ R^T in the ambient basis, R the second
+    compound of the eigenvectors."""
     _, w, _, e, _ = _require_stationary(m_eq, body, tol)
+    w, groups = _pair_blocks(w, tol)
     lin, _ = _eigenframe_operators(np.ldexp(w, e), body.pair_sums)
-    rot = skew_to_vec(body.from_eigenframe(_so_basis(body.n))).T
-    eigs = _sorted_spectrum(np.linalg.eigvals(lin))
+    rot = _second_compound(body.basis)
+    eigs = _sorted_spectrum(np.concatenate(
+        [np.linalg.eigvals(_blocks(lin, g)).ravel() for g in groups]))
     return LinearizationReport(
         dim=lin.shape[0],
         matrix=rot @ lin @ rot.T,
@@ -134,15 +162,23 @@ def orbit_kernel(m_eq, body: InertiaSpec, rank_tol: float = DEFAULT_RANK_TOL,
     moves M along its orbit while preserving stationarity to first order,
     certifying a positive-dimensional set of equilibria on the orbit.
     The singular values are those of L~ ad_M~ and ad_M~ in the inertia
-    eigenframe, which an orthogonal change to the ambient basis keeps.
+    eigenframe, which an orthogonal change to the ambient basis keeps,
+    taken on their pair blocks (_pair_blocks, with this tol); the rank
+    rule applies to all blocks together.
     """
     if not 0 < rank_tol < np.inf:
         raise ValueError("rank_tol must be positive")
     _, w, _, e, _ = _require_stationary(m_eq, body, tol)
+    w, groups = _pair_blocks(w, tol)
     lin, ad = _eigenframe_operators(np.ldexp(w, e), body.pair_sums)
-    svals = np.linalg.svd(lin @ ad, compute_uv=False)
+    svals, stab = [], []
+    for g in groups:
+        ad_b = _blocks(ad, g)
+        svals.append(np.linalg.svd(_blocks(lin, g) @ ad_b, compute_uv=False).ravel())
+        stab.append(np.linalg.svd(ad_b, compute_uv=False).ravel())
+    svals = np.sort(np.concatenate(svals))[::-1]
     kernel_dim = _kernel_dim(svals, rank_tol)
-    stabilizer_dim = _kernel_dim(np.linalg.svd(ad, compute_uv=False), rank_tol)
+    stabilizer_dim = _kernel_dim(np.concatenate(stab), rank_tol)
     return OrbitKernelReport(
         map_rank=svals.size - kernel_dim,
         kernel_dim=kernel_dim,

@@ -8,9 +8,11 @@ rather than the SVD path the package uses. inertia_apply is the inertia
 map skew(W J + J W) in the ambient frame, with no eigenframe in it; the
 ambient-frame operators invert_array, inertia_invert and vector_field are
 the inverse inertia map and momentum field the package once shipped, and
-ambient_linearization is the linearization built from them. Only the tests
-and the references here use them. pair_block_spectrum predicts the
-linearization spectrum of a regular equilibrium from its normal form alone.
+ambient_linearization is the linearization built from them, through the
+so(n) coordinate maps skew_to_vec and vec_to_skew that the package once
+shipped too. Only the tests and the references here use them.
+pair_block_spectrum predicts the linearization spectrum of a regular
+equilibrium from its normal form alone.
 dumps_per_item is the canonical JSON writer as it was before float arrays
 went through one template: it turns an array into lists and formats a list
 item by item or row by row.
@@ -25,7 +27,24 @@ from scipy.linalg import expm, solve_sylvester
 from scipy.sparse.csgraph import connected_components
 
 import freetop as ft
-from freetop.stability import skew_to_vec, vec_to_skew
+
+
+def skew_to_vec(m) -> np.ndarray:
+    """Coordinates in the basis (E_ij - E_ji) / sqrt(2), pairs i < j
+    lexicographic: an isometry for the Frobenius inner product. Leading
+    axes of a stack are kept."""
+    arr = np.asarray(m, dtype=float)
+    iu = np.triu_indices(arr.shape[-1], k=1)
+    return np.sqrt(2.0) * arr[..., iu[0], iu[1]]
+
+
+def vec_to_skew(c, n: int) -> np.ndarray:
+    """Inverse of skew_to_vec; a (..., d) stack gives (..., n, n)."""
+    vec = np.asarray(c, dtype=float)
+    out = np.zeros(vec.shape[:-1] + (n, n))
+    iu = np.triu_indices(n, k=1)
+    out[..., iu[0], iu[1]] = vec / np.sqrt(2.0)
+    return out - np.swapaxes(out, -2, -1)
 
 
 def commutator(a, b):
@@ -263,12 +282,19 @@ def to_coords(m):
     return np.array([np.sqrt(2.0) * m[i, j] for i, j in so_pairs(n)])
 
 
-def loop_operator(func, n):
-    """Matrix of a linear map so(n) -> so(n), one basis element at a time."""
+def unscaled_loop_operator(func, n):
+    """Matrix of a linear map so(n) -> so(n) in the orthonormal basis, one
+    basis element at a time, with the sqrt(2) of the basis cancelled
+    analytically: column (i, j) is the upper triangle of func(E_ij - E_ji).
+    For func a commutator with a matrix every product is by 0 or +-1, so
+    the matrix is exact."""
     pairs = so_pairs(n)
     out = np.empty((len(pairs), len(pairs)))
     for k, (i, j) in enumerate(pairs):
-        out[:, k] = to_coords(func(basis_element(n, i, j)))
+        e = np.zeros((n, n))
+        e[i, j], e[j, i] = 1.0, -1.0
+        image = func(e)
+        out[:, k] = [image[a, b] for a, b in pairs]
     return out
 
 

@@ -14,13 +14,14 @@ import pytest
 import freetop as ft
 from freetop.body import invariant_labels
 from freetop.cli import main
-from freetop.stability import vec_to_skew, _ad_matrix
+from freetop.stability import _ad_matrix
 
 from conftest import random_body, random_skew
 from recipes import random_recipe
 from test_stability import (
     FROZEN_KERNELS, make_fixture, orbit_kernel_directions, residual_after_orbit_move)
 import oracles
+from oracles import vec_to_skew
 
 
 @contextmanager

@@ -437,6 +437,18 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=match):
             ft.integrate(random_skew(3, rng), body3, **args)
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda m, body: ft.integrate(m, body, 0.5, 10**400), "t_end"),
+        (lambda m, body: ft.integrate(m, body, 10**400, 1.0), "dt"),
+        (lambda m, body: ft.instability_probe(m, body, 1e-6, 10**400, 100.0), "horizon"),
+    ], ids=["integrate-t_end", "integrate-dt", "probe-horizon"])
+    def test_integer_beyond_double_range(self, body3, call, match):
+        # span / dt would raise OverflowError converting the int to a float.
+        m = ft.skew([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+        with pytest.raises(ValueError,
+                           match=f"^{match} is an integer too large for a double$"):
+            call(m, body3)
+
     @pytest.mark.parametrize("power, match", [
         (9, "max_power 9 exceeds the dimension 3"),
         (1, "max_power must be at least 2"),

@@ -210,6 +210,19 @@ class TestClassify:
         assert s.blocks[0].axes == (0, 1)
         assert s.fixed_axes == (2, 3, 4)
 
+    @pytest.mark.parametrize("scale, exponent", [(1e300, 1992), (1e-300, -1994)],
+                             ids=["overflow", "underflow"])
+    def test_rate_outside_double_range(self, scale, exponent):
+        # A stationary rotation in the plane {0, 1} whose rate M_01 / (l_0 + l_1)
+        # is about 3e599 or 6e-601: stationary, but no double holds its rate.
+        body = ft.InertiaSpec.from_eigenvalues(np.array([1.0, 2.0, 3.0]) / scale)
+        m = np.zeros((3, 3))
+        m[0, 1], m[1, 0] = scale, -scale
+        assert ft.is_equilibrium(m, body) == (True, 0.0)
+        with pytest.raises(ArithmeticError, match=rf"\* 2\*\*{exponent} on axes \[0, 1\] "
+                                                  "is outside the double range"):
+            ft.classify(m, body)
+
     def test_mixed_plane_exotic(self, body4):
         # Conjugating the standard two-pair structure by a quarter-turn
         # Givens rotation in the (0, 2) plane spreads each rotation plane

@@ -7,11 +7,13 @@ from scipy.optimize import linear_sum_assignment
 
 import freetop as ft
 from freetop import serialize as ser
-from freetop.stability import skew_to_vec, vec_to_skew, _ad_matrix, _eigenframe_operators
+from freetop.equilibria import _require_stationary
+from freetop.stability import _ad_matrix, _eigenframe_operators, _kernel_dim
 
 from conftest import random_body, random_skew
 from recipes import random_recipe, read_recipe, spaced_rates
 import oracles
+from oracles import skew_to_vec, vec_to_skew
 
 
 def assert_multisets_close(a, b, tol):
@@ -100,20 +102,23 @@ class TestBasis:
     @pytest.mark.parametrize("n", [2, 3, 5, 9])
     def test_stacked_operators_match_column_loop(self, n, rng):
         # L~ = ad_W~ - ad_M~ D^-1 in the eigenframe, column by column: the
-        # basis element E_ij has the pair sum lambda_i + lambda_j.
+        # basis element E_ij has the pair sum lambda_i + lambda_j. The
+        # oracle's commutators with E_ij - E_ji are exact, so the closed
+        # form must match them bit for bit.
         body = random_body(n, rng)
         wt = random_skew(n, rng)
         pair = np.asarray(body.pair_sums)
         mt = wt * pair
-        columns = [oracles.to_coords(e @ wt - wt @ e)
-                   - oracles.to_coords(e @ mt - mt @ e) / pair[i, j]
-                   for i, j in oracles.so_pairs(n)
-                   for e in [oracles.basis_element(n, i, j)]]
+        ad_w = oracles.unscaled_loop_operator(lambda e: e @ wt - wt @ e, n)
+        ad_mt = oracles.unscaled_loop_operator(lambda e: e @ mt - mt @ e, n)
         lin, ad_m = _eigenframe_operators(wt, pair)
-        assert np.array_equal(lin, np.array(columns).T)
-        assert np.array_equal(ad_m, oracles.loop_operator(lambda e: e @ mt - mt @ e, n))
+        assert np.array_equal(lin, ad_w - ad_mt / pair[np.triu_indices(n, k=1)])
+        assert np.array_equal(ad_m, ad_mt)
         m = random_skew(n, rng)
-        assert np.array_equal(_ad_matrix(m, n), oracles.loop_operator(lambda e: e @ m - m @ e, n))
+        assert np.array_equal(_ad_matrix(m, n),
+                              oracles.unscaled_loop_operator(lambda e: e @ m - m @ e, n))
+        # Each entry is one entry of m, or 0.
+        assert set(np.abs(_ad_matrix(m, n)).ravel()) <= set(np.abs(m).ravel())
 
 
 class TestLinearize:
@@ -358,6 +363,90 @@ class TestPairBlockSpectrum:
                         mu = block.omega * np.sqrt((lam[k] - lam[i]) * (lam[j] - lam[k])
                                                    / ((lam[i] + lam[k]) * (lam[j] + lam[k])))
                         assert rep.max_real_part >= mu - tol > 0
+
+
+# Agreement of linearize with np.linalg.eigvals of the dense operator at
+# exotic equilibria, relative to the largest eigenvalue (at least 1): their
+# eigenvalues are defective, so either solve moves them by about the square
+# root of the rounding error. docs/conventions.md records it.
+EXOTIC_SPECTRUM_TOL = 1e-7
+
+
+class TestPairBlockSolves:
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_blocks_match_dense_oracle(self, n):
+        # linearize and orbit_kernel solve on the pair blocks; np.linalg on
+        # the dense ambient operators is the reference. Spectra agree as
+        # multisets within 1e-12 of the largest eigenvalue (at least 1) for
+        # regular equilibria (6e-15 at most here) and within
+        # EXOTIC_SPECTRUM_TOL for exotic ones (1.5e-8 at most here); singular
+        # values within 1e-13 of the largest (1.7e-14 at most); every integer
+        # field is the rank rule's on the dense singular values.
+        rng = np.random.default_rng(2500 + n)
+        structures = [random_normal_form(n, rng)[0] for _ in range(8)]
+        if n >= 3:  # one block on all but one or two axes, the rest fixed
+            axes = sorted(int(a) for a in rng.permutation(n)[:2 * ((n - 1) // 2)])
+            block = ft.FrequencyBlock(omega=1.0 + rng.random(), axes=axes,
+                                      A=shuffled_structure(len(axes) // 2, "random", rng))
+            structures.append(ft.EquilibriumStructure(
+                [block], [a for a in range(n) if a not in axes], n=n))
+        cases = [(np.zeros((n, n)), seeded_body(n, rng, rotated=True), True)]
+        for case, structure in enumerate(structures):
+            body = seeded_body(n, rng, rotated=bool(case % 2))
+            m, structure = ft.generate(structure, body)
+            cases.append((ft.skew(m), body, structure.regular))
+        if n >= 4:
+            assert {regular for _, _, regular in cases} == {True, False}
+        for m, body, regular in cases:
+            lin = oracles.ambient_linearization(m, body)
+            ad = oracles.unscaled_loop_operator(lambda e: e @ m - m @ e, n)
+            dense = np.linalg.eigvals(lin)
+            rep = ft.linearize(m, body)
+            scale = max(1.0, np.abs(dense).max())
+            assert_multisets_close(rep.spectrum, dense,
+                                   (1e-12 if regular else EXOTIC_SPECTRUM_TOL) * scale)
+            assert rep.dim == dense.size
+            kernel = ft.orbit_kernel(m, body)
+            svals = np.linalg.svd(lin @ ad, compute_uv=False)
+            assert np.abs(kernel.singular_values - svals).max() <= 1e-13 * svals[0]
+            kernel_dim = _kernel_dim(svals, kernel.rank_tol)
+            stabilizer_dim = _kernel_dim(np.linalg.svd(ad, compute_uv=False), kernel.rank_tol)
+            assert (kernel.kernel_dim, kernel.map_rank, kernel.stabilizer_dim,
+                    kernel.excess_kernel_dim) == (kernel_dim, svals.size - kernel_dim,
+                                                  stabilizer_dim, kernel_dim - stabilizer_dim)
+
+    @pytest.mark.parametrize("side", [1.0 + 1e-6, 1.0 - 1e-6], ids=["above", "below"])
+    def test_partition_bound(self, side):
+        # W~ = E02 + b E12 made skew on a diagonal body, whose eigenframe is
+        # the ambient frame, so matrix is L~ itself; b puts the off-block
+        # entry of W~ at side * tol * ||W~||_F. Above the bound that entry
+        # joins axis 1 to the plane {0, 2}, one set, and the results are the
+        # dense oracle's; below it the entry is dropped: sets {0, 2} and
+        # {1}, so L~ has no entry between basis element (0, 2), index 1,
+        # and (0, 1), (1, 2), indices 0 and 2.
+        tol = 1e-9
+        body = ft.InertiaSpec.from_eigenvalues([1.0, 2.0, 3.0])
+        assert np.array_equal(body.basis, np.eye(3))
+        w = np.zeros((3, 3))
+        w[0, 2], w[1, 2] = 1.0, side * tol * np.sqrt(2.0)  # ||W~||_F = sqrt(2 (1 + b^2))
+        w = w - w.T
+        m = ft.skew(w @ body.J + body.J @ w)
+        wt = _require_stationary(m, body, tol)[1]
+        assert (abs(wt[1, 2]) > tol * np.linalg.norm(wt)) == (side > 1.0)
+        rep = ft.linearize(m, body, tol=tol)
+        coupling = np.concatenate((rep.matrix[1, [0, 2]], rep.matrix[[0, 2], 1]))
+        if side < 1.0:
+            assert not coupling.any()
+            return
+        assert coupling.any()
+        lin = oracles.ambient_linearization(m, body)
+        dense = np.linalg.eigvals(lin)
+        assert_multisets_close(rep.spectrum, dense, 1e-12 * max(1.0, np.abs(dense).max()))
+        assert np.linalg.norm(rep.matrix - lin) <= 1e-13 * np.linalg.norm(lin)
+        ad = oracles.unscaled_loop_operator(lambda e: e @ m - m @ e, 3)
+        svals = np.linalg.svd(lin @ ad, compute_uv=False)
+        kernel = ft.orbit_kernel(m, body, tol=tol)
+        assert np.abs(kernel.singular_values - svals).max() <= 1e-13 * svals[0]
 
 
 class TestNonIsolationSlopes:

@@ -226,19 +226,23 @@ class Trajectory:
         return {label: float(d) for label, d in zip(labels, drift)}
 
 
+def _double(value, field: str) -> float:
+    """float(value), for a numeric parameter's range check; an integer beyond
+    the double range, which float() refuses, is a ValueError naming field."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{field} is an integer too large for a double") from None
+
+
 def _step_count(span: float, dt: float, record_every: int, name: str = "t_end") -> int:
     """Steps of size dt in span, the one check of every step grid. Rejects a
     dt, span or record_every that is not positive, 2**63 steps or more, a span
     not a multiple of dt, a record_every that does not divide the steps, and
     an integer dt or span beyond the double range."""
-    for value, field in ((dt, "dt"), (span, name)):
-        try:
-            float(value)
-        except OverflowError:
-            raise ValueError(f"{field} is an integer too large for a double") from None
-    if not dt > 0:
+    if not _double(dt, "dt") > 0:
         raise ValueError("dt must be positive")
-    if not span > 0:
+    if not _double(span, name) > 0:
         raise ValueError(f"{name} must be positive")
     if record_every < 1:
         raise ValueError("record_every must be a positive integer")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body import InertiaSpec, _check_dims, _scaled_velocity
+from .body import InertiaSpec, _check_dims, _double, _scaled_velocity
 from .linalg import SkewMatrix, skew
 
 __all__ = [
@@ -151,7 +151,7 @@ def _check_rate_gaps(rates, cluster_tol: float) -> None:
     from the next: 1 - (w2 / w1)^2 >= cluster_tol."""
     for w1, w2 in zip(rates, rates[1:]):
         gap = 1.0 - (w2 / w1) ** 2
-        if gap < cluster_tol:
+        if gap < _double(cluster_tol, "cluster_tol"):
             raise ValueError(f"block rates {w1:.9g} and {w2:.9g} too close "
                              f"(squared gap {gap:.3e} < {cluster_tol:.1e})")
 
@@ -205,7 +205,7 @@ def _stationarity(m, body: InertiaSpec, tol: float):
     """(arr, w, s, e, residual) of a momentum: its checked skew array,
     W~ = w * 2**e from _scaled_velocity, s = w^2, and the stationarity
     residual, which is 0 for the zero momentum."""
-    if not 0 < tol < np.inf:
+    if not 0 < _double(tol, "tol") < np.inf:
         raise ValueError("tol must be positive")
     arr = skew(m)
     _check_dims(arr, body)
@@ -271,7 +271,7 @@ def classify(m, body: InertiaSpec, tol: float = DEFAULT_TOL,
     block that is not a complex structure, or two group rates fail the
     rate-gap rule. Raises ArithmeticError for a rate outside the double range.
     """
-    if not 0 < tol < cluster_tol:
+    if not 0 < _double(tol, "tol") < _double(cluster_tol, "cluster_tol"):
         raise ValueError("need 0 < tol < cluster_tol")
     _, om_t, s, e, r_eq = _require_stationary(m, body, tol)
     n = body.n

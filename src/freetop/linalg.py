@@ -37,11 +37,13 @@ def _check_structure(arr: np.ndarray, sign: float) -> None:
     A matrix whose largest entry is 1 or more is first scaled by a power of
     two that brings that entry below 1, so the norms cannot overflow; the
     scaling is exact, so wherever the unscaled norms are finite the decision
-    is theirs.
+    is theirs. An exactly structured input skips the norms (its defect is 0).
     """
     largest = np.abs(arr).max(axis=(-2, -1), initial=0.0)
     if not np.isfinite(largest).all():
         raise ValueError("matrix entries must be finite")
+    if (arr == sign * np.swapaxes(arr, -2, -1)).all():
+        return
     unit = _unit(largest)  # 1 in the scaled units; 1 when nothing is scaled
     scaled = arr * unit[..., None, None]
     d = scaled - sign * np.swapaxes(scaled, -2, -1)

@@ -6,14 +6,15 @@ Every float in JSON, CSV and JSON-lines output is written by one rule,
 re-running a command yields byte-identical files. Each array or table is
 checked for finite values once, before its file is opened. Readers
 validate against the documented schemas and report the offending field
-path.
+path; matrix rows of finite ints and floats are read in one pass, others
+entry by entry, so that the first bad row or entry is named.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -236,6 +237,13 @@ def _int_list(value, path):
 def _rows(value, n, path):
     if not isinstance(value, list) or len(value) != n:
         raise SchemaError(path, f"expected a list of {n} rows")
+    # One pass over rows of n ints and floats; the loop takes any other rows.
+    if (all(type(row) is list and len(row) == n for row in value)
+            and {type(x) for row in value for x in row} <= {float, int}):
+        with suppress(OverflowError):
+            out = np.array(value, dtype=float).reshape(n, n)
+            if np.isfinite(out).all():
+                return out
     out = np.empty((n, n))
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != n:

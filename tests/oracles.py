@@ -15,7 +15,10 @@ pair_block_spectrum predicts the linearization spectrum of a regular
 equilibrium from its normal form alone.
 dumps_per_item is the canonical JSON writer as it was before float arrays
 went through one template: it turns an array into lists and formats a list
-item by item or row by row.
+item by item or row by row. rows_per_entry is the matrix-row reader as it
+was before rows of plain numbers went through one np.array call, and
+structure_check_by_norms is the structure check with no short-circuit for
+exactly structured input: both always take their slow path.
 """
 
 import json
@@ -27,6 +30,8 @@ from scipy.linalg import expm, solve_sylvester
 from scipy.sparse.csgraph import connected_components
 
 import freetop as ft
+from freetop.linalg import STRUCTURE_TOL, _unit
+from freetop.serialize import SchemaError, _number
 
 
 def skew_to_vec(m) -> np.ndarray:
@@ -590,3 +595,37 @@ def dumps_per_item(obj) -> str:
     """Deterministic JSON text: insertion-ordered keys, floats via
     format_float, two-space indentation with lists of scalars on one line."""
     return _emit_per_item(obj, 0)
+
+
+def rows_per_entry(value, n, path):
+    """serialize._rows entry by entry: each row's shape, then each entry
+    through serialize._number, in row-major order."""
+    if not isinstance(value, list) or len(value) != n:
+        raise SchemaError(path, f"expected a list of {n} rows")
+    out = np.empty((n, n))
+    for i, row in enumerate(value):
+        if not isinstance(row, list) or len(row) != n:
+            raise SchemaError(f"{path}[{i}]", f"expected a list of {n} numbers")
+        for j, item in enumerate(row):
+            out[i, j] = _number(item, f"{path}[{i}][{j}]")
+    return out
+
+
+def structure_check_by_norms(arr, sign):
+    """linalg._check_structure with the scaled Frobenius defect always
+    computed: ValueError unless each matrix of arr is finite and its defect
+    ||a - sign a^T|| is within STRUCTURE_TOL of max(1, ||a||)."""
+    largest = np.abs(arr).max(axis=(-2, -1), initial=0.0)
+    if not np.isfinite(largest).all():
+        raise ValueError("matrix entries must be finite")
+    unit = _unit(largest)
+    scaled = arr * unit[..., None, None]
+    d = scaled - sign * np.swapaxes(scaled, -2, -1)
+    defect = np.sqrt((d * d).sum(axis=(-2, -1)))
+    scale = np.maximum(unit, np.sqrt((scaled * scaled).sum(axis=(-2, -1))))
+    if np.any(defect > STRUCTURE_TOL * scale):
+        kind = "symmetric" if sign > 0 else "skew-symmetric"
+        raise ValueError(
+            f"matrix is not {kind}: structural defect {np.max(defect / scale):.3e} "
+            f"relative to max(1, its norm) exceeds {STRUCTURE_TOL:.1e}"
+        )

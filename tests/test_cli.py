@@ -8,6 +8,7 @@ import pytest
 import freetop as ft
 from freetop import _kernels, cli, serialize as ser
 from freetop.cli import main
+from freetop.scenario import run_scenario, scenario_from_doc
 
 from conftest import random_skew, rotation_generator, tilted_momentum
 from recipes import read_recipe
@@ -353,6 +354,18 @@ class TestSimulate:
 
     def test_nonexistent_file(self, capsys):
         assert main(["simulate", "/nonexistent/scenario.json"]) == 2
+
+    def test_jsonl_output_written_in_process(self, tmp_path, capsys):
+        # The JSON-lines branch of simulate, run through main in this process.
+        doc = json.loads(open(spinning_book_scenario(tmp_path)).read())
+        doc["outputs"] = {"trajectory_jsonl": "traj.jsonl"}
+        path = write(tmp_path / "jsonl.json", doc)
+        assert main(["simulate", path, "--output-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        expected = tmp_path / "expected.jsonl"
+        ser.write_trajectory_jsonl(expected, run_scenario(scenario_from_doc(doc)))
+        assert (tmp_path / "out" / "traj.jsonl").read_bytes() == expected.read_bytes()
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["traj.jsonl"]
 
     def test_rerun_overwrites_byte_identically(self, tmp_path):
         scenario = spinning_book_scenario(tmp_path)

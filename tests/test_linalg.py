@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import freetop as ft
+from freetop import linalg
 from freetop.linalg import STRUCTURE_TOL, _check_structure, _fix_column_signs
 
 import oracles
@@ -67,6 +68,53 @@ class TestStructuredStorage:
         _check_structure(stack[~unscaled], sign)
         with pytest.raises(ValueError, match="structural defect"):
             _check_structure(stack, sign)
+
+    @staticmethod
+    def _cases(sign, rng):
+        base = rng.standard_normal((4, 4))
+        exact = base + sign * base.T
+        within, beyond, nonfinite = exact.copy(), exact.copy(), exact.copy()
+        within[0, 1] += 1e-11  # relative defect about 2e-12
+        beyond[0, 1] += 1e-6
+        nonfinite[1, 2], nonfinite[2, 1] = np.inf, sign * np.inf  # == its own transpose
+        huge = 1e308 * np.array([[sign > 0, 1.0], [sign, 0.0]])  # above DBL_MAX / 2
+        stack = np.stack([exact, 2.0 * exact, -exact])
+        return {"exact": exact, "within": within, "beyond": beyond, "nonfinite": nonfinite,
+                "huge": huge, "stack": stack, "stack-within": np.stack([exact, within]),
+                "stack-beyond": np.stack([exact, beyond])}
+
+    @pytest.mark.parametrize("case", ["exact", "within", "beyond", "nonfinite", "huge",
+                                      "stack", "stack-within", "stack-beyond"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_exact_structure_short_circuit_keeps_decision(self, rng, monkeypatch, sign,
+                                                          case):
+        # An exactly structured finite input skips the norms; every input gets
+        # the decision, message and output bits of the tolerance path.
+        a = self._cases(sign, rng)[case]
+        exact = bool(np.isfinite(a).all() and np.array_equal(a, sign * np.swapaxes(a, -2, -1)))
+        assert exact == (case in ("exact", "huge", "stack"))
+
+        def outcome(check):
+            try:
+                check(a, sign)
+            except ValueError as exc:
+                return str(exc)
+
+        expected = outcome(oracles.structure_check_by_norms)
+        assert (expected is None) == (case not in ("beyond", "nonfinite", "stack-beyond"))
+        if exact:  # the norms would need the power-of-two unit
+            monkeypatch.setattr(linalg, "_unit", None)
+        assert outcome(_check_structure) == expected
+        monkeypatch.undo()
+        if a.ndim == 2 and expected is None:
+            part = ft.sym if sign > 0 else ft.skew
+            with np.errstate(over="ignore"):
+                want = 0.5 * (a + sign * a.T)
+                if case == "huge":  # exact, but a_ij + a_ji overflows
+                    with pytest.raises(ValueError, match="structured part overflows"):
+                        part(a)
+                else:
+                    assert part(a).tobytes() == want.tobytes()
 
     def test_near_structured_input_is_exactified(self):
         a = np.array([[0.0, 1.0], [-1.0 + 1e-13, 0.0]])

@@ -139,6 +139,12 @@ class TestScenarioParsing:
         with pytest.raises(SchemaError, match="seed"):
             scenario_from_doc(base_doc(seed="abc"))
 
+    @pytest.mark.parametrize("doc", [[base_doc()], "scenario", None])
+    def test_document_must_be_an_object(self, doc):
+        with pytest.raises(SchemaError) as exc:
+            scenario_from_doc(doc)
+        assert (exc.value.field, str(exc.value)) == ("<root>", "<root>: expected a JSON object")
+
 
 class TestRunScenario:
     def test_recipe_resolution_deterministic(self):

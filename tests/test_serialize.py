@@ -290,6 +290,66 @@ class TestMatrixDocs:
         with pytest.raises(ser.SchemaError, match=r"rows\[1\]\[1\]"):
             ser.matrix_from_doc(doc)
 
+    @pytest.mark.parametrize("literal", ["-0.0", str(2**53 + 1), str(2**64 + 1), str(10**308),
+                                         str(-2**63 - 1), "0.1", "5e-324"])
+    def test_one_pass_reader_matches_per_entry(self, tmp_path, literal):
+        text = ('{"spec_version": "1", "n": 2, "kind": "general", '
+                f'"rows": [[{literal}, 1], [2.5, {literal}]]}}')
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        rows = json.loads(text, parse_int=ser._parse_int)["rows"]
+        out = ser.read_matrix(path)
+        assert out.shape == (2, 2) and out.dtype == np.float64
+        assert out.tobytes() == oracles.rows_per_entry(rows, 2, "rows").tobytes()
+
+    def test_float_subclass_entries_read_entry_by_entry(self):
+        # Rows built in-process may hold numpy scalars: the per-entry path reads them.
+        rows = [[np.float64(0.5), 1], [2, np.float64(-0.0)]]
+        doc = {"spec_version": "1", "n": 2, "kind": "general", "rows": rows}
+        out = ser.matrix_from_doc(doc)
+        assert out.tobytes() == np.array([[0.5, 1.0], [2.0, -0.0]]).tobytes()
+
+    @pytest.mark.parametrize("literal, message", [
+        ("true", "expected a number, got bool"),
+        ('"1.0"', "expected a number, got str"),
+        ("null", "expected a number, got NoneType"),
+        ("[1.0]", "expected a number, got list"),
+        (str(10**400), "integer too large for a double"),
+        ("NaN", "value must be finite"),
+        ("-Infinity", "value must be finite"),
+        ("1" * 5000, "value must be finite"),  # more digits than int() takes: inf
+    ], ids=["bool", "str", "null", "list", "10**400", "nan", "inf", "long-literal"])
+    def test_bad_entry_keeps_field_and_message(self, tmp_path, literal, message):
+        path = tmp_path / "m.json"
+        path.write_text('{"spec_version": "1", "n": 2, "kind": "general", '
+                        f'"rows": [[0.0, 1], [{literal}, 2.0]]}}')
+        with pytest.raises(ser.SchemaError) as exc:
+            ser.read_matrix(path)
+        assert (exc.value.field, str(exc.value)) == ("rows[1][0]", f"rows[1][0]: {message}")
+        rows = ser.load_json(path)["rows"]
+        with pytest.raises(ser.SchemaError) as per_entry:
+            oracles.rows_per_entry(rows, 2, "rows")
+        assert str(per_entry.value) == str(exc.value)
+
+    @pytest.mark.parametrize("rows, field, message", [
+        ([[0.0, 1.0], [1.0]], "rows[1]", "expected a list of 2 numbers"),
+        ([[0.0, 1.0], "row"], "rows[1]", "expected a list of 2 numbers"),
+        ([[True, 1.0], [1.0]], "rows[0][0]", "expected a number, got bool"),
+        ([[0.0, 1.0]], "rows", "expected a list of 2 rows"),
+    ], ids=["short-row", "not-a-list", "entry-before-row", "row-count"])
+    def test_first_bad_row_or_entry_named(self, rows, field, message):
+        # Row-major order: a bad entry of row 0 is named before a short row 1.
+        doc = {"spec_version": "1", "n": 2, "kind": "general", "rows": rows}
+        with pytest.raises(ser.SchemaError) as exc:
+            ser.matrix_from_doc(doc)
+        assert (exc.value.field, str(exc.value)) == (field, f"{field}: {message}")
+
+    def test_boolean_field_named(self):
+        doc = {"spec_version": "1", "n": True, "kind": "general", "rows": [[1.0]]}
+        with pytest.raises(ser.SchemaError) as exc:
+            ser.matrix_from_doc(doc)
+        assert str(exc.value) == "n: expected an integer, got a boolean"
+
     def test_structure_violation_reported_on_rows(self, body3):
         # A body's rows must be symmetric and a momentum's skew, whatever
         # kind the document names; the error names the rows.
@@ -404,6 +464,19 @@ class TestStructureDocs:
         assert exc.value.field == "<root>"
         assert str(exc.value) == "<root>: expected a JSON object"
 
+    @pytest.mark.parametrize("blocks, field, message", [
+        ([3], "blocks[0]", "expected an object"),
+        ([{"omega": 1.0, "axes": [0, 1.5], "A": [[0.0, 1.0], [-1.0, 0.0]]}],
+         "blocks[0].axes[1]", "expected an integer"),
+        ([{"omega": 1.0, "axes": [0, True], "A": [[0.0, 1.0], [-1.0, 0.0]]}],
+         "blocks[0].axes[1]", "expected an integer"),
+    ], ids=["block", "float-axis", "bool-axis"])
+    def test_block_fields_typed(self, blocks, field, message):
+        doc = {"spec_version": "1", "n": 2, "blocks": blocks, "fixed_axes": []}
+        with pytest.raises(ser.SchemaError) as exc:
+            ser.structure_from_doc(doc)
+        assert (exc.value.field, str(exc.value)) == (field, f"{field}: {message}")
+
     def test_block_errors_are_located(self):
         doc = {"spec_version": "1", "n": 2,
                "blocks": [{"omega": 1.0, "axes": [0, 1],
@@ -491,6 +564,14 @@ class TestRecipeDocs:
         with pytest.raises(ser.SchemaError, match="non-negative") as exc:
             scenario_from_doc(doc)
         assert exc.value.field == "seed"
+
+    def test_fixed_axes_must_be_a_list(self):
+        # recipe_from_doc reads fixed_axes with a default, not through _want.
+        doc = {"spec_version": "1", "blocks": [{"omega": 1.0, "axes": [0, 1]}],
+               "fixed_axes": 2}
+        with pytest.raises(ser.SchemaError) as exc:
+            ser.recipe_from_doc(doc)
+        assert str(exc.value) == "fixed_axes: expected a list, got int"
 
     def test_bad_source_located(self):
         doc = {"spec_version": "1",

@@ -480,6 +480,39 @@ class TestNonIsolationSlopes:
         assert 0.8 <= slope <= 1.2
 
 
+def _two_blocks(cluster_tol):
+    a = ft.standard_structure(1)
+    return ft.EquilibriumStructure([ft.FrequencyBlock(omega=2.0, axes=(0, 1), A=a),
+                                    ft.FrequencyBlock(omega=1.0, axes=(2, 3), A=a)],
+                                   (), n=4, cluster_tol=cluster_tol)
+
+
+class TestNumericParameters:
+    @pytest.mark.parametrize("call, field", [
+        (lambda m, body, big: ft.linearize(m, body, tol=big), "tol"),
+        (lambda m, body, big: ft.orbit_kernel(m, body, rank_tol=big), "rank_tol"),
+        (lambda m, body, big: ft.orbit_kernel(m, body, tol=big), "tol"),
+        (lambda m, body, big: ft.instability_probe(m, body, big, 1.0, 100.0), "eps"),
+        (lambda m, body, big: ft.instability_probe(m, body, 1e-6, 1.0, big), "exit_factor"),
+        (lambda m, body, big: ft.instability_probe(m, body, 1e-6, 1.0, 100.0, tol=big), "tol"),
+        (lambda m, body, big: ft.is_equilibrium(m, body, tol=big), "tol"),
+        (lambda m, body, big: ft.classify(m, body, tol=big), "tol"),
+        (lambda m, body, big: ft.classify(m, body, cluster_tol=big), "cluster_tol"),
+        (lambda m, body, big: _two_blocks(big), "cluster_tol"),
+        (lambda m, body, big: ft.stabilizer_dimension(m, rank_tol=big), "rank_tol"),
+        (lambda m, body, big: ft.integrate(m, body, big, 1.0), "dt"),
+    ], ids=["linearize-tol", "orbit_kernel-rank_tol", "orbit_kernel-tol", "probe-eps",
+            "probe-exit_factor", "probe-tol", "is_equilibrium-tol", "classify-tol",
+            "classify-cluster_tol", "structure-cluster_tol", "stabilizer-rank_tol",
+            "integrate-dt"])
+    def test_integer_beyond_double_range(self, body3, call, field):
+        # float() of the int overflows; every numeric parameter refuses it by name.
+        m = ft.skew([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError,
+                           match=f"^{field} is an integer too large for a double$"):
+            call(m, body3, 10**400)
+
+
 class TestInstabilityProbe:
     def test_middle_axis_escapes(self, body3):
         m, _ = principal_momentum_3d(1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .linalg import _check_structure, _readonly, eigen_symmetric, skew, sym
+from .linalg import _check_structure, _double, _readonly, eigen_symmetric, skew, sym
 
 __all__ = [
     "InertiaSpec",
@@ -73,7 +73,7 @@ class InertiaSpec:
 
     @classmethod
     def from_eigenvalues(cls, values) -> "InertiaSpec":
-        vals = np.asarray(values, dtype=float)
+        vals = _double(values, "an eigenvalue", array=True)
         if vals.ndim != 1:  # np.diag would read a 2-d list as its diagonal
             raise ValueError("expected a 1-d list of diagonal values")
         return cls(np.diag(vals))
@@ -224,15 +224,6 @@ class Trajectory:
         f0 = self.invariants[0]
         drift = np.abs(self.invariants - f0).max(axis=0) / np.maximum(1.0, np.abs(f0))
         return {label: float(d) for label, d in zip(labels, drift)}
-
-
-def _double(value, field: str) -> float:
-    """float(value), for a numeric parameter's range check; an integer beyond
-    the double range, which float() refuses, is a ValueError naming field."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{field} is an integer too large for a double") from None
 
 
 def _step_count(span: float, dt: float, record_every: int, name: str = "t_end") -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import math
 import os
 import sys
@@ -47,8 +48,7 @@ from .serialize import (
     structure_to_doc,
     write_json,
     write_probe_curve_csv,
-    write_trajectory_csv,
-    write_trajectory_jsonl,
+    write_trajectory,
 )
 from .scenario import run_scenario, scenario_from_doc
 from .stability import DEFAULT_RANK_TOL, instability_probe, linearize, orbit_kernel
@@ -200,10 +200,9 @@ def _cmd_simulate(args) -> int:
     sc = scenario_from_doc(load_json(args.scenario), seed_override=args.seed)
     paths = _outputs(outdir, {f"outputs.{key}": name for key, name in sc.outputs.items()})
     traj = run_scenario(sc)
-    if "outputs.trajectory_csv" in paths:
-        _write(outdir, write_trajectory_csv, paths["outputs.trajectory_csv"], traj)
-    if "outputs.trajectory_jsonl" in paths:
-        _write(outdir, write_trajectory_jsonl, paths["outputs.trajectory_jsonl"], traj)
+    csv, jsonl = paths.get("outputs.trajectory_csv"), paths.get("outputs.trajectory_jsonl")
+    if csv or jsonl:
+        write_trajectory(traj, csv, jsonl, outdir)
     summary = drift_summary_doc(traj)
     if "outputs.invariants_json" in paths:
         _write(outdir, write_json, paths["outputs.invariants_json"], summary)
@@ -301,7 +300,9 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:  # console script
-    sys.exit(main())
+    code = main()
+    gc.freeze()  # outputs are closed: spare exit's collections the imported objects
+    sys.exit(code)
 
 
 if __name__ == "__main__":

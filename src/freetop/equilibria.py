@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .body import InertiaSpec, _check_dims, _double, _scaled_velocity
-from .linalg import SkewMatrix, skew
+from .body import InertiaSpec, _check_dims, _scaled_velocity
+from .linalg import SkewMatrix, _double, skew
 
 __all__ = [
     "ClassificationError",

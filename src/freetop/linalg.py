@@ -57,13 +57,22 @@ def _check_structure(arr: np.ndarray, sign: float) -> None:
         )
 
 
+def _double(value, field: str, array: bool = False):
+    """float(value), or a float array if array, for a range check; an integer
+    beyond the double range, which both refuse, is a ValueError naming field."""
+    try:
+        return np.array(value, dtype=float) if array else float(value)
+    except OverflowError:
+        raise ValueError(f"{field} is an integer too large for a double") from None
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
 def _structured(entries, sign: float) -> np.ndarray:
-    arr = np.array(entries, dtype=float)
+    arr = _double(entries, "a matrix entry", array=True)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     _check_structure(arr, sign)

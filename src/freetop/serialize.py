@@ -4,7 +4,9 @@ trajectory CSV and JSON-lines export.
 Every float in JSON, CSV and JSON-lines output is written by one rule,
 "%.17g" (format_float), so emitted values parse back bit-exactly and
 re-running a command yields byte-identical files. Each array or table is
-checked for finite values once, before its file is opened. Readers
+checked for finite values once, before its file is opened; a table is
+formatted a block of rows at a time, each float once per block for every
+file that shows it (the trajectory CSV and JSON lines). Readers
 validate against the documented schemas and report the offending field
 path; matrix rows of finite ints and floats are read in one pass, others
 entry by entry, so that the first bad row or entry is named.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 
 import numpy as np
 
@@ -48,6 +50,7 @@ __all__ = [
     "linearization_to_doc",
     "orbit_kernel_to_doc",
     "probe_to_doc",
+    "write_trajectory",
     "write_trajectory_csv",
     "write_trajectory_jsonl",
     "write_probe_curve_csv",
@@ -75,8 +78,8 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _floats(count: int, sep: str = ", ") -> str:
-    return sep.join(["%.17g"] * count)
+def _floats(count: int, sep: str = ", ", field: str = "%.17g") -> str:
+    return sep.join([field] * count)
 
 
 def _float_template(shape: tuple, level: int) -> str:
@@ -470,60 +473,64 @@ def probe_to_doc(res: ProbeResult, eps: float, exit_factor: float) -> dict:
 
 # -- trajectory export -----------------------------------------------------
 
-def _trajectory_columns(traj: Trajectory, n: int) -> list[str]:
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return (["t"] + [f"m_{i}_{j}" for i, j in pairs]
-            + invariant_labels(n, traj.manakov_max_power))
-
-
-def _trajectory_table(traj: Trajectory) -> np.ndarray:
-    """One row per sample: t, upper-triangle momentum entries (row-major)
-    and the invariants."""
-    iu = np.triu_indices(traj.momenta.shape[-1], k=1)
-    return np.column_stack((traj.times, traj.momenta[:, iu[0], iu[1]], traj.invariants))
-
-
 # Rows are formatted a block at a time, so memory stays flat however long
-# the trajectory is.
+# the table is.
 _ROW_BLOCK = 1024
 
 
-def _write_rows(path, table: np.ndarray, template: str, header: str = "") -> None:
-    """Write header, then each table row through a %-template whose
-    "%.17g" fields give the same text as format_float. A table with a
-    non-finite value raises ArithmeticError before the file is opened."""
+def _write_blocks(table: np.ndarray, files: list, outdir=None) -> None:
+    """Write table to each (path, header, template) of files: the header, then
+    a row per template, whose "%s" fields take the row's floats in order. A
+    non-finite table raises ArithmeticError before outdir (made if given) or
+    any file is made; all files are opened before any is written. Each block
+    of rows is formatted once, by "%.17g" as in format_float, for all files."""
     if not np.isfinite(table).all():
-        raise ArithmeticError(f"cannot serialize non-finite values to {path}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header)
+        names = " and ".join(str(path) for path, _, _ in files)
+        raise ArithmeticError(f"cannot serialize non-finite values to {names}")
+    if outdir is not None:
+        outdir.mkdir(parents=True, exist_ok=True)
+    with ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+                   for path, _, _ in files]
+        for fh, (_, header, _) in zip(handles, files):
+            fh.write(header)
         for start in range(0, table.shape[0], _ROW_BLOCK):
-            fh.writelines(template % tuple(row)
-                          for row in table[start:start + _ROW_BLOCK].tolist())
+            block = table[start:start + _ROW_BLOCK]
+            cells = tuple((_floats(block.size, "\n") % tuple(block.ravel().tolist())).split("\n"))
+            for fh, (_, _, template) in zip(handles, files):
+                fh.write(template * block.shape[0] % cells)
+
+
+def write_trajectory(traj: Trajectory, csv=None, jsonl=None, outdir=None) -> None:
+    """The CSV file csv and the JSON-lines file jsonl of traj, whichever are
+    given, in one pass of _write_blocks. Each sample is a row or an object of
+    t, the upper-triangle momentum entries (row-major), energy, casimir_k and
+    manakov_k_j."""
+    n = traj.momenta.shape[-1]
+    iu = np.triu_indices(n, k=1)
+    table = np.column_stack((traj.times, traj.momenta[:, iu[0], iu[1]], traj.invariants))
+    columns = (["t"] + [f"m_{i}_{j}" for i, j in zip(*iu)]
+               + invariant_labels(n, traj.manakov_max_power))
+    jsonl_row = ('{"t": %s, "m_upper": [' + _floats(len(iu[0]), field="%s") + '], "energy": %s, '
+                 '"casimirs": [' + _floats(n // 2, field="%s") + '], "manakov": ['
+                 + _floats(len(manakov_labels(traj.manakov_max_power)), field="%s") + ']}\n')
+    files = [(csv, ",".join(columns) + "\n", _floats(len(columns), ",", "%s") + "\n"),
+             (jsonl, "", jsonl_row)]
+    _write_blocks(table, [file for file in files if file[0] is not None], outdir)
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
-    """Columns: t, upper-triangle momentum entries (row-major), energy,
-    casimir_k, manakov_k_j."""
-    table = _trajectory_table(traj)
-    header = ",".join(_trajectory_columns(traj, traj.momenta.shape[-1])) + "\n"
-    _write_rows(path, table, _floats(table.shape[1], ",") + "\n", header)
+    write_trajectory(traj, csv=path)
 
 
 def write_trajectory_jsonl(path, traj: Trajectory) -> None:
-    """One JSON object per sample, mirroring the CSV fields."""
-    n = traj.momenta.shape[-1]
-    template = (
-        '{"t": %.17g, "m_upper": [' + _floats(n * (n - 1) // 2) + '], "energy": %.17g, '
-        '"casimirs": [' + _floats(n // 2) + '], '
-        '"manakov": [' + _floats(len(manakov_labels(traj.manakov_max_power))) + ']}\n'
-    )
-    _write_rows(path, _trajectory_table(traj), template)
+    write_trajectory(traj, jsonl=path)
 
 
 def write_probe_curve_csv(path, res: ProbeResult) -> None:
     """Columns: t, deviation."""
-    _write_rows(path, np.column_stack((res.times, res.deviations)), "%.17g,%.17g\n",
-                "t,deviation\n")
+    _write_blocks(np.column_stack((res.times, res.deviations)),
+                  [(path, "t,deviation\n", "%s,%s\n")])
 
 
 def drift_summary_doc(traj: Trajectory) -> dict:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .body import InertiaSpec, _check_step, _double, _step_count
+from .body import InertiaSpec, _check_step, _step_count
 from .equilibria import DEFAULT_TOL, _require_stationary
-from .linalg import _unit
+from .linalg import _double, _unit
 
 __all__ = [
     "LinearizationReport",

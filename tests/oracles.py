@@ -19,6 +19,9 @@ item by item or row by row. rows_per_entry is the matrix-row reader as it
 was before rows of plain numbers went through one np.array call, and
 structure_check_by_norms is the structure check with no short-circuit for
 exactly structured input: both always take their slow path.
+write_rows_per_file is the trajectory and probe-curve row writer as it was
+before one formatting pass served every file: each file formats its table
+again, through its own "%.17g" row template.
 """
 
 import json
@@ -30,8 +33,9 @@ from scipy.linalg import expm, solve_sylvester
 from scipy.sparse.csgraph import connected_components
 
 import freetop as ft
+from freetop.body import invariant_labels, manakov_labels
 from freetop.linalg import STRUCTURE_TOL, _unit
-from freetop.serialize import SchemaError, _number
+from freetop.serialize import _ROW_BLOCK, SchemaError, _floats, _number
 
 
 def skew_to_vec(m) -> np.ndarray:
@@ -629,3 +633,50 @@ def structure_check_by_norms(arr, sign):
             f"matrix is not {kind}: structural defect {np.max(defect / scale):.3e} "
             f"relative to max(1, its norm) exceeds {STRUCTURE_TOL:.1e}"
         )
+
+
+def _trajectory_columns(traj, n: int) -> list[str]:
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return (["t"] + [f"m_{i}_{j}" for i, j in pairs]
+            + invariant_labels(n, traj.manakov_max_power))
+
+
+def _trajectory_table(traj) -> np.ndarray:
+    """One row per sample: t, upper-triangle momentum entries (row-major)
+    and the invariants."""
+    iu = np.triu_indices(traj.momenta.shape[-1], k=1)
+    return np.column_stack((traj.times, traj.momenta[:, iu[0], iu[1]], traj.invariants))
+
+
+def write_rows_per_file(path, table: np.ndarray, template: str, header: str = "") -> None:
+    """Write header, then each table row through a %-template whose
+    "%.17g" fields give the same text as format_float. A table with a
+    non-finite value raises ArithmeticError before the file is opened."""
+    if not np.isfinite(table).all():
+        raise ArithmeticError(f"cannot serialize non-finite values to {path}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header)
+        for start in range(0, table.shape[0], _ROW_BLOCK):
+            fh.writelines(template % tuple(row)
+                          for row in table[start:start + _ROW_BLOCK].tolist())
+
+
+def write_trajectory_csv_per_file(path, traj) -> None:
+    table = _trajectory_table(traj)
+    header = ",".join(_trajectory_columns(traj, traj.momenta.shape[-1])) + "\n"
+    write_rows_per_file(path, table, _floats(table.shape[1], ",") + "\n", header)
+
+
+def write_trajectory_jsonl_per_file(path, traj) -> None:
+    n = traj.momenta.shape[-1]
+    template = (
+        '{"t": %.17g, "m_upper": [' + _floats(n * (n - 1) // 2) + '], "energy": %.17g, '
+        '"casimirs": [' + _floats(n // 2) + '], '
+        '"manakov": [' + _floats(len(manakov_labels(traj.manakov_max_power))) + ']}\n'
+    )
+    write_rows_per_file(path, _trajectory_table(traj), template)
+
+
+def write_probe_curve_csv_per_file(path, res) -> None:
+    write_rows_per_file(path, np.column_stack((res.times, res.deviations)), "%.17g,%.17g\n",
+                        "t,deviation\n")

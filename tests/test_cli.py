@@ -1,6 +1,10 @@
+import dataclasses
+import gc
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +303,41 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             "error: numerical failure: invariants became non-finite near t = 0\n")
         assert not outdir.exists()
+
+    def test_non_finite_trajectory_makes_no_directory(self, tmp_path, capsys, monkeypatch):
+        # Both trajectory files come from one table, checked once before the
+        # output directory or either file is made.
+        def broken(sc):
+            traj = run_scenario(sc)
+            bad = traj.momenta.copy()
+            bad[-1, 0, 1] = np.nan
+            return dataclasses.replace(traj, momenta=bad)
+
+        monkeypatch.setattr(cli, "run_scenario", broken)
+        doc = json.loads(open(spinning_book_scenario(tmp_path)).read())
+        doc["outputs"] = {"trajectory_csv": "t.csv", "trajectory_jsonl": "t.jsonl"}
+        outdir = tmp_path / "newdir"
+        assert main(["simulate", write(tmp_path / "s.json", doc),
+                     "--output-dir", str(outdir)]) == 3
+        assert capsys.readouterr().err == (
+            "error: numerical failure: cannot serialize non-finite values to "
+            f"{outdir / 't.csv'} and {outdir / 't.jsonl'}\n")
+        assert not outdir.exists()
+
+    def test_second_trajectory_file_unopenable_exit2(self, tmp_path, capsys):
+        # The two trajectory files are opened before either is written, so
+        # when the JSON-lines file cannot be opened the CSV is left empty.
+        doc = json.loads(open(spinning_book_scenario(tmp_path)).read())
+        doc["outputs"] = {"trajectory_csv": "t.csv", "trajectory_jsonl": "sub",
+                          "report_json": "r.json"}
+        outdir = tmp_path / "out"
+        (outdir / "sub").mkdir(parents=True)
+        assert main(["simulate", write(tmp_path / "s.json", doc),
+                     "--output-dir", str(outdir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid input: [Errno 21] Is a directory: '{outdir / 'sub'}'\n")
+        assert sorted(p.name for p in outdir.iterdir()) == ["sub", "t.csv"]
+        assert (outdir / "t.csv").read_bytes() == b""
 
     @pytest.mark.parametrize("settings", [
         ({"record_every": 7}, "record_every=7 must divide the step count 1000"),
@@ -962,3 +1001,59 @@ class TestConsoleScript:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "simulate" in proc.stdout
+
+    @staticmethod
+    def run_module(tmp_path, *argv):
+        src = str(Path(ft.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "freetop.cli", *argv],
+                              capture_output=True, text=True, cwd=tmp_path, env=env)
+
+    def test_simulate_process_writes_what_main_writes(self, tmp_path, capsys):
+        # The process ends through entrypoint, which skips only the
+        # interpreter's exit-time collections: every output is complete.
+        doc = json.loads(open(spinning_book_scenario(tmp_path)).read())
+        doc["outputs"]["trajectory_jsonl"] = "traj.jsonl"
+        scenario = write(tmp_path / "all.json", doc)
+        assert main(["simulate", scenario, "--output-dir", str(tmp_path / "in")]) == 0
+        proc = self.run_module(tmp_path, "simulate", scenario, "--output-dir", "sub")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        names = ["traj.csv", "traj.jsonl", "drift.json", "report.json"]
+        assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == sorted(names)
+        for name in names:
+            assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "in" / name).read_bytes()
+        # With no outputs the summary goes to stdout.
+        del doc["outputs"]
+        scenario = write(tmp_path / "none.json", doc)
+        assert main(["simulate", scenario]) == 0
+        proc = self.run_module(tmp_path, "simulate", scenario)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+
+    def test_simulate_process_keeps_exit_code_and_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["simulate", missing]) == 2
+        proc = self.run_module(tmp_path, "simulate", missing)
+        assert (proc.returncode, proc.stderr) == (2, capsys.readouterr().err)
+        assert proc.stderr == (
+            f"error: invalid input: [Errno 2] No such file or directory: '{missing}'\n")
+        # The overflowing invariants of TestSimulate.test_overflowing_invariants_exit3;
+        # the guard's warning comes first on stderr.
+        doc = {"spec_version": "1", "body": {"eigenvalues": [1.0, 2.0]},
+               "initial": {"matrix": {"n": 2, "kind": "skew",
+                                      "rows": [[0.0, 1e200], [-1e200, 0.0]]}},
+               "integrator": {"dt": 0.1, "t_end": 0.1, "guard": "warn"},
+               "outputs": {"trajectory_csv": "t.csv"}}
+        proc = self.run_module(tmp_path, "simulate", write(tmp_path / "big.json", doc),
+                               "--output-dir", "newdir")
+        assert proc.returncode == 3
+        assert "UserWarning" in proc.stderr
+        assert proc.stderr.endswith(
+            "\nerror: numerical failure: invariants became non-finite near t = 0\n")
+        assert not (tmp_path / "newdir").exists()
+
+    def test_main_leaves_collector_unfrozen(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        assert main(["simulate", spinning_book_scenario(tmp_path),
+                     "--output-dir", str(tmp_path)]) == 0
+        assert gc.get_freeze_count() == frozen

@@ -32,6 +32,17 @@ class TestStructuredStorage:
         with pytest.raises(ValueError, match="not skew"):
             ft.skew([[0.0, 1e300], [1e300, 0.0]])
 
+    @pytest.mark.parametrize("call, field", [
+        (lambda: ft.sym([[10**400]]), "a matrix entry"),
+        (lambda: ft.skew([[0, 10**400], [-10**400, 0]]), "a matrix entry"),
+        (lambda: ft.InertiaSpec([[1, 0], [0, 10**400]]), "a matrix entry"),
+        (lambda: ft.InertiaSpec.from_eigenvalues([1, 2, 10**400]), "an eigenvalue"),
+    ], ids=["sym", "skew", "InertiaSpec", "from_eigenvalues"])
+    def test_integer_beyond_double_range(self, call, field):
+        # np.array(..., dtype=float) raises OverflowError for such an int.
+        with pytest.raises(ValueError, match=f"^{field} is an integer too large for a double$"):
+            call()
+
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError):
             ft.sym([[1.0, 2.0, 3.0]])

@@ -642,6 +642,45 @@ class TestTrajectoryExport:
                 writer(tmp_path / name, broken)
             assert not (tmp_path / name).exists()
 
+    @pytest.mark.parametrize("n, power", [(2, 2), (3, 2), (3, 3), (8, 2), (8, 3), (8, 4)])
+    def test_one_pass_matches_per_file_writer(self, tmp_path, rng, n, power):
+        # 2 501 samples, more than one block of rows: CSV alone, JSON lines
+        # alone and both from one pass give the bytes of the per-file writer.
+        traj = ft.integrate(random_skew(n, rng), random_body(n, rng), dt=1e-3, t_end=2.5,
+                            manakov_max_power=power)
+        assert traj.times.size == 2501 > ser._ROW_BLOCK
+        oracles.write_trajectory_csv_per_file(tmp_path / "ref.csv", traj)
+        oracles.write_trajectory_jsonl_per_file(tmp_path / "ref.jsonl", traj)
+        ser.write_trajectory_csv(tmp_path / "alone.csv", traj)
+        ser.write_trajectory_jsonl(tmp_path / "alone.jsonl", traj)
+        ser.write_trajectory(traj, csv=tmp_path / "both.csv", jsonl=tmp_path / "both.jsonl")
+        for ext in ("csv", "jsonl"):
+            expected = (tmp_path / f"ref.{ext}").read_bytes()
+            assert (tmp_path / f"alone.{ext}").read_bytes() == expected
+            assert (tmp_path / f"both.{ext}").read_bytes() == expected
+
+    def test_probe_curve_matches_per_file_writer(self, tmp_path, rng):
+        res = ft.ProbeResult(escaped=False, exit_time=None, times=np.arange(2501) * 0.1,
+                             deviations=np.exp(rng.standard_normal(2501)) * 1e-6)
+        ser.write_probe_curve_csv(tmp_path / "curve.csv", res)
+        oracles.write_probe_curve_csv_per_file(tmp_path / "ref.csv", res)
+        assert (tmp_path / "curve.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_non_finite_table_makes_neither_file_nor_directory(self, tmp_path, traj):
+        bad = traj.invariants.copy()
+        bad[-1, 0] = np.inf
+        broken = dataclasses.replace(traj, invariants=bad)
+        outdir = tmp_path / "newdir"
+        with pytest.raises(ArithmeticError,
+                           match=f"non-finite values to {outdir / 't.csv'} and "
+                                 f"{outdir / 't.jsonl'}$"):
+            ser.write_trajectory(broken, csv=outdir / "t.csv", jsonl=outdir / "t.jsonl",
+                                 outdir=outdir)
+        assert not outdir.exists()
+        ser.write_trajectory(traj, csv=outdir / "t.csv", jsonl=outdir / "t.jsonl",
+                             outdir=outdir)
+        assert sorted(p.name for p in outdir.iterdir()) == ["t.csv", "t.jsonl"]
+
     def test_drift_summary_doc(self, traj):
         doc = ser.drift_summary_doc(traj)
         assert doc["samples"] == len(traj.times)

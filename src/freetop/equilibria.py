@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .body import InertiaSpec, _check_dims, _scaled_velocity
-from .linalg import SkewMatrix, _double, skew
+from .linalg import SkewMatrix, _double, _positive, skew
 
 __all__ = [
     "ClassificationError",
@@ -151,7 +151,7 @@ def _check_rate_gaps(rates, cluster_tol: float) -> None:
     from the next: 1 - (w2 / w1)^2 >= cluster_tol."""
     for w1, w2 in zip(rates, rates[1:]):
         gap = 1.0 - (w2 / w1) ** 2
-        if gap < _double(cluster_tol, "cluster_tol"):
+        if gap < cluster_tol:
             raise ValueError(f"block rates {w1:.9g} and {w2:.9g} too close "
                              f"(squared gap {gap:.3e} < {cluster_tol:.1e})")
 
@@ -166,6 +166,7 @@ class EquilibriumStructure:
 
     def __init__(self, blocks, fixed_axes, n: int, residual: float = 0.0,
                  cluster_tol: float = DEFAULT_CLUSTER_TOL):
+        cluster_tol = _positive(cluster_tol, "cluster_tol")
         blocks = tuple(sorted(blocks, key=lambda b: -b.omega))
         fixed_axes = tuple(sorted(int(a) for a in fixed_axes))
         used = [a for b in blocks for a in b.axes] + list(fixed_axes)
@@ -205,8 +206,7 @@ def _stationarity(m, body: InertiaSpec, tol: float):
     """(arr, w, s, e, residual) of a momentum: its checked skew array,
     W~ = w * 2**e from _scaled_velocity, s = w^2, and the stationarity
     residual, which is 0 for the zero momentum."""
-    if not 0 < _double(tol, "tol") < np.inf:
-        raise ValueError("tol must be positive")
+    _positive(tol, "tol")
     arr = skew(m)
     _check_dims(arr, body)
     w, lam, e = _scaled_velocity(arr, body)

@@ -66,6 +66,13 @@ def _double(value, field: str, array: bool = False):
         raise ValueError(f"{field} is an integer too large for a double") from None
 
 
+def _positive(value, field: str) -> float:
+    """_double(value, field), refused by name unless positive and finite."""
+    if not 0 < (value := _double(value, field)) < np.inf:
+        raise ValueError(f"{field} must be positive")
+    return value
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a

@@ -17,9 +17,11 @@ from .equilibria import generate
 from .serialize import (
     SchemaError,
     _at,
-    _check_version,
+    _integer,
     _join,
+    _need,
     _number,
+    _object,
     _seed,
     _want,
     body_from_doc,
@@ -31,6 +33,7 @@ from .serialize import (
 __all__ = ["Scenario", "scenario_from_doc", "run_scenario"]
 
 OUTPUT_KEYS = ("trajectory_csv", "trajectory_jsonl", "invariants_json", "report_json")
+INTEGRATOR_KEYS = ("dt", "t_end", "record_every", "guard", "manakov_max_power")
 
 
 @dataclass
@@ -50,58 +53,44 @@ class Scenario:
 
 
 def scenario_from_doc(doc, seed_override: int | None = None) -> Scenario:
-    if not isinstance(doc, dict):
-        raise SchemaError("<root>", "expected a JSON object")
-    _check_version(doc, "")
-    body = body_from_doc(_want(doc, "body", dict, "", "an object"), "body",
-                         require_version=False)
+    _object(doc, "", ("spec_version", "seed", "body", "initial", "integrator", "outputs"),
+            version=True)
+    body = body_from_doc(_need(doc, "body", ""), "body")
 
     seed = _seed(doc.get("seed", 0), "seed")
     if seed_override is not None:
         seed = seed_override
 
-    raw_initial = _want(doc, "initial", dict, "", "an object")
-    keys = set(raw_initial.keys())
-    if keys == {"matrix"}:
-        m = matrix_from_doc(raw_initial["matrix"], "initial.matrix", require_version=False)
+    raw_initial = _object(_need(doc, "initial", ""), "initial", ("matrix", "recipe"))
+    if len(raw_initial) != 1:
+        raise SchemaError("initial", "expected exactly one of 'matrix' or 'recipe'")
+    if "matrix" in raw_initial:
+        m = matrix_from_doc(raw_initial["matrix"], "initial.matrix")
         initial = momentum_for_body(m, body, "initial.matrix")
-    elif keys == {"recipe"}:
-        structure = recipe_from_doc(raw_initial["recipe"], "initial.recipe",
-                                    default_seed=seed)
+    else:
+        structure = recipe_from_doc(raw_initial["recipe"], "initial.recipe", default_seed=seed)
         with _at("initial.recipe"):
             initial = generate(structure, body)[0].array
-    else:
-        raise SchemaError("initial", "expected exactly one of 'matrix' or 'recipe'")
 
-    integ = _want(doc, "integrator", dict, "", "an object")
+    integ = _object(_need(doc, "integrator", ""), "integrator", INTEGRATOR_KEYS)
     dt = _number(_want(integ, "dt", (int, float), "integrator", "a number"), "integrator.dt")
     t_end = _number(_want(integ, "t_end", (int, float), "integrator", "a number"),
                     "integrator.t_end")
-    record_every = integ.get("record_every", 1)
-    if isinstance(record_every, bool) or not isinstance(record_every, int):
-        raise SchemaError("integrator.record_every", "expected an integer")
+    record_every = _integer(integ.get("record_every", 1), "integrator.record_every")
     guard = integ.get("guard", "reject")
     if guard not in ("reject", "warn"):
         raise SchemaError("integrator.guard", "expected 'reject' or 'warn'")
     max_power = integ.get("manakov_max_power")
-    if max_power is not None:
-        if isinstance(max_power, bool) or not isinstance(max_power, int):
-            raise SchemaError("integrator.manakov_max_power", "expected an integer")
-        if not 2 <= max_power <= body.n:
-            raise SchemaError("integrator.manakov_max_power",
-                              f"expected an integer from 2 to the dimension {body.n}")
+    if max_power is not None and not 2 <= _integer(max_power, "integrator.manakov_max_power") <= body.n:
+        raise SchemaError("integrator.manakov_max_power",
+                          f"expected an integer from 2 to the dimension {body.n}")
     with _at("integrator"):
         records = _sample_count(t_end, dt, record_every)
     if records > sys.maxsize // (8 * body.n * body.n):
         raise SchemaError("integrator", f"{records} samples are more than an array can hold")
 
-    outputs = doc.get("outputs", {})
-    if not isinstance(outputs, dict):
-        raise SchemaError("outputs", "expected an object")
+    outputs = _object(doc.get("outputs", {}), "outputs", OUTPUT_KEYS, noun="output")
     for key, value in outputs.items():
-        if key not in OUTPUT_KEYS:
-            raise SchemaError(_join("outputs", key),
-                              f"unknown output (known: {', '.join(OUTPUT_KEYS)})")
         if not isinstance(value, str) or not value or "\0" in value:
             raise SchemaError(_join("outputs", key), "expected a file name")
 

@@ -6,10 +6,10 @@ Every float in JSON, CSV and JSON-lines output is written by one rule,
 re-running a command yields byte-identical files. Each array or table is
 checked for finite values once, before its file is opened; a table is
 formatted a block of rows at a time, each float once per block for every
-file that shows it (the trajectory CSV and JSON lines). Readers
-validate against the documented schemas and report the offending field
-path; matrix rows of finite ints and floats are read in one pass, others
-entry by entry, so that the first bad row or entry is named.
+file that shows it (the trajectory CSV and JSON lines). Readers hold
+each object to its documented fields (_object) and name the offending
+field path; matrix rows of finite ints and floats are read in one pass,
+others entry by entry, so that the first bad row or entry is named.
 """
 
 from __future__ import annotations
@@ -182,14 +182,17 @@ def _at(path: str):
         raise SchemaError(path, str(exc)) from exc
 
 
-def _want(doc, field, kinds, path, kind_name):
+def _need(doc, field, path):
     if field not in doc:
         raise SchemaError(_join(path, field), "missing required field")
-    value = doc[field]
-    if isinstance(value, bool) and bool not in (kinds if isinstance(kinds, tuple) else (kinds,)):
-        raise SchemaError(_join(path, field), f"expected {kind_name}, got a boolean")
-    if not isinstance(value, kinds):
-        raise SchemaError(_join(path, field), f"expected {kind_name}, got {type(value).__name__}")
+    return doc[field]
+
+
+def _want(doc, field, kinds, path, kind_name):
+    value = _need(doc, field, path)
+    if not isinstance(value, kinds) or isinstance(value, bool) and kinds is not bool:
+        got = "a boolean" if isinstance(value, bool) else type(value).__name__
+        raise SchemaError(_join(path, field), f"expected {kind_name}, got {got}")
     return value
 
 
@@ -200,12 +203,23 @@ def _join(path: str, field) -> str:
     return f"{path}.{field}" if not field.startswith("[") else path + field
 
 
-def _check_version(doc, path):
-    version = _want(doc, "spec_version", str, path, "a string")
-    major = version.split(".", 1)[0]
-    if major != SPEC_VERSION:
-        raise SchemaError(_join(path, "spec_version"),
-                          f"unsupported major version {version!r} (supported: {SPEC_VERSION})")
+def _object(doc, path: str, fields: tuple, version: bool = False, noun: str = "field") -> dict:
+    """doc, checked as an object at path: the one place that decides what an
+    object is, which keys it may hold (fields; any other is a SchemaError on
+    path.key) and how spec_version is read: when present if among fields, and
+    required if version is set, at the root of a file and in a recipe."""
+    if not isinstance(doc, dict):
+        raise SchemaError(path or "<root>",
+                          "expected an object" if path else "expected a JSON object")
+    if version or ("spec_version" in doc and "spec_version" in fields):
+        value = _want(doc, "spec_version", str, path, "a string")
+        if value.split(".", 1)[0] != SPEC_VERSION:
+            raise SchemaError(_join(path, "spec_version"),
+                              f"unsupported major version {value!r} (supported: {SPEC_VERSION})")
+    for key in doc:
+        if key not in fields:
+            raise SchemaError(_join(path, key), f"unknown {noun} (known: {', '.join(fields)})")
+    return doc
 
 
 def _number(value, path):
@@ -226,15 +240,16 @@ def _seed(value, path):
     return value
 
 
+def _integer(value, path):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(path, "expected an integer")
+    return value
+
+
 def _int_list(value, path):
     if not isinstance(value, list):
         raise SchemaError(path, f"expected a list, got {type(value).__name__}")
-    out = []
-    for k, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise SchemaError(f"{path}[{k}]", "expected an integer")
-        out.append(item)
-    return out
+    return [_integer(item, f"{path}[{k}]") for k, item in enumerate(value)]
 
 
 def _rows(value, n, path):
@@ -277,16 +292,13 @@ def matrix_to_doc(m) -> dict:
     }
 
 
-def matrix_from_doc(doc, path: str = "", require_version: bool = True):
+def matrix_from_doc(doc, path: str = ""):
     """The rows of a {"n", "kind", "rows"} document as an array.
 
     The kind must be one of "sym", "skew" and "general", but it does not
     decide how the rows are checked: the role that reads them does
     (body_from_doc, momentum_for_body)."""
-    if not isinstance(doc, dict):
-        raise SchemaError(path or "<root>", "expected a JSON object")
-    if require_version:
-        _check_version(doc, path)
+    _object(doc, path, ("spec_version", "n", "kind", "rows"), version=not path)
     n = _want(doc, "n", int, path, "an integer")
     if n < 1:
         raise SchemaError(_join(path, "n"), "dimension must be positive")
@@ -314,18 +326,15 @@ def momentum_for_body(m, body: InertiaSpec, path: str = "") -> np.ndarray:
     return m
 
 
-def body_from_doc(doc, path: str = "", require_version: bool = True) -> InertiaSpec:
+def body_from_doc(doc, path: str = "") -> InertiaSpec:
     """Inertia from {"eigenvalues": [...]} or a symmetric matrix document."""
-    if not isinstance(doc, dict):
-        raise SchemaError(path or "<root>", "expected a JSON object")
-    if "eigenvalues" in doc:
-        if require_version:
-            _check_version(doc, path)
+    if isinstance(doc, dict) and "eigenvalues" in doc:
+        _object(doc, path, ("spec_version", "eigenvalues"), version=not path)
         raw = _want(doc, "eigenvalues", list, path, "a list")
         vals = [_number(v, f"{_join(path, 'eigenvalues')}[{k}]") for k, v in enumerate(raw)]
         with _at(_join(path, "eigenvalues")):
             return InertiaSpec.from_eigenvalues(vals)
-    rows = matrix_from_doc(doc, path, require_version=require_version)
+    rows = matrix_from_doc(doc, path)
     if doc["kind"] != "sym":
         raise SchemaError(_join(path, "kind"), "inertia matrix must have kind 'sym'")
     with _at(_join(path, "rows")):
@@ -356,27 +365,25 @@ def structure_to_doc(s: EquilibriumStructure) -> dict:
     }
 
 
-def _block_fields(doc, path: str):
+def _block_fields(doc, path: str, field: str):
     """(path, entry, omega, axes) of each entry of a structure's or a
-    recipe's "blocks" list."""
+    recipe's "blocks" list, an object of omega, axes and field."""
     for k, rb in enumerate(_want(doc, "blocks", list, path, "a list")):
         bpath = _join(path, f"blocks[{k}]")
-        if not isinstance(rb, dict):
-            raise SchemaError(bpath, "expected an object")
+        _object(rb, bpath, ("omega", "axes", field))
         omega = _number(_want(rb, "omega", (int, float), bpath, "a number"), _join(bpath, "omega"))
         axes = _int_list(_want(rb, "axes", list, bpath, "a list"), _join(bpath, "axes"))
         yield bpath, rb, omega, axes
 
 
 def structure_from_doc(doc, path: str = "") -> EquilibriumStructure:
-    if not isinstance(doc, dict):
-        raise SchemaError(path or "<root>", "expected a JSON object")
-    _check_version(doc, path)
+    _object(doc, path, ("spec_version", "n", "blocks", "fixed_axes", "regular", "residual"),
+            version=True)
     n = _want(doc, "n", int, path, "an integer")
     if n < 1:
         raise SchemaError(_join(path, "n"), "dimension must be positive")
     blocks = []
-    for bpath, rb, omega, axes in _block_fields(doc, path):
+    for bpath, rb, omega, axes in _block_fields(doc, path, "A"):
         a_rows = _rows(_want(rb, "A", list, bpath, "a list"), len(axes), _join(bpath, "A"))
         with _at(bpath):
             blocks.append(FrequencyBlock(omega=omega, axes=tuple(axes), A=a_rows))
@@ -399,14 +406,12 @@ def recipe_from_doc(doc, path: str = "", default_seed: int | None = None) -> Equ
     random structures are drawn from the seeded stream in recipe order, and
     each block is permuted into ascending axis order. A "seed" field in the
     document is pinned; default_seed fills in when the document has none."""
-    if not isinstance(doc, dict):
-        raise SchemaError(path or "<root>", "expected a JSON object")
-    _check_version(doc, path)
+    _object(doc, path, ("spec_version", "blocks", "fixed_axes", "seed"), version=True)
     seed = doc.get("seed")
     seed = default_seed if seed is None else _seed(seed, _join(path, "seed"))
     rng = None if seed is None else np.random.default_rng(seed)
     blocks = []
-    for bpath, rb, omega, axes in _block_fields(doc, path):
+    for bpath, rb, omega, axes in _block_fields(doc, path, "structure_source"):
         if not axes or len(axes) % 2 != 0:
             raise SchemaError(_join(bpath, "axes"),
                               f"expected a positive even number of axes, got {len(axes)}")
@@ -418,7 +423,7 @@ def recipe_from_doc(doc, path: str = "", default_seed: int | None = None) -> Equ
             if rng is None:
                 raise SchemaError(_join(path, "seed"), "random structures need a seed")
             a = random_structure(len(axes) // 2, rng)
-        elif isinstance(source, dict) and "A" in source:
+        elif isinstance(source, dict) and "A" in _object(source, spath, ("A",)):
             spath = _join(spath, "A")
             a = _rows(source["A"], len(axes), spath)
             with _at(spath):

@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 from .body import InertiaSpec, _check_step, _step_count
 from .equilibria import DEFAULT_TOL, _require_stationary
-from .linalg import _double, _unit
+from .linalg import _double, _positive, _unit
 
 __all__ = [
     "LinearizationReport",
@@ -166,8 +166,7 @@ def orbit_kernel(m_eq, body: InertiaSpec, rank_tol: float = DEFAULT_RANK_TOL,
     taken on their pair blocks (_pair_blocks, with this tol); the rank
     rule applies to all blocks together.
     """
-    if not 0 < _double(rank_tol, "rank_tol") < np.inf:
-        raise ValueError("rank_tol must be positive")
+    _positive(rank_tol, "rank_tol")
     _, w, _, e, _ = _require_stationary(m_eq, body, tol)
     w, groups = _pair_blocks(w, tol)
     lin, ad = _eigenframe_operators(np.ldexp(w, e), body.pair_sums)
@@ -193,7 +192,7 @@ def stabilizer_dimension(m, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Dimension of {xi in so(n) : [xi, m] = 0} for an n x n matrix m."""
     arr = np.asarray(m, dtype=float)
     return _kernel_dim(np.linalg.svd(_ad_matrix(arr, arr.shape[-1]), compute_uv=False),
-                       _double(rank_tol, "rank_tol"))
+                       _positive(rank_tol, "rank_tol"))
 
 
 @dataclass(frozen=True)
@@ -233,8 +232,7 @@ def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
     start, and raises KernelUnavailable where the C kernel of
     `freetop._kernels` cannot be built or loaded.
     """
-    if not 0 < _double(eps, "eps") < np.inf:
-        raise ValueError("eps must be positive")
+    _positive(eps, "eps")
     if not _double(exit_factor, "exit_factor") > 1:
         raise ValueError("exit_factor must exceed 1")
     total = _step_count(horizon, dt, 1, name="horizon")

@@ -31,7 +31,7 @@ class TestScenarioParsing:
     @staticmethod
     def momentum_for_seed(doc, seed):
         """The momentum that the scenario's recipe gives with this seed."""
-        body = body_from_doc(doc["body"], require_version=False)
+        body = body_from_doc(doc["body"], "body")
         structure = recipe_from_doc(doc["initial"]["recipe"], default_seed=seed)
         return generate(structure, body)[0].array
 

@@ -581,6 +581,151 @@ class TestRecipeDocs:
             ser.recipe_from_doc(doc)
 
 
+STANDARD_A = [[0.0, 1.0], [-1.0, 0.0]]
+SKEW_ROWS = [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]
+
+
+def full_documents():
+    """One document of each reader with every field it declares, the
+    optional ones and a nested spec_version included."""
+    matrix = {"spec_version": "1", "n": 3, "kind": "skew", "rows": SKEW_ROWS}
+    return {
+        "matrix": (ser.matrix_from_doc, matrix),
+        "eigenvalue body": (ser.body_from_doc, {"spec_version": "1", "eigenvalues": [1.0, 2.0]}),
+        "matrix body": (ser.body_from_doc,
+                        {"spec_version": "1", "n": 2, "kind": "sym", "rows": [[1.0, 0.0], [0.0, 2.0]]}),
+        "structure": (ser.structure_from_doc,
+                      {"spec_version": "1", "n": 3,
+                       "blocks": [{"omega": 1.0, "axes": [0, 1], "A": STANDARD_A}],
+                       "fixed_axes": [2], "regular": True, "residual": 0.0}),
+        "recipe": (ser.recipe_from_doc,
+                   {"spec_version": "1",
+                    "blocks": [{"omega": 1.0, "axes": [1, 0], "structure_source": {"A": STANDARD_A}}],
+                    "fixed_axes": [2], "seed": 5}),
+        "scenario": (scenario_from_doc,
+                     {"spec_version": "1", "seed": 7,
+                      "body": {"spec_version": "1", "eigenvalues": [1.0, 2.0, 3.0]},
+                      "initial": {"matrix": dict(matrix)},
+                      "integrator": {"dt": 0.01, "t_end": 0.1, "record_every": 5,
+                                     "guard": "reject", "manakov_max_power": 3},
+                      "outputs": {"trajectory_csv": "t.csv", "trajectory_jsonl": "t.jsonl",
+                                  "invariants_json": "i.json", "report_json": "r.json"}}),
+    }
+
+
+def recipe_scenario():
+    """The full scenario with its initial momentum from the full recipe."""
+    doc = full_documents()["scenario"][1]
+    doc["initial"] = {"recipe": full_documents()["recipe"][1]}
+    return doc
+
+
+def object_at(doc, keys):
+    for key in keys:
+        doc = doc[key]
+    return doc
+
+
+class TestUnknownFields:
+    # (document, keys down to the object, unknown key, the field path named)
+    LEVELS = [
+        ("matrix", (), "kindd", "kindd"),
+        ("eigenvalue body", (), "eigenvalue", "eigenvalue"),
+        ("matrix body", (), "eigenvalues_", "eigenvalues_"),
+        ("structure", (), "regullar", "regullar"),
+        ("structure", ("blocks", 0), "B", "blocks[0].B"),
+        ("structure", ("blocks", 0), "spec_version", "blocks[0].spec_version"),
+        ("recipe", (), "sed", "sed"),
+        ("recipe", ("blocks", 0), "structure", "blocks[0].structure"),
+        ("recipe", ("blocks", 0, "structure_source"), "B", "blocks[0].structure_source.B"),
+        ("scenario", (), "manakov_max_power", "manakov_max_power"),
+        ("scenario", ("integrator",), "record_evry", "integrator.record_evry"),
+        ("scenario", ("outputs",), "plot_png", "outputs.plot_png"),
+        ("scenario", ("body",), "n", "body.n"),
+        ("scenario", ("initial",), "momentum", "initial.momentum"),
+        ("scenario", ("initial", "matrix"), "comment", "initial.matrix.comment"),
+    ]
+
+    @pytest.mark.parametrize("name, keys, key, field", LEVELS, ids=[level[3] for level in LEVELS])
+    def test_unknown_key_named_with_known_fields(self, name, keys, key, field):
+        reader, doc = full_documents()[name]
+        reader(doc)  # every declared field is read
+        obj = object_at(doc, keys)
+        known = list(obj)
+        obj[key] = 1
+        with pytest.raises(ser.SchemaError) as exc:
+            reader(doc)
+        assert exc.value.field == field
+        noun = "output" if keys == ("outputs",) else "field"
+        head, listed = str(exc.value).split(" (known: ")
+        assert head == f"{field}: unknown {noun}"
+        assert set(known) <= set(listed.rstrip(")").split(", "))
+
+    @pytest.mark.parametrize("keys, key, field", [
+        ((), "sed", "initial.recipe.sed"),
+        (("blocks", 0), "omegaa", "initial.recipe.blocks[0].omegaa"),
+        (("blocks", 0, "structure_source"), "B", "initial.recipe.blocks[0].structure_source.B"),
+    ], ids=["recipe", "block", "structure_source"])
+    def test_unknown_key_in_scenario_recipe(self, keys, key, field):
+        doc = recipe_scenario()
+        scenario_from_doc(doc)
+        object_at(doc["initial"]["recipe"], keys)[key] = 1
+        with pytest.raises(ser.SchemaError, match=r" \(known: ") as exc:
+            scenario_from_doc(doc)
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("key, value", [("manakov_max_power", 4), ("record_evry", 5)])
+    def test_misplaced_scenario_key_exits_2(self, tmp_path, capsys, key, value):
+        # A key the scenario does not name used to be ignored, and the run
+        # went on with the default power or record_every.
+        doc = full_documents()["scenario"][1]
+        doc[key] = value
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["simulate", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid input: {key}: unknown field (known: spec_version, ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("keys", [("body",), ("initial", "matrix")], ids=["body", "matrix"])
+    def test_nested_spec_version_checked_when_present(self, keys):
+        doc = full_documents()["scenario"][1]
+        obj = object_at(doc, keys)
+        obj["spec_version"] = "1.3"
+        scenario_from_doc(doc)
+        del obj["spec_version"]
+        scenario_from_doc(doc)
+        obj["spec_version"] = "9"
+        with pytest.raises(ser.SchemaError) as exc:
+            scenario_from_doc(doc)
+        field = ".".join(keys) + ".spec_version"
+        assert str(exc.value) == f"{field}: unsupported major version '9' (supported: 1)"
+
+    @pytest.mark.parametrize("name", ["matrix", "eigenvalue body", "matrix body", "structure",
+                                      "recipe"])
+    def test_spec_version_required_at_a_file_root(self, name):
+        reader, doc = full_documents()[name]
+        del doc["spec_version"]
+        with pytest.raises(ser.SchemaError, match="^spec_version: missing required field$"):
+            reader(doc)
+
+    def test_spec_version_required_in_a_scenario_recipe(self):
+        doc = recipe_scenario()
+        del doc["initial"]["recipe"]["spec_version"]
+        with pytest.raises(ser.SchemaError) as exc:
+            scenario_from_doc(doc)
+        assert str(exc.value) == "initial.recipe.spec_version: missing required field"
+
+    @pytest.mark.parametrize("name", ["matrix", "eigenvalue body", "matrix body"])
+    def test_nested_document_spec_version_optional(self, name):
+        reader, doc = full_documents()[name]
+        del doc["spec_version"]
+        reader(doc, "body")
+        doc["spec_version"] = "2"
+        with pytest.raises(ser.SchemaError, match="^body.spec_version: unsupported major"):
+            reader(doc, "body")
+
+
 class TestTrajectoryExport:
     @pytest.fixture
     def traj(self, body4, rng):

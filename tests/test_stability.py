@@ -512,6 +512,23 @@ class TestNumericParameters:
                            match=f"^{field} is an integer too large for a double$"):
             call(m, body3, 10**400)
 
+    @pytest.mark.parametrize("value", [np.nan, 0, -1], ids=["nan", "zero", "negative"])
+    @pytest.mark.parametrize("call, field", [
+        (lambda m, body, bad: _two_blocks(bad), "cluster_tol"),
+        (lambda m, body, bad: ft.stabilizer_dimension(m, rank_tol=bad), "rank_tol"),
+        (lambda m, body, bad: ft.orbit_kernel(m, body, rank_tol=bad), "rank_tol"),
+        (lambda m, body, bad: ft.is_equilibrium(m, body, tol=bad), "tol"),
+        (lambda m, body, bad: ft.instability_probe(m, body, bad, 1.0, 100.0), "eps"),
+    ], ids=["structure-cluster_tol", "stabilizer-rank_tol", "orbit_kernel-rank_tol",
+            "is_equilibrium-tol", "probe-eps"])
+    def test_not_positive(self, body3, call, field, value):
+        # Such a tolerance would switch off the rule it sets: two near rates
+        # would stay two blocks, and the stabilizer of this nonzero skew
+        # matrix, of dimension 1, would read 0.
+        m = ft.skew([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=f"^{field} must be positive$"):
+            call(m, body3, value)
+
 
 class TestInstabilityProbe:
     def test_middle_axis_escapes(self, body3):

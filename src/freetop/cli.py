@@ -45,6 +45,7 @@ from .serialize import (
     read_body,
     read_matrix,
     recipe_from_doc,
+    report_doc,
     structure_to_doc,
     write_json,
     write_probe_curve_csv,
@@ -62,6 +63,11 @@ EXIT_KERNEL = 6
 
 OUTPUT_DIR_ENV = "FREETOP_OUTPUT_DIR"
 
+# The one stability mode that reads each of these options; any other mode
+# refuses it.
+MODE_OF = {"--rank-tol": "kernel", "--seed": "probe", "--eps": "probe", "--horizon": "probe",
+           "--exit-factor": "probe", "--dt": "probe", "--curve-out": "probe"}
+
 
 def _seed_arg(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
@@ -77,6 +83,15 @@ def _positive_arg(text: str) -> float:
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
     return value
+
+
+class _Given(argparse.Action):
+    """Store the option's value and add the option to args.given, so that a
+    stability mode refuses an option of MODE_OF even at its default value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*namespace.given, self.option_strings[0])
 
 
 @functools.cache
@@ -121,19 +136,19 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="orbit-direction kernel vs stabilizer report")
     mode.add_argument("--probe", action="store_true",
                       help="perturbation-growth experiment")
-    p_st.add_argument("--rank-tol", type=_positive_arg, default=DEFAULT_RANK_TOL,
+    p_st.add_argument("--rank-tol", action=_Given, type=_positive_arg, default=DEFAULT_RANK_TOL,
                       help="relative singular-value cutoff (default %(default)g)")
-    p_st.add_argument("--eps", type=_positive_arg, default=1e-6,
+    p_st.add_argument("--eps", action=_Given, type=_positive_arg, default=1e-6,
                       help="probe perturbation size (default %(default)g)")
-    p_st.add_argument("--horizon", type=_positive_arg, default=100.0,
+    p_st.add_argument("--horizon", action=_Given, type=_positive_arg, default=100.0,
                       help="probe time horizon (default %(default)g)")
-    p_st.add_argument("--exit-factor", type=_positive_arg, default=100.0,
+    p_st.add_argument("--exit-factor", action=_Given, type=_positive_arg, default=100.0,
                       help="probe escape threshold factor (default %(default)g)")
-    p_st.add_argument("--dt", type=_positive_arg, default=1e-2,
+    p_st.add_argument("--dt", action=_Given, type=_positive_arg, default=1e-2,
                       help="probe integration step (default %(default)g)")
     p_st.add_argument("--out", default=None,
                       help="write the report JSON here instead of stdout")
-    p_st.add_argument("--curve-out", default=None,
+    p_st.add_argument("--curve-out", action=_Given, default=None,
                       help="write the probe deviation curve CSV here (--probe only)")
 
     # Each command takes only the shared options it reads.
@@ -147,12 +162,12 @@ def _build_parser() -> argparse.ArgumentParser:
             (p_gen, 0, "seed for the recipe's random structures unless the recipe pins a "
                        "seed (default 0)"),
             (p_st, 0, "seed for the --probe perturbation (default 0)")):
-        p.add_argument("--seed", type=_seed_arg, default=default, help=text)
+        p.add_argument("--seed", action=_Given, type=_seed_arg, default=default, help=text)
     for p, handler in ((p_sim, _cmd_simulate), (p_cls, _cmd_classify),
                        (p_gen, _cmd_generate), (p_st, _cmd_stability)):
         p.add_argument("--output-dir", default=None,
                        help=f"directory for output files (default: ${OUTPUT_DIR_ENV} or '.')")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, given=())
     return parser
 
 
@@ -167,7 +182,7 @@ def _outputs(outdir: Path, names: dict) -> dict:
     """The path of each set name of names (label -> file name or None),
     joined to outdir. An empty name, or a name of the same file (by
     os.path.realpath, so through symbolic links) as an earlier one, is a
-    SchemaError on its label. Nothing is made: see _write."""
+    SchemaError on its label. Nothing is made: the writers make outdir."""
     paths, seen = {}, {}
     for label, name in names.items():
         if name is None:
@@ -181,18 +196,11 @@ def _outputs(outdir: Path, names: dict) -> dict:
     return paths
 
 
-def _write(outdir: Path, writer, path, data) -> None:
-    """writer(path, data), after making outdir if need be: a run makes its
-    output directory only when it writes a file there."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    writer(path, data)
-
-
 def _emit(outdir: Path, path, doc) -> None:
     if path is None:
         print(dumps_canonical(doc))
     else:
-        _write(outdir, write_json, path, doc)
+        write_json(path, doc, outdir)
 
 
 def _cmd_simulate(args) -> int:
@@ -205,22 +213,10 @@ def _cmd_simulate(args) -> int:
         write_trajectory(traj, csv, jsonl, outdir)
     summary = drift_summary_doc(traj)
     if "outputs.invariants_json" in paths:
-        _write(outdir, write_json, paths["outputs.invariants_json"], summary)
+        write_json(paths["outputs.invariants_json"], summary, outdir)
     if "outputs.report_json" in paths:
-        report = {
-            "spec_version": summary["spec_version"],
-            "n": sc.body.n,
-            "integrator": "rk4",
-            "dt": traj.step,
-            "t_end": summary["t_end"],
-            "record_every": traj.record_every,
-            "samples": summary["samples"],
-            "seed": sc.seed,
-            "guard": sc.guard,
-            "momentum_displacement": summary["momentum_displacement"],
-            "max_drift": summary["max_drift"],
-        }
-        _write(outdir, write_json, paths["outputs.report_json"], report)
+        write_json(paths["outputs.report_json"], report_doc(summary, traj, sc.seed, sc.guard),
+                   outdir)
     if not paths:
         print(dumps_canonical(summary))
     return EXIT_OK
@@ -251,14 +247,15 @@ def _cmd_generate(args) -> int:
     structure = recipe_from_doc(load_json(args.recipe), default_seed=args.seed)
     with _at("<root>"):
         momentum, structure = generate(structure, body)
-    _write(outdir, write_json, paths["--out-momentum"], matrix_to_doc(momentum))
-    _write(outdir, write_json, paths["--out-structure"], structure_to_doc(structure))
+    write_json(paths["--out-momentum"], matrix_to_doc(momentum), outdir)
+    write_json(paths["--out-structure"], structure_to_doc(structure), outdir)
     return EXIT_OK
 
 
 def _cmd_stability(args) -> int:
-    if args.curve_out is not None and not args.probe:
-        raise SchemaError("--curve-out", "applies to --probe only")
+    for option, mode in MODE_OF.items():
+        if option in args.given and not getattr(args, mode):
+            raise SchemaError(option, f"applies to --{mode} only")
     outdir = _output_dir(args)
     paths = _outputs(outdir, {"--out": args.out, "--curve-out": args.curve_out})
     m, body = _read_momentum_and_body(args)
@@ -272,7 +269,7 @@ def _cmd_stability(args) -> int:
                                    tol=args.tol)
         doc = probe_to_doc(result, eps=args.eps, exit_factor=args.exit_factor)
         if "--curve-out" in paths:
-            _write(outdir, write_probe_curve_csv, paths["--curve-out"], result)
+            write_probe_curve_csv(paths["--curve-out"], result, outdir)
     _emit(outdir, paths.get("--out"), doc)
     return EXIT_OK
 

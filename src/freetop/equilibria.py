@@ -271,7 +271,8 @@ def classify(m, body: InertiaSpec, tol: float = DEFAULT_TOL,
     block that is not a complex structure, or two group rates fail the
     rate-gap rule. Raises ArithmeticError for a rate outside the double range.
     """
-    if not 0 < _double(tol, "tol") < _double(cluster_tol, "cluster_tol"):
+    cluster_tol = _positive(cluster_tol, "cluster_tol")
+    if not 0 < _double(tol, "tol") < cluster_tol:
         raise ValueError("need 0 < tol < cluster_tol")
     _, om_t, s, e, r_eq = _require_stationary(m, body, tol)
     n = body.n

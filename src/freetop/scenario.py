@@ -81,7 +81,8 @@ def scenario_from_doc(doc, seed_override: int | None = None) -> Scenario:
     if guard not in ("reject", "warn"):
         raise SchemaError("integrator.guard", "expected 'reject' or 'warn'")
     max_power = integ.get("manakov_max_power")
-    if max_power is not None and not 2 <= _integer(max_power, "integrator.manakov_max_power") <= body.n:
+    if ("manakov_max_power" in integ
+            and not 2 <= _integer(max_power, "integrator.manakov_max_power") <= body.n):
         raise SchemaError("integrator.manakov_max_power",
                           f"expected an integer from 2 to the dimension {body.n}")
     with _at("integrator"):

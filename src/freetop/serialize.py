@@ -4,9 +4,10 @@ trajectory CSV and JSON-lines export.
 Every float in JSON, CSV and JSON-lines output is written by one rule,
 "%.17g" (format_float), so emitted values parse back bit-exactly and
 re-running a command yields byte-identical files. Each array or table is
-checked for finite values once, before its file is opened; a table is
-formatted a block of rows at a time, each float once per block for every
-file that shows it (the trajectory CSV and JSON lines). Readers hold
+checked for finite values once, before its file (or the output directory
+a writer is given) is made; a table is formatted a block of rows at a
+time, each float once per block for every file that shows it (the
+trajectory CSV and JSON lines). Readers hold
 each object to its documented fields (_object) and name the offending
 field path; matrix rows of finite ints and floats are read in one pass,
 others entry by entry, so that the first bad row or entry is named.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from contextlib import ExitStack, contextmanager, suppress
 
 import numpy as np
@@ -55,6 +57,7 @@ __all__ = [
     "write_trajectory_jsonl",
     "write_probe_curve_csv",
     "drift_summary_doc",
+    "report_doc",
 ]
 
 SPEC_VERSION = "1"
@@ -141,10 +144,13 @@ def dumps_canonical(obj) -> str:
     return _emit(obj, 0)
 
 
-def write_json(path, obj) -> None:
+def write_json(path, obj, outdir=None) -> None:
     """Write obj as canonical JSON. An obj that cannot be serialized raises
-    before the file is opened, so an existing file is left as it was."""
+    before outdir (made if given) or the file is made, so an existing file
+    is left as it was."""
     text = dumps_canonical(obj) + "\n"
+    if outdir is not None:
+        os.makedirs(outdir, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -218,7 +224,10 @@ def _object(doc, path: str, fields: tuple, version: bool = False, noun: str = "f
                               f"unsupported major version {value!r} (supported: {SPEC_VERSION})")
     for key in doc:
         if key not in fields:
-            raise SchemaError(_join(path, key), f"unknown {noun} (known: {', '.join(fields)})")
+            # A key that is not a plain name, such as "" or "a.b", is shown as
+            # ["..."], so that it is visible and not read as a path.
+            name = key if key.isidentifier() else f"[{json.dumps(key)}]"
+            raise SchemaError(_join(path, name), f"unknown {noun} (known: {', '.join(fields)})")
     return doc
 
 
@@ -407,8 +416,7 @@ def recipe_from_doc(doc, path: str = "", default_seed: int | None = None) -> Equ
     each block is permuted into ascending axis order. A "seed" field in the
     document is pinned; default_seed fills in when the document has none."""
     _object(doc, path, ("spec_version", "blocks", "fixed_axes", "seed"), version=True)
-    seed = doc.get("seed")
-    seed = default_seed if seed is None else _seed(seed, _join(path, "seed"))
+    seed = _seed(doc["seed"], _join(path, "seed")) if "seed" in doc else default_seed
     rng = None if seed is None else np.random.default_rng(seed)
     blocks = []
     for bpath, rb, omega, axes in _block_fields(doc, path, "structure_source"):
@@ -493,7 +501,7 @@ def _write_blocks(table: np.ndarray, files: list, outdir=None) -> None:
         names = " and ".join(str(path) for path, _, _ in files)
         raise ArithmeticError(f"cannot serialize non-finite values to {names}")
     if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
+        os.makedirs(outdir, exist_ok=True)
     with ExitStack() as stack:
         handles = [stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
                    for path, _, _ in files]
@@ -532,10 +540,10 @@ def write_trajectory_jsonl(path, traj: Trajectory) -> None:
     write_trajectory(traj, jsonl=path)
 
 
-def write_probe_curve_csv(path, res: ProbeResult) -> None:
+def write_probe_curve_csv(path, res: ProbeResult, outdir=None) -> None:
     """Columns: t, deviation."""
     _write_blocks(np.column_stack((res.times, res.deviations)),
-                  [(path, "t,deviation\n", "%s,%s\n")])
+                  [(path, "t,deviation\n", "%s,%s\n")], outdir)
 
 
 def drift_summary_doc(traj: Trajectory) -> dict:
@@ -549,4 +557,22 @@ def drift_summary_doc(traj: Trajectory) -> dict:
         "momentum_displacement": traj.momentum_displacement(),
         "max_drift": max(summary.values()),
         "drift": summary,
+    }
+
+
+def report_doc(summary: dict, traj: Trajectory, seed: int, guard: str) -> dict:
+    """simulate's run report: the settings of the run that made traj and,
+    from its drift_summary_doc summary, its size and drift."""
+    return {
+        "spec_version": summary["spec_version"],
+        "n": traj.momenta.shape[-1],
+        "integrator": "rk4",
+        "dt": traj.step,
+        "t_end": summary["t_end"],
+        "record_every": traj.record_every,
+        "samples": summary["samples"],
+        "seed": seed,
+        "guard": guard,
+        "momentum_displacement": summary["momentum_displacement"],
+        "max_drift": summary["max_drift"],
     }

@@ -235,6 +235,8 @@ def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
     _positive(eps, "eps")
     if not _double(exit_factor, "exit_factor") > 1:
         raise ValueError("exit_factor must exceed 1")
+    if exit_factor == math.inf:
+        raise ValueError("exit_factor must be finite")
     total = _step_count(horizon, dt, 1, name="horizon")
     record_every = math.gcd(total, max(1, round(min(0.1 / dt, total))))
     arr = _require_stationary(m_eq, body, tol)[0]

@@ -41,6 +41,14 @@ def body4_path(tmp_path):
                  {"spec_version": "1", "eigenvalues": [1.0, 2.0, 3.0, 4.0]})
 
 
+# Each option that one stability mode reads: that mode and the option's
+# default value, at which the other modes refuse it too.
+MODE_OPTIONS = {"--rank-tol": ("kernel", "1e-8"), "--seed": ("probe", "0"),
+                "--eps": ("probe", "1e-6"), "--horizon": ("probe", "100"),
+                "--exit-factor": ("probe", "100"), "--dt": ("probe", "0.01"),
+                "--curve-out": ("probe", "curve.csv")}
+
+
 def spinning_book_scenario(tmp_path, **integrator):
     # Rotation near the middle axis of a book-shaped body, slightly kicked.
     m = np.zeros((3, 3))
@@ -286,6 +294,14 @@ class TestSimulate:
         assert main(["simulate", write(tmp_path / "neg.json", doc),
                      "--output-dir", str(tmp_path)]) == 2
         assert "seed: expected a non-negative integer" in capsys.readouterr().err
+
+    def test_null_manakov_max_power_exit2(self, tmp_path, capsys):
+        # A null power used to run with the default power, as if absent.
+        path = spinning_book_scenario(tmp_path, manakov_max_power=None)
+        assert main(["simulate", path, "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid input: integrator.manakov_max_power: expected an integer\n")
+        assert not (tmp_path / "out").exists()
 
     def test_overflowing_invariants_exit3(self, tmp_path, capsys):
         # In two dimensions the momentum is constant, so it stays finite, but
@@ -650,6 +666,18 @@ class TestGenerateAndStability:
         assert main(["generate", recipe, body4_path, "--output-dir", str(tmp_path)]) == 2
         assert "seed: expected a non-negative integer" in capsys.readouterr().err
 
+    def test_null_recipe_seed_exit2(self, tmp_path, body4_path, capsys):
+        # A null seed used to take --seed, as if the field were absent.
+        recipe = write(tmp_path / "null.json", {
+            "spec_version": "1", "seed": None,
+            "blocks": [{"omega": 1.0, "axes": [0, 1, 2, 3], "structure_source": "random"}],
+            "fixed_axes": []})
+        assert main(["generate", recipe, body4_path, "--seed", "3",
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid input: seed: expected a non-negative integer\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("cmd", ["simulate", "classify", "generate", "stability"])
     def test_negative_seed_flag_rejected_at_parsing(self, tmp_path, body4_path,
                                                     recipe_path, cmd, capsys):
@@ -744,6 +772,20 @@ class TestGenerateAndStability:
             "", "error: invalid input: --curve-out: applies to --probe only\n")
         assert not curve.exists()
 
+    @pytest.mark.parametrize("mode, option", [
+        (mode, option) for mode in ("spectrum", "kernel", "probe")
+        for option, (reader, _) in MODE_OPTIONS.items() if reader != mode])
+    def test_option_of_another_mode_exit2(self, tmp_path, capsys, monkeypatch, mode, option):
+        # 14 pairs. The matrix file does not exist: the option is refused
+        # before any input is read or any directory made.
+        reader, value = MODE_OPTIONS[option]
+        monkeypatch.chdir(tmp_path)
+        assert main(["stability", "missing.json", "b.json", f"--{mode}", option, value,
+                     "--output-dir", "out"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: invalid input: {option}: applies to --{reader} only\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_stability_requires_equilibrium(self, tmp_path, body4_path, rng):
         path = tmp_path / "r.json"
         write(path, ser.matrix_to_doc(random_skew(4, rng)))
@@ -756,8 +798,8 @@ class TestGenerateAndStability:
         m[0, 2], m[0, 1] = 4.0, 3.0
         path = tmp_path / "off.json"
         write(path, ser.matrix_to_doc(ft.skew(m - m.T)))
-        args = ["stability", str(path), body3_path, "--horizon", "1"]
-        assert main(args + ["--probe"]) == 4
+        args = ["stability", str(path), body3_path]
+        assert main(args + ["--probe", "--horizon", "1"]) == 4
         assert "not a stationary rotation" in capsys.readouterr().err
         assert main(args + ["--spectrum"]) == 4
 

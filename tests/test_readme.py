@@ -25,9 +25,12 @@ def test_option_table_matches_parser():
     text = README.read_text(encoding="utf-8")
     table = text.split("Each command takes only the options it reads:\n\n", 1)[1]
     rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", table.split("\n\n", 1)[0], re.M)
-    # A remark in parentheses, such as "(with `--probe` only)", lists no option.
+    # A remark in parentheses, such as "(`--probe` only)", lists no option.
     documented = {command: re.findall(r"`(--[a-z-]+)`", re.sub(r"\(.*?\)", "", cell))
                   for command, cell in rows}
+    # The stability row notes the one mode that reads each option of cli.MODE_OF.
+    modes = re.findall(r"`(--[a-z-]+)` \(`--([a-z]+)` only\)", dict(rows)["stability"])
+    assert dict(modes) == cli.MODE_OF and len(modes) == len(cli.MODE_OF)
     sub = next(a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert sorted(documented) == sorted(sub.choices)
@@ -45,8 +48,9 @@ def _file_formats():
 @pytest.mark.parametrize("lead, reader", [
     ("Matrix (", ser.matrix_from_doc),
     ("Recipe (", ser.recipe_from_doc),
+    ("Classification output", ser.structure_from_doc),
     ("Scenario:", scenario_from_doc),
-], ids=["matrix", "recipe", "scenario"])
+], ids=["matrix", "recipe", "structure", "scenario"])
 def test_file_format_example_reads(lead, reader):
     # The first JSON block after the paragraph that starts with lead; every
     # reader refuses a field it does not name, so the example lists only

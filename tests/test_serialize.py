@@ -116,9 +116,9 @@ class TestWriterMatchesPerItem:
     def written(self, monkeypatch):
         docs = []
 
-        def record(path, doc):
+        def record(path, doc, outdir=None):
             docs.append((path, doc))
-            ser.write_json(path, doc)
+            ser.write_json(path, doc, outdir)
 
         monkeypatch.setattr(cli, "write_json", record)
         return docs
@@ -397,6 +397,14 @@ class TestMatrixDocs:
             ser.write_json(path, {"x": math.nan})
         assert path.read_bytes() == b"previous\n"
 
+    def test_write_json_makes_outdir_only_for_a_serializable_document(self, tmp_path):
+        outdir = tmp_path / "new" / "dir"
+        with pytest.raises(ArithmeticError):
+            ser.write_json(outdir / "out.json", {"x": math.nan}, outdir)
+        assert not (tmp_path / "new").exists()
+        ser.write_json(outdir / "out.json", {"x": 1.0}, str(outdir))
+        assert (outdir / "out.json").read_text() == '{\n  "x": 1\n}\n'
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"n": 1,\n  "kind": }')
@@ -554,6 +562,16 @@ class TestRecipeDocs:
             ser.recipe_from_doc(doc, path)
         assert exc.value.field == field
 
+    @pytest.mark.parametrize("path,field", [("", "seed"),
+                                            ("initial.recipe", "initial.recipe.seed")])
+    def test_null_seed_is_not_an_absent_one(self, path, field):
+        # A null seed used to take default_seed, as if the field were absent.
+        doc = recipe_doc(((0, 1, 2, 3), 1.0, "random"))
+        doc["seed"] = None
+        with pytest.raises(ser.SchemaError, match="non-negative") as exc:
+            ser.recipe_from_doc(doc, path, default_seed=3)
+        assert exc.value.field == field
+
     def test_negative_scenario_seed_located(self):
         doc = {"spec_version": "1", "seed": -1,
                "body": {"eigenvalues": [1.0, 2.0, 3.0]},
@@ -660,6 +678,37 @@ class TestUnknownFields:
         head, listed = str(exc.value).split(" (known: ")
         assert head == f"{field}: unknown {noun}"
         assert set(known) <= set(listed.rstrip(")").split(", "))
+
+    @pytest.mark.parametrize("name, keys, field", [
+        ("matrix", (), '[""]'),
+        ("scenario", ("integrator",), 'integrator[""]'),
+        ("scenario", ("initial", "matrix"), 'initial.matrix[""]'),
+    ], ids=["root", "integrator", "matrix"])
+    def test_key_that_is_not_a_name_is_shown_quoted(self, name, keys, field):
+        # The empty key used to be named by the empty path (or "integrator."),
+        # so the message showed no field.
+        reader, doc = full_documents()[name]
+        object_at(doc, keys)[""] = 1
+        with pytest.raises(ser.SchemaError) as exc:
+            reader(doc)
+        assert exc.value.field == field
+        assert str(exc.value).startswith(f"{field}: unknown field (known: ")
+        obj = object_at(doc, keys)
+        del obj[""]
+        obj["a.b"] = 1
+        with pytest.raises(ser.SchemaError) as exc:
+            reader(doc)
+        assert exc.value.field == field.replace('""', '"a.b"')
+
+    def test_empty_key_named_on_the_command_line(self, tmp_path, capsys):
+        doc = full_documents()["scenario"][1]
+        doc["integrator"][""] = 1
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["simulate", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            'error: invalid input: integrator[""]: unknown field (known: dt, ')
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("keys, key, field", [
         ((), "sed", "initial.recipe.sed"),

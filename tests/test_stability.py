@@ -529,6 +529,24 @@ class TestNumericParameters:
         with pytest.raises(ValueError, match=f"^{field} must be positive$"):
             call(m, body3, value)
 
+    @pytest.mark.parametrize("rate", [0.0, 1.0], ids=["zero", "nonzero"])
+    def test_classify_refuses_infinite_cluster_tol(self, body3, rate):
+        # On the zero momentum this used to be the ValueError of its
+        # structure, on any other an AmbiguousClustering.
+        m = ft.skew([[0.0, 0.0, rate], [0.0, 0.0, 0.0], [-rate, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="^cluster_tol must be positive$"):
+            ft.classify(m, body3, cluster_tol=np.inf)
+
+    @pytest.mark.parametrize("factor, message", [
+        (np.inf, "exit_factor must be finite"), (1.0, "exit_factor must exceed 1"),
+        (0.5, "exit_factor must exceed 1"), (np.nan, "exit_factor must exceed 1")],
+        ids=["inf", "one", "half", "nan"])
+    def test_probe_refuses_exit_factor(self, body3, factor, message):
+        # An infinite factor used to run, escaping only on a non-finite deviation.
+        m = ft.skew([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ft.instability_probe(m, body3, 1e-6, 1.0, factor)
+
 
 class TestInstabilityProbe:
     def test_middle_axis_escapes(self, body3):

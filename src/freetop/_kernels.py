@@ -2,14 +2,17 @@
 
 The momentum flow is integrated in the inertia eigenframe, where the
 momentum-to-velocity map is an entrywise division by the pairwise
-eigenvalue sums. `rk4_momentum` runs the one RK4 loop, in `_rk4.c`. The
-first call builds it once with the system C compiler (``cc`` or ``gcc``)
-into this package's ``__pycache__`` and loads it with ctypes; later
-processes load the cached shared object. It is built at -O3 with a
-separate, constant-size copy of the loop for each n = 2..8, which the
-compiler unrolls and vectorizes (the first build takes under 1 s, once).
-Its results are bit for bit those of the scalar loops in
-`tests/oracles.py`.
+eigenvalue sums and the field [M, W] is [J, W^2], entrywise
+(lambda_i - lambda_j) (W^2)_ij. Both are skew, so the kernel steps the
+strict upper triangle of M and records full, exactly skew matrices.
+`rk4_momentum` runs the one RK4 loop, in `_rk4.c`. The first call builds
+it once with the system C compiler (``cc`` or ``gcc``) into this
+package's ``__pycache__`` and loads it with ctypes; later processes load
+the cached shared object. It is built at -O3 with a separate,
+constant-size copy of the loop for each n = 2..8, which the compiler
+unrolls and vectorizes (the first build takes about 1 s, once). Its
+results are bit for bit those of its -O2 build and of the scalar loops
+in `tests/oracles.py`.
 
 Where the kernel cannot be built or loaded, `rk4_momentum` raises
 KernelUnavailable with the reason. A failed build is not cached, so each
@@ -106,9 +109,14 @@ def _c_kernel():
 def rk4_momentum(m0, pair_sums, dt, nsteps, record_every):
     """Classical RK4 on dM/dt = [M, M / pair_sums] (eigenframe coordinates).
 
-    Returns an array of shape (nsteps // record_every + 1, n, n) holding
-    the state every `record_every` steps, starting with m0. Raises
-    KernelUnavailable where the C kernel cannot be built or loaded.
+    m0 must be exactly skew, since the kernel reads only its upper triangle.
+    pair_sums must be exactly 0.5 * (p_ii + p_jj), that is lambda_i +
+    lambda_j for the moments lambda_i = p_ii / 2, since the kernel takes
+    lambda_i - lambda_j as 0.5 * (p_ii - p_jj). Returns an array of shape
+    (nsteps // record_every + 1, n, n) holding the state every
+    `record_every` steps, starting with m0, each exactly skew with a zero
+    diagonal. Raises KernelUnavailable where the C kernel cannot be built
+    or loaded.
     """
     m0 = np.ascontiguousarray(m0, dtype=np.float64)
     pair_sums = np.ascontiguousarray(pair_sums, dtype=np.float64)
@@ -120,9 +128,16 @@ def rk4_momentum(m0, pair_sums, dt, nsteps, record_every):
     # The C loop takes both counts as int64_t, and ctypes would wrap larger ones.
     if not (0 <= nsteps < 2**63 and 1 <= record_every < 2**63):
         raise ValueError("nsteps must be >= 0 and record_every >= 1, both below 2**63")
+    if not np.array_equal(m0, -m0.T):
+        raise ValueError("m0 must be exactly skew: the kernel reads only its upper triangle")
+    diag = np.diagonal(pair_sums)
+    if not np.array_equal(pair_sums, 0.5 * (diag[:, None] + diag[None, :])):
+        raise ValueError("pair_sums must be exactly 0.5 * (p_ii + p_jj): the kernel takes "
+                         "lambda_i - lambda_j as 0.5 * (p_ii - p_jj)")
     n = m0.shape[0]
+    d = n * (n - 1) // 2
     out = np.empty((nsteps // record_every + 1, n, n))
-    work = np.empty((7, n, n))
+    work = np.empty(9 * d + n * n)
     # Looked up last, so arguments too large to record still raise MemoryError.
     _c_kernel()(m0, pair_sums, float(dt), n, nsteps, record_every, out, work)
     return out

@@ -86,6 +86,13 @@ class InertiaSpec:
         q = self.basis
         return q.T @ np.asarray(a, dtype=float) @ q
 
+    def eigenframe_momentum(self, m) -> np.ndarray:
+        """0.5 * (M~ - M~^T) for M~ = Q^T M Q, of one momentum or a stack
+        (..., n, n): the eigenframe momentum made exactly skew, so rounding
+        in the rotation leaves no diagonal behind."""
+        mt = self.to_eigenframe(m)
+        return 0.5 * (mt - np.swapaxes(mt, -2, -1))
+
     def from_eigenframe(self, a) -> np.ndarray:
         q = self.basis
         return q @ np.asarray(a, dtype=float) @ q.T
@@ -109,14 +116,14 @@ def _scaled_velocity(m: np.ndarray, body: InertiaSpec):
     underflows, and every scaling is by a power of two, hence exact.
     """
     _, a = math.frexp(np.abs(m).max())
-    mt = body.to_eigenframe(np.ldexp(m, -a))
+    mt = body.eigenframe_momentum(np.ldexp(m, -a))
     _, b = math.frexp(body.eigenvalues[-1])
     lam = np.ldexp(body.eigenvalues, -b)
     pair = lam[:, None] + lam[None, :]
     # GAP_TOL keeps every other pair sum above 5e-9 in these units; only
     # 2 * lam[0] can underflow to 0, where M~ is exactly 0.
     pair[0, 0] = 1.0
-    w = 0.5 * (mt - mt.T) / pair
+    w = mt / pair
     _, c = math.frexp(np.abs(w).max())
     return np.ldexp(w, -c), lam, a - b + c
 
@@ -182,9 +189,7 @@ def compute_invariants(m, body: InertiaSpec, max_power: int) -> np.ndarray:
         raise ValueError(f"dimension mismatch: state is {arr.shape}, body is {body.n}")
     _check_structure(arr, -1.0)
     _check_max_power(max_power, body.n)
-    mt = body.to_eigenframe(arr)
-    # exactly skew, so rounding in the rotation leaves no diagonal behind
-    mt = 0.5 * (mt - np.swapaxes(mt, -2, -1))
+    mt = body.eigenframe_momentum(arr)
     energy = 0.25 * np.sum(mt * mt / body.pair_sums, axis=(-2, -1))
     return np.concatenate(
         (energy[..., None], casimirs(mt), _manakov(mt, body, max_power)), axis=-1)
@@ -302,7 +307,7 @@ def integrate(state, body: InertiaSpec, dt: float, t_end: float,
     _check_max_power(manakov_max_power, body.n)
 
     # the kernel records in the eigenframe; rotated back once below
-    momenta = _kernels.rk4_momentum(body.to_eigenframe(m0), body.pair_sums, dt,
+    momenta = _kernels.rk4_momentum(body.eigenframe_momentum(m0), body.pair_sums, dt,
                                     nsteps, record_every)
     times = np.arange(momenta.shape[0]) * record_every * dt
     _require_finite("momentum", momenta, times)

@@ -246,8 +246,8 @@ def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
 
     threshold = exit_factor * eps
 
-    meq_t = body.to_eigenframe(arr)
-    m_t = body.to_eigenframe(m0)
+    meq_t = body.eigenframe_momentum(arr)
+    m_t = body.eigenframe_momentum(m0)
     unit = _unit(max(np.abs(m_t).max(), np.abs(meq_t).max()))
 
     def deviation(m):  # a state that blows up gives inf or NaN, which escapes

@@ -203,60 +203,48 @@ def rk4_momentum_numpy(m0: np.ndarray, pair_sums: np.ndarray, dt: float,
 
 def rk4_momentum_loops(m0, pair_sums, dt, nsteps, record_every):
     """RK4 in the eigenframe as plain scalar loops, in the operation order of
-    the C kernel (`_rk4.c`), so the two agree bit for bit."""
+    the C kernel (`_rk4.c`), so the two agree bit for bit. The state is the
+    strict upper triangle of M; each stage divides it by the pair sums,
+    mirrors W as exactly skew and forms k_ij = (lambda_i - lambda_j) *
+    sum_l W_il W_lj for i < j, every l included, with lambda_i - lambda_j
+    taken as 0.5 * (p_ii - p_jj). Each record is written out as the full
+    matrix with out_ji = -out_ij and a zero diagonal."""
     n = m0.shape[0]
-    nrec = nsteps // record_every
-    out = np.empty((nrec + 1, n, n))
-    for i in range(n):
-        for j in range(n):
-            out[0, i, j] = m0[i, j]
-    m = m0.copy()
-    y = np.empty((n, n))
-    om = np.empty((n, n))
-    k1 = np.empty((n, n))
-    k2 = np.empty((n, n))
-    k3 = np.empty((n, n))
-    k4 = np.empty((n, n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    gap = [0.5 * (pair_sums[i, i] - pair_sums[j, j]) for i, j in pairs]
+    w = np.zeros((n, n))
 
-    def field(src, dst):
-        for i in range(n):
-            for j in range(n):
-                om[i, j] = src[i, j] / pair_sums[i, j]
-        for i in range(n):
-            for j in range(n):
-                acc = 0.0
-                for l in range(n):
-                    acc += src[i, l] * om[l, j]
-                dst[i, j] = acc
-        for i in range(n):
-            dst[i, i] = 0.0
-            for j in range(i + 1, n):
-                c = dst[i, j] - dst[j, i]
-                dst[i, j] = c
-                dst[j, i] = -c
+    def field(src):
+        for (i, j), x in zip(pairs, src):
+            w[i, j] = x / pair_sums[i, j]
+            w[j, i] = -w[i, j]
+        k = []
+        for (i, j), g in zip(pairs, gap):
+            acc = 0.0
+            for l in range(n):
+                acc += w[i, l] * w[l, j]
+            k.append(g * acc)
+        return k
 
+    out = np.zeros((nsteps // record_every + 1, n, n))
+
+    def record(m, r):
+        for (i, j), x in zip(pairs, m):
+            out[r, i, j] = x
+            out[r, j, i] = -x
+
+    m = [m0[i, j] for i, j in pairs]
+    record(m, 0)
     r = 1
     for step in range(nsteps):
-        field(m, k1)
-        for i in range(n):
-            for j in range(n):
-                y[i, j] = m[i, j] + 0.5 * dt * k1[i, j]
-        field(y, k2)
-        for i in range(n):
-            for j in range(n):
-                y[i, j] = m[i, j] + 0.5 * dt * k2[i, j]
-        field(y, k3)
-        for i in range(n):
-            for j in range(n):
-                y[i, j] = m[i, j] + dt * k3[i, j]
-        field(y, k4)
-        for i in range(n):
-            for j in range(n):
-                m[i, j] += (dt / 6.0) * (k1[i, j] + 2.0 * (k2[i, j] + k3[i, j]) + k4[i, j])
+        k1 = field(m)
+        k2 = field([a + 0.5 * dt * b for a, b in zip(m, k1)])
+        k3 = field([a + 0.5 * dt * b for a, b in zip(m, k2)])
+        k4 = field([a + dt * b for a, b in zip(m, k3)])
+        m = [a + (dt / 6.0) * (b1 + 2.0 * (b2 + b3) + b4)
+             for a, b1, b2, b3, b4 in zip(m, k1, k2, k3, k4)]
         if (step + 1) % record_every == 0:
-            for i in range(n):
-                for j in range(n):
-                    out[r, i, j] = m[i, j]
+            record(m, r)
             r += 1
     return out
 

@@ -476,7 +476,7 @@ class TestIntegrate:
         m0 = random_skew(6, rng)
         kwargs = dict(dt=1e-3, t_end=0.2, record_every=20)
         fast = ft.integrate(m0, body6, **kwargs)
-        slow = oracles.rk4_momentum_numpy(body6.to_eigenframe(m0),
+        slow = oracles.rk4_momentum_numpy(body6.eigenframe_momentum(m0),
                                           np.asarray(body6.pair_sums), 1e-3, 200, 20)
         np.testing.assert_allclose(fast.momenta, body6.from_eigenframe(slow), atol=1e-12)
 
@@ -509,14 +509,14 @@ def pinned_inputs(n):
 # moves any bit fails here.
 PINNED_DIGESTS = {
     2: "1846f5d55d2875d0271b6b11c01a10d6f49b86def0d49361d35b4554fbe95be8",
-    3: "23372b4d18070affdcd29edb1561f8beae718b06561048c4db454bbad4351df4",
-    4: "db31930d6d3938f78fa598b54e7249296a1d49194111938fde8678fbe9dab8fc",
-    5: "581a2506a05c72e5f5c1e28ce698507ef1ed72c4eab680979f8b76413b34384b",
-    6: "45b494d6eebd07f0ac26937905443447b6c874e51fc361a366b8102341e1d540",
-    7: "f71d8d5cfb51a3292a38605f8ff0cc961714a27b112a843b2c19805ee91fcb42",
-    8: "5e683f7582d70c273ab659e9b5fc736deeca2483ca55d5e69f39a509267a57df",
-    9: "2bea1620bc8a9c15995dd040661fc3c21f312972ae519d474c6d586d2d36e7f0",
-    10: "c1308b618c985424d95a420406c410d1652508a7f0223286bd97185b46fb0271",
+    3: "55714c13a11ab94ab72da6ebee954d33ecda495af40c319aec124e6c965c8086",
+    4: "32406dbc59b5ec0555d3c6ac946bf0fe31d75b5ffffdfb7b270f1f95b0800cd1",
+    5: "23176c3ac0ad65a81445aefb4adecff935bf70bd591d7721d309f05095f99f85",
+    6: "56b1580bb457d402c6dca3af8c13ce2d878f3eee771f6d50b3b853ccc658c007",
+    7: "cea72ae4369c8d1772c391c2d395a201542f4d164cf9229fea52e53691841896",
+    8: "b185cfe7d38dc646d52583f7eef065d4ec7d155f6e6e213202c3bbe1bf698ff3",
+    9: "23e26bfda3e4db4ceda2e9493125ba3558bb5efd1b026fc9efe8f7ac53ecf7c7",
+    10: "e8c90573fe40f1bfaf9d9d96030ad40a4e35c550068f3bfe8a8125ebf1eac129",
 }
 
 
@@ -526,7 +526,7 @@ class TestKernelTwins:
         kernel = _kernels.rk4_momentum
         for n in range(2, 17):
             body = random_body(n, rng)
-            mt0 = body.to_eigenframe(random_skew(n, rng))
+            mt0 = body.eigenframe_momentum(random_skew(n, rng))
             pair = np.asarray(body.pair_sums)
             a = kernel(mt0, pair, 1e-3, 50, 10)
             b = oracles.rk4_momentum_numpy(mt0, pair, 1e-3, 50, 10)
@@ -543,7 +543,7 @@ class TestKernelTwins:
         # a stage seldom reaches the recorded states; at 5e-2 it does.
         for n in range(2, 10):
             body = random_body(n, rng)
-            mt0 = body.to_eigenframe(random_skew(n, rng))
+            mt0 = body.eigenframe_momentum(random_skew(n, rng))
             pair = np.asarray(body.pair_sums)
             np.testing.assert_array_equal(_kernels.rk4_momentum(mt0, pair, 5e-2, 20, 5),
                                           oracles.rk4_momentum_loops(mt0, pair, 5e-2, 20, 5))
@@ -555,6 +555,57 @@ class TestKernelTwins:
             assert np.isfinite(out).all()
             assert hashlib.sha256(out.astype("<f8").tobytes()).hexdigest() == digest, n
 
+    @NEEDS_CC
+    def test_o2_build_matches(self, tmp_path, monkeypatch):
+        # The -O3 build, with its constant-size copies and its small-n forms,
+        # gives the bits of the same loop built at -O2.
+        fast = {n: _kernels.rk4_momentum(*pinned_inputs(n), 1e-2, 200, 50)
+                for n in PINNED_DIGESTS}
+        assert "-O3" in _kernels._C_FLAGS
+        monkeypatch.setattr(_kernels, "_C_FLAGS",
+                            tuple("-O2" if f == "-O3" else f for f in _kernels._C_FLAGS))
+        monkeypatch.setattr(_kernels, "_CACHE_DIR", tmp_path)
+        _kernels._c_kernel.cache_clear()
+        try:
+            for n, out in fast.items():
+                plain = _kernels.rk4_momentum(*pinned_inputs(n), 1e-2, 200, 50)
+                assert plain.tobytes() == out.tobytes(), n
+        finally:
+            _kernels._c_kernel.cache_clear()
+        assert len(list(tmp_path.glob("_rk4-*.so"))) == 1
+
+    @pytest.mark.parametrize("name", COMPILED)
+    def test_records_exactly_skew(self, name, rng):
+        # Each lower entry is its upper one with the sign bit flipped, and the
+        # diagonal is +0.
+        sign = np.uint64(1 << 63)
+        for n in range(2, 17):
+            body = random_body(n, rng)
+            out = _kernels.rk4_momentum(body.eigenframe_momentum(random_skew(n, rng)),
+                                        body.pair_sums, 5e-2, 20, 5)
+            np.testing.assert_array_equal(out, -out.transpose(0, 2, 1))
+            bits = out.view(np.uint64)
+            iu, ju = np.triu_indices(n, k=1)
+            assert np.array_equal(bits[:, ju, iu], bits[:, iu, ju] ^ sign), n
+            assert not bits[:, np.arange(n), np.arange(n)].any(), n
+
+    @pytest.mark.parametrize("name", COMPILED)
+    def test_two_axes_stay_put(self, name):
+        # At n = 2, W^2 is diagonal, so the field [J, W^2] is exactly 0.
+        m0 = np.array([[0.0, 1.7], [-1.7, 0.0]])
+        out = _kernels.rk4_momentum(m0, np.add.outer([1.0, 2.5], [1.0, 2.5]), 0.1, 1000, 100)
+        assert out.tobytes() == np.broadcast_to(m0, out.shape).tobytes()
+
+    @pytest.mark.parametrize("name", COMPILED)
+    def test_regular_equilibrium_is_a_fixed_point(self, name):
+        # On a diagonal body the eigenframe is a permutation of the axes, and a
+        # regular equilibrium is block diagonal there: every product in
+        # (W~^2)_ij, i != j, has a zero factor, so each stage is exactly 0.
+        body = ft.InertiaSpec.from_eigenvalues([2.2, 1.0, 4.5, 1.6, 3.1])
+        m, _ = ft.generate(read_recipe(((0, 3), 1.3), ((1, 4), 0.7), fixed_axes=(2,)), body)
+        traj = ft.integrate(m, body, dt=1e-2, t_end=10.0, record_every=100)
+        assert traj.momenta.tobytes() == np.broadcast_to(m.array, traj.momenta.shape).tobytes()
+
     @pytest.mark.parametrize("m0, pair_sums, nsteps, record_every, match", [
         (np.zeros((3, 4)), np.zeros((3, 4)), 1, 1, "square and of one shape"),
         (np.zeros((3, 3)), np.zeros((4, 4)), 1, 1, "square and of one shape"),
@@ -562,11 +613,16 @@ class TestKernelTwins:
         (np.zeros((3, 3)), np.zeros((3, 3)), 1, 0, "record_every >= 1"),
         (np.zeros((3, 3)), np.zeros((3, 3)), 2**63, 2**62, "below 2\\*\\*63"),
         (np.zeros((3, 3)), np.zeros((3, 3)), 1, 2**63, "below 2\\*\\*63"),
+        (np.triu(np.ones((3, 3)), 1), np.ones((3, 3)), 1, 1, "m0 must be exactly skew"),
+        (np.zeros((3, 3)), np.array([[2.0, 2.5, 2.0], [2.5, 2.0, 2.0], [2.0, 2.0, 2.0]]),
+         1, 1, "pair_sums must be exactly"),
     ], ids=["m0-not-square", "pair-sums-shape", "negative-nsteps", "record-every-0",
-            "nsteps-beyond-int64", "record-every-beyond-int64"])
+            "nsteps-beyond-int64", "record-every-beyond-int64", "m0-not-skew",
+            "pair-sums-not-of-the-diagonal"])
     def test_c_kernel_checks_arguments(self, m0, pair_sums, nsteps, record_every, match):
-        # Checked before the foreign call, which would read out of bounds or
-        # take a count beyond int64_t modulo 2**64.
+        # Checked before the foreign call, which would read out of bounds,
+        # take a count beyond int64_t modulo 2**64, read only the upper
+        # triangle of m0 or take the moments from the diagonal of pair_sums.
         with pytest.raises(ValueError, match=match):
             _kernels.rk4_momentum(m0, pair_sums, 1e-3, nsteps, record_every)
 
@@ -617,7 +673,7 @@ class TestKernelTwins:
             monkeypatch.setattr(_kernels, "_CACHE_DIR", blocker / "__pycache__")
             reason = "Errno.*" + re.escape(str(blocker))
         body = random_body(5, rng)
-        mt0 = body.to_eigenframe(random_skew(5, rng))
+        mt0 = body.eigenframe_momentum(random_skew(5, rng))
         pair = np.asarray(body.pair_sums)
         _kernels._c_kernel.cache_clear()
         try:
@@ -649,7 +705,7 @@ class TestKernelTwins:
         _kernels._build_c_kernel()
         monkeypatch.setattr(_kernels, "_COMPILERS", (str(tmp_path / "missing-cc"),))
         body = random_body(4, rng)
-        mt0 = body.to_eigenframe(random_skew(4, rng))
+        mt0 = body.eigenframe_momentum(random_skew(4, rng))
         pair = np.asarray(body.pair_sums)
         _kernels._c_kernel.cache_clear()
         try:

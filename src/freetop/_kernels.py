@@ -14,6 +14,19 @@ unrolls and vectorizes (the first build takes about 1 s, once). Its
 results are bit for bit those of its -O2 build and of the scalar loops
 in `tests/oracles.py`.
 
+The loop runs once for each axis set of two or more axes of the exact
+nonzero support of m0 (`linalg._axis_sets`, no tolerance), with the copy
+of that set's size. An
+entry between two sets has a field that is exactly gap * (+0.0) at every
+stage, which the kernel writes in closed form, and a set's sums drop only
+such exact +-0 terms, so finite records keep every bit of the
+whole-matrix loop. A stage costs the sum over the sets of s (s - 1) / 2
+divisions and s^2 (s - 1) / 2 multiply-adds, s the set's size, in place
+of n^2 (n - 1) / 2. An equilibrium on a diagonal body is block diagonal
+in the eigenframe, so it has several sets; on a rotated body the
+eigenframe momentum holds rounding, not zeros, and is one set, which takes
+the whole-matrix loop as it is.
+
 Where the kernel cannot be built or loaded, `rk4_momentum` raises
 KernelUnavailable with the reason. A failed build is not cached, so each
 call tries again. Importing this module neither compiles nor loads the
@@ -31,6 +44,8 @@ import zlib
 from pathlib import Path
 
 import numpy as np
+
+from .linalg import _axis_sets
 
 _C_SOURCE = Path(__file__).with_name("_rk4.c")
 # No -march, no -ffast-math and no -Ofast: results must not depend on the host
@@ -100,10 +115,29 @@ def _c_kernel():
     except OSError as exc:
         raise KernelUnavailable(str(exc)) from exc
     buf = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+    # The axes and set sizes go as plain pointers, NULL for one set: an
+    # ndpointer argument costs about 3 us a call, which a whole matrix would pay.
     fn.argtypes = [buf, buf, ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
-                   ctypes.c_int64, buf, buf]
+                   ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                   buf, buf]
     fn.restype = None
     return fn
+
+
+def _decoupled_sets(m0, pair_sums):
+    """(axes, sizes), both int64, of the axis sets of the exact nonzero support
+    of m0, the axes grouped by set and ascending within each; None for one set.
+    """
+    n = m0.shape[0]
+    # A full row 0 joins every axis in one set, so it needs no search.
+    if n < 2 or np.count_nonzero(m0[0]) == n - 1:
+        return None
+    # m / p is NaN, not +-0, where a pair sum is 0: such a pair joins too.
+    label = _axis_sets((m0 != 0) | (pair_sums == 0))
+    if not label.any():
+        return None
+    return (np.argsort(label, kind="stable").astype(np.int64),
+            np.unique(label, return_counts=True)[1].astype(np.int64))
 
 
 def rk4_momentum(m0, pair_sums, dt, nsteps, record_every):
@@ -115,8 +149,9 @@ def rk4_momentum(m0, pair_sums, dt, nsteps, record_every):
     lambda_i - lambda_j as 0.5 * (p_ii - p_jj). Returns an array of shape
     (nsteps // record_every + 1, n, n) holding the state every
     `record_every` steps, starting with m0, each exactly skew with a zero
-    diagonal. Raises KernelUnavailable where the C kernel cannot be built
-    or loaded.
+    diagonal. Each exactly decoupled axis set of m0 is integrated on its
+    own, with the same bits. Raises KernelUnavailable where the C kernel
+    cannot be built or loaded.
     """
     m0 = np.ascontiguousarray(m0, dtype=np.float64)
     pair_sums = np.ascontiguousarray(pair_sums, dtype=np.float64)
@@ -135,9 +170,18 @@ def rk4_momentum(m0, pair_sums, dt, nsteps, record_every):
         raise ValueError("pair_sums must be exactly 0.5 * (p_ii + p_jj): the kernel takes "
                          "lambda_i - lambda_j as 0.5 * (p_ii - p_jj)")
     n = m0.shape[0]
-    d = n * (n - 1) // 2
-    out = np.empty((nsteps // record_every + 1, n, n))
-    work = np.empty(9 * d + n * n)
+    records = nsteps // record_every + 1
+    out = np.empty((records, n, n))
+    sets = _decoupled_sets(m0, pair_sums)
+    if sets is None:
+        work = np.empty(9 * (n * (n - 1) // 2) + n * n)
+        split = (None, None, 1)
+    else:
+        axes, sizes = sets
+        s = int(sizes.max())
+        # The largest set's m0, pair sums and records, and its loop's scratch.
+        work = np.empty((records + 3) * s * s + 9 * (s * (s - 1) // 2))
+        split = (axes.ctypes.data, sizes.ctypes.data, sizes.size)
     # Looked up last, so arguments too large to record still raise MemoryError.
-    _c_kernel()(m0, pair_sums, float(dt), n, nsteps, record_every, out, work)
+    _c_kernel()(m0, pair_sums, float(dt), n, nsteps, record_every, *split, out, work)
     return out

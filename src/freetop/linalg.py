@@ -78,6 +78,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _axis_sets(support: np.ndarray) -> np.ndarray:
+    """Each axis labelled by the smallest axis of its set: the sets are the
+    connected components of a symmetric boolean n x n support, an axis with
+    no entry off the diagonal alone."""
+    reach = support | np.eye(support.shape[0], dtype=bool)
+    while not np.array_equal(step := reach @ reach, reach):
+        reach = step
+    return np.argmax(reach, axis=1)
+
+
 def _structured(entries, sign: float) -> np.ndarray:
     arr = _double(entries, "a matrix entry", array=True)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:

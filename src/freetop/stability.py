@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 from .body import InertiaSpec, _check_step, _step_count
 from .equilibria import DEFAULT_TOL, _require_stationary
-from .linalg import _double, _positive, _unit
+from .linalg import _axis_sets, _double, _positive, _unit
 
 __all__ = [
     "LinearizationReport",
@@ -115,10 +115,7 @@ def _pair_blocks(w: np.ndarray, tol: float):
     """
     n = w.shape[0]
     w = np.where(np.abs(w) <= tol * np.linalg.norm(w), 0.0, w)
-    reach = (w != 0.0) | np.eye(n, dtype=bool)
-    while not np.array_equal(step := reach @ reach, reach):
-        reach = step
-    label = np.argmax(reach, axis=1)  # each set named by its first axis
+    label = _axis_sets(w != 0.0)
     i, j = np.triu_indices(n, k=1)
     key = np.minimum(label[i], label[j]) * n + np.maximum(label[i], label[j])
     _, block, size = np.unique(key, return_inverse=True, return_counts=True)

@@ -520,6 +520,32 @@ PINNED_DIGESTS = {
 }
 
 
+def split_inputs(sizes):
+    """Eigenframe inputs, made without BLAS, whose momentum is exactly zero
+    between axis sets of the given sizes: the sets take the axes of a seeded
+    permutation in turn, about half the zeros between them are -0, and the
+    seeded moments are unsorted, so the gaps have both signs."""
+    rng = np.random.default_rng(sizes)
+    n = sum(sizes)
+    moments = rng.uniform(1.0, 3.0, n)
+    label = np.repeat(np.arange(len(sizes)), sizes)[rng.permutation(n)]
+    a = rng.standard_normal((n, n))
+    zero = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)
+    a = np.where(label[:, None] == label[None, :], a, zero)
+    return a - a.T, np.add.outer(moments, moments)
+
+
+# SHA-256 of rk4_momentum(*split_inputs(sizes), 1e-2, 200, 50) as little-endian
+# float64, recorded with the kernel that integrated every momentum as one
+# whole matrix: integrating the sets on their own moves no bit. A set of 9
+# axes runs the runtime-size loop.
+SPLIT_DIGESTS = {
+    (2, 4, 9): "f76cec88bfa838654af0c6f66983dc4f04a71d3c5b7bcdeac233e3fc5d9ae7e8",
+    (3, 1, 5): "ce539879ad4a3d9e0d0e05307e55d2483f794109cdfba1da9d2f73e1a378cea3",
+    (8, 8): "dc921bcd4d560f2d6e9a26d308722120d426a9544995c3e596e4fdec08190580",
+}
+
+
 class TestKernelTwins:
     @pytest.mark.parametrize("name", COMPILED)
     def test_twins_bitwise_comparable(self, name, rng):
@@ -555,21 +581,102 @@ class TestKernelTwins:
             assert np.isfinite(out).all()
             assert hashlib.sha256(out.astype("<f8").tobytes()).hexdigest() == digest, n
 
+    @pytest.mark.parametrize("name", COMPILED)
+    def test_split_digests(self, name):
+        for sizes, digest in SPLIT_DIGESTS.items():
+            m0, pair = split_inputs(sizes)
+            _, found = _kernels._decoupled_sets(m0, pair)
+            assert sorted(found) == sorted(sizes), sizes
+            out = _kernels.rk4_momentum(m0, pair, 1e-2, 200, 50)
+            assert np.isfinite(out).all()
+            assert hashlib.sha256(out.astype("<f8").tobytes()).hexdigest() == digest, sizes
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_decoupled_sets_match_oracle(self, n):
+        # One set, several, and the zero momentum, where every axis is alone;
+        # -0 between sets and inside the largest; unsorted moments, so gaps
+        # of both signs; dt of both signs; and no step at all. The scalar
+        # loops integrate the whole matrix, and the kernel matches them bit
+        # for bit.
+        rng = np.random.default_rng(3100 + n)
+        cuts = np.sort(rng.choice(np.arange(1, n), min(n - 1, 1 if n < 6 else 2),
+                                  replace=False))
+        parts = tuple(int(x) for x in np.diff([0, *cuts, n]))
+        for sizes in {(n,), parts, (1,) * n}:
+            m0, pair = split_inputs(sizes)
+            if max(sizes) >= 3:
+                # A -0 inside the largest set, between its axis `a` and
+                # a's first other axis; the set stays one set.
+                a = np.argmax(np.count_nonzero(m0, axis=1))
+                i, j = sorted((a, np.flatnonzero(m0[a])[0]))
+                m0[i, j], m0[j, i] = -0.0, 0.0
+            sets = _kernels._decoupled_sets(m0, pair)
+            assert (None if sets is None else sorted(sets[1])) == (
+                None if len(sizes) == 1 else sorted(sizes)), sizes
+            for dt in (5e-2, -5e-2):
+                for nsteps, every in ((6, 2), (0, 1)):
+                    out = _kernels.rk4_momentum(m0, pair, dt, nsteps, every)
+                    ref = oracles.rk4_momentum_loops(m0, pair, dt, nsteps, every)
+                    assert out.tobytes() == ref.tobytes(), (sizes, dt, nsteps)
+
+    def test_zero_pair_sum_joins_its_axes(self):
+        # Moments 1 and -1 give p_01 = 0, so W_01 = 0 / 0 is NaN, not +-0,
+        # and the whole-matrix loops spread it: axes 0 and 1 are one set
+        # although M_01 = 0, and the kernel gives the loops' NaN records.
+        pair = np.add.outer([1.0, -1.0, 2.0], [1.0, -1.0, 2.0])
+        m0 = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [-0.5, 0.0, 0.0]])
+        assert _kernels._decoupled_sets(m0, pair) is None
+        with np.errstate(all="ignore"):
+            ref = oracles.rk4_momentum_loops(m0, pair, 1e-2, 4, 2)
+        assert np.isnan(ref[1:]).any()
+        np.testing.assert_array_equal(_kernels.rk4_momentum(m0, pair, 1e-2, 4, 2), ref)
+
+    def test_first_non_finite_record_of_a_split(self):
+        # Set {0, 2, 4} blows up; set {1, 3}, whose field is exactly 0, and
+        # axis 5 stay finite in the split, while the whole-matrix loops
+        # spread NaN to every entry through 0 * inf. The first non-finite
+        # record is the same, so is the abort time of integrate, and every
+        # record before it is equal bit for bit.
+        moments = np.array([1.0, 2.5, 3.0, 1.5, 2.0, 4.0])
+        pair = np.add.outer(moments, moments)
+        m0 = np.zeros((6, 6))
+        m0[0, 2], m0[0, 4], m0[2, 4], m0[1, 3] = 30.0, -20.0, 10.0, 0.7
+        m0 = m0 - m0.T
+        with np.errstate(all="ignore"):
+            whole = oracles.rk4_momentum_loops(m0, pair, 1.0, 12, 1)
+        split = _kernels.rk4_momentum(m0, pair, 1.0, 12, 1)
+        bad = ~np.isfinite(whole).all(axis=(1, 2))
+        first = int(np.argmax(bad))
+        assert 0 < first < 12 and bad[first:].all()
+        assert np.argmax(~np.isfinite(split).all(axis=(1, 2))) == first
+        assert split[:first].tobytes() == whole[:first].tobytes()
+        assert np.isnan(whole[-1, 1, 3]) and np.isfinite(split[:, [1, 3, 5]][:, :, [1, 3, 5]]).all()
+        body = ft.InertiaSpec.from_eigenvalues(moments)
+        with np.errstate(all="ignore"):
+            ref = oracles.rk4_momentum_loops(body.eigenframe_momentum(m0), body.pair_sums,
+                                             1.0, 12, 1)
+        t = np.argmax(~np.isfinite(ref).all(axis=(1, 2)))
+        with pytest.warns(UserWarning, match="guard"), pytest.raises(
+                ft.IntegrationAbort, match=f"non-finite near t = {t}$"):
+            ft.integrate(m0, body, dt=1.0, t_end=12.0, guard="warn")
+
     @NEEDS_CC
     def test_o2_build_matches(self, tmp_path, monkeypatch):
         # The -O3 build, with its constant-size copies and its small-n forms,
         # gives the bits of the same loop built at -O2.
-        fast = {n: _kernels.rk4_momentum(*pinned_inputs(n), 1e-2, 200, 50)
-                for n in PINNED_DIGESTS}
+        inputs = {**{n: pinned_inputs(n) for n in PINNED_DIGESTS},
+                  **{sizes: split_inputs(sizes) for sizes in SPLIT_DIGESTS}}
+        fast = {key: _kernels.rk4_momentum(*args, 1e-2, 200, 50)
+                for key, args in inputs.items()}
         assert "-O3" in _kernels._C_FLAGS
         monkeypatch.setattr(_kernels, "_C_FLAGS",
                             tuple("-O2" if f == "-O3" else f for f in _kernels._C_FLAGS))
         monkeypatch.setattr(_kernels, "_CACHE_DIR", tmp_path)
         _kernels._c_kernel.cache_clear()
         try:
-            for n, out in fast.items():
-                plain = _kernels.rk4_momentum(*pinned_inputs(n), 1e-2, 200, 50)
-                assert plain.tobytes() == out.tobytes(), n
+            for key, out in fast.items():
+                plain = _kernels.rk4_momentum(*inputs[key], 1e-2, 200, 50)
+                assert plain.tobytes() == out.tobytes(), key
         finally:
             _kernels._c_kernel.cache_clear()
         assert len(list(tmp_path.glob("_rk4-*.so"))) == 1

@@ -193,6 +193,34 @@ class TestCommutator:
             np.testing.assert_allclose(c, -c.T, atol=1e-13)
 
 
+class TestAxisSets:
+    # Each axis is labelled by the smallest axis of its set, the connected
+    # components of a symmetric boolean support.
+    @staticmethod
+    def support(n, pairs):
+        s = np.zeros((n, n), dtype=bool)
+        for a, b in pairs:
+            s[a, b] = s[b, a] = True
+        return s
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_zero_support_leaves_every_axis_alone(self, n):
+        assert linalg._axis_sets(np.zeros((n, n), dtype=bool)).tolist() == list(range(n))
+
+    def test_chain_is_one_set(self):
+        # A path 0-4-1-5-2-6-3, which takes more than one squaring to close.
+        s = self.support(7, [(0, 4), (4, 1), (1, 5), (5, 2), (2, 6), (6, 3)])
+        assert linalg._axis_sets(s).tolist() == [0] * 7
+
+    def test_interleaved_sets_and_isolated_axes(self):
+        s = self.support(8, [(0, 5), (5, 2), (1, 4), (6, 7)])
+        assert linalg._axis_sets(s).tolist() == [0, 1, 0, 3, 1, 0, 6, 6]
+
+    def test_negative_zero_counts_as_zero(self):
+        m = np.array([[0.0, -0.0, 1.5], [0.0, -0.0, -0.0], [-1.5, 0.0, 0.0]])
+        assert linalg._axis_sets(m != 0).tolist() == [0, 1, 0]
+
+
 class TestEigenSymmetric:
     def test_diagonal_permutation(self):
         lam, basis = ft.eigen_symmetric(np.diag([3.0, 1.0, 2.0]))

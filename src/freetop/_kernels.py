@@ -14,18 +14,15 @@ unrolls and vectorizes (the first build takes about 1 s, once). Its
 results are bit for bit those of its -O2 build and of the scalar loops
 in `tests/oracles.py`.
 
-The loop runs once for each axis set of two or more axes of the exact
-nonzero support of m0 (`linalg._axis_sets`, no tolerance), with the copy
-of that set's size. An
-entry between two sets has a field that is exactly gap * (+0.0) at every
-stage, which the kernel writes in closed form, and a set's sums drop only
-such exact +-0 terms, so finite records keep every bit of the
-whole-matrix loop. A stage costs the sum over the sets of s (s - 1) / 2
-divisions and s^2 (s - 1) / 2 multiply-adds, s the set's size, in place
-of n^2 (n - 1) / 2. An equilibrium on a diagonal body is block diagonal
-in the eigenframe, so it has several sets; on a rotated body the
-eigenframe momentum holds rounding, not zeros, and is one set, which takes
-the whole-matrix loop as it is.
+`rk4_momentum` integrates each axis set of the exact nonzero support of
+m0 (`linalg._axis_sets`, no tolerance) on its own. An entry between two
+sets, or in a set of two axes, has the field gap * (+0.0) at every stage
+and is written here in closed form; each set of three or more runs the
+loop of its size on its own entries, whose sums drop only exact +-0
+terms. Finite records keep every bit of the whole-matrix loop. A regular
+equilibrium on a diagonal body has only pairs and lone axes, so it runs
+no loop; a rotated body's eigenframe momentum holds rounding, not zeros,
+and is one set.
 
 Where the kernel cannot be built or loaded, `rk4_momentum` raises
 KernelUnavailable with the reason. A failed build is not cached, so each
@@ -114,19 +111,16 @@ def _c_kernel():
         fn = ctypes.CDLL(str(_build_c_kernel())).freetop_rk4_momentum
     except OSError as exc:
         raise KernelUnavailable(str(exc)) from exc
-    buf = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-    # The axes and set sizes go as plain pointers, NULL for one set: an
-    # ndpointer argument costs about 3 us a call, which a whole matrix would pay.
-    fn.argtypes = [buf, buf, ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
-                   ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-                   buf, buf]
+    # Plain pointers: an ndpointer argument costs about 3 us a call.
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_int64,
+                   ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
     fn.restype = None
     return fn
 
 
 def _decoupled_sets(m0, pair_sums):
-    """(axes, sizes), both int64, of the axis sets of the exact nonzero support
-    of m0, the axes grouped by set and ascending within each; None for one set.
+    """(axes, sizes) of the axis sets of the exact nonzero support of m0, the
+    axes grouped by set and ascending within each; None for one set.
     """
     n = m0.shape[0]
     # A full row 0 joins every axis in one set, so it needs no search.
@@ -136,22 +130,44 @@ def _decoupled_sets(m0, pair_sums):
     label = _axis_sets((m0 != 0) | (pair_sums == 0))
     if not label.any():
         return None
-    return (np.argsort(label, kind="stable").astype(np.int64),
-            np.unique(label, return_counts=True)[1].astype(np.int64))
+    return np.argsort(label, kind="stable"), np.unique(label, return_counts=True)[1]
+
+
+def _closed_form(m0, pair_sums, dt, out):
+    """Every record as the whole-matrix loop leaves an entry whose stages are
+    all z = gap * (+0.0): m0, then m0 + (dt/6) * (z + 2 * (z + z) + z) from
+    its first step on, a -0 included; lower entries negated, diagonal +0.0.
+    """
+    n = m0.shape[0]
+    p = np.diagonal(pair_sums)
+    z = 0.5 * (p[:, None] - p) * 0.0
+    both = np.stack((m0, m0 + (dt / 6.0) * (z + 2.0 * (z + z) + z)))
+    both = np.where(np.tri(n, k=-1, dtype=bool).T, both, -both.transpose(0, 2, 1))
+    both[:, range(n), range(n)] = 0.0
+    out[0] = both[0]
+    out[1:] = both[1]
+
+
+def _run(kernel, m0, pair_sums, dt, nsteps, record_every, out):
+    """The C loop on m0; each array stays referenced until the call returns."""
+    n = m0.shape[0]
+    work = np.empty(9 * (n * (n - 1) // 2) + n * n)
+    kernel(m0.ctypes.data, pair_sums.ctypes.data, dt, n, nsteps, record_every,
+           out.ctypes.data, work.ctypes.data)
 
 
 def rk4_momentum(m0, pair_sums, dt, nsteps, record_every):
     """Classical RK4 on dM/dt = [M, M / pair_sums] (eigenframe coordinates).
 
     m0 must be exactly skew, since the kernel reads only its upper triangle.
-    pair_sums must be exactly 0.5 * (p_ii + p_jj), that is lambda_i +
+    pair_sums must be exactly 0.5 * p_ii + 0.5 * p_jj, that is lambda_i +
     lambda_j for the moments lambda_i = p_ii / 2, since the kernel takes
     lambda_i - lambda_j as 0.5 * (p_ii - p_jj). Returns an array of shape
     (nsteps // record_every + 1, n, n) holding the state every
     `record_every` steps, starting with m0, each exactly skew with a zero
     diagonal. Each exactly decoupled axis set of m0 is integrated on its
-    own, with the same bits. Raises KernelUnavailable where the C kernel
-    cannot be built or loaded.
+    own, with the same bits, and a set of one or two axes needs no loop.
+    Raises KernelUnavailable where the C kernel cannot be built or loaded.
     """
     m0 = np.ascontiguousarray(m0, dtype=np.float64)
     pair_sums = np.ascontiguousarray(pair_sums, dtype=np.float64)
@@ -165,23 +181,27 @@ def rk4_momentum(m0, pair_sums, dt, nsteps, record_every):
         raise ValueError("nsteps must be >= 0 and record_every >= 1, both below 2**63")
     if not np.array_equal(m0, -m0.T):
         raise ValueError("m0 must be exactly skew: the kernel reads only its upper triangle")
-    diag = np.diagonal(pair_sums)
-    if not np.array_equal(pair_sums, 0.5 * (diag[:, None] + diag[None, :])):
-        raise ValueError("pair_sums must be exactly 0.5 * (p_ii + p_jj): the kernel takes "
-                         "lambda_i - lambda_j as 0.5 * (p_ii - p_jj)")
-    n = m0.shape[0]
-    records = nsteps // record_every + 1
-    out = np.empty((records, n, n))
+    # Halved before the sum, which cannot overflow then; halving is exact.
+    half = 0.5 * np.diagonal(pair_sums)
+    if not np.array_equal(pair_sums, half[:, None] + half):
+        raise ValueError("pair_sums must be exactly 0.5 * p_ii + 0.5 * p_jj: the kernel "
+                         "takes lambda_i - lambda_j as 0.5 * (p_ii - p_jj)")
+    dt = float(dt)
+    out = np.empty((nsteps // record_every + 1, *m0.shape))
+    # Looked up after `out` is made, so arguments too large to record still
+    # raise MemoryError, and on every path, a split with no loop included.
+    kernel = _c_kernel()
     sets = _decoupled_sets(m0, pair_sums)
     if sets is None:
-        work = np.empty(9 * (n * (n - 1) // 2) + n * n)
-        split = (None, None, 1)
-    else:
-        axes, sizes = sets
-        s = int(sizes.max())
-        # The largest set's m0, pair sums and records, and its loop's scratch.
-        work = np.empty((records + 3) * s * s + 9 * (s * (s - 1) // 2))
-        split = (axes.ctypes.data, sizes.ctypes.data, sizes.size)
-    # Looked up last, so arguments too large to record still raise MemoryError.
-    _c_kernel()(m0, pair_sums, float(dt), n, nsteps, record_every, *split, out, work)
+        _run(kernel, m0, pair_sums, dt, nsteps, record_every, out)
+        return out
+    _closed_form(m0, pair_sums, dt, out)
+    axes, sizes = sets
+    for ax in np.split(axes, np.cumsum(sizes)[:-1]):
+        # A pair's loop skips l = i, j, so it computes the closed form.
+        if ax.size > 2:
+            rows = ax[:, None]
+            sub = np.empty((out.shape[0], ax.size, ax.size))
+            _run(kernel, m0[rows, ax], pair_sums[rows, ax], dt, nsteps, record_every, sub)
+            out[:, rows, ax] = sub
     return out

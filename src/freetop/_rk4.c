@@ -20,7 +20,7 @@
  * vectorizes only element-wise loops and keeps each `acc +=` sum in order.
  * The results are bit for bit those of the -O2 build of the same loop.
  *
- * There is one loop body, `rk4`. `freetop_rk4_whole` calls it with a
+ * There is one loop body, `rk4`. `freetop_rk4_momentum` calls it with a
  * literal n for n = 2..8, so the compiler can unroll and vectorize the short
  * loops of each small size, and with the runtime n above that. For n <= 4
  * (`small`) a stage divides in one packed pass before it mirrors, and its
@@ -30,36 +30,13 @@
  * n >= 5 slower. The four stages run as a loop so that `field` is inlined
  * once per size, which keeps the first build near 1 s.
  *
- * `freetop_rk4_momentum` integrates each exactly decoupled axis set on its
- * own. The caller finds the sets of the exact nonzero support of m0 and
- * passes their axes, grouped by set and ascending within each, and their
- * sizes. For i and j in different sets every product W_il W_lj has a factor
- * that is exactly +-0, so the sum, which starts at +0.0, stays +0.0, and each
- * stage of (i, j) is z = gap_ij * (+0.0). `decoupled` writes every entry in
- * that closed form: m0 in record 0 and m0 + (dt/6) * (z + 2 * (z + z) + z)
- * in every later one, which is what the whole-matrix loop computes at its
- * first step and then keeps, a -0 included. Each set of two or more axes
- * then gathers its m0 and pair sums into work, runs `freetop_rk4_whole`,
- * the loop of its size, on them with its records in work too, and copies
- * those into its block of each record through its axes. (Records written
- * through the axes from inside the loop changed GCC's code for the loop of
- * every size and made whole matrices up to 20% slower at some n.) A set's
- * sums drop only the terms of other sets' axes, each an exact +-0, so
- * finite states keep their bits as above.
- * A stage costs the sum over the sets of d_s divisions and s d_s
- * multiply-adds (s axes, d_s = s(s-1)/2) in place of d and n d. With one
- * set (nsets < 2) `freetop_rk4_whole` runs on the whole matrix as before.
- * Once a set turns non-finite, the whole-matrix loop spreads NaN to every
- * entry through 0 * inf and the split does not, so later records differ;
- * the first non-finite record is the same.
+ * `_kernels.rk4_momentum` calls it on the whole matrix, or on each axis set
+ * of three or more that exact zeros split off, and writes the rest itself.
  *
- * All buffers are C-contiguous arrays owned by the caller:
- *   m0, pair_sums  float64 (n, n), m0 exactly skew and
- *                  p_ij = 0.5 * (p_ii + p_jj)
- *   axes, sizes    int64 (n) and (nsets), the sets; unread if nsets < 2
- *   out            float64 (records, n, n), records = nsteps / record_every + 1
- *   work           float64 scratch: 9 * d + n * n for one set; for several,
- *                  (records + 3) * s * s + 9 * d_s for the largest, of s axes
+ * All buffers are C-contiguous float64 arrays owned by the caller:
+ *   m0, pair_sums  (n, n), m0 exactly skew, p_ij = 0.5 p_ii + 0.5 p_jj
+ *   out            (nsteps / record_every + 1, n, n)
+ *   work           9 * d + n * n scratch
  */
 #include <stdint.h>
 
@@ -155,13 +132,9 @@ static inline void rk4(const double *restrict m0,
     }
 }
 
-/* Called, not inlined, and with no PLT entry, so that it compiles to the same
- * code at the same address as when it was the only entry point: its
- * constant-size copies are sensitive to the code around them. */
-__attribute__((noinline, visibility("hidden")))
-void freetop_rk4_whole(const double *m0, const double *pair_sums, double dt,
-                       int64_t n, int64_t nsteps, int64_t record_every,
-                       double *out, double *work)
+void freetop_rk4_momentum(const double *m0, const double *pair_sums, double dt,
+                          int64_t n, int64_t nsteps, int64_t record_every,
+                          double *out, double *work)
 {
 #define RK4_N(size, small) \
     rk4(m0, pair_sums, dt, size, nsteps, record_every, out, work, small)
@@ -176,68 +149,4 @@ void freetop_rk4_whole(const double *m0, const double *pair_sums, double dt,
     default: RK4_N(n, 0); break;
     }
 #undef RK4_N
-}
-
-/* Every entry of every record as the whole-matrix loop leaves an entry of
- * two decoupled sets; each set then overwrites its own block. */
-static void decoupled(const double *m0, const double *pair_sums, double dt,
-                      int64_t n, int64_t records, double *out)
-{
-    const int64_t nn = n * n;
-    double *later = out + nn;
-    for (int64_t i = 0; i < n; i++) {
-        out[i * n + i] = 0.0;
-        for (int64_t j = i + 1; j < n; j++) {
-            out[i * n + j] = m0[i * n + j];
-            out[j * n + i] = -m0[i * n + j];
-        }
-    }
-    if (records < 2)
-        return;
-    for (int64_t i = 0; i < n; i++) {
-        later[i * n + i] = 0.0;
-        for (int64_t j = i + 1; j < n; j++) {
-            const double z =
-                0.5 * (pair_sums[i * n + i] - pair_sums[j * n + j]) * 0.0;
-            const double x =
-                m0[i * n + j] + (dt / 6.0) * (z + 2.0 * (z + z) + z);
-            later[i * n + j] = x;
-            later[j * n + i] = -x;
-        }
-    }
-    for (int64_t r = 2; r < records; r++)
-        for (int64_t k = 0; k < nn; k++)
-            out[r * nn + k] = later[k];
-}
-
-void freetop_rk4_momentum(const double *m0, const double *pair_sums, double dt,
-                          int64_t n, int64_t nsteps, int64_t record_every,
-                          const int64_t *axes, const int64_t *sizes,
-                          int64_t nsets, double *out, double *work)
-{
-    if (nsets < 2) {
-        freetop_rk4_whole(m0, pair_sums, dt, n, nsteps, record_every, out,
-                          work);
-        return;
-    }
-    const int64_t records = nsteps / record_every + 1, nn = n * n;
-    decoupled(m0, pair_sums, dt, n, records, out);
-    for (int64_t s = 0; s < nsets; axes += sizes[s++]) {
-        const int64_t size = sizes[s], ss = size * size;
-        if (size < 2)
-            continue;
-        double *sub_m0 = work, *sub_pair = work + ss, *block = work + 2 * ss;
-        for (int64_t i = 0; i < size; i++)
-            for (int64_t j = 0; j < size; j++) {
-                sub_m0[i * size + j] = m0[axes[i] * n + axes[j]];
-                sub_pair[i * size + j] = pair_sums[axes[i] * n + axes[j]];
-            }
-        freetop_rk4_whole(sub_m0, sub_pair, dt, size, nsteps, record_every,
-                          block, block + records * ss);
-        for (int64_t r = 0; r < records; r++)
-            for (int64_t i = 0; i < size; i++)
-                for (int64_t j = 0; j < size; j++)
-                    out[r * nn + axes[i] * n + axes[j]] =
-                        block[r * ss + i * size + j];
-    }
 }

@@ -247,31 +247,36 @@ def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
     m_t = body.eigenframe_momentum(m0)
     unit = _unit(max(np.abs(m_t).max(), np.abs(meq_t).max()))
 
-    def deviation(m):  # a state that blows up gives inf or NaN, which escapes
-        return float(np.linalg.norm((m - meq_t) * unit) / unit)
+    def deviations(m):
+        # Each row times itself is a BLAS dot, as np.linalg.norm of one matrix
+        # is, so the bits are that norm's. A blown-up state gives inf or NaN,
+        # which escapes, also past the first escape, where none is kept.
+        with np.errstate(over="ignore"):
+            d = ((m - meq_t) * unit).reshape(len(m), 1, -1)
+            return np.sqrt((d @ d.transpose(0, 2, 1))[:, 0, 0]) / unit
 
-    times = [0.0]
-    devs = [deviation(m_t)]
+    times = [np.zeros(1)]
+    devs = [deviations(m_t[None])]
     exit_time = None
     done = 0
     chunk_records = 32
     while done < total and exit_time is None:
         nsteps = min(chunk_records * record_every, total - done)
         rec = _kernels.rk4_momentum(m_t, body.pair_sums, dt, nsteps, record_every)
-        for r in range(1, rec.shape[0]):
-            t = (done + r * record_every) * dt
-            dev = deviation(rec[r])
-            if np.isfinite(dev):
-                times.append(t)
-                devs.append(dev)
-            if not dev < threshold:
-                exit_time = t
-                break
+        t = (done + record_every * np.arange(1, len(rec))) * dt
+        dev = deviations(rec[1:])
+        escape = np.flatnonzero(~(dev < threshold))
+        if escape.size:
+            exit_time = float(t[escape[0]])
+            t, dev = t[:escape[0] + 1], dev[:escape[0] + 1]
+        finite = np.isfinite(dev)
+        times.append(t[finite])
+        devs.append(dev[finite])
         m_t = rec[-1]
         done += nsteps
     return ProbeResult(
         escaped=exit_time is not None,
         exit_time=exit_time,
-        times=np.array(times),
-        deviations=np.array(devs),
+        times=np.concatenate(times),
+        deviations=np.concatenate(devs),
     )

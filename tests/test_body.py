@@ -543,6 +543,8 @@ SPLIT_DIGESTS = {
     (2, 4, 9): "f76cec88bfa838654af0c6f66983dc4f04a71d3c5b7bcdeac233e3fc5d9ae7e8",
     (3, 1, 5): "ce539879ad4a3d9e0d0e05307e55d2483f794109cdfba1da9d2f73e1a378cea3",
     (8, 8): "dc921bcd4d560f2d6e9a26d308722120d426a9544995c3e596e4fdec08190580",
+    (2, 3, 2, 1): "2ca00bab0086fd7607622a9fe65ba9e8a1d3eaca8b6bd36fa77aba78a69fc6f9",
+    (2, 2, 2, 2): "c494586597c810fb7d020b3cd596411961abf60cabc38c89f1c3d7ee8efcfffb",
 }
 
 
@@ -618,6 +620,41 @@ class TestKernelTwins:
                     out = _kernels.rk4_momentum(m0, pair, dt, nsteps, every)
                     ref = oracles.rk4_momentum_loops(m0, pair, dt, nsteps, every)
                     assert out.tobytes() == ref.tobytes(), (sizes, dt, nsteps)
+
+    def test_pairs_and_lone_axes_need_no_loop(self, monkeypatch):
+        # A set of two axes, as a lone axis, is written in closed form: the
+        # loop runs once per set of three or more, at that set's size. A
+        # regular equilibrium on a diagonal body has no larger set.
+        kernel = _kernels._c_kernel()
+        sizes_run = []
+
+        def counted(*args):
+            sizes_run.append(args[3])
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "_c_kernel", lambda: counted)
+        for sizes, loops in [((2, 2, 2, 2), []), ((2, 1, 2), []), ((1, 1, 1), []),
+                             ((2, 3, 2, 1), [3]), ((3, 1, 5), [3, 5])]:
+            m0, pair = split_inputs(sizes)
+            for dt in (5e-2, -5e-2):
+                out = _kernels.rk4_momentum(m0, pair, dt, 6, 2)
+                ref = oracles.rk4_momentum_loops(m0, pair, dt, 6, 2)
+                assert out.tobytes() == ref.tobytes(), (sizes, dt)
+            assert sorted(sizes_run) == sorted(loops * 2), sizes
+            sizes_run.clear()
+        body = ft.InertiaSpec.from_eigenvalues([2.2, 1.0, 4.5, 1.6, 3.1, 0.7])
+        m, _ = ft.generate(read_recipe(((0, 3), 1.3), ((1, 4), 0.7), ((2, 5), 0.4)), body)
+        traj = ft.integrate(m, body, dt=1e-2, t_end=1.0, record_every=10)
+        assert traj.momenta.tobytes() == np.broadcast_to(m.array, traj.momenta.shape).tobytes()
+        assert sizes_run == []
+
+    def test_pair_sums_of_moments_near_the_double_limit(self):
+        # 0.5 * (p_11 + p_11) overflows for this body; 0.5 * p_11 + 0.5 * p_11
+        # does not, so the check accepts its exact pair sums.
+        body = ft.InertiaSpec(np.diag([1.0, 4.49423283715579e+307]))
+        m0 = np.array([[0.0, 2.0], [-2.0, 0.0]])
+        out = _kernels.rk4_momentum(m0, body.pair_sums, 0.1, 3, 1)
+        assert out.tobytes() == oracles.rk4_momentum_loops(m0, body.pair_sums, 0.1, 3, 1).tobytes()
 
     def test_zero_pair_sum_joins_its_axes(self):
         # Moments 1 and -1 give p_01 = 0, so W_01 = 0 / 0 is NaN, not +-0,
@@ -734,16 +771,17 @@ class TestKernelTwins:
             _kernels.rk4_momentum(m0, pair_sums, 1e-3, nsteps, record_every)
 
     def test_c_kernel_refuses_when_unusable(self, tmp_path, monkeypatch):
-        # A built file that does not load: the loader's reason, on every call.
+        # A built file that does not load: the loader's reason, on every call,
+        # also for lone axes and pairs, which need no loop.
         broken = tmp_path / "_rk4-broken.so"
         broken.write_text("not a shared object\n")
         monkeypatch.setattr(_kernels, "_build_c_kernel", lambda: broken)
         _kernels._c_kernel.cache_clear()
         try:
-            for _ in range(2):
+            for m0, pair in [(np.zeros((3, 3)), np.ones((3, 3))), split_inputs((2, 2, 2, 2))]:
                 with pytest.raises(_kernels.KernelUnavailable,
                                    match=re.escape(str(broken))) as exc:
-                    _kernels.rk4_momentum(np.zeros((3, 3)), np.ones((3, 3)), 1e-3, 1, 1)
+                    _kernels.rk4_momentum(m0, pair, 1e-3, 1, 1)
                 assert isinstance(exc.value.__cause__, OSError)
         finally:
             _kernels._c_kernel.cache_clear()

@@ -21,7 +21,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freetop.cli import main
 
@@ -277,6 +277,11 @@ def scenarios(draw):
 
 @settings(max_examples=200, derandomize=True)
 @given(scenarios())
+# A moment whose pair sum with itself, halved after the sum, overflows.
+@example({"spec_version": "1", "seed": 0,
+          "body": {"n": 2, "kind": "sym", "rows": [[1.0, 0.0], [0.0, 4.49423283715579e+307]]},
+          "initial": {"recipe": {"spec_version": "1", "blocks": [], "fixed_axes": [0, 1]}},
+          "integrator": {"dt": 0.1, "t_end": 0.1, "record_every": 1}, "outputs": {}})
 def test_simulate_reader_outcomes(doc):
     code, err = _run(["simulate"], [("s.json", doc)])
     _check_outcome(code, err, {"<root>", "spec_version", "seed", "body", "initial",

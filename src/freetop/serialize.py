@@ -533,10 +533,12 @@ def write_trajectory(traj: Trajectory, csv=None, jsonl=None, outdir=None) -> Non
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
+    """Public only because perfbench's tracer resolves it by name (ROADMAP items 1 and 5)."""
     write_trajectory(traj, csv=path)
 
 
 def write_trajectory_jsonl(path, traj: Trajectory) -> None:
+    """Public only because perfbench's tracer resolves it by name (ROADMAP items 1 and 5)."""
     write_trajectory(traj, jsonl=path)
 
 

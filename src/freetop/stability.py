@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 from .body import InertiaSpec, _check_step, _step_count
 from .equilibria import DEFAULT_TOL, _require_stationary
-from .linalg import _axis_sets, _double, _positive, _unit
+from .linalg import _axis_sets, _double, _positive, _unit, skew
 
 __all__ = [
     "LinearizationReport",
@@ -36,6 +36,12 @@ def _kernel_dim(svals: np.ndarray, rank_tol: float) -> int:
     """Number of singular values counted as zero: those at most
     rank_tol * sigma_max, so all of them when the map is zero."""
     return int(np.sum(svals <= rank_tol * svals.max(initial=0.0)))
+
+
+def _stabilizer_dim(m: np.ndarray, rank_tol: float) -> int:
+    """_kernel_dim of ad_m, m exactly skew, on its singular values |nu_a + nu_b|, a < b."""
+    nu = np.linalg.eigvalsh(1j * m * _unit(np.abs(m).max(initial=0.0)))
+    return _kernel_dim(np.abs(nu + nu[:, None])[np.triu_indices(nu.size, k=1)], rank_tol)
 
 
 def _sorted_spectrum(eigs: np.ndarray) -> np.ndarray:
@@ -57,9 +63,9 @@ class LinearizationReport:
 @dataclass(frozen=True)
 class OrbitKernelReport:
     """Rank data of the first-order equilibrium-residual map along orbit
-    directions. kernel_dim counts singular values at most
-    rank_tol * sigma_max; stabilizer_dim is the same count for ad_M, and
-    excess_kernel_dim = kernel_dim - stabilizer_dim."""
+    directions. kernel_dim counts singular values at most rank_tol * sigma_max;
+    stabilizer_dim is that count on |nu_a + nu_b| (_stabilizer_dim), the
+    singular values of ad_M, and excess_kernel_dim = kernel_dim - stabilizer_dim."""
 
     map_rank: int
     kernel_dim: int
@@ -158,38 +164,35 @@ def orbit_kernel(m_eq, body: InertiaSpec, rank_tol: float = DEFAULT_RANK_TOL,
     The kernel always contains the stabilizer of M; any excess direction
     moves M along its orbit while preserving stationarity to first order,
     certifying a positive-dimensional set of equilibria on the orbit.
-    The singular values are those of L~ ad_M~ and ad_M~ in the inertia
-    eigenframe, which an orthogonal change to the ambient basis keeps,
-    taken on their pair blocks (_pair_blocks, with this tol); the rank
-    rule applies to all blocks together.
+    The singular values are those of L~ ad_M~ in the inertia eigenframe, which
+    an orthogonal change to the ambient basis keeps, taken on its pair blocks
+    (_pair_blocks, with this tol) in units 2**e of W~, where the rank rule
+    applies to all blocks together; outside the double range they read 0 or inf.
     """
     _positive(rank_tol, "rank_tol")
     _, w, _, e, _ = _require_stationary(m_eq, body, tol)
     w, groups = _pair_blocks(w, tol)
-    lin, ad = _eigenframe_operators(np.ldexp(w, e), body.pair_sums)
-    svals, stab = [], []
-    for g in groups:
-        ad_b = _blocks(ad, g)
-        svals.append(np.linalg.svd(_blocks(lin, g) @ ad_b, compute_uv=False).ravel())
-        stab.append(np.linalg.svd(ad_b, compute_uv=False).ravel())
+    lin, ad = _eigenframe_operators(w, body.pair_sums)
+    svals = [np.linalg.svd(_blocks(lin, g) @ _blocks(ad, g), compute_uv=False).ravel()
+             for g in groups]
     svals = np.sort(np.concatenate(svals))[::-1]
     kernel_dim = _kernel_dim(svals, rank_tol)
-    stabilizer_dim = _kernel_dim(np.concatenate(stab), rank_tol)
-    return OrbitKernelReport(
-        map_rank=svals.size - kernel_dim,
-        kernel_dim=kernel_dim,
-        singular_values=svals,
-        rank_tol=rank_tol,
-        stabilizer_dim=stabilizer_dim,
-        excess_kernel_dim=kernel_dim - stabilizer_dim,
-    )
+    stabilizer_dim = _stabilizer_dim(w * body.pair_sums, rank_tol)
+    with np.errstate(over="ignore"):
+        return OrbitKernelReport(
+            map_rank=svals.size - kernel_dim,
+            kernel_dim=kernel_dim,
+            singular_values=np.ldexp(svals, 2 * e),
+            rank_tol=rank_tol,
+            stabilizer_dim=stabilizer_dim,
+            excess_kernel_dim=kernel_dim - stabilizer_dim,
+        )
 
 
 def stabilizer_dimension(m, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Dimension of {xi in so(n) : [xi, m] = 0} for an n x n matrix m."""
-    arr = np.asarray(m, dtype=float)
-    return _kernel_dim(np.linalg.svd(_ad_matrix(arr, arr.shape[-1]), compute_uv=False),
-                       _positive(rank_tol, "rank_tol"))
+    """Dimension of {xi in so(n) : [xi, m] = 0} for skew(m); public only because
+    perfbench's tracer resolves it by name (ROADMAP items 1 and 14)."""
+    return _stabilizer_dim(skew(m), _positive(rank_tol, "rank_tol"))
 
 
 @dataclass(frozen=True)

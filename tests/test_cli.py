@@ -786,6 +786,19 @@ class TestGenerateAndStability:
             "", f"error: invalid input: {option}: applies to --{reader} only\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_kernel_beyond_double_range_exit3(self, tmp_path, body4_path, capsys):
+        # Rates 1 and 2 at entries near 1e199: the ranks hold, but the
+        # singular values of L~ ad_M~ near 1e398 are inf, which the writer
+        # refuses as a numerical failure, with no warning on the way.
+        m = np.zeros((4, 4))
+        m[0, 1], m[2, 3] = 3e199, 1.4e200
+        path = write(tmp_path / "m.json", ser.matrix_to_doc(ft.skew(m - m.T)))
+        out = tmp_path / "k.json"
+        assert main(["stability", path, body4_path, "--kernel", "--out", str(out)]) == 3
+        assert capsys.readouterr() == (
+            "", "error: numerical failure: cannot serialize non-finite value inf\n")
+        assert not out.exists()
+
     def test_stability_requires_equilibrium(self, tmp_path, body4_path, rng):
         path = tmp_path / "r.json"
         write(path, ser.matrix_to_doc(random_skew(4, rng)))

@@ -8,7 +8,8 @@ from scipy.optimize import linear_sum_assignment
 import freetop as ft
 from freetop import serialize as ser
 from freetop.equilibria import _require_stationary
-from freetop.stability import _ad_matrix, _eigenframe_operators, _kernel_dim
+from freetop.stability import (DEFAULT_RANK_TOL, _ad_matrix, _eigenframe_operators,
+                               _kernel_dim)
 
 from conftest import random_body, random_skew
 from recipes import random_recipe, read_recipe, spaced_rates
@@ -263,6 +264,76 @@ class TestOrbitKernel:
             m, _, body = make_fixture(name)
             stab, kernel = oracles.two_kernel_dims(m.array, body)
             assert (stab, kernel) == FROZEN_KERNELS[name], name
+
+    @pytest.mark.parametrize("scale, svals", [(1e-200, [0.0] * 6),
+                                              (1e199, [np.inf] * 4 + [0.0] * 2)],
+                             ids=["tiny", "huge"])
+    def test_ranks_hold_far_from_unit_scale(self, body4, scale, svals):
+        # Rates 1 and 2 on axes {0, 1} and {2, 3}: distinct rates, no excess.
+        # The ranks are taken in the units 2**e of W~; shifted back, the
+        # singular values of L~ ad_M~ (about 1e-400 or 1e398 times 1..20)
+        # leave the double range as 0 or inf.
+        m = np.zeros((4, 4))
+        m[0, 1], m[2, 3] = 3.0 * scale, 14.0 * scale
+        rep = ft.orbit_kernel(m - m.T, body4)
+        assert (rep.stabilizer_dim, rep.kernel_dim, rep.excess_kernel_dim) == (2, 2, 0)
+        assert rep.singular_values.tolist() == svals
+
+
+class TestStabilizerCount:
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_pair_sums_are_singular_values_of_ad(self, n):
+        # ad_m is normal, so its singular values are |nu_a + nu_b|, a < b, nu
+        # the eigenvalues of i m, with _ad_matrix as the oracle: within
+        # 1e-13 of the largest. The rank rule counts the same on both, for
+        # stabilizer_dimension and for orbit_kernel on equilibria, and under
+        # exact scalings by 2**600 and 2**-600.
+        rng = np.random.default_rng(3300 + n)
+        cases = [(random_skew(n, rng), None, None) for _ in range(2)]
+        structures = [random_normal_form(n, rng)[0] for _ in range(4)]
+        if n >= 4:  # one block on all but zero or one axes, regular and exotic
+            axes = list(range(2 * (n // 2)))
+            structures += [ft.EquilibriumStructure(
+                [ft.FrequencyBlock(omega=1.0 + rng.random(), axes=axes,
+                                   A=shuffled_structure(n // 2, kind, rng))],
+                list(range(len(axes), n)), n=n) for kind in ("standard", "random")]
+        for case, structure in enumerate(structures):
+            body = seeded_body(n, rng, rotated=bool(case % 2))
+            m, structure = ft.generate(structure, body)
+            cases.append((ft.skew(m), body, structure.regular))
+        if n >= 4:
+            assert {regular for _, _, regular in cases} >= {True, False}
+        for m, body, _ in cases:
+            svals = np.linalg.svd(_ad_matrix(m, n), compute_uv=False)
+            nu = np.linalg.eigvalsh(1j * m)
+            pair_sums = np.abs(nu + nu[:, None])[np.triu_indices(n, k=1)]
+            pair_sums = np.sort(pair_sums)[::-1]
+            assert np.abs(pair_sums - svals).max() <= 1e-13 * svals[0]
+            count = _kernel_dim(svals, DEFAULT_RANK_TOL)
+            assert _kernel_dim(pair_sums, DEFAULT_RANK_TOL) == count
+            for k in (0, 600, -600):
+                assert ft.stabilizer_dimension(np.ldexp(m, k)) == count
+                if body is not None:
+                    assert ft.orbit_kernel(np.ldexp(m, k), body).stabilizer_dim == count
+
+    @pytest.mark.parametrize("m, message", [
+        (np.zeros((3, 4)), "^expected a square matrix"),
+        ([[0.0, 1.0], [2.0, 0.0]], "^matrix is not skew-symmetric"),
+    ], ids=["non_square", "non_skew"])
+    def test_refuses_what_is_not_skew(self, m, message):
+        with pytest.raises(ValueError, match=message):
+            ft.stabilizer_dimension(m)
+
+    def test_counts_near_the_largest_double(self):
+        # a (E01 + E23) + a (E02 - E13) + c (E03 - E12), whose parts in the two
+        # so(3) factors of so(4) have norms 1.5 and 0.5: rates 1 and 2 spread
+        # over all six entries, the largest 1.06. Times 7.5e307, sigma_max =
+        # 3 * 7.5e307 overflows; in units of the power of two above the
+        # largest entry, the distinct rates leave a stabilizer of 2.
+        a, c = 1.5 / np.sqrt(2.0), 0.5
+        m = np.array([[0, a, a, c], [0, 0, -c, -a], [0, 0, 0, a], [0, 0, 0, 0]])
+        for scale in (1.0, 7.5e307):
+            assert ft.stabilizer_dimension((m - m.T) * scale) == 2
 
 
 def shuffled_structure(k, kind, rng):

@@ -130,7 +130,8 @@ def _decoupled_sets(m0, pair_sums):
     label = _axis_sets((m0 != 0) | (pair_sums == 0))
     if not label.any():
         return None
-    return np.argsort(label, kind="stable"), np.unique(label, return_counts=True)[1]
+    counts = np.bincount(label)
+    return np.argsort(label, kind="stable"), counts[counts > 0]
 
 
 def _closed_form(m0, pair_sums, dt, out):
@@ -139,13 +140,12 @@ def _closed_form(m0, pair_sums, dt, out):
     its first step on, a -0 included; lower entries negated, diagonal +0.0.
     """
     n = m0.shape[0]
-    p = np.diagonal(pair_sums)
+    p = pair_sums.diagonal()
     z = 0.5 * (p[:, None] - p) * 0.0
-    both = np.stack((m0, m0 + (dt / 6.0) * (z + 2.0 * (z + z) + z)))
-    both = np.where(np.tri(n, k=-1, dtype=bool).T, both, -both.transpose(0, 2, 1))
-    both[:, range(n), range(n)] = 0.0
-    out[0] = both[0]
-    out[1:] = both[1]
+    upper = np.tri(n, k=-1, dtype=bool).T
+    for rec, x in ((out[:1], m0), (out[1:], m0 + (dt / 6.0) * (z + 2.0 * (z + z) + z))):
+        rec[:] = np.where(upper, x, -x.T)
+    out.reshape(out.shape[0], -1)[:, ::n + 1] = 0.0  # out is C-contiguous
 
 
 def _run(kernel, m0, pair_sums, dt, nsteps, record_every, out):
@@ -179,11 +179,11 @@ def rk4_momentum(m0, pair_sums, dt, nsteps, record_every):
     # The C loop takes both counts as int64_t, and ctypes would wrap larger ones.
     if not (0 <= nsteps < 2**63 and 1 <= record_every < 2**63):
         raise ValueError("nsteps must be >= 0 and record_every >= 1, both below 2**63")
-    if not np.array_equal(m0, -m0.T):
+    if not (m0 == -m0.T).all():
         raise ValueError("m0 must be exactly skew: the kernel reads only its upper triangle")
     # Halved before the sum, which cannot overflow then; halving is exact.
     half = 0.5 * np.diagonal(pair_sums)
-    if not np.array_equal(pair_sums, half[:, None] + half):
+    if not (pair_sums == half[:, None] + half).all():
         raise ValueError("pair_sums must be exactly 0.5 * p_ii + 0.5 * p_jj: the kernel "
                          "takes lambda_i - lambda_j as 0.5 * (p_ii - p_jj)")
     dt = float(dt)

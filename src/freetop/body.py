@@ -48,7 +48,10 @@ class InertiaSpec:
     gaps below GAP_TOL * max(eigenvalue) are rejected as degenerate.
 
     J, eigenvalues (ascending), basis (the matching eigenvectors as columns)
-    and pair_sums (lambda_i + lambda_j) are read-only arrays fixed here.
+    and pair_sums (lambda_i + lambda_j) are read-only arrays fixed here. So
+    are what _scaled_velocity and the Manakov traces read: eigenvalues_squared,
+    scaled_eigenvalues = eigenvalues * 2**-scale_exponent, the largest in
+    [0.5, 1), and their pair sums scaled_pair_sums, with entry (0, 0) 1.0.
     """
 
     def __init__(self, j):
@@ -70,6 +73,15 @@ class InertiaSpec:
             )
         self.eigenvalues = lam
         self.pair_sums = _readonly(lam[:, None] + lam[None, :])
+        _, self.scale_exponent = math.frexp(lam[-1])
+        self.scaled_eigenvalues = _readonly(np.ldexp(lam, -self.scale_exponent))
+        pair = self.scaled_eigenvalues[:, None] + self.scaled_eigenvalues[None, :]
+        # GAP_TOL keeps every other pair sum above 5e-9 in these units; only
+        # 2 * lam[0] can underflow to 0, where M~ is exactly 0.
+        pair[0, 0] = 1.0
+        self.scaled_pair_sums = _readonly(pair)
+        with np.errstate(over="ignore"):  # a moment above 1.3e154 squares to inf
+            self.eigenvalues_squared = _readonly(lam ** 2)
 
     @classmethod
     def from_eigenvalues(cls, values) -> "InertiaSpec":
@@ -91,7 +103,7 @@ class InertiaSpec:
         (..., n, n): the eigenframe momentum made exactly skew, so rounding
         in the rotation leaves no diagonal behind."""
         mt = self.to_eigenframe(m)
-        return 0.5 * (mt - np.swapaxes(mt, -2, -1))
+        return 0.5 * (mt - mt.swapaxes(-2, -1))
 
     def from_eigenframe(self, a) -> np.ndarray:
         q = self.basis
@@ -110,22 +122,24 @@ def _scaled_velocity(m: np.ndarray, body: InertiaSpec):
     """Angular velocity of one momentum in the inertia eigenframe, in range.
 
     Returns (w, lam, e): W~ = Q^T W Q equals w * 2**e, with the largest
-    entry of w in [0.5, 1) (w = 0 for the zero momentum), and lam is the
-    moments scaled so that the largest is in [0.5, 1). M is scaled the same
-    way before it is rotated and made exactly skew, so no step overflows or
+    entry of w in [0.5, 1) (w = 0 for the zero momentum), and lam is
+    body.scaled_eigenvalues, the moments scaled so that the largest is in
+    [0.5, 1). M is scaled the same way before it is rotated and made exactly
+    skew, and divided by body.scaled_pair_sums, so no step overflows or
     underflows, and every scaling is by a power of two, hence exact.
     """
     _, a = math.frexp(np.abs(m).max())
-    mt = body.eigenframe_momentum(np.ldexp(m, -a))
-    _, b = math.frexp(body.eigenvalues[-1])
-    lam = np.ldexp(body.eigenvalues, -b)
-    pair = lam[:, None] + lam[None, :]
-    # GAP_TOL keeps every other pair sum above 5e-9 in these units; only
-    # 2 * lam[0] can underflow to 0, where M~ is exactly 0.
-    pair[0, 0] = 1.0
-    w = mt / pair
+    w = body.eigenframe_momentum(np.ldexp(m, -a)) / body.scaled_pair_sums
     _, c = math.frexp(np.abs(w).max())
-    return np.ldexp(w, -c), lam, a - b + c
+    return np.ldexp(w, -c), body.scaled_eigenvalues, a - body.scale_exponent + c
+
+
+def _even_traces(m: np.ndarray):
+    """tr(m^(2k)) for k = 1 .. n // 2 of one matrix or a stack, one array each."""
+    m2 = acc = m @ m
+    for k in range(m.shape[-1] // 2):
+        acc = acc @ m2 if k else acc
+        yield np.trace(acc, axis1=-2, axis2=-1)
 
 
 def casimirs(m) -> np.ndarray:
@@ -133,42 +147,37 @@ def casimirs(m) -> np.ndarray:
 
     m may be one momentum or a stack (..., n, n); the traces are the last axis.
     """
-    arr = np.asarray(m, dtype=float)
-    m2 = arr @ arr
-    out = []
-    acc = m2
-    for _ in range(arr.shape[-1] // 2):
-        out.append(np.trace(acc, axis1=-2, axis2=-1))
-        acc = acc @ m2
-    return np.stack(out, axis=-1)
+    return np.stack(list(_even_traces(np.asarray(m, dtype=float))), axis=-1)
 
 
 def _check_max_power(max_power: int, n: int) -> None:
+    if isinstance(max_power, bool) or not isinstance(max_power, (int, np.integer)):
+        raise TypeError(f"max_power must be an integer, got {max_power!r}")
     if max_power < 2:
         raise ValueError("max_power must be at least 2")
     if max_power > n:
         raise ValueError(f"max_power {max_power} exceeds the dimension {n}")
 
 
-def _manakov(mt: np.ndarray, body: InertiaSpec, max_power: int) -> np.ndarray:
+def _manakov(mt: np.ndarray, body: InertiaSpec, max_power: int) -> list:
     """Coefficients of z^j in tr((M + z J^2)^k) for k = 2 .. max_power and
     j = 0 .. k, ascending k then ascending j, of eigenframe momenta mt
-    (..., n, n). Every coefficient is a first integral of the motion. In
-    the eigenframe J^2 = diag(lambda^2), so a product with it scales columns.
+    (..., n, n), one array each. Every coefficient is a first integral of the
+    motion. In the eigenframe J^2 = diag(lambda^2), so a product with it scales
+    columns. It starts at k = 1, mt + z J^2, with the bits of a start at the
+    identity: every sum begins 0.0 + x, which turns -0 into +0.
     """
-    lam2 = body.eigenvalues ** 2
-    power = [np.eye(body.n)]  # coefficients of (M + z J^2)^k, ascending in z
+    lam2 = body.eigenvalues_squared
+    power = [mt, np.broadcast_to(np.diag(lam2), mt.shape)]  # ascending in z
     out = []
-    for k in range(1, max_power + 1):
-        nxt = [0.0] * (len(power) + 1)
+    for k in range(2, max_power + 1):
+        nxt = [0.0] * (k + 1)
         for a, pa in enumerate(power):
             nxt[a] = nxt[a] + pa @ mt
             nxt[a + 1] = nxt[a + 1] + pa * lam2
         power = nxt
-        if k >= 2:
-            out.extend(np.broadcast_to(np.trace(p, axis1=-2, axis2=-1), mt.shape[:-2])
-                       for p in power)
-    return np.stack(out, axis=-1)
+        out.extend(np.trace(p, axis1=-2, axis2=-1) for p in power)
+    return out
 
 
 def manakov_labels(max_power: int) -> list[str]:
@@ -190,9 +199,8 @@ def compute_invariants(m, body: InertiaSpec, max_power: int) -> np.ndarray:
     _check_structure(arr, -1.0)
     _check_max_power(max_power, body.n)
     mt = body.eigenframe_momentum(arr)
-    energy = 0.25 * np.sum(mt * mt / body.pair_sums, axis=(-2, -1))
-    return np.concatenate(
-        (energy[..., None], casimirs(mt), _manakov(mt, body, max_power)), axis=-1)
+    energy = 0.25 * (mt * mt / body.pair_sums).sum(axis=(-2, -1))
+    return np.stack([energy, *_even_traces(mt), *_manakov(mt, body, max_power)], axis=-1)
 
 
 def invariant_labels(n: int, max_power: int) -> list[str]:
@@ -260,7 +268,7 @@ def _check_step(m: np.ndarray, body: InertiaSpec, dt: float, guard: str = "rejec
     """Reject (guard="reject") or warn about (guard="warn") a step with
     dt * ||W||_2 above STEP_GUARD, W the angular velocity of m."""
     w, _, e = _scaled_velocity(m, body)
-    speed = float(np.ldexp(np.linalg.norm(w, 2), e))
+    speed = float(np.ldexp(np.linalg.svd(w, compute_uv=False).max(), e))  # ||w||_2
     if dt * speed > STEP_GUARD:
         msg = (
             f"dt * ||W|| = {dt * speed:.3f} exceeds the stability guard {STEP_GUARD}; "
@@ -273,9 +281,10 @@ def _check_step(m: np.ndarray, body: InertiaSpec, dt: float, guard: str = "rejec
 
 def _require_finite(what: str, samples: np.ndarray, times: np.ndarray) -> None:
     """Raise IntegrationAbort at the first sample that is not all finite."""
+    if np.isfinite(samples).all():
+        return
     finite = np.isfinite(samples.reshape(times.size, -1)).all(axis=1)
-    if not finite.all():
-        raise IntegrationAbort(f"{what} became non-finite near t = {times[np.argmin(finite)]:.6g}")
+    raise IntegrationAbort(f"{what} became non-finite near t = {times[np.argmin(finite)]:.6g}")
 
 
 def integrate(state, body: InertiaSpec, dt: float, t_end: float,

@@ -105,12 +105,12 @@ def random_structure(m: int, rng: np.random.Generator) -> np.ndarray:
 def _is_signed_permutation(a: np.ndarray) -> bool:
     """True when every entry is 0 or +-1 within SIGNED_PERM_TOL, one
     nonzero per row and column."""
-    near_zero = np.abs(a) <= SIGNED_PERM_TOL
-    near_unit = np.abs(np.abs(a) - 1.0) <= SIGNED_PERM_TOL
-    if not np.all(near_zero | near_unit):
+    mag = np.abs(a)
+    near_zero = mag <= SIGNED_PERM_TOL
+    if not (near_zero | (np.abs(mag - 1.0) <= SIGNED_PERM_TOL)).all():
         return False
     support = ~near_zero
-    return bool(np.all(support.sum(axis=0) == 1) and np.all(support.sum(axis=1) == 1))
+    return bool(((support.sum(axis=0) == 1) & (support.sum(axis=1) == 1)).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +131,7 @@ class FrequencyBlock:
     defect: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        axes = tuple(int(a) for a in self.axes)
+        axes = tuple(map(int, self.axes))
         object.__setattr__(self, "axes", axes)
         a = skew(self.A)
         object.__setattr__(self, "A", a)
@@ -242,7 +242,7 @@ def _require_stationary(m, body: InertiaSpec, tol: float):
     return out
 
 
-def _cluster_rates(values: np.ndarray, tol: float):
+def _cluster_rates(values: list, tol: float):
     """Group squared rates into frequency clusters: values, positive and
     sorted descending, join the cluster whose head (its largest value)
     they are within tol * head of, and start a new one otherwise."""
@@ -284,42 +284,42 @@ def classify(m, body: InertiaSpec, tol: float = DEFAULT_TOL,
     scale_w = np.linalg.norm(om_t)
     scale_s = scale_w ** 2
 
-    off = s - np.diag(np.diag(s))
-    r_diag = float(np.max(np.abs(off)) / scale_s)
+    d = s.diagonal()
+    r_diag = float(np.abs(s - np.diag(d)).max() / scale_s)
     if r_diag > tol:
         raise AmbiguousClustering("W^2 is not diagonal in the inertia eigenframe: "
                                   f"off-diagonal {r_diag:.3e} > tol {tol:.1e}")
 
-    d = np.diag(s)
     zero_mask = np.abs(d) <= tol * scale_s
-    zero_axes = [int(i) for i in np.flatnonzero(zero_mask)]
+    zero_axes = np.flatnonzero(zero_mask)
     live = np.flatnonzero(~zero_mask)
     vals = -d[live]  # squared rates, positive
 
-    order = np.argsort(-vals, kind="stable")
+    order = (-vals).argsort(kind="stable")
     vals_sorted = vals[order]
     axes_sorted = live[order]
 
     # Entries of W outside the diagonal blocks (and on zero-group rows)
-    # must vanish.
-    allowed = np.zeros((n, n), dtype=bool)
+    # must vanish: each block is cleared from stray.
+    stray = np.abs(om_t)
     blocks = []
-    for g in _cluster_rates(vals_sorted, tol):
+    for g in _cluster_rates(vals_sorted.tolist(), tol):
         axes = np.sort(axes_sorted[g])
         if len(axes) % 2 != 0:
             raise AmbiguousClustering(
                 f"frequency group on axes {axes.tolist()} has odd size; "
                 "nonzero rates pair up, so the tolerances are misconfigured"
             )
-        allowed[np.ix_(axes, axes)] = True
-        rate = np.sqrt(np.mean(vals_sorted[g]))
+        block = axes[:, None], axes
+        stray[block] = 0.0
+        rate = np.sqrt(vals_sorted[g].sum() / len(g))  # the bits of np.mean
         with np.errstate(over="ignore"):
             omega = float(np.ldexp(rate, e))
         if not 0.0 < omega < np.inf:
             raise ArithmeticError(
                 f"rotation rate {rate:.6g} * 2**{e} on axes {axes.tolist()} "
                 "is outside the double range")
-        a = om_t[np.ix_(axes, axes)] / rate  # exactly skew, as om_t is
+        a = om_t[block] / rate  # exactly skew, as om_t is
         try:
             blocks.append(FrequencyBlock(omega=omega, axes=axes, A=a))
         except ValueError as exc:
@@ -334,7 +334,7 @@ def classify(m, body: InertiaSpec, tol: float = DEFAULT_TOL,
                 f"{w_lo:.12g} (squared gap {1.0 - lo / hi:.3e}), but its block "
                 f"is not a complex structure: {exc}") from exc
 
-    r_stray = float(np.max(np.abs(np.where(allowed, 0.0, om_t))) / scale_w)
+    r_stray = float(stray.max() / scale_w)
     if r_stray > tol:
         raise AmbiguousClustering(
             f"W has off-block entries of relative size {r_stray:.3e} > tol {tol:.1e}")
@@ -362,7 +362,7 @@ def generate(structure: EquilibriumStructure, body: InertiaSpec):
         raise ValueError(f"structure is {structure.n}-dimensional, body is {body.n}")
     w = np.zeros((body.n, body.n))
     for b in structure.blocks:
-        w[np.ix_(b.axes, b.axes)] = b.omega * b.A
+        w[np.array(b.axes)[:, None], b.axes] = b.omega * b.A
     w = body.from_eigenframe(w)
     w = 0.5 * (w - w.T)  # skew's projection, unchecked: SkewMatrix checks M
     momentum = SkewMatrix(w @ body.J + body.J @ w)

@@ -40,9 +40,9 @@ def _check_structure(arr: np.ndarray, sign: float) -> None:
     is theirs. An exactly structured input skips the norms (its defect is 0).
     """
     largest = np.abs(arr).max(axis=(-2, -1), initial=0.0)
-    if not np.isfinite(largest).all():
+    if not (largest < np.inf).all():  # NaN is not below inf either
         raise ValueError("matrix entries must be finite")
-    if (arr == sign * np.swapaxes(arr, -2, -1)).all():
+    if (arr == sign * arr.swapaxes(-2, -1)).all():
         return
     unit = _unit(largest)  # 1 in the scaled units; 1 when nothing is scaled
     scaled = arr * unit[..., None, None]
@@ -83,7 +83,7 @@ def _axis_sets(support: np.ndarray) -> np.ndarray:
     connected components of a symmetric boolean n x n support, an axis with
     no entry off the diagonal alone."""
     reach = support | np.eye(support.shape[0], dtype=bool)
-    while not np.array_equal(step := reach @ reach, reach):
+    while ((step := reach @ reach) != reach).any():
         reach = step
     return np.argmax(reach, axis=1)
 

@@ -29,6 +29,16 @@ def read_recipe(*blocks, fixed_axes=(), seed=None):
     return recipe_from_doc(recipe_doc(*blocks, fixed_axes=fixed_axes, seed=seed))
 
 
+def criterion2_body(n, rng, rotated):
+    """A body as acceptance criterion 2 draws one: moments 1 + cumsum(0.2 +
+    U(0, 1)), on the axes or rotated by the Q of a Gaussian matrix."""
+    lam = 1.0 + np.cumsum(0.2 + rng.random(n))
+    if not rotated:
+        return ft.InertiaSpec.from_eigenvalues(lam)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return ft.InertiaSpec(ft.sym(q @ np.diag(lam) @ q.T))
+
+
 def spaced_rates(count, rng, lo=0.5, hi=3.0, min_rel_gap=0.02):
     """Distinct positive rates with a guaranteed relative separation."""
     while True:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 import shutil
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import freetop as ft
 from freetop import _kernels
-from freetop.body import casimirs, invariant_labels
+from freetop.body import _scaled_velocity, casimirs, invariant_labels
 
 from conftest import random_body, random_skew, rotation_generator
 from recipes import read_recipe
@@ -88,6 +89,46 @@ class TestInertiaSpec:
         a = rng.standard_normal((5, 5))
         np.testing.assert_allclose(body.from_eigenframe(body.to_eigenframe(a)), a,
                                    atol=1e-13)
+
+    def test_scaled_constants_are_read_only(self, body3):
+        for name in ("scaled_eigenvalues", "scaled_pair_sums", "eigenvalues_squared"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(body3, name)[0] = 0.5
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_body(6, np.random.default_rng(6)),
+        lambda: ft.InertiaSpec.from_eigenvalues([2.2, 1.0, 4.5, 1.6]),
+        # Moments 1e306 and 1.69e308; the unscaled pair sum 2 * 1.69e308 is inf.
+        lambda: ft.InertiaSpec(np.array([[8.5e307, 8.4e307], [8.4e307, 8.5e307]])),
+        # In units of 2**-2, the smallest moment, and so 2 * lam[0], is 0.
+        lambda: ft.InertiaSpec.from_eigenvalues([5e-324, 1.5, 3.0]),
+    ], ids=["rotated", "diagonal", "near-double-limit", "pair-sum-underflow"])
+    def test_scaled_constants_are_the_inline_pass(self, make, rng):
+        # The constants _scaled_velocity computed inline on every call, before
+        # the body kept them: every bit is the same, and so is its result.
+        with np.errstate(over="ignore"):
+            body = make()
+            square = body.eigenvalues ** 2
+        _, b = math.frexp(body.eigenvalues[-1])
+        lam = np.ldexp(body.eigenvalues, -b)
+        pair = lam[:, None] + lam[None, :]
+        pair[0, 0] = 1.0
+        assert body.scale_exponent == b
+        assert body.scaled_eigenvalues.tobytes() == lam.tobytes()
+        assert body.scaled_pair_sums.tobytes() == pair.tobytes()
+        assert body.eigenvalues_squared.tobytes() == square.tobytes()
+        m = random_skew(body.n, rng)
+        _, a = math.frexp(np.abs(m).max())
+        w = body.eigenframe_momentum(np.ldexp(m, -a)) / pair
+        _, c = math.frexp(np.abs(w).max())
+        got = _scaled_velocity(m, body)
+        assert got[0].tobytes() == np.ldexp(w, -c).tobytes()
+        assert got[1].tobytes() == lam.tobytes() and got[2] == a - b + c
+
+    def test_pair_sum_guard(self):
+        body = ft.InertiaSpec.from_eigenvalues([5e-324, 1.5, 3.0])
+        assert 2.0 * body.scaled_eigenvalues[0] == 0.0
+        assert body.scaled_pair_sums[0, 0] == 1.0 and body.scaled_pair_sums[0, 1] == 0.375
 
 
 class TestInertiaMaps:
@@ -319,6 +360,18 @@ class TestBatchedInvariants:
         for label in ("manakov_2_1", "manakov_3_2", "manakov_4_3"):
             assert np.all(table[:, labels.index(label)] == 0.0), label
 
+    @pytest.mark.parametrize("power", [3.0, np.float64(3.0), True, "3"],
+                             ids=["float", "numpy-float", "bool", "str"])
+    def test_max_power_must_be_an_integer(self, body4, rng, power):
+        # 3.0 passed the range checks, and range() refused it inside the
+        # Manakov recursion with a bare TypeError; a numpy integer is one.
+        m = random_skew(4, rng)
+        with pytest.raises(TypeError,
+                           match=f"^max_power must be an integer, got {re.escape(repr(power))}$"):
+            ft.compute_invariants(m, body4, power)
+        assert (ft.compute_invariants(m, body4, np.int64(3)).tobytes()
+                == ft.compute_invariants(m, body4, 3).tobytes())
+
     def test_near_skew_input_uses_its_skew_part(self, rng):
         body = random_body(4, rng)
         nudged = random_skew(4, rng).copy()
@@ -462,6 +515,19 @@ class TestIntegrate:
         monkeypatch.setattr(_kernels, "rk4_momentum", unreachable)
         with pytest.raises(ValueError, match=match):
             ft.integrate(random_skew(3, rng), body3, 1e-3, 2000.0, record_every=1000,
+                         manakov_max_power=power)
+
+    @pytest.mark.parametrize("power", [3.0, np.float64(3.0), True],
+                             ids=["float", "numpy-float", "bool"])
+    def test_max_power_type_checked_before_integrating(self, body4, rng, monkeypatch, power):
+        # A float power used to run every step of the kernel, about 0.1 s for
+        # 200 000 steps at n = 8, before range() refused it.
+        def unreachable(*args):
+            raise AssertionError("the kernel ran before manakov_max_power was checked")
+
+        monkeypatch.setattr(_kernels, "rk4_momentum", unreachable)
+        with pytest.raises(TypeError, match="^max_power must be an integer, got "):
+            ft.integrate(random_skew(4, rng), body4, 1e-3, 200.0, record_every=1000,
                          manakov_max_power=power)
 
     def test_guard_reject_and_warn(self, body3, rng):

@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import _axis_sets
+from .linalg import _axis_sets, _pair_table
 
 _C_SOURCE = Path(__file__).with_name("_rk4.c")
 # No -march, no -ffast-math and no -Ofast: results must not depend on the host
@@ -142,7 +142,7 @@ def _closed_form(m0, pair_sums, dt, out):
     n = m0.shape[0]
     p = pair_sums.diagonal()
     z = 0.5 * (p[:, None] - p) * 0.0
-    upper = np.tri(n, k=-1, dtype=bool).T
+    upper = _pair_table(n).upper
     for rec, x in ((out[:1], m0), (out[1:], m0 + (dt / 6.0) * (z + 2.0 * (z + z) + z))):
         rec[:] = np.where(upper, x, -x.T)
     out.reshape(out.shape[0], -1)[:, ::n + 1] = 0.0  # out is C-contiguous

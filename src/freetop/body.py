@@ -52,6 +52,8 @@ class InertiaSpec:
     are what _scaled_velocity and the Manakov traces read: eigenvalues_squared,
     scaled_eigenvalues = eigenvalues * 2**-scale_exponent, the largest in
     [0.5, 1), and their pair sums scaled_pair_sums, with entry (0, 0) 1.0.
+    A moment above DBL_MAX / 2 is accepted, with inf in pair_sums, which
+    integrate and instability_probe refuse (_check_pair_sums).
     """
 
     def __init__(self, j):
@@ -72,7 +74,6 @@ class InertiaSpec:
                 "bodies with repeated moments are not supported"
             )
         self.eigenvalues = lam
-        self.pair_sums = _readonly(lam[:, None] + lam[None, :])
         _, self.scale_exponent = math.frexp(lam[-1])
         self.scaled_eigenvalues = _readonly(np.ldexp(lam, -self.scale_exponent))
         pair = self.scaled_eigenvalues[:, None] + self.scaled_eigenvalues[None, :]
@@ -80,7 +81,9 @@ class InertiaSpec:
         # 2 * lam[0] can underflow to 0, where M~ is exactly 0.
         pair[0, 0] = 1.0
         self.scaled_pair_sums = _readonly(pair)
-        with np.errstate(over="ignore"):  # a moment above 1.3e154 squares to inf
+        # A pair sum above DBL_MAX is inf, as is the square of a moment above 1.3e154.
+        with np.errstate(over="ignore"):
+            self.pair_sums = _readonly(lam[:, None] + lam[None, :])
             self.eigenvalues_squared = _readonly(lam ** 2)
 
     @classmethod
@@ -279,6 +282,15 @@ def _check_step(m: np.ndarray, body: InertiaSpec, dt: float, guard: str = "rejec
         warnings.warn(msg)
 
 
+def _check_pair_sums(body: InertiaSpec) -> None:
+    """Refuse a body whose pair sums overflow, which the RK4 kernel reads
+    unscaled: its largest, 2 * lambda_max, is then inf."""
+    if not body.pair_sums[-1, -1] < np.inf:
+        raise ValueError(
+            f"inertia moments too large: the pair sums lambda_i + lambda_j overflow "
+            f"(largest moment {body.eigenvalues[-1]:.6g}); the RK4 kernel needs them finite")
+
+
 def _require_finite(what: str, samples: np.ndarray, times: np.ndarray) -> None:
     """Raise IntegrationAbort at the first sample that is not all finite."""
     if np.isfinite(samples).all():
@@ -297,7 +309,8 @@ def integrate(state, body: InertiaSpec, dt: float, t_end: float,
     round(t_end / dt), and their invariants are computed in one batched
     pass. Steps with dt * ||W(0)||_2 above 0.5 are rejected
     (guard="reject") or allowed with a warning (guard="warn"). A recorded
-    momentum or invariant that is not finite raises IntegrationAbort.
+    momentum or invariant that is not finite raises IntegrationAbort. A
+    body whose pair sums overflow is refused with ValueError.
 
     The flow runs in the inertia eigenframe through the C kernel of
     `freetop._kernels`, which raises KernelUnavailable where it cannot be
@@ -309,6 +322,7 @@ def integrate(state, body: InertiaSpec, dt: float, t_end: float,
         raise ValueError("guard must be 'reject' or 'warn'")
 
     _check_dims(m0, body)
+    _check_pair_sums(body)
     _check_step(m0, body, dt, guard)
 
     if manakov_max_power is None:

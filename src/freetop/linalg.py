@@ -8,6 +8,9 @@ to stay small (n up to a few dozen); there is no sparse or blocked path.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 __all__ = [
@@ -25,11 +28,13 @@ STRUCTURE_TOL = 1e-9
 def _unit(largest):
     """The power of two that brings `largest` below 1, or 1 if it is below
     1/2 already: a factor that scales exactly and keeps norms finite."""
+    if not isinstance(largest, np.ndarray):  # one number: math is ten times faster
+        return np.float64(math.ldexp(1.0, -math.frexp(max(largest, 0.5))[1]))
     _, exponent = np.frexp(np.maximum(largest, 0.5))
     return np.ldexp(1.0, -exponent)
 
 
-def _check_structure(arr: np.ndarray, sign: float) -> None:
+def _check_structure(arr: np.ndarray, sign: float):
     """Raise ValueError unless arr, one matrix or a stack (..., n, n), is
     finite and each matrix a equals sign * a.T within STRUCTURE_TOL of
     max(1, ||a||), Frobenius norms.
@@ -37,13 +42,17 @@ def _check_structure(arr: np.ndarray, sign: float) -> None:
     A matrix whose largest entry is 1 or more is first scaled by a power of
     two that brings that entry below 1, so the norms cannot overflow; the
     scaling is exact, so wherever the unscaled norms are finite the decision
-    is theirs. An exactly structured input skips the norms (its defect is 0).
+    is theirs. An exactly structured input skips the norms (its defect is 0);
+    if its entries are below 2**1023 too, the check returns its partner
+    sign * a.T, else None.
     """
-    largest = np.abs(arr).max(axis=(-2, -1), initial=0.0)
-    if not (largest < np.inf).all():  # NaN is not below inf either
+    top = np.abs(arr).max(initial=0.0)
+    if not top < np.inf:  # NaN is not below inf either
         raise ValueError("matrix entries must be finite")
-    if (arr == sign * arr.swapaxes(-2, -1)).all():
-        return
+    partner = arr.swapaxes(-2, -1) if sign > 0 else -arr.swapaxes(-2, -1)
+    if (arr == partner).all():
+        return partner if top < 2.0**1023 else None
+    largest = np.abs(arr).max(axis=(-2, -1), initial=0.0)
     unit = _unit(largest)  # 1 in the scaled units; 1 when nothing is scaled
     scaled = arr * unit[..., None, None]
     d = scaled - sign * np.swapaxes(scaled, -2, -1)
@@ -78,6 +87,51 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class PairTable:
+    """The pairs (i, j), i < j, of so(n) in lexicographic (basis) order, the
+    strict upper triangle as a boolean mask, and the plan of the d x d matrix
+    of xi -> [xi, x] (`stability._ad_matrix`): row-major entry ad_flat[k] is
+    x.flat[ad_src[k]], negated for k in ad_bounds[0]:ad_bounds[2], plus 0.0
+    for k from ad_bounds[1] on. All arrays are read-only."""
+
+    __slots__ = ("i", "j", "upper", "ad_flat", "ad_src", "ad_bounds")
+
+    def __init__(self, i, j, upper, ad_flat, ad_src, ad_bounds):
+        self.i, self.j, self.upper = i, j, upper
+        self.ad_flat, self.ad_src, self.ad_bounds = ad_flat, ad_src, ad_bounds
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_table(n: int) -> PairTable:
+    """The PairTable of so(n), built once per n: O(n^3) plan entries, no O(n^4) map.
+
+    Off its diagonal, column p = (i, j) of ad_x has one term for each axis c
+    but i and j at the pair {i, c}: x[j, c] in row i if c > i, else 0.0 +
+    x[c, j] in column i; and one at {j, c}: -x[i, c] in row j if c > j, else
+    0.0 - x[c, i] in column j. The plan runs are row i, row j, column j and
+    column i (docs/conventions.md, "The pair table").
+    """
+    upper = ~np.tri(n, dtype=bool)
+    i, j = np.nonzero(upper)  # row-major, so lexicographic
+    d = i.size
+    pair = np.full((n, n), -1)  # the basis index of {a, b}; -1 on the diagonal
+    pair[i, j] = pair[j, i] = np.arange(d)
+    pair = pair.ravel()
+    p, c = np.divmod(np.arange(d * n), n)
+    at_i = pair[i[p] * n + c]
+    keep = (at_i >= 0) & (at_i != p)  # c is neither i nor j
+    p, c, at_i = p[keep], c[keep], at_i[keep]
+    pi, pj = i[p], j[p]
+    flat_i, flat_j = at_i * d + p, pair[pj * n + c] * d + p
+    row_i, row_j = c > pi, c > pj
+    col_i, col_j = ~row_i, ~row_j
+    terms = ((flat_i[row_i], (pj * n + c)[row_i]), (flat_j[row_j], (pi * n + c)[row_j]),
+             (flat_j[col_j], (c * n + pi)[col_j]), (flat_i[col_i], (c * n + pj)[col_i]))
+    flat, src = (np.concatenate(a) for a in zip(*terms))
+    bounds = np.cumsum([f.size for f, _ in terms[:3]])
+    return PairTable(*map(_readonly, (i, j, upper, flat, src)), tuple(bounds.tolist()))
+
+
 def _axis_sets(support: np.ndarray) -> np.ndarray:
     """Each axis labelled by the smallest axis of its set: the sets are the
     connected components of a symmetric boolean n x n support, an axis with
@@ -89,12 +143,17 @@ def _axis_sets(support: np.ndarray) -> np.ndarray:
 
 
 def _structured(entries, sign: float) -> np.ndarray:
+    """0.5 * (a + sign * a.T), read-only, with the partner of _check_structure
+    where it gives one: below 2**1023, 2 a_ij and its half are exact."""
     arr = _double(entries, "a matrix entry", array=True)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    _check_structure(arr, sign)
+    partner = _check_structure(arr, sign)
+    if partner is not None:
+        return _readonly(0.5 * (arr + partner))
     # arr is finite here, so a skew part's diagonal x + (-x) is exactly +0
-    out = 0.5 * (arr + sign * arr.T)
+    with np.errstate(over="ignore"):
+        out = 0.5 * (arr + sign * arr.T)
     if not np.isfinite(out).all():
         raise ValueError("matrix entries too large: their structured part overflows")
     return _readonly(out)
@@ -134,8 +193,8 @@ class SkewMatrix:
 def _fix_column_signs(q: np.ndarray) -> None:
     """Flip columns so the first component larger than 1e-12 is positive."""
     lead = q[np.argmax(np.abs(q) > 1e-12, axis=0), np.arange(q.shape[1])]
-    flip = lead < -1e-12  # a column with no such component has |lead| <= 1e-12
-    q[:, flip] = -q[:, flip]
+    # A column with no such component has |lead| <= 1e-12. Times -1.0 is -x.
+    q *= np.where(lead < -1e-12, -1.0, 1.0)
 
 
 def eigen_symmetric(s) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +217,7 @@ def eigen_symmetric(s) -> tuple[np.ndarray, np.ndarray]:
         raise ArithmeticError(f"eigenbasis not orthonormal: defect {defect:.3e}")
     unit = _unit(np.abs(a).max())
     scaled = a * unit
-    resid = np.linalg.norm(v @ np.diag(lam * unit) @ v.T - scaled)
+    resid = np.linalg.norm((v * (lam * unit)) @ v.T - scaled)
     norm = np.linalg.norm(scaled)
     if resid > 1e-10 * norm:
         raise ArithmeticError(

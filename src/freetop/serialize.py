@@ -30,7 +30,7 @@ from .equilibria import (
     random_structure,
     standard_structure,
 )
-from .linalg import skew
+from .linalg import _pair_table, skew
 from .stability import LinearizationReport, OrbitKernelReport, ProbeResult
 
 __all__ = [
@@ -441,7 +441,7 @@ def recipe_from_doc(doc, path: str = "", default_seed: int | None = None) -> Equ
         perm = np.argsort(axes, kind="stable")
         with _at(bpath):
             blocks.append(FrequencyBlock(omega=omega, axes=tuple(sorted(axes)),
-                                         A=a[np.ix_(perm, perm)]))
+                                         A=a[perm[:, None], perm]))
     fixed = _int_list(doc.get("fixed_axes", []), _join(path, "fixed_axes"))
     n = len(fixed) + sum(len(b.axes) for b in blocks)
     with _at(path or "<root>"):
@@ -520,11 +520,11 @@ def write_trajectory(traj: Trajectory, csv=None, jsonl=None, outdir=None) -> Non
     t, the upper-triangle momentum entries (row-major), energy, casimir_k and
     manakov_k_j."""
     n = traj.momenta.shape[-1]
-    iu = np.triu_indices(n, k=1)
-    table = np.column_stack((traj.times, traj.momenta[:, iu[0], iu[1]], traj.invariants))
-    columns = (["t"] + [f"m_{i}_{j}" for i, j in zip(*iu)]
+    t = _pair_table(n)
+    table = np.column_stack((traj.times, traj.momenta[:, t.i, t.j], traj.invariants))
+    columns = (["t"] + [f"m_{i}_{j}" for i, j in zip(t.i.tolist(), t.j.tolist())]
                + invariant_labels(n, traj.manakov_max_power))
-    jsonl_row = ('{"t": %s, "m_upper": [' + _floats(len(iu[0]), field="%s") + '], "energy": %s, '
+    jsonl_row = ('{"t": %s, "m_upper": [' + _floats(t.i.size, field="%s") + '], "energy": %s, '
                  '"casimirs": [' + _floats(n // 2, field="%s") + '], "manakov": ['
                  + _floats(len(manakov_labels(traj.manakov_max_power)), field="%s") + ']}\n')
     files = [(csv, ",".join(columns) + "\n", _floats(len(columns), ",", "%s") + "\n"),

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .body import InertiaSpec, _check_step, _step_count
+from .body import InertiaSpec, _check_pair_sums, _check_step, _step_count
 from .equilibria import DEFAULT_TOL, _require_stationary
-from .linalg import _axis_sets, _double, _positive, _unit, skew
+from .linalg import _axis_sets, _double, _pair_table, _positive, _unit, skew
 
 __all__ = [
     "LinearizationReport",
@@ -41,7 +41,8 @@ def _kernel_dim(svals: np.ndarray, rank_tol: float) -> int:
 def _stabilizer_dim(m: np.ndarray, rank_tol: float) -> int:
     """_kernel_dim of ad_m, m exactly skew, on its singular values |nu_a + nu_b|, a < b."""
     nu = np.linalg.eigvalsh(1j * m * _unit(np.abs(m).max(initial=0.0)))
-    return _kernel_dim(np.abs(nu + nu[:, None])[np.triu_indices(nu.size, k=1)], rank_tol)
+    t = _pair_table(nu.size)
+    return _kernel_dim(np.abs(nu[t.i] + nu[t.j]), rank_tol)
 
 
 def _sorted_spectrum(eigs: np.ndarray) -> np.ndarray:
@@ -76,37 +77,40 @@ class OrbitKernelReport:
 
 
 def _ad_matrix(x: np.ndarray, n: int) -> np.ndarray:
-    """Matrix of xi -> [xi, x] over the so(n) basis, in closed form.
-
-    [E_ij - E_ji, x] has +x[j] in row i, -x[i] in row j, -x[:, i] in
-    column j and +x[:, j] in column i; its upper triangle is the column of
-    basis element (i, j). So every entry is exactly one entry of x, but for
-    x[j, j] - x[i, i] at (i, j), which is 0 for a skew x."""
-    i, j = np.triu_indices(n, k=1)
-    p = np.arange(i.size)
-    image = np.zeros((i.size, n, n))
-    image[p, i] = x[j]
-    image[p, j] = -x[i]
-    image[p, :, j] -= x[:, i].T
-    image[p, :, i] += x[:, j].T
-    return image[:, i, j].T
+    """Matrix of xi -> [xi, x] over the so(n) basis, in closed form: every
+    entry is one entry of x, read through the plan of _pair_table, but for
+    x[j, j] - x[i, i] on the diagonal, which is 0 for a skew x."""
+    t = _pair_table(n)
+    d = t.i.size
+    neg, col, end = t.ad_bounds
+    terms = x.take(t.ad_src)
+    terms[neg:end] *= -1.0
+    terms[col:] += 0.0
+    out = np.zeros(d * d)
+    out[t.ad_flat] = terms
+    diag = x.diagonal()
+    out[::d + 1] = diag[t.j] - diag[t.i]
+    return out.reshape(d, d)
 
 
 def _eigenframe_operators(wt: np.ndarray, pair_sums: np.ndarray):
     """(L~, ad_M~) in the so(n) basis of the inertia eigenframe, for the angular
     velocity W~ there and M~ = W~ * P, P the pair sums: L~ = ad_W~ - ad_M~ D^-1
-    is X -> [X, W~] + [M~, X / P], D the pair sums in basis order."""
+    is X -> [X, W~] + [M~, X / P], D the pair sums in basis order. P may be
+    scaled by a power of two, body.scaled_pair_sums, which cannot overflow:
+    in range, L~ keeps its bits and ad_M~ is scaled by that power."""
     n = wt.shape[0]
+    t = _pair_table(n)
     ad_m = _ad_matrix(wt * pair_sums, n)
-    return _ad_matrix(wt, n) - ad_m / pair_sums[np.triu_indices(n, k=1)], ad_m
+    return _ad_matrix(wt, n) - ad_m / pair_sums[t.i, t.j], ad_m
 
 
 def _second_compound(q: np.ndarray) -> np.ndarray:
     """R with R[(k, l), (i, j)] = q_ki q_lj - q_kj q_li: column (i, j) holds the
     so(n) coordinates of q (E_ij - E_ji) q^T / sqrt(2)."""
-    i, j = np.triu_indices(q.shape[0], k=1)
-    qi, qj = q[i], q[j]
-    return qi[:, i] * qj[:, j] - qi[:, j] * qj[:, i]
+    t = _pair_table(q.shape[0])
+    qi, qj = q[t.i], q[t.j]
+    return qi[:, t.i] * qj[:, t.j] - qi[:, t.j] * qj[:, t.i]
 
 
 def _pair_blocks(w: np.ndarray, tol: float):
@@ -122,8 +126,8 @@ def _pair_blocks(w: np.ndarray, tol: float):
     n = w.shape[0]
     w = np.where(np.abs(w) <= tol * np.linalg.norm(w), 0.0, w)
     label = _axis_sets(w != 0.0)
-    i, j = np.triu_indices(n, k=1)
-    key = np.minimum(label[i], label[j]) * n + np.maximum(label[i], label[j])
+    t = _pair_table(n)
+    key = np.minimum(label[t.i], label[t.j]) * n + np.maximum(label[t.i], label[t.j])
     _, block, size = np.unique(key, return_inverse=True, return_counts=True)
     order = np.lexsort((block, size[block]))
     groups, start = [], 0
@@ -142,10 +146,11 @@ def linearize(m_eq, body: InertiaSpec, tol: float = DEFAULT_TOL) -> Linearizatio
     """Spectrum of the linearized flow at a stationary momentum: that of
     L~ in the inertia eigenframe, solved on its pair blocks (_pair_blocks,
     with this tol). matrix is R L~ R^T in the ambient basis, R the second
-    compound of the eigenvectors."""
+    compound of the eigenvectors. L~ is built from body.scaled_pair_sums, so
+    a body whose pair sums overflow has one too."""
     _, w, _, e, _ = _require_stationary(m_eq, body, tol)
     w, groups = _pair_blocks(w, tol)
-    lin, _ = _eigenframe_operators(np.ldexp(w, e), body.pair_sums)
+    lin, _ = _eigenframe_operators(np.ldexp(w, e), body.scaled_pair_sums)
     rot = _second_compound(body.basis)
     eigs = _sorted_spectrum(np.concatenate(
         [np.linalg.eigvals(_blocks(lin, g)).ravel() for g in groups]))
@@ -166,23 +171,24 @@ def orbit_kernel(m_eq, body: InertiaSpec, rank_tol: float = DEFAULT_RANK_TOL,
     certifying a positive-dimensional set of equilibria on the orbit.
     The singular values are those of L~ ad_M~ in the inertia eigenframe, which
     an orthogonal change to the ambient basis keeps, taken on its pair blocks
-    (_pair_blocks, with this tol) in units 2**e of W~, where the rank rule
-    applies to all blocks together; outside the double range they read 0 or inf.
+    (_pair_blocks, with this tol) in units 2**e of W~ and 2**b of the moments
+    (body.scaled_pair_sums), where the rank rule applies to all blocks
+    together; outside the double range they read 0 or inf.
     """
     _positive(rank_tol, "rank_tol")
     _, w, _, e, _ = _require_stationary(m_eq, body, tol)
     w, groups = _pair_blocks(w, tol)
-    lin, ad = _eigenframe_operators(w, body.pair_sums)
+    lin, ad = _eigenframe_operators(w, body.scaled_pair_sums)
     svals = [np.linalg.svd(_blocks(lin, g) @ _blocks(ad, g), compute_uv=False).ravel()
              for g in groups]
     svals = np.sort(np.concatenate(svals))[::-1]
     kernel_dim = _kernel_dim(svals, rank_tol)
-    stabilizer_dim = _stabilizer_dim(w * body.pair_sums, rank_tol)
+    stabilizer_dim = _stabilizer_dim(w * body.scaled_pair_sums, rank_tol)
     with np.errstate(over="ignore"):
         return OrbitKernelReport(
             map_rank=svals.size - kernel_dim,
             kernel_dim=kernel_dim,
-            singular_values=np.ldexp(svals, 2 * e),
+            singular_values=np.ldexp(svals, 2 * e + body.scale_exponent),
             rank_tol=rank_tol,
             stabilizer_dim=stabilizer_dim,
             excess_kernel_dim=kernel_dim - stabilizer_dim,
@@ -207,8 +213,8 @@ class ProbeResult:
 
 def _unit_skew(n: int, rng: np.random.Generator) -> np.ndarray:
     out = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    out[iu] = rng.standard_normal(iu[0].size)
+    t = _pair_table(n)
+    out[t.i, t.j] = rng.standard_normal(t.i.size)
     out = out - out.T
     return out / np.linalg.norm(out)
 
@@ -229,7 +235,8 @@ def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
     rounded and clipped to 1..steps, so the last one is at the horizon.
     Like integrate, the probe rejects a step with dt * ||W||_2 above
     STEP_GUARD (IntegrationAbort), W the angular velocity of the perturbed
-    start, and raises KernelUnavailable where the C kernel of
+    start, refuses a body whose pair sums overflow (ValueError), and raises
+    KernelUnavailable where the C kernel of
     `freetop._kernels` cannot be built or loaded.
     """
     _positive(eps, "eps")
@@ -242,6 +249,7 @@ def instability_probe(m_eq, body: InertiaSpec, eps: float, horizon: float,
     arr = _require_stationary(m_eq, body, tol)[0]
     rng = np.random.default_rng(seed)
     m0 = arr + eps * _unit_skew(body.n, rng)
+    _check_pair_sums(body)
     _check_step(m0, body, dt)
 
     threshold = exit_factor * eps

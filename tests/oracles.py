@@ -12,7 +12,8 @@ ambient_linearization is the linearization built from them, through the
 so(n) coordinate maps skew_to_vec and vec_to_skew that the package once
 shipped too. Only the tests and the references here use them.
 pair_block_spectrum predicts the linearization spectrum of a regular
-equilibrium from its normal form alone.
+equilibrium from its normal form alone. scatter_ad_matrix is the so(n)
+operator of xi -> [xi, x] as it was scattered before the pair table.
 dumps_per_item is the canonical JSON writer as it was before float arrays
 went through one template: it turns an array into lists and formats a list
 item by item or row by row. rows_per_entry is the matrix-row reader as it
@@ -293,6 +294,21 @@ def unscaled_loop_operator(func, n):
         image = func(e)
         out[:, k] = [image[a, b] for a, b in pairs]
     return out
+
+
+def scatter_ad_matrix(x, n):
+    """stability._ad_matrix as it was before the cached pair table: each
+    column is the upper triangle of [E_ij - E_ji, x], scattered into a
+    (d, n, n) image: x[j] copied into row i, -x[i] into row j, then x[:, i]
+    subtracted from column j and x[:, j] added to column i."""
+    i, j = np.triu_indices(n, k=1)
+    p = np.arange(i.size)
+    image = np.zeros((i.size, n, n))
+    image[p, i] = x[j]
+    image[p, j] = -x[i]
+    image[p, :, j] -= x[:, i].T
+    image[p, :, i] += x[:, j].T
+    return image[:, i, j].T
 
 
 def fd_operator(func, n, h):

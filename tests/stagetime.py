@@ -1,7 +1,7 @@
-"""Print where the time of a criterion-2 item goes, stage by stage, in this
-process.
+"""Print where the time of a criterion-2 item or a pipeline chain goes,
+stage by stage, in this process.
 
-    python tests/stagetime.py [--seed S] [--passes P] [--cpu C]
+    python tests/stagetime.py [--seed S] [--passes P] [--cpu C] [--pipeline]
 
 builds 36 criterion-2 items (regular, exotic and mixed recipes of
 `tests/recipes.py`, n = 3..8, each on a diagonal and on a rotated body)
@@ -20,8 +20,19 @@ least over the passes (the host's slow spells only add time):
 
 It then prints the probe cases of ROADMAP item 15: `instability_probe` at
 default settings on a stable regular equilibrium at n = 4, 8 and 16 and
-on an escaping one at n = 4 and 8, best of 5. `--cpu` pins this process
-to one CPU. The figures are wall times of one machine; compare shares, or
+on an escaping one at n = 4 and 8, best of 5.
+
+With `--pipeline` it prints instead the stages of the 9-item chain that
+perfbench's `pipeline` workload runs through `cli.main` (generate,
+classify, stability --kernel, stability --spectrum), on rotated
+`criterion2_body` bodies and `random_recipe_doc` recipes of
+`tests/recipes.py`, kinds exotic, mixed and exotic at n = 8, 12 and 16:
+`parse_args`, `load_json`, `InertiaSpec`, `recipe_from_doc`, `classify`,
+`orbit_kernel`, `linearize`, `dumps_canonical`, the rest of `cli.main`
+and the pass, each the least milliseconds per pass. It then prints the
+cold cost of `stability._ad_matrix` at n = 16 (the first call after the
+pair tables of `linalg` are dropped, least of 20) and its warm cost
+(least of 200 calls). `--cpu` pins this process to one CPU. The figures are wall times of one machine; compare shares, or
 runs of two trees on one machine, not runs of two machines. Tier-1 does
 not collect this file, and it checks no timing.
 """
@@ -31,6 +42,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 import time
 from collections import defaultdict
 from pathlib import Path
@@ -42,8 +54,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import freetop as ft  # noqa: E402
 import freetop._kernels as fkernels  # noqa: E402
 import freetop.body as fbody  # noqa: E402
+import freetop.cli as fcli  # noqa: E402
+import freetop.linalg as flinalg  # noqa: E402
+import freetop.serialize as fser  # noqa: E402
+import freetop.stability as fstab  # noqa: E402
 
-from recipes import criterion2_body, random_recipe, read_recipe  # noqa: E402
+from outputdigest import pipeline_chain  # noqa: E402
+from recipes import criterion2_body, random_recipe, random_recipe_doc, read_recipe  # noqa: E402
 
 KINDS = ("regular", "exotic", "mixed")
 
@@ -165,14 +182,94 @@ def probe_table(repeats: int = 5) -> list[tuple[str, float, bool]]:
     return rows
 
 
+PIPELINE_STAGES = ("parse_args", "load_json", "InertiaSpec", "recipe_from_doc", "classify",
+                   "orbit_kernel", "linearize", "dumps_canonical")
+
+
+def pipeline_chains(seed: int, root: Path) -> list[list[list[str]]]:
+    """The argv lists of the 9 chains, their body and recipe files written
+    under root; kinds and dimensions as in perfbench's pipeline workload."""
+    chains = []
+    for v, kind in enumerate(("exotic", "mixed", "exotic")):
+        for n in (8, 12, 16):
+            rng = np.random.default_rng((seed, 3, v, n))
+            d = root / f"p{len(chains)}"
+            d.mkdir()
+            body = criterion2_body(n, rng, rotated=True)
+            fser.write_json(d / "body.json", fser.matrix_to_doc(body.J))
+            fser.write_json(d / "recipe.json", random_recipe_doc(n, rng, kind))
+            chains.append(pipeline_chain(d))
+    return chains
+
+
+def pipeline_table(seed: int, passes: int) -> dict[str, float]:
+    """Least milliseconds per pass of each pipeline stage over the passes."""
+    stages = Stages()
+    stages.wrap(argparse.ArgumentParser, "parse_args", "parse_args")
+    for owner in (fser, fcli):  # read_body and read_matrix call it in serialize
+        stages.wrap(owner, "load_json", "load_json")
+    stages.wrap(fbody.InertiaSpec, "__init__", "InertiaSpec")
+    for name in ("recipe_from_doc", "classify", "orbit_kernel", "linearize"):
+        stages.wrap(fcli, name, name)
+    stages.wrap(fser, "dumps_canonical", "dumps_canonical")
+    per_pass = defaultdict(list)
+    with tempfile.TemporaryDirectory() as tmp:
+        chains = pipeline_chains(seed, Path(tmp))
+        for p in range(passes + 1):  # the first pass warms caches and is dropped
+            stages.seconds.clear()
+            for chain in chains:
+                for argv in chain:
+                    if stages.time("pass", fcli.main, argv):
+                        raise RuntimeError(f"freetop {' '.join(argv)} failed")
+            s = stages.seconds
+            row = {label: s[label] for label in PIPELINE_STAGES}
+            row["cli.main, rest"] = s["pass"] - sum(row.values())
+            row["pass"] = s["pass"]
+            if p:
+                for label, value in row.items():
+                    per_pass[label].append(value)
+    return {label: 1e3 * min(v) for label, v in per_pass.items()}
+
+
+def ad_matrix_us(n: int = 16, cold_reps: int = 20, warm_reps: int = 200) -> tuple[float, float]:
+    """Least microseconds of one _ad_matrix call at n on a skew matrix: cold,
+    right after linalg's pair tables are dropped (where the tree has them),
+    and warm."""
+    x = np.triu(np.random.default_rng(n).standard_normal((n, n)), 1)
+    x = ft.skew(x - x.T)
+    table = getattr(flinalg, "_pair_table", None)
+    cold = warm = np.inf
+    for _ in range(cold_reps):
+        if table is not None:
+            table.cache_clear()
+        t0 = time.perf_counter()
+        fstab._ad_matrix(x, n)
+        cold = min(cold, time.perf_counter() - t0)
+    for _ in range(warm_reps):
+        t0 = time.perf_counter()
+        fstab._ad_matrix(x, n)
+        warm = min(warm, time.perf_counter() - t0)
+    return 1e6 * cold, 1e6 * warm
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--passes", type=int, default=20)
     parser.add_argument("--cpu", type=int, default=None, help="pin this process to CPU C")
+    parser.add_argument("--pipeline", action="store_true",
+                        help="time the stages of the 9-item pipeline chain instead")
     args = parser.parse_args(argv)
     if args.cpu is not None:
         os.sched_setaffinity(0, {args.cpu})
+    if args.pipeline:
+        print(f"pipeline chains, seed {args.seed}: least ms per pass of 9 chains "
+              f"over {args.passes} passes")
+        for label, ms in pipeline_table(args.seed, args.passes).items():
+            print(f"  {label:30s} {ms:8.2f}")
+        cold, warm = ad_matrix_us()
+        print(f"_ad_matrix at n = 16: cold {cold:.1f} us, warm {warm:.1f} us")
+        return 0
     print(f"criterion-2 items, seed {args.seed}: least ms per pass of 36 items "
           f"over {args.passes} passes")
     for label, ms in stage_table(args.seed, args.passes).items():

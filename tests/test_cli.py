@@ -1112,3 +1112,54 @@ class TestConsoleScript:
         assert main(["simulate", spinning_book_scenario(tmp_path),
                      "--output-dir", str(tmp_path)]) == 0
         assert gc.get_freeze_count() == frozen
+
+
+class TestBodiesBeyondHalfTheDoubleRange:
+    # Moments 1e306 and 1.69e308 from entries below 2**1023: the pair sum
+    # 2 * 1.69e308 overflows. The suite turns RuntimeWarning into an error,
+    # so each command here also checks that nothing warns.
+    BODY = {"spec_version": "1", "kind": "sym", "n": 2,
+            "rows": [[8.5e307, 8.4e307], [8.4e307, 8.5e307]]}
+    MOMENTUM = {"spec_version": "1", "kind": "skew", "n": 2, "rows": [[0.0, 1.0], [-1.0, 0.0]]}
+    REFUSAL = ("error: invalid input: inertia moments too large: the pair sums "
+               "lambda_i + lambda_j overflow (largest moment 1.69e+308); the RK4 "
+               "kernel needs them finite\n")
+
+    def paths(self, tmp_path):
+        return write(tmp_path / "m.json", self.MOMENTUM), write(tmp_path / "b.json", self.BODY)
+
+    def test_classify(self, tmp_path, capsys):
+        assert main(["classify", *self.paths(tmp_path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["regular"] and doc["blocks"][0]["axes"] == [0, 1]
+
+    def test_stability_spectrum(self, tmp_path, capsys):
+        assert main(["stability", *self.paths(tmp_path), "--spectrum"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["spectrum"] == [[0, 0]] and doc["matrix"] == [[0]]
+
+    def test_stability_kernel(self, tmp_path, capsys):
+        assert main(["stability", *self.paths(tmp_path), "--kernel"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["kernel_dim"], doc["stabilizer_dim"], doc["excess_kernel_dim"]) == (1, 1, 0)
+
+    def test_stability_probe_exit2(self, tmp_path, capsys):
+        assert main(["stability", *self.paths(tmp_path), "--probe"]) == 2
+        assert capsys.readouterr().err == self.REFUSAL
+
+    def test_simulate_exit2(self, tmp_path, capsys):
+        doc = {"spec_version": "1", "body": self.BODY, "initial": {"matrix": self.MOMENTUM},
+               "integrator": {"dt": 0.1, "t_end": 1.0}}
+        assert main(["simulate", write(tmp_path / "s.json", doc)]) == 2
+        assert capsys.readouterr().err == self.REFUSAL
+
+    def test_overflowing_structured_part_prints_one_line(self, tmp_path):
+        # In a process of its own numpy would print a RuntimeWarning and its
+        # source line before the error; stderr is the error line alone.
+        body = write(tmp_path / "b.json", {"spec_version": "1", "kind": "sym", "n": 2,
+                                            "rows": [[1.0, 0.0], [0.0, 1.7e308]]})
+        proc = TestConsoleScript.run_module(tmp_path, "classify",
+                                            write(tmp_path / "m.json", self.MOMENTUM), body)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("error: invalid input: rows: matrix entries too large: "
+                               "their structured part overflows\n")

@@ -50,14 +50,62 @@ class TestStructuredStorage:
             ft.sym([[np.nan, 0.0], [0.0, 1.0]])
 
     def test_rejects_overflowing_structured_part(self):
-        # a_ij + a_ji overflows, so the stored part would hold inf.
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match="overflows"):
-                ft.sym([[1e308, 0.0], [0.0, 1.0]])
-            with pytest.raises(ValueError, match="overflows"):
-                ft.skew([[0.0, 1e308], [-1e308, 0.0]])
-            big = ft.sym([[8e307, 0.0], [0.0, 1.0]])  # 2 * 8e307 is still finite
+        # a_ij + a_ji overflows, so the stored part would hold inf. The suite
+        # turns RuntimeWarning into an error, so the refusal must not warn.
+        with pytest.raises(ValueError, match="overflows"):
+            ft.sym([[1e308, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="overflows"):
+            ft.skew([[0.0, 1e308], [-1e308, 0.0]])
+        big = ft.sym([[8e307, 0.0], [0.0, 1.0]])  # 2 * 8e307 is still finite
         assert big[0, 0] == 8e307
+
+    @staticmethod
+    def _exact_cases(sign, rng):
+        """Exactly structured matrices with -0 entries and diagonals,
+        subnormal entries, and entries at 2**1022."""
+        base = rng.standard_normal((6, 6))
+        out = []
+        for scale in (1.0, 2.0**-1070, 2.0**1022 / 4.0):
+            a = np.where(rng.random((6, 6)) < 0.4, 0.0, base) * scale
+            a = np.triu(a, 1) + sign * np.triu(a, 1).T
+            for zeros in (0.0, -0.0):  # every zero entry +0, then -0
+                b = np.where(a == 0.0, zeros, a)
+                np.fill_diagonal(b, zeros if sign < 0 else np.diag(base) * scale)
+                out.append(b)
+                out.append(-b)  # flips each zero and the diagonal's zero sign
+            mixed = a.copy()
+            mixed[a == 0.0] = np.where(rng.random(int((a == 0.0).sum())) < 0.5, -0.0, 0.0)
+            out.append(mixed)
+        top = np.zeros((3, 3))
+        top[0, 1], top[1, 0] = 2.0**1022, sign * 2.0**1022
+        out.append(top)
+        if sign > 0:
+            out.append(np.diag([2.0**1022, -2.0**1022, 5e-324]))
+        return out
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_exact_input_gives_the_arithmetic_bits(self, rng, sign):
+        # An exactly structured input below 2**1023 takes the sum with the
+        # partner of its structure check: every bit, zero signs included, is
+        # that of 0.5 * (a + sign * a.T).
+        part = ft.sym if sign > 0 else ft.skew
+        for a in self._exact_cases(sign, rng):
+            assert np.array_equal(a, sign * a.T)
+            want = 0.5 * (a + sign * a.T)
+            got = part(a)
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+            assert not got.flags.writeable
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_exact_input_at_2_to_1023_still_refused(self, sign):
+        part = ft.sym if sign > 0 else ft.skew
+        a = np.zeros((3, 3))
+        a[0, 1], a[1, 0] = 2.0**1023, sign * 2.0**1023
+        with pytest.raises(ValueError, match="structured part overflows"):
+            part(a)
+        if sign > 0:
+            with pytest.raises(ValueError, match="structured part overflows"):
+                part(np.diag([1.0, 2.0**1023]))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_scaled_check_keeps_unscaled_decisions(self, rng, sign):

@@ -8,6 +8,7 @@ from scipy.optimize import linear_sum_assignment
 import freetop as ft
 from freetop import serialize as ser
 from freetop.equilibria import _require_stationary
+from freetop.linalg import _pair_table
 from freetop.stability import (DEFAULT_RANK_TOL, _ad_matrix, _eigenframe_operators,
                                _kernel_dim)
 
@@ -120,6 +121,50 @@ class TestBasis:
                               oracles.unscaled_loop_operator(lambda e: e @ m - m @ e, n))
         # Each entry is one entry of m, or 0.
         assert set(np.abs(_ad_matrix(m, n)).ravel()) <= set(np.abs(m).ravel())
+
+
+class TestPairTable:
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_pairs_and_plan_size(self, n):
+        t = _pair_table(n)
+        iu = np.triu_indices(n, k=1)
+        assert np.array_equal(t.i, iu[0]) and np.array_equal(t.j, iu[1])
+        assert np.array_equal(t.upper, np.triu(np.ones((n, n), dtype=bool), 1))
+        # Two terms for each basis element and each other axis: O(n^3), not d^2.
+        assert t.ad_flat.size == t.i.size * 2 * (n - 2)
+        assert np.unique(t.ad_flat).size == t.ad_flat.size
+        assert _pair_table(n) is t
+
+    def test_arrays_are_read_only(self):
+        t = _pair_table(5)
+        for array in (t.i, t.j, t.upper, t.ad_flat, t.ad_src):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+        assert isinstance(t.ad_bounds, tuple)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_ad_matrix_keeps_the_scatter_bits(self, n, rng):
+        # Compared as int64, so the sign of every zero counts: skew inputs
+        # with +-0 entries and -0 diagonals, the velocities and momenta that
+        # linearize and orbit_kernel build, and a matrix with a diagonal.
+        def same(x):
+            got, want = _ad_matrix(x, n), oracles.scatter_ad_matrix(x, n)
+            return got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+        for _ in range(10):
+            x = np.triu(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.6), 1)
+            x = x - x.T
+            assert same(x) and same(-x)
+            signed = np.where(x == 0.0, np.where(rng.random((n, n)) < 0.5, -0.0, 0.0), x)
+            np.fill_diagonal(signed, -0.0)
+            assert same(signed)
+            assert same(rng.standard_normal((n, n)))
+        body = random_body(n, rng)
+        for _ in range(5):
+            wt = random_skew(n, rng) * (rng.random((n, n)) < 0.7)
+            wt = np.triu(wt, 1) - np.triu(wt, 1).T
+            for pair in (body.pair_sums, body.scaled_pair_sums):
+                assert same(wt) and same(wt * pair) and same(-wt * pair)
 
 
 class TestLinearize:
@@ -278,6 +323,46 @@ class TestOrbitKernel:
         rep = ft.orbit_kernel(m - m.T, body4)
         assert (rep.stabilizer_dim, rep.kernel_dim, rep.excess_kernel_dim) == (2, 2, 0)
         assert rep.singular_values.tolist() == svals
+
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_scaled_pair_sums_keep_the_bits(self, n, rng):
+        # The operators are built from the pair sums scaled by 2**-b: L~ keeps
+        # every bit, ad_M~ and the singular values scale exactly by 2**-b.
+        body = random_body(n, rng)
+        m, _ = ft.generate(random_recipe(n, rng, kind="exotic"), body)
+        _, w, _, e, _ = _require_stationary(m, body, 1e-10)
+        b = body.scale_exponent
+        for wt in (w, np.ldexp(w, e)):
+            lin, ad = _eigenframe_operators(wt, body.pair_sums)
+            lin_s, ad_s = _eigenframe_operators(wt, body.scaled_pair_sums)
+            assert lin_s.tobytes() == lin.tobytes()
+            assert ad_s.tobytes() == np.ldexp(ad, -b).tobytes()
+        lin, ad = _eigenframe_operators(w, body.pair_sums)
+        svals = np.sort(np.linalg.svd(lin @ ad, compute_uv=False))[::-1]
+        rep = ft.orbit_kernel(m, body, tol=1e-10)
+        assert np.allclose(rep.singular_values, np.ldexp(svals, 2 * e), rtol=1e-12,
+                           atol=1e-12 * np.ldexp(svals[0], 2 * e))
+
+    def test_pair_sums_beyond_the_double_range(self, rng):
+        # Moments up to 1.69e308 on a rotated body with entries below
+        # 2**1023: pair sums overflow, the scaled ones do not, and an exotic
+        # rotation keeps its excess kernel direction.
+        lam = np.linspace(1e306, 1.69e308, 4)
+        while True:
+            q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+            j = q @ (lam[:, None] * q.T)
+            j = 0.5 * j + 0.5 * j.T
+            if np.abs(j).max() < 8.9e307:
+                break
+        body = ft.InertiaSpec(j)
+        assert np.isinf(body.pair_sums).any()
+        recipe = read_recipe(((0, 1, 2, 3), 1e-300, "random"), seed=3)
+        m, _ = ft.generate(recipe, body)
+        rep = ft.orbit_kernel(m, body)
+        assert (rep.stabilizer_dim, rep.excess_kernel_dim) == (2, 1)
+        assert np.isfinite(rep.singular_values).all()
+        assert np.isfinite(ft.linearize(m, body).matrix).all()
 
 
 class TestStabilizerCount:
